@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from . import gadgets
 from .graph import (
@@ -311,9 +311,16 @@ def rebuild_padded(g: Graph, cert: ReductionCertificate) -> Graph:
 # solution maps
 
 
-def _gadget_witness(gi: GadgetInstance) -> Set[int]:
-    _, layout = gadgets.build_gadget(gi.kind, gi.delta)
-    return {gi.id_offset + v for v in layout.canonical_mis}
+def _gadget_witness(
+    gi: GadgetInstance, canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]]
+) -> Set[int]:
+    """The gadget's canonical port-free maximum independent set, shifted to
+    its block.  ``canonical`` holds it per (kind, delta) for one call, so
+    each gadget shape is built once."""
+    key = (gi.kind, gi.delta)
+    if key not in canonical:
+        canonical[key] = gadgets.build_gadget(gi.kind, gi.delta)[1].canonical_mis
+    return {gi.id_offset + v for v in canonical[key]}
 
 
 def forward_map(g: Graph, members: Iterable[int], cert: ReductionCertificate) -> FrozenSet[int]:
@@ -327,8 +334,9 @@ def forward_map(g: Graph, members: Iterable[int], cert: ReductionCertificate) ->
     out = set(s)
     for step in cert.steps:
         out |= step.witness()
+    canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]] = {}
     for gi in cert.gadgets:
-        out |= _gadget_witness(gi)
+        out |= _gadget_witness(gi, canonical)
     return frozenset(out)
 
 
@@ -357,10 +365,9 @@ def normalize(
     if not is_independent_set(g_prime, s):
         raise GraphError("input set is not independent in the reduced graph")
     out = set(s)
+    canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]] = {}
     for gi in cert.gadgets:
-        block = set(gi.vertex_range())
-        portion = out & block
-        if gi.port in portion:
-            out -= block
-            out |= _gadget_witness(gi)
+        if gi.port in out:
+            out -= set(gi.vertex_range())
+            out |= _gadget_witness(gi, canonical)
     return frozenset(out)

@@ -3,8 +3,16 @@
 Gadget blueprints are rebuilt from (kind, delta) and compared edge by
 edge, rather than trusting anything embedded in the certificate, so a
 buggy or forged construction cannot vouch for itself.  Structural checks
-never invoke a solver; only the alpha-relation and port-exclusion checks
-do.
+never run a solver on the reduced graph; only the alpha-relation and
+port-exclusion checks do.  The gadget-alpha check reads the memoized exact
+alpha of the one gadget blueprint, and only once the blocks have matched it.
+
+Cost: :func:`check_certificate` is linear in |V'| + |E'|.  The blueprint
+is built once per call, each gadget block is compared with it in a single
+pass over the block's adjacency, and overlap and tiling are tracked in a
+``bytearray`` of length |V'|.  Certificate fields (kind, degree, size, id
+range) are bounded against the reduced graph before any blueprint is
+built.  The triangle check enumerates the triangles of G' once.
 """
 
 from __future__ import annotations
@@ -66,10 +74,101 @@ def check_regular(g: Graph, d: int) -> Check:
     )
 
 
+def _check_gadget_blocks(g_prime: Graph, cert: ReductionCertificate) -> Tuple[Check, Check]:
+    """The gadget-blueprints and port-attachment checks, in one pass over
+    the adjacency of the gadget blocks.
+
+    Every gadget must carry the certificate's (kind, delta), the closed-form
+    size and an id range inside [padded_n, |V'|) before the blueprint is
+    built, so an untrusted certificate cannot make the verifier build a
+    gadget larger than the reduced graph.  The blueprint is built once.
+    """
+    kind = cert.gadget_kind
+    delta = cert.target_degree if kind == gadgets.GENERAL else None
+    n, lo = g_prime.n, cert.padded_n
+    adjacency = g_prime.adjacency
+    blocks_ok, attach_ok = True, True
+    detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
+    if kind == gadgets.GENERAL:
+        try:
+            size = gadgets.general_gadget_size(cert.target_degree)
+        except GraphError as exc:
+            size, blocks_ok, detail_blocks = 0, False, str(exc)
+    elif kind == gadgets.PLANAR5:
+        size = gadgets.PLANAR_GADGET_SIZE
+    else:
+        size, blocks_ok, detail_blocks = 0, False, f"unknown gadget kind {kind!r}"
+    if blocks_ok and cert.gadgets and size * cert.target_degree > 2 * g_prime.m:
+        blocks_ok, detail_blocks = False, f"a gadget of {size} vertices needs more edges than the reduced graph has"
+
+    owned = bytearray(n)  # 1 for every id of the padded graph or of a gadget so far
+    if 0 <= lo <= n:
+        owned[:lo] = b"\x01" * lo
+    blueprint: Optional[Tuple[Tuple[int, ...], ...]] = None
+    for gi in cert.gadgets if blocks_ok else ():
+        off, end = gi.id_offset, gi.id_offset + size
+        if (gi.kind, gi.delta) != (kind, delta):
+            blocks_ok, detail_blocks = False, f"gadget at {off} is not a {kind} gadget for degree {cert.target_degree}"
+            break
+        if gi.size != size:
+            blocks_ok, detail_blocks = False, f"gadget at {off} has wrong size"
+            break
+        if not (0 <= lo <= off and end <= n):
+            blocks_ok, detail_blocks = False, f"gadget at {off} lies outside the gadget ids [{lo}, {n})"
+            break
+        if 1 in owned[off:end]:
+            blocks_ok, detail_blocks = False, f"gadget at {off} overlaps other ids"
+            break
+        owned[off:end] = b"\x01" * size
+        if blueprint is None:
+            blueprint = gadgets.build_gadget(kind, delta)[0].adjacency
+        internal_ok, external = True, []
+        for w in range(off, end):
+            adj = adjacency[w]
+            inside = tuple(x - off for x in adj if off <= x < end)
+            if len(inside) != len(adj):
+                external += [(min(w, x), max(w, x)) for x in adj if not off <= x < end]
+            internal_ok = internal_ok and inside == blueprint[w - off]
+        if not internal_ok:
+            blocks_ok = False
+            detail_blocks = f"gadget at {off} (owner {gi.owner}) deviates from the blueprint"
+        wanted = [(min(gi.port, gi.owner), max(gi.port, gi.owner))]
+        if external != wanted or not (0 <= gi.owner < lo):
+            attach_ok = False
+            detail_attach = f"gadget at {off} has edges {sorted(set(external))} leaving it, expected only port-owner"
+    if blocks_ok and (not 0 <= lo <= n or 0 in owned):
+        blocks_ok, detail_blocks = False, "gadget ranges do not tile the reduced graph"
+    return (
+        _check("gadget-blueprints", blocks_ok, detail_blocks),
+        _check("port-attachment", attach_ok, detail_attach),
+    )
+
+
+def _check_gadget_alpha(cert: ReductionCertificate, blocks_ok: bool) -> Check:
+    """``per_gadget_alpha`` equals the exact alpha of the one (kind, delta)
+    every gadget shares.  The memoized solver runs only on a blueprint
+    whose blocks passed their check."""
+    shapes = {(gi.kind, gi.delta) for gi in cert.gadgets}
+    if not shapes:
+        return Check("gadget-alpha", PASS, "no gadgets attached")
+    if len(shapes) > 1:
+        return Check("gadget-alpha", FAIL, f"gadgets mix {len(shapes)} (kind, delta) pairs")
+    if not blocks_ok:
+        return Check("gadget-alpha", SKIP, "gadget blocks failed their blueprint check")
+    kind, delta = shapes.pop()
+    exact = gadgets.gadget_alpha(delta) if kind == gadgets.GENERAL else gadgets.planar_gadget_alpha()
+    return _check(
+        "gadget-alpha",
+        cert.per_gadget_alpha == exact,
+        f"per_gadget_alpha {cert.per_gadget_alpha} vs exact {exact} for {kind}"
+        + (f" at degree {delta}" if delta is not None else ""),
+    )
+
+
 def check_certificate(
     g: Graph, g_prime: Graph, cert: ReductionCertificate
 ) -> VerificationReport:
-    """Pure-structure verification; no solver calls."""
+    """Pure-structure verification; no solver runs on either graph."""
     if cert.source_hash != g.content_hash():
         raise GraphError("certificate source hash does not match the source graph")
     if cert.result_hash != g_prime.content_hash():
@@ -106,46 +205,8 @@ def check_certificate(
         padded, pad_ok, pad_detail = None, False, str(exc)
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
-    # gadget blocks match freshly built blueprints and attach only via ports
-    blocks_ok, attach_ok = True, True
-    detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
-    seen = set(range(cert.padded_n))
-    for gi in cert.gadgets:
-        rng = set(gi.vertex_range())
-        if rng & seen:
-            blocks_ok, detail_blocks = False, f"gadget at {gi.id_offset} overlaps other ids"
-            break
-        seen |= rng
-        try:
-            blueprint = gadgets.build_gadget(gi.kind, gi.delta)[0]
-        except GraphError as exc:
-            blocks_ok, detail_blocks = False, str(exc)
-            break
-        if gi.size != blueprint.n:
-            blocks_ok, detail_blocks = False, f"gadget at {gi.id_offset} has wrong size"
-            break
-        internal = {
-            (u - gi.id_offset, v - gi.id_offset)
-            for u, v in g_prime.edges()
-            if u in rng and v in rng
-        }
-        if internal != set(blueprint.edges()):
-            blocks_ok = False
-            detail_blocks = f"gadget at {gi.id_offset} (owner {gi.owner}) deviates from the blueprint"
-        external = [
-            (u, v)
-            for w in rng
-            for u, v in ((min(w, x), max(w, x)) for x in g_prime.neighbors(w))
-            if (u in rng) != (v in rng)
-        ]
-        wanted = {(min(gi.port, gi.owner), max(gi.port, gi.owner))}
-        if set(external) != wanted or not (0 <= gi.owner < cert.padded_n):
-            attach_ok = False
-            detail_attach = f"gadget at {gi.id_offset} has edges {sorted(set(external))} leaving it, expected only port-owner"
-    if seen != set(range(g_prime.n)):
-        blocks_ok, detail_blocks = False, "gadget ranges do not tile the reduced graph"
-    checks.append(_check("gadget-blueprints", blocks_ok, detail_blocks))
-    checks.append(_check("port-attachment", attach_ok, detail_attach))
+    blueprints, attachment = _check_gadget_blocks(g_prime, cert)
+    checks += [blueprints, attachment]
 
     # gadget counts equal the deficiency of each padded vertex
     if padded is not None:
@@ -201,6 +262,7 @@ def check_certificate(
             f"total_offset {cert.total_offset} vs recomputed {expected_offset}",
         )
     )
+    checks.append(_check_gadget_alpha(cert, blueprints.status == PASS))
     return VerificationReport(tuple(checks))
 
 
@@ -279,20 +341,21 @@ def check_triangle_preservation(
         if s.kind == PARITY_FIX
     )
     expected = triangle_count(g) + clique_triangles
-    actual = triangle_count(g_prime)
+    actual, stray = 0, None
+    for t in triangles(g_prime):
+        actual += 1
+        if stray is None and t[2] >= cert.padded_n:  # t is sorted
+            stray = t
     if actual != expected:
         return Check(
             "triangle-preservation",
             FAIL,
             f"reduced graph has {actual} triangles, expected {expected}",
         )
-    stray = [
-        t for t in triangles(g_prime) if any(v >= cert.padded_n for v in t)
-    ]
     return _check(
         "triangle-preservation",
-        not stray,
-        "no triangle touches a gadget" if not stray else f"triangle {stray[0]} touches a gadget",
+        stray is None,
+        "no triangle touches a gadget" if stray is None else f"triangle {stray} touches a gadget",
     )
 
 
@@ -342,6 +405,12 @@ def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Che
             f"m={g_prime.m} exceeds 3n-6={3 * g_prime.n - 6}",
         )
     for gi in cert.gadgets:
+        if not (0 <= gi.id_offset and gi.id_offset + gi.size <= g_prime.n):
+            return Check(
+                "planarity-necessary",
+                FAIL,
+                f"gadget at {gi.id_offset} lies outside the reduced graph",
+            )
         rng = set(gi.vertex_range())
         external = {
             (w, x)
@@ -372,11 +441,14 @@ def verify_all(
     """Run the full check battery; solver-backed checks only with
     ``with_oracle``."""
     checks = list(check_certificate(g, g_prime, cert).checks)
+    blocks_ok = next(c.status == PASS for c in checks if c.name == "gadget-blueprints")
     checks.append(check_triangle_preservation(g, g_prime, cert))
     checks.append(check_planarity_necessary(g_prime, cert))
     if with_oracle:
         checks.append(check_alpha_relation(g, g_prime, cert, limits))
-        if cert.gadgets:
+        if cert.gadgets and not blocks_ok:
+            checks.append(Check("port-exclusion", SKIP, "gadget blocks failed their blueprint check"))
+        elif cert.gadgets:
             gi = cert.gadgets[0]
             checks.append(check_port_exclusion(gi.kind, gi.delta, limits))
     else:

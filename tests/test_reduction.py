@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from regmis import gadgets
 from regmis.gadgets import GENERAL, PLANAR5, build_general_gadget, gadget_alpha
 from regmis.graph import (
     Graph,
@@ -270,6 +271,19 @@ class TestSolutionMaps:
         assert len(normalized) == len(with_port) + 1
         assert is_independent_set(gp, normalized)
         assert all(gi.port not in normalized for gi in cert.gadgets)
+
+    def test_gadget_witness_built_once_per_shape(self, monkeypatch):
+        g = cycle_graph(50)
+        gp, cert = regularize(g, 3)
+        ports = {gi.port for gi in cert.gadgets}
+        builds = []
+        real_build = gadgets.build_gadget
+        monkeypatch.setattr(gadgets, "build_gadget", lambda *a: builds.append(a) or real_build(*a))
+        lifted = forward_map(g, set(), cert)
+        normalized = normalize(gp, ports, cert)
+        assert len(builds) == 2  # one per call, not one per gadget
+        assert len(lifted) == cert.total_offset
+        assert len(normalized) == cert.total_offset and not ports & normalized
 
 
 class TestCertificateSerialization:

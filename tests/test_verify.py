@@ -2,8 +2,17 @@ import dataclasses
 
 import pytest
 
+from regmis import gadgets
 from regmis.gadgets import GENERAL, ICOSA, PLANAR5
-from regmis.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph
+from regmis.graph import (
+    Graph,
+    GraphError,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    path_graph,
+)
 from regmis.reduction import (
     forward_map,
     reduce_to_regular,
@@ -44,6 +53,13 @@ def drop_edge(g, u, v):
 
 def add_edge(g, u, v):
     return Graph.from_edges(g.n, list(g.edges()) + [(u, v)])
+
+
+def replace_gadget(cert, i, **changes):
+    """The certificate with fields of its ``i``-th gadget changed."""
+    forged = list(cert.gadgets)
+    forged[i] = dataclasses.replace(forged[i], **changes)
+    return dataclasses.replace(cert, gadgets=tuple(forged))
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +149,72 @@ class TestMutationDetection:
         forged = rehash(cert, g_prime=mutated)
         assert check_planarity_necessary(mutated, forged).status == FAIL
 
+    def test_overlapping_ranges_kill_blueprints(self, pipeline):
+        g, gp, cert = pipeline
+        g1 = cert.gadgets[0]
+        forged = replace_gadget(cert, 1, id_offset=g1.id_offset)
+        report = check_certificate(g, gp, forged)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["gadget-blueprints"].status == FAIL
+        assert f"gadget at {g1.id_offset} overlaps" in by_name["gadget-blueprints"].detail
+
+    def test_range_past_reduced_graph_kills_blueprints(self, pipeline):
+        g, gp, cert = pipeline
+        forged = replace_gadget(cert, 1, id_offset=gp.n - 1)
+        report = check_certificate(g, gp, forged)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["gadget-blueprints"].status == FAIL
+        assert "lies outside" in by_name["gadget-blueprints"].detail
+
+    def test_dropped_gadget_kills_tiling(self, pipeline):
+        g, gp, cert = pipeline
+        forged = dataclasses.replace(
+            cert,
+            gadgets=cert.gadgets[:-1],
+            total_offset=cert.total_offset - cert.per_gadget_alpha,
+        )
+        report = check_certificate(g, gp, forged)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["gadget-blueprints"].status == FAIL
+        assert "do not tile" in by_name["gadget-blueprints"].detail
+
+    def test_ports_joined_to_each_other_kill_attachment(self, pipeline):
+        g, gp, cert = pipeline
+        g1, g2 = cert.gadgets[0], cert.gadgets[1]
+        mutated = drop_edge(drop_edge(gp, g1.port, g1.owner), g2.port, g2.owner)
+        mutated = add_edge(add_edge(mutated, g1.port, g2.port), g1.owner, g2.owner)
+        forged = replace_gadget(replace_gadget(cert, 0, owner=g2.port), 1, owner=g1.port)
+        report = check_certificate(g, mutated, rehash(forged, g_prime=mutated))
+        assert {c.name: c.status for c in report.checks}["port-attachment"] == FAIL
+
+    def test_edge_between_gadgets_kills_attachment(self, pipeline):
+        g, gp, cert = pipeline
+        g1, g2 = cert.gadgets[0], cert.gadgets[1]
+        mutated = add_edge(gp, g1.id_offset, g2.id_offset)
+        report = check_certificate(g, mutated, rehash(cert, g_prime=mutated))
+        assert {c.name: c.status for c in report.checks}["port-attachment"] == FAIL
+
+    @pytest.mark.parametrize("which", ["pipeline", "planar_pipeline"])
+    def test_forged_gadget_alpha_kills_gadget_alpha(self, which, request):
+        g, gp, cert = request.getfixturevalue(which)
+        forged = dataclasses.replace(
+            cert,
+            per_gadget_alpha=cert.per_gadget_alpha + 1,
+            total_offset=cert.total_offset + len(cert.gadgets),
+        )
+        report = check_certificate(g, gp, forged)
+        assert report.overall == FAIL
+        assert [c.name for c in report.checks if c.status != PASS] == ["gadget-alpha"]
+
+    def test_mixed_deltas_kill_gadget_alpha(self):
+        g = K4_MINUS_EDGE
+        gp, cert = regularize(g, 5)
+        forged = replace_gadget(cert, 0, delta=3)
+        report = check_certificate(g, gp, forged)
+        by_name = {c.name: c.status for c in report.checks}
+        assert by_name["gadget-alpha"] == FAIL
+        assert by_name["gadget-blueprints"] == FAIL
+
     def test_extra_triangle_kills_triangle_preservation(self, pipeline):
         g, gp, cert = pipeline
         gi = cert.gadgets[0]
@@ -140,6 +222,92 @@ class TestMutationDetection:
         mutated = add_edge(gp, gi.id_offset, gi.id_offset + 1)
         forged = rehash(cert, g_prime=mutated)
         assert check_triangle_preservation(g, mutated, forged).status == FAIL
+
+
+def refuse_degree(fn, delta):
+    """``fn``, failing the test if it is ever called for degree ``delta``."""
+
+    def guarded(*args):
+        assert delta not in args, f"{fn.__name__} called for degree {delta}"
+        return fn(*args)
+
+    return guarded
+
+
+class TestUntrustedCertificate:
+    def test_huge_degree_rejected_without_building_it(self, pipeline, monkeypatch):
+        g, gp, cert = pipeline
+        huge = 10001
+        size = gadgets.general_gadget_size(huge)
+        forged = dataclasses.replace(
+            cert,
+            target_degree=huge,
+            gadgets=tuple(dataclasses.replace(gi, delta=huge, size=size) for gi in cert.gadgets),
+        )
+        for name in ("build_gadget", "gadget_alpha"):
+            monkeypatch.setattr(gadgets, name, refuse_degree(getattr(gadgets, name), huge))
+        report = verify_all(g, gp, forged, with_oracle=True)
+        by_name = {c.name: c.status for c in report.checks}
+        assert report.overall == FAIL
+        assert by_name["gadget-blueprints"] == FAIL
+        assert by_name["gadget-alpha"] == SKIP
+        assert by_name["port-exclusion"] == SKIP
+
+    def test_gadget_with_more_edges_than_reduced_graph_not_built(self, pipeline, monkeypatch):
+        g, gp, cert = pipeline
+        sparse = disjoint_union(gp, empty_graph(100))
+        gi = cert.gadgets[0]
+        forged = dataclasses.replace(
+            rehash(cert, g_prime=sparse),
+            target_degree=7,
+            gadgets=(dataclasses.replace(gi, delta=7, size=gadgets.general_gadget_size(7)),),
+        )
+        monkeypatch.setattr(gadgets, "build_gadget", refuse_degree(gadgets.build_gadget, 7))
+        by_name = {c.name: c for c in check_certificate(g, sparse, forged).checks}
+        assert by_name["gadget-blueprints"].status == FAIL
+        assert "more edges" in by_name["gadget-blueprints"].detail
+
+    def test_planar_range_past_reduced_graph_fails(self, planar_pipeline):
+        g, gp, cert = planar_pipeline
+        forged = replace_gadget(cert, 1, id_offset=gp.n - 1)
+        report = verify_all(g, gp, forged)
+        by_name = {c.name: c.status for c in report.checks}
+        assert by_name["gadget-blueprints"] == FAIL
+        assert by_name["planarity-necessary"] == FAIL
+
+
+class TestLinearWork:
+    """Deterministic work guards: counts of whole-graph walks, no timing."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args[0] if args else None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_certificate_walks_do_not_grow_with_gadgets(self, n, monkeypatch):
+        g = cycle_graph(n)
+        gp, cert = regularize(g, 3)
+        assert len(cert.gadgets) == n
+        walks = self.count_calls(monkeypatch, Graph, "edges")
+        builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
+        assert check_certificate(g, gp, cert).overall == PASS
+        assert len(walks) == 2  # the two content hashes
+        assert len(builds) == 1
+
+    def test_triangle_check_walks_each_graph_once(self, monkeypatch):
+        g = complete_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        walks = self.count_calls(monkeypatch, Graph, "edges")
+        assert check_triangle_preservation(g, gp, cert).status == PASS
+        assert sorted(w.n for w in walks) == sorted([g.n, gp.n])
 
 
 class TestAlphaRelation:
@@ -173,8 +341,6 @@ class TestSandwich:
         assert "65" in check.detail
 
     def test_general_pipeline_with_oracle_max(self):
-        from regmis.graph import disjoint_union
-
         g = disjoint_union(cycle_graph(5), complete_graph(4))
         best = mis_bruteforce(g).witness
         assert len(best) == 3

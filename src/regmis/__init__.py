@@ -3,37 +3,18 @@
 Transforms bounded-degree graphs into d-regular graphs (and planar graphs
 into 5-regular planar graphs) with a machine-checkable certificate
 relating the independence numbers, plus exact solvers used as
-verification oracles.
+verification oracles.  Everything else lives in the submodules
+(``regmis.graph``, ``regmis.gadgets``, ``regmis.reduction``, ...).
 """
 
-from .graph import (
-    Graph,
-    GraphError,
-    InfeasibleError,
-    disjoint_union,
-    is_independent_set,
-    triangle_count,
-)
+from .graph import Graph, GraphError, InfeasibleError
 from .io import parse_graph, serialize_graph
-from .gadgets import (
-    GadgetLayout,
-    build_general_gadget,
-    build_icosa_gadget,
-    build_planar_gadget,
-    gadget_alpha,
-    planar_gadget_alpha,
-)
 from .reduction import (
-    GadgetInstance,
     ReductionCertificate,
-    ReductionStep,
-    ensure_odd_delta,
     forward_map,
     normalize,
-    pad_to_target,
     recover,
     reduce_to_regular,
-    regularize,
     regularize_planar,
 )
 from .solvers import (
@@ -42,21 +23,9 @@ from .solvers import (
     SolverLimits,
     has_clique_k,
     min_vertex_cover,
-    mis_branch_bound,
-    mis_bruteforce,
     solve_mis,
 )
-from .verify import (
-    VerificationReport,
-    check_alpha_relation,
-    check_certificate,
-    check_planarity_necessary,
-    check_port_exclusion,
-    check_regular,
-    check_sandwich,
-    check_triangle_preservation,
-    verify_all,
-)
+from .verify import VerificationReport, check_sandwich, verify_all
 
 __version__ = "0.1.0"
 
@@ -64,43 +33,21 @@ __all__ = [
     "Graph",
     "GraphError",
     "InfeasibleError",
-    "GadgetLayout",
-    "GadgetInstance",
     "ReductionCertificate",
-    "ReductionStep",
     "ResourceLimitError",
     "SolveResult",
     "SolverLimits",
     "VerificationReport",
-    "build_general_gadget",
-    "build_icosa_gadget",
-    "build_planar_gadget",
-    "check_alpha_relation",
-    "check_certificate",
-    "check_planarity_necessary",
-    "check_port_exclusion",
-    "check_regular",
     "check_sandwich",
-    "check_triangle_preservation",
-    "disjoint_union",
-    "ensure_odd_delta",
     "forward_map",
-    "gadget_alpha",
     "has_clique_k",
-    "is_independent_set",
     "min_vertex_cover",
-    "mis_branch_bound",
-    "mis_bruteforce",
     "normalize",
-    "pad_to_target",
     "parse_graph",
-    "planar_gadget_alpha",
     "recover",
     "reduce_to_regular",
-    "regularize",
     "regularize_planar",
     "serialize_graph",
     "solve_mis",
-    "triangle_count",
     "verify_all",
 ]

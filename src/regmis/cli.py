@@ -33,6 +33,18 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_graph(text, fmt if fmt != "auto" else sniff_format(path))
 
 
+def _read_solution(path: str) -> list[int]:
+    """One vertex id per non-blank line."""
+    ids = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                ids.append(int(line))
+            except ValueError as exc:
+                raise GraphError(f"line {lineno}: expected one vertex id, got {line!r}") from exc
+    return ids
+
+
 def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -53,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Degree-regularizing reductions for maximum independent set, "
         "with certificates, exact solvers, and verification.",
     )
-    parser.add_argument("--seed", type=int, help="reserved for future randomized features")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser) -> None:
@@ -143,11 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     g_prime = _read_graph(args.reduced, args.format)
     cert = ReductionCertificate.from_json(Path(args.cert).read_text())
-    ids = [
-        int(line)
-        for line in Path(args.solution).read_text().splitlines()
-        if line.strip()
-    ]
+    ids = _read_solution(args.solution)
     recovered = recover(g_prime, ids, cert)
     doc = {
         "recovered": sorted(recovered),
@@ -171,7 +178,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         "delta": layout.delta,
         "port": layout.port,
         "internal_alpha": layout.internal_alpha,
-        "roles": {str(v): r for v, r in layout.role_map().items()},
+        "roles": {str(v): r for v, r in enumerate(layout.roles)},
         "alpha_report": gadgets.alpha_report(args.kind, delta),
     }
     _write(args.roles, json.dumps(doc, indent=2) + "\n")

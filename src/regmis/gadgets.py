@@ -10,8 +10,10 @@ Two attachable gadget kinds exist:
   port joined to the two degree-4 vertices of each copy.  Planar, and
   every vertex has degree 5 except the port (degree 4).
 
-Each gadget's independence number is computed exactly by the solvers and
-memoized; the closed form quoted alongside the construction in the
+The builders construct only the graph, the roles, the port and a
+canonical port-free maximum independent set; they never run a solver.
+Each gadget's independence number is computed exactly by the solvers on
+first use and memoized per (kind, delta); the closed form quoted alongside the construction in the
 literature overcounts (see :func:`alpha_report`), so the solver value is
 authoritative everywhere.
 """
@@ -36,11 +38,12 @@ class GadgetLayout:
     delta: Optional[int]  # target degree for general-odd, else None
     roles: Tuple[str, ...]  # role string per vertex id
     port: Optional[int]
-    internal_alpha: int
     canonical_mis: FrozenSet[int]  # port-free maximum independent set
 
-    def role_map(self) -> Dict[int, str]:
-        return dict(enumerate(self.roles))
+    @property
+    def internal_alpha(self) -> int:
+        """Exact independence number, solved on first use and memoized."""
+        return _memoized_alpha(self.kind, self.delta)
 
 
 def _require_odd_delta(delta: int) -> None:
@@ -102,7 +105,6 @@ def build_general_gadget(delta: int) -> Tuple[Graph, GadgetLayout]:
         delta=delta,
         roles=tuple(roles),
         port=port,
-        internal_alpha=gadget_alpha(delta),
         canonical_mis=canonical,
     )
     return g, layout
@@ -135,7 +137,6 @@ def build_icosa_gadget() -> Tuple[Graph, GadgetLayout]:
         delta=None,
         roles=tuple(f"icosa:{c}" for c in ICOSA_LABELS),
         port=None,
-        internal_alpha=4,
         canonical_mis=frozenset(idx[c] for c in ICOSA_MIS_LABELS),
     )
     return g, layout
@@ -162,7 +163,6 @@ def build_planar_gadget() -> Tuple[Graph, GadgetLayout]:
         delta=None,
         roles=roles,
         port=port,
-        internal_alpha=planar_gadget_alpha(),
         canonical_mis=canonical,
     )
     return g, layout
@@ -187,45 +187,12 @@ _alpha_memo: Dict[Tuple[str, Optional[int]], int] = {}
 _alpha_lock = threading.Lock()
 
 
-def _gadget_graph_only(kind: str, delta: Optional[int]) -> Graph:
-    """Build just the gadget graph, without touching the alpha memo."""
-    if kind == GENERAL:
-        assert delta is not None
-        k = (delta - 1) // 2
-        side = delta - 1
-        edges: list[Tuple[int, int]] = []
-        nid = 0
-        blocks = []
-        for _ in range(k):
-            a_ids = list(range(nid, nid + side))
-            b_ids = list(range(nid + side, nid + 2 * side))
-            nid += 2 * side
-            blocks.append((a_ids, b_ids))
-            edges += [(u, v) for u in a_ids for v in b_ids]
-        hub_a = list(range(nid, nid + k))
-        hub_b = list(range(nid + k, nid + 2 * k))
-        nid += 2 * k
-        for i, (a_ids, b_ids) in enumerate(blocks):
-            edges += [(hub_a[i], v) for v in a_ids]
-            edges += [(hub_b[i], v) for v in b_ids]
-        edges += [(nid, h) for h in hub_a + hub_b]
-        return Graph.from_edges(nid + 1, edges)
-    if kind == PLANAR5:
-        edges = _icosa_edges(0) + _icosa_edges(12)
-        idx = {c: i for i, c in enumerate(ICOSA_LABELS)}
-        edges += [(24, idx["a"]), (24, idx["b"]), (24, 12 + idx["a"]), (24, 12 + idx["b"])]
-        return Graph.from_edges(25, edges)
-    if kind == ICOSA:
-        return Graph.from_edges(12, _icosa_edges())
-    raise GraphError(f"unknown gadget kind {kind!r}")
-
-
 def _memoized_alpha(kind: str, delta: Optional[int]) -> int:
     key = (kind, delta)
     with _alpha_lock:
         if key in _alpha_memo:
             return _alpha_memo[key]
-    value = mis_branch_bound(_gadget_graph_only(kind, delta), SolverLimits()).alpha
+    value = mis_branch_bound(build_gadget(kind, delta)[0], SolverLimits()).alpha
     with _alpha_lock:
         _alpha_memo[key] = value
     return value

@@ -95,7 +95,10 @@ def _parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("n="):
-                declared_n = int(body[2:])
+                try:
+                    declared_n = int(body[2:])
+                except ValueError as exc:
+                    raise GraphError(f"line {lineno}: bad vertex count in {line!r}") from exc
             continue
         parts = line.split()
         if len(parts) != 2:

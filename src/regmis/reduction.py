@@ -126,30 +126,38 @@ class ReductionCertificate:
         try:
             doc = json.loads(text)
             cert = ReductionCertificate(
-                target_degree=doc["target_degree"],
-                source_n=doc["source_n"],
+                target_degree=_int(doc["target_degree"]),
+                source_n=_int(doc["source_n"]),
                 steps=tuple(
-                    ReductionStep(s["kind"], s["start"], s["end"], s["alpha_offset"])
+                    ReductionStep(s["kind"], _int(s["start"]), _int(s["end"]), _int(s["alpha_offset"]))
                     for s in doc["steps"]
                 ),
                 gadgets=tuple(
                     GadgetInstance(
-                        g["owner"], g["index"], g["kind"], g["delta"],
-                        g["id_offset"], g["size"],
+                        _int(g["owner"]), _int(g["index"]), g["kind"],
+                        None if g["delta"] is None else _int(g["delta"]),
+                        _int(g["id_offset"]), _int(g["size"]),
                     )
                     for g in doc["gadgets"]
                 ),
-                per_gadget_alpha=doc["per_gadget_alpha"],
-                total_offset=doc["total_offset"],
+                per_gadget_alpha=_int(doc["per_gadget_alpha"]),
+                total_offset=_int(doc["total_offset"]),
                 source_hash=doc["source_hash"],
                 result_hash=doc["result_hash"],
             )
+            ports = [_int(g["port"]) for g in doc["gadgets"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed certificate: {exc}") from exc
-        for gi, raw in zip(cert.gadgets, doc["gadgets"]):
-            if raw["port"] != gi.port:
-                raise GraphError("certificate gadget port disagrees with its id range")
+        if ports != [gi.port for gi in cert.gadgets]:
+            raise GraphError("certificate gadget port disagrees with its id range")
         return cert
+
+
+def _int(value: object) -> int:
+    """``value`` if it is a JSON integer (not a bool); raises TypeError otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -187,44 +195,57 @@ def pad_to_target(g: Graph, d: int) -> Tuple[Graph, Optional[ReductionStep]]:
 
 
 # ---------------------------------------------------------------------------
-# gadget attachment
+# the pipeline
 
 
-def _attach_gadgets(g: Graph, delta: int, kind: str) -> Tuple[Graph, Tuple[GadgetInstance, ...]]:
-    blueprint, _ = gadgets.build_gadget(kind, delta if kind == gadgets.GENERAL else None)
+def _reduce(
+    source: Graph, delta: int, kind: str, pad: bool = False, strict: bool = False
+) -> Tuple[Graph, ReductionCertificate]:
+    """The one reduction pipeline behind every entry point.
+
+    Checks the target and the maximum degree, pads a non-empty source when
+    ``pad`` is set (parity fix, then star), attaches one gadget of ``kind``
+    per unit of deficiency and certifies the result.  The parity clique has
+    degree Δ+1 <= ``delta`` (Δ even, ``delta`` odd), so padding never
+    exceeds the target.
+    """
+    if delta < 3 or delta % 2 == 0:
+        raise GraphError(f"target degree must be odd and >= 3, got {delta}")
+    if source.max_degree() > delta:
+        raise InfeasibleError(
+            f"maximum degree {source.max_degree()} exceeds target degree {delta}"
+        )
+    padded, steps = source, ()
+    if pad and source.n:
+        if strict and source.max_degree() % 2 == 0:
+            raise InfeasibleError("input has even maximum degree and strict mode is on")
+        padded, parity = ensure_odd_delta(source)
+        padded, star = pad_to_target(padded, delta)
+        steps = tuple(s for s in (parity, star) if s)
+
+    gadget_delta = delta if kind == gadgets.GENERAL else None
+    blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
     blueprint_edges = list(blueprint.edges())
-    port_rel = size - 1
-
-    edges = list(g.edges())
+    edges = list(padded.edges())
     instances = []
-    nid = g.n
-    for v in range(g.n):
-        for j in range(1, delta - g.degree(v) + 1):
+    nid = padded.n
+    for v in range(padded.n):
+        for j in range(1, delta - padded.degree(v) + 1):
             edges += [(nid + a, nid + b) for a, b in blueprint_edges]
-            edges.append((nid + port_rel, v))
-            gadget_delta = delta if kind == gadgets.GENERAL else None
+            edges.append((nid + size - 1, v))  # the port is the last id
             instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
             nid += size
-    return Graph.from_edges(nid, edges), tuple(instances)
+    result = Graph.from_edges(nid, edges)
 
-
-def _make_certificate(
-    source: Graph,
-    result: Graph,
-    delta: int,
-    steps: Tuple[ReductionStep, ...],
-    instances: Tuple[GadgetInstance, ...],
-    per_gadget_alpha: int,
-) -> ReductionCertificate:
-    total = sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha
-    return ReductionCertificate(
+    per_gadget_alpha = layout.internal_alpha
+    return result, ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
         steps=steps,
-        gadgets=instances,
+        gadgets=tuple(instances),
         per_gadget_alpha=per_gadget_alpha,
-        total_offset=total,
+        total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
         source_hash=source.content_hash(),
         result_hash=result.content_hash(),
     )
@@ -236,60 +257,21 @@ def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
     Expects the input already prepared (odd maximum degree at most
     ``delta``); use :func:`reduce_to_regular` for the full pipeline.
     """
-    if delta < 3 or delta % 2 == 0:
-        raise GraphError(f"target degree must be odd and >= 3, got {delta}")
-    if g.max_degree() > delta:
-        raise InfeasibleError(
-            f"maximum degree {g.max_degree()} exceeds target degree {delta}"
-        )
-    result, instances = _attach_gadgets(g, delta, gadgets.GENERAL)
-    return result, _make_certificate(
-        g, result, delta, (), instances, gadgets.gadget_alpha(delta)
-    )
+    return _reduce(g, delta, gadgets.GENERAL)
 
 
 def regularize_planar(g: Graph) -> Tuple[Graph, ReductionCertificate]:
     """5-regularize with the planar gadget; planarity of the input is the
     caller's responsibility and is preserved structurally (each gadget is
     planar and hangs off a single cut edge)."""
-    if g.max_degree() > 5:
-        raise InfeasibleError(f"maximum degree {g.max_degree()} exceeds 5")
-    result, instances = _attach_gadgets(g, 5, gadgets.PLANAR5)
-    return result, _make_certificate(
-        g, result, 5, (), instances, gadgets.planar_gadget_alpha()
-    )
+    return _reduce(g, 5, gadgets.PLANAR5)
 
 
 def reduce_to_regular(
     g: Graph, delta: int, strict: bool = False
 ) -> Tuple[Graph, ReductionCertificate]:
     """Full pipeline: parity fix, star padding, gadget attachment."""
-    if delta < 3 or delta % 2 == 0:
-        raise GraphError(f"target degree must be odd and >= 3, got {delta}")
-    if g.n == 0:
-        return g, _make_certificate(g, g, delta, (), (), gadgets.gadget_alpha(delta))
-    if g.max_degree() > delta:
-        raise InfeasibleError(
-            f"maximum degree {g.max_degree()} exceeds target degree {delta}"
-        )
-    steps = []
-    padded = g
-    if strict and g.max_degree() % 2 == 0:
-        raise InfeasibleError("input has even maximum degree and strict mode is on")
-    padded, step = ensure_odd_delta(padded)
-    if step:
-        steps.append(step)
-    if padded.max_degree() > delta:
-        raise InfeasibleError(
-            f"parity fix raises the maximum degree past the target {delta}"
-        )
-    padded, step = pad_to_target(padded, delta)
-    if step:
-        steps.append(step)
-    result, instances = _attach_gadgets(padded, delta, gadgets.GENERAL)
-    return result, _make_certificate(
-        g, result, delta, tuple(steps), instances, gadgets.gadget_alpha(delta)
-    )
+    return _reduce(g, delta, gadgets.GENERAL, pad=True, strict=strict)
 
 
 def rebuild_padded(g: Graph, cert: ReductionCertificate) -> Graph:

@@ -74,9 +74,12 @@ def check_regular(g: Graph, d: int) -> Check:
     )
 
 
-def _check_gadget_blocks(g_prime: Graph, cert: ReductionCertificate) -> Tuple[Check, Check]:
+def _check_gadget_blocks(
+    g_prime: Graph, cert: ReductionCertificate
+) -> Tuple[Check, Check, Optional[int]]:
     """The gadget-blueprints and port-attachment checks, in one pass over
-    the adjacency of the gadget blocks.
+    the adjacency of the gadget blocks, and the closed-form gadget size
+    (None when the certificate's kind or degree has none).
 
     Every gadget must carry the certificate's (kind, delta), the closed-form
     size and an id range inside [padded_n, |V'|) before the blueprint is
@@ -93,11 +96,11 @@ def _check_gadget_blocks(g_prime: Graph, cert: ReductionCertificate) -> Tuple[Ch
         try:
             size = gadgets.general_gadget_size(cert.target_degree)
         except GraphError as exc:
-            size, blocks_ok, detail_blocks = 0, False, str(exc)
+            size, blocks_ok, detail_blocks = None, False, str(exc)
     elif kind == gadgets.PLANAR5:
         size = gadgets.PLANAR_GADGET_SIZE
     else:
-        size, blocks_ok, detail_blocks = 0, False, f"unknown gadget kind {kind!r}"
+        size, blocks_ok, detail_blocks = None, False, f"unknown gadget kind {kind!r}"
     if blocks_ok and cert.gadgets and size * cert.target_degree > 2 * g_prime.m:
         blocks_ok, detail_blocks = False, f"a gadget of {size} vertices needs more edges than the reduced graph has"
 
@@ -141,6 +144,7 @@ def _check_gadget_blocks(g_prime: Graph, cert: ReductionCertificate) -> Tuple[Ch
     return (
         _check("gadget-blueprints", blocks_ok, detail_blocks),
         _check("port-attachment", attach_ok, detail_attach),
+        size,
     )
 
 
@@ -205,7 +209,7 @@ def check_certificate(
         padded, pad_ok, pad_detail = None, False, str(exc)
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
-    blueprints, attachment = _check_gadget_blocks(g_prime, cert)
+    blueprints, attachment, gadget_size = _check_gadget_blocks(g_prime, cert)
     checks += [blueprints, attachment]
 
     # gadget counts equal the deficiency of each padded vertex
@@ -232,23 +236,21 @@ def check_certificate(
         checks.append(Check("gadget-counts", SKIP, "padded graph unavailable"))
 
     # vertex count: closed form and the cubic-in-degree blowup bound
-    gadget_size = (
-        gadgets.general_gadget_size(cert.target_degree)
-        if cert.gadget_kind == gadgets.GENERAL
-        else gadgets.PLANAR_GADGET_SIZE
-    )
-    expected_n = cert.padded_n + len(cert.gadgets) * gadget_size
-    bound = cert.padded_n * (1 + cert.target_degree * gadget_size)
-    size_ok = g_prime.n == expected_n and g_prime.n <= bound
-    checks.append(
-        _check(
-            "size-bound",
-            size_ok,
-            f"|V'|={g_prime.n} equals closed form {expected_n}, within bound {bound}"
-            if size_ok
-            else f"|V'|={g_prime.n}, closed form {expected_n}, bound {bound}",
+    if gadget_size is None:
+        checks.append(Check("size-bound", FAIL, f"no closed-form gadget size: {blueprints.detail}"))
+    else:
+        expected_n = cert.padded_n + len(cert.gadgets) * gadget_size
+        bound = cert.padded_n * (1 + cert.target_degree * gadget_size)
+        size_ok = g_prime.n == expected_n and g_prime.n <= bound
+        checks.append(
+            _check(
+                "size-bound",
+                size_ok,
+                f"|V'|={g_prime.n} equals closed form {expected_n}, within bound {bound}"
+                if size_ok
+                else f"|V'|={g_prime.n}, closed form {expected_n}, bound {bound}",
+            )
         )
-    )
 
     # offset arithmetic
     expected_offset = (
@@ -302,9 +304,13 @@ def check_sandwich(
     reduced graph splits into an independent set of the padded source plus
     one independent set per gadget, each at most the gadget's alpha.  The
     two bounds meet exactly when the supplied set is maximum in the source.
+    The structural checks run first, so the lifting only ever builds the
+    witness of a gadget shape those checks bounded against the reduced graph.
     """
     s = set(members)
     try:
+        if check_certificate(g, g_prime, cert).overall != PASS:
+            return Check("sandwich", FAIL, "structural certificate checks failed")
         lifted = forward_map(g, s, cert)
     except GraphError as exc:
         return Check("sandwich", FAIL, str(exc))
@@ -316,9 +322,6 @@ def check_sandwich(
             FAIL,
             f"lifted set has {len(lifted)} vertices, expected {len(s) + cert.total_offset}",
         )
-    structure = check_certificate(g, g_prime, cert)
-    if structure.overall != PASS:
-        return Check("sandwich", FAIL, "structural certificate checks failed")
     certified = len(s) + cert.total_offset
     return Check(
         "sandwich",

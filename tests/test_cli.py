@@ -126,6 +126,17 @@ class TestSolve:
         assert code == 0 and json.loads(out)["alpha"] == 0
 
 
+# Malformed untrusted input, each a change to one file of the K4-e reduction.
+MALFORMED = {
+    "cert-gadget-without-port": ("cert", lambda gadget: gadget.pop("port")),
+    "cert-owner-not-integer": ("cert", lambda gadget: gadget.update(owner="x")),
+    "cert-id-offset-string": ("cert", lambda gadget: gadget.update(id_offset="7")),
+    "solution-two-ids-on-a-line": ("solution", "0 1\n"),
+    "solution-not-a-number": ("solution", "abc\n"),
+    "edge-list-bad-vertex-count": ("graph", "# n=abc\n0 1\n"),
+}
+
+
 class TestVerifyAndRecover:
     @pytest.fixture
     def reduced(self, tmp_path, k4e_file, capsys):
@@ -166,6 +177,39 @@ class TestVerifyAndRecover:
             capsys, "verify", "--graph", other, "--reduced", out, "--cert", cert,
         )
         assert code == 2
+
+    def test_verify_even_degree_certificate_fails(self, k4e_file, reduced, capsys):
+        out, cert = reduced
+        doc = json.loads(cert.read_text())
+        doc["target_degree"] = 4
+        cert.write_text(json.dumps(doc))
+        code, stdout, err = run(
+            capsys, "verify", "--graph", k4e_file, "--reduced", out, "--cert", cert,
+        )
+        assert code == 1 and "Traceback" not in err
+        status = {c["name"]: c["status"] for c in json.loads(stdout)["checks"]}
+        assert status["gadget-blueprints"] == status["size-bound"] == "fail"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_input_error(self, tmp_path, k4e_file, reduced, capsys, case):
+        out, cert = reduced
+        what, change = MALFORMED[case]
+        if what == "cert":
+            doc = json.loads(cert.read_text())
+            change(doc["gadgets"][0])
+            cert.write_text(json.dumps(doc))
+            argv = ["verify", "--graph", k4e_file, "--reduced", out, "--cert", cert]
+        elif what == "solution":
+            sol = tmp_path / "sol.txt"
+            sol.write_text(change)
+            argv = ["recover", "--reduced", out, "--cert", cert, "--solution", sol]
+        else:
+            graph = tmp_path / "g.txt"
+            graph.write_text(change)
+            argv = ["regularize", graph, "--degree", "3", "--output", tmp_path / "o.col"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_recover(self, tmp_path, k4e_file, reduced, capsys):
         out, cert = reduced

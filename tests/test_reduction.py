@@ -1,9 +1,19 @@
+import json
 import random
 
 import pytest
 
-from regmis import gadgets
-from regmis.gadgets import GENERAL, PLANAR5, build_general_gadget, gadget_alpha
+from regmis import gadgets, solvers
+from regmis.gadgets import (
+    GENERAL,
+    ICOSA,
+    PLANAR5,
+    build_gadget,
+    build_general_gadget,
+    build_icosa_gadget,
+    build_planar_gadget,
+    gadget_alpha,
+)
 from regmis.graph import (
     Graph,
     GraphError,
@@ -286,6 +296,38 @@ class TestSolutionMaps:
         assert len(normalized) == cert.total_offset and not ports & normalized
 
 
+class TestNoSolverOutsideTheAlphaMemo:
+    """Building gadgets and mapping solutions never solves a gadget; only
+    reading ``internal_alpha`` does, once per (kind, delta)."""
+
+    def test_builders_and_solution_maps_run_no_solver(self, monkeypatch):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        planar = complete_graph(4)
+        planar_gp, planar_cert = regularize_planar(planar)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        for owner in (gadgets, solvers):
+            monkeypatch.setattr(owner, "mis_branch_bound", refuse)
+        monkeypatch.setattr(solvers, "mis_bruteforce", refuse)
+        monkeypatch.setattr(solvers, "solve_mis", refuse)
+
+        for kind, delta in ((GENERAL, 3), (GENERAL, 11), (PLANAR5, None), (ICOSA, None)):
+            build_gadget(kind, delta)
+        build_general_gadget(13)
+        build_planar_gadget()
+        _, layout = build_icosa_gadget()
+        for source, reduced, c in ((g, gp, cert), (planar, planar_gp, planar_cert)):
+            assert len(forward_map(source, {0}, c)) == 1 + c.total_offset
+            ports = {gi.port for gi in c.gadgets}
+            assert not ports & normalize(reduced, ports, c)
+        with pytest.raises(AssertionError, match="a solver ran"):
+            layout.internal_alpha
+
+
 class TestCertificateSerialization:
     def test_json_round_trip(self):
         _, cert = reduce_to_regular(cycle_graph(4), 5)
@@ -295,6 +337,17 @@ class TestCertificateSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(GraphError):
             ReductionCertificate.from_json("{}")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("owner", "x"), ("id_offset", "7"), ("size", 2.5), ("delta", True), ("port", None)],
+    )
+    def test_non_integer_gadget_field_rejected(self, field, value):
+        _, cert = regularize(K4_MINUS_EDGE, 3)
+        doc = json.loads(cert.to_json())
+        doc["gadgets"][0][field] = value
+        with pytest.raises(GraphError, match="malformed certificate"):
+            ReductionCertificate.from_json(json.dumps(doc))
 
     def test_invariants(self):
         _, cert = reduce_to_regular(cycle_graph(4), 5)

@@ -215,6 +215,24 @@ class TestMutationDetection:
         assert by_name["gadget-alpha"] == FAIL
         assert by_name["gadget-blueprints"] == FAIL
 
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda cert: dataclasses.replace(cert, target_degree=4),
+            lambda cert: dataclasses.replace(
+                cert, gadgets=tuple(dataclasses.replace(gi, kind="foo") for gi in cert.gadgets)
+            ),
+        ],
+        ids=["even-degree", "unknown-kind"],
+    )
+    def test_gadget_shape_without_size_kills_blueprints_and_size_bound(self, pipeline, forge):
+        g, gp, cert = pipeline
+        report = verify_all(g, gp, forge(cert))
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["gadget-blueprints"].status == FAIL
+        assert by_name["size-bound"].status == FAIL
+        assert "no closed-form gadget size" in by_name["size-bound"].detail
+
     def test_extra_triangle_kills_triangle_preservation(self, pipeline):
         g, gp, cert = pipeline
         gi = cert.gadgets[0]
@@ -234,16 +252,21 @@ def refuse_degree(fn, delta):
     return guarded
 
 
+def with_degree(cert, delta):
+    """The certificate with every gadget, and the target, set to ``delta``."""
+    size = gadgets.general_gadget_size(delta)
+    return dataclasses.replace(
+        cert,
+        target_degree=delta,
+        gadgets=tuple(dataclasses.replace(gi, delta=delta, size=size) for gi in cert.gadgets),
+    )
+
+
 class TestUntrustedCertificate:
     def test_huge_degree_rejected_without_building_it(self, pipeline, monkeypatch):
         g, gp, cert = pipeline
         huge = 10001
-        size = gadgets.general_gadget_size(huge)
-        forged = dataclasses.replace(
-            cert,
-            target_degree=huge,
-            gadgets=tuple(dataclasses.replace(gi, delta=huge, size=size) for gi in cert.gadgets),
-        )
+        forged = with_degree(cert, huge)
         for name in ("build_gadget", "gadget_alpha"):
             monkeypatch.setattr(gadgets, name, refuse_degree(getattr(gadgets, name), huge))
         report = verify_all(g, gp, forged, with_oracle=True)
@@ -266,6 +289,20 @@ class TestUntrustedCertificate:
         by_name = {c.name: c for c in check_certificate(g, sparse, forged).checks}
         assert by_name["gadget-blueprints"].status == FAIL
         assert "more edges" in by_name["gadget-blueprints"].detail
+
+    def test_sandwich_checks_structure_before_lifting(self, pipeline, monkeypatch):
+        g, gp, cert = pipeline
+        huge = 10001
+        monkeypatch.setattr(gadgets, "build_gadget", refuse_degree(gadgets.build_gadget, huge))
+        check = check_sandwich(g, gp, with_degree(cert, huge), {0})
+        assert check.status == FAIL
+        assert "structural" in check.detail
+
+    def test_sandwich_hash_mismatch_fails(self, pipeline):
+        _, gp, cert = pipeline
+        check = check_sandwich(cycle_graph(4), gp, cert, set())
+        assert check.status == FAIL
+        assert "source hash" in check.detail
 
     def test_planar_range_past_reduced_graph_fails(self, planar_pipeline):
         g, gp, cert = planar_pipeline

@@ -1,8 +1,16 @@
-"""Immutable undirected simple graph with dense 0-based vertex ids."""
+"""Immutable undirected simple graph with dense 0-based vertex ids.
+
+Every graph on the parse, regularize, verify and recover path is built in
+one pass straight into its sorted adjacency tuples (see ``io`` and
+``reduction``); :meth:`Graph.from_edges` is for the small named graphs,
+the padding components and the gadget blueprints.  The whole-graph queries
+below each make one pass over the adjacency.
+"""
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -90,24 +98,26 @@ class Graph:
             raise GraphError(f"prefix size {k} out of range for n={self.n}")
         return Graph(
             k,
-            tuple(tuple(w for w in self.adjacency[v] if w < k) for v in range(k)),
+            tuple(
+                a if not a or a[-1] < k else a[: bisect_left(a, k)]
+                for a in self.adjacency[:k]
+            ),
         )
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical (n, sorted edge list) encoding."""
-        h = hashlib.sha256()
-        h.update(f"n={self.n}\n".encode())
-        for u, v in self.edges():
-            h.update(f"{u} {v}\n".encode())
-        return h.hexdigest()
+        text = "".join([f"n={self.n}\n"] + [f"{u} {v}\n" for u, v in self.edges()])
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``members``."""
     s = set(members)
+    n, adjacency = g.n, g.adjacency
     for v in s:
-        g._check_vertex(v)
-    return all(not (s & set(g.adjacency[v])) for v in s)
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range for n={n}")
+    return all(s.isdisjoint(adjacency[v]) for v in s)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -122,11 +132,12 @@ def triangle_count(g: Graph) -> int:
 
 
 def triangles(g: Graph) -> Iterator[Tuple[int, int, int]]:
-    """Yield every triangle (u, v, w) with u < v < w."""
-    nbr = [set(a) for a in g.adjacency]
+    """Yield every triangle (u, v, w) with u < v < w, in lexicographic order."""
+    forward = [set(a[bisect_right(a, u):]) for u, a in enumerate(g.adjacency)]
     for u, v in g.edges():
-        for w in nbr[u] & nbr[v]:
-            if w > v:
+        common = forward[u] & forward[v]
+        if common:
+            for w in sorted(common):
                 yield (u, v, w)
 
 

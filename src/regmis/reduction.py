@@ -207,7 +207,9 @@ def _reduce(
     ``pad`` is set (parity fix, then star), attaches one gadget of ``kind``
     per unit of deficiency and certifies the result.  The parity clique has
     degree Δ+1 <= ``delta`` (Δ even, ``delta`` odd), so padding never
-    exceeds the target.
+    exceeds the target.  The result's adjacency is built directly, with no
+    edge list: each padded vertex's row gains its ports, and each gadget
+    block is the blueprint's rows shifted to its offset.
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
@@ -226,17 +228,23 @@ def _reduce(
     gadget_delta = delta if kind == gadgets.GENERAL else None
     blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
-    blueprint_edges = list(blueprint.edges())
-    edges = list(padded.edges())
+    *inner, port_row = blueprint.adjacency  # the port is the last id
+    rows = []  # a padded vertex's ports are ascending and above every padded id
     instances = []
     nid = padded.n
-    for v in range(padded.n):
-        for j in range(1, delta - padded.degree(v) + 1):
-            edges += [(nid + a, nid + b) for a, b in blueprint_edges]
-            edges.append((nid + size - 1, v))  # the port is the last id
-            instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
-            nid += size
-    result = Graph.from_edges(nid, edges)
+    for v, row in enumerate(padded.adjacency):
+        deficiency = delta - len(row)
+        if deficiency > 0:
+            row += tuple(range(nid + size - 1, nid + deficiency * size, size))
+            for j in range(1, deficiency + 1):
+                instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
+                nid += size
+        rows.append(row)
+    for gi in instances:  # the owner is below the block, so it comes first in the port's row
+        shift = gi.id_offset.__add__
+        rows += [tuple(map(shift, r)) for r in inner]
+        rows.append((gi.owner,) + tuple(map(shift, port_row)))
+    result = Graph(nid, tuple(rows))
 
     per_gadget_alpha = layout.internal_alpha
     return result, ReductionCertificate(
@@ -326,7 +334,10 @@ def recover(
     g_prime: Graph, members: Iterable[int], cert: ReductionCertificate
 ) -> FrozenSet[int]:
     """Restrict an independent set of the reduced graph to the original
-    vertices; loses at most ``cert.total_offset`` vertices."""
+    vertices; loses at most ``cert.total_offset`` vertices.  Raises
+    :class:`GraphError` if ``cert`` was not issued for ``g_prime``."""
+    if cert.result_hash != g_prime.content_hash():
+        raise GraphError("certificate result hash does not match the reduced graph")
     s = set(members)
     if not is_independent_set(g_prime, s):
         raise GraphError("input set is not independent in the reduced graph")

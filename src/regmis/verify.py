@@ -66,12 +66,25 @@ def _check(name: str, ok: bool, detail: str) -> Check:
 
 
 def check_regular(g: Graph, d: int) -> Check:
-    bad = [v for v in range(g.n) if g.degree(v) != d]
+    bad = [v for v, a in enumerate(g.adjacency) if len(a) != d]
     return _check(
         "regular",
         not bad,
         f"all {g.n} degrees equal {d}" if not bad else f"vertices {bad[:5]} deviate from degree {d}",
     )
+
+
+def _bound_padding_steps(g_prime: Graph, cert: ReductionCertificate) -> None:
+    """Raise unless every step ends inside G' and the steps' components
+    (a clique of k vertices has k(k-1)/2 edges, a star k-1) fit in |E'|."""
+    edges = 0
+    for step in cert.steps:
+        if step.end > g_prime.n:
+            raise GraphError(f"step {step.kind} ends at {step.end}, past |V'|={g_prime.n}")
+        k = step.size
+        edges += k * (k - 1) // 2 if step.kind == PARITY_FIX else max(k - 1, 0)
+    if edges > g_prime.m:
+        raise GraphError(f"padding steps need {edges} edges, more than |E'|={g_prime.m}")
 
 
 def _check_gadget_blocks(
@@ -192,8 +205,10 @@ def check_certificate(
         )
     )
 
-    # padding steps reconstruct, and their offsets are the forced values
+    # padding steps reconstruct, and their offsets are the forced values;
+    # their ranges and edge counts are bounded by G' before any is rebuilt
     try:
+        _bound_padding_steps(g_prime, cert)
         padded = rebuild_padded(g, cert)
         pad_ok = padded.n == cert.padded_n
         pad_detail = "padding steps reconstruct"
@@ -220,8 +235,8 @@ def check_certificate(
                 counts[gi.owner] += 1
         bad = [
             v
-            for v in range(padded.n)
-            if counts[v] != cert.target_degree - padded.degree(v)
+            for v, a in enumerate(padded.adjacency)
+            if counts[v] != cert.target_degree - len(a)
         ]
         checks.append(
             _check(

@@ -27,6 +27,45 @@ def random_graph_max_degree(rng: random.Random, n: int, dmax: int, p: float = 0.
     return Graph.from_edges(n, edges)
 
 
+def sparse_max_degree_graph(rng: random.Random, n: int, m: int, dmax: int) -> Graph:
+    """``m`` random edges on ``n`` vertices, none raising a degree past ``dmax``."""
+    deg = [0] * n
+    edges: set = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        key = (min(u, v), max(u, v))
+        if u != v and deg[u] < dmax and deg[v] < dmax and key not in edges:
+            edges.add(key)
+            deg[u] += 1
+            deg[v] += 1
+    return Graph.from_edges(n, sorted(edges))
+
+
+def grid_with_diagonals(rng: random.Random, side: int, cap: int = 5) -> Graph:
+    """``side`` x ``side`` grid plus at most one diagonal per cell (cells in
+    seeded order, random direction), kept only while both endpoints stay at
+    degree ``cap`` or below; planar by construction."""
+    vid = lambda r, c: r * side + c  # noqa: E731
+    edges = [(vid(r, c), vid(r, c + 1)) for r in range(side) for c in range(side - 1)]
+    edges += [(vid(r, c), vid(r + 1, c)) for r in range(side - 1) for c in range(side)]
+    deg = [0] * side * side
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    cells = [(r, c) for r in range(side - 1) for c in range(side - 1)]
+    rng.shuffle(cells)
+    for r, c in cells:
+        if rng.random() < 0.5:
+            u, v = vid(r, c), vid(r + 1, c + 1)
+        else:
+            u, v = vid(r, c + 1), vid(r + 1, c)
+        if deg[u] < cap and deg[v] < cap:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph.from_edges(side * side, edges)
+
+
 def alpha_by_enumeration(g: Graph) -> int:
     """Dead-simple independent oracle: try subsets largest first."""
     for size in range(g.n, -1, -1):

@@ -225,6 +225,24 @@ class TestVerifyAndRecover:
         assert doc["recovered_size"] >= doc["input_size"] - doc["offset"]
         assert doc["recovered_size"] == 2  # alpha of K4 minus an edge
 
+    def test_recover_with_another_reductions_certificate(self, tmp_path, reduced, capsys):
+        out, _ = reduced
+        other = tmp_path / "p3.col"
+        other.write_text(serialize_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), "dimacs-col"))
+        other_cert = tmp_path / "p3.json"
+        code, _, _ = run(
+            capsys, "regularize", other, "--degree", "3",
+            "--output", tmp_path / "p3_reduced.col", "--cert", other_cert,
+        )
+        assert code == 0
+        sol = tmp_path / "sol.txt"
+        sol.write_text("0\n")
+        code, stdout, err = run(
+            capsys, "recover", "--reduced", out, "--cert", other_cert, "--solution", sol,
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and "result hash" in err and "Traceback" not in err
+
 
 class TestGadgetAndStats:
     def test_gadget_dump(self, tmp_path, capsys):

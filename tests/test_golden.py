@@ -15,10 +15,12 @@ from regmis.graph import Graph, complete_graph, cycle_graph, empty_graph, path_g
 from regmis.io import serialize_graph
 from regmis.reduction import reduce_to_regular, regularize, regularize_planar
 
-from conftest import random_graph_max_degree
+from conftest import grid_with_diagonals, random_graph_max_degree, sparse_max_degree_graph
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 MAX_DEGREE_4 = random_graph_max_degree(random.Random(3), 12, 4)
+MEDIUM_MAX_DEGREE_4 = sparse_max_degree_graph(random.Random(11), 2000, 3000, 4)
+GRID_12 = grid_with_diagonals(random.Random(12), 12)
 
 CASES = {
     "k4e-regularize-3": (
@@ -45,11 +47,22 @@ CASES = {
         lambda: regularize_planar(complete_graph(4)),
         "99d8fd3085606a16999f8f5f65cc27ef17c4100a1a7529455d13f38f5be0f0d2",
     ),
+    "medium-max-degree-4-reduce-5": (
+        lambda: reduce_to_regular(MEDIUM_MAX_DEGREE_4, 5),
+        "9659176558f25597d81ce0e8874052959ce39779ce33003f15b8cb95b074b28f",
+    ),
+    "grid-12-planar": (
+        lambda: regularize_planar(GRID_12),
+        "33d0aa64150bdb0f4d62d70fcc4372aeaf863a165d99a117c587bfc8c091d444",
+    ),
 }
 
 
 def test_max_degree_case_is_what_it_says():
     assert MAX_DEGREE_4.max_degree() == 4
+    assert MEDIUM_MAX_DEGREE_4.max_degree() == 4
+    assert (GRID_12.n, GRID_12.max_degree()) == (144, 5)
+    assert GRID_12.m > 2 * 12 * 11  # some diagonals were added
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

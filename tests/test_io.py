@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -77,3 +78,83 @@ def test_serialization_is_byte_stable(fmt):
     assert serialize_graph(g, fmt) == serialize_graph(
         Graph.from_edges(5, [(0, 1), (1, 3), (4, 0)]), fmt
     )
+
+
+# -- the single-pass parsers against Graph.from_edges ----------------------
+
+
+def noisy_text(rng, n, edges, fmt, header=True):
+    """``edges`` as ``fmt`` text with comments, blank lines, surrounding
+    whitespace, reversed edges and repeated edges; returns the text and the
+    number of repeats."""
+    repeats = [rng.choice(edges) for _ in range(rng.randint(0, 3))] if edges else []
+    listed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges + repeats]
+    rng.shuffle(listed)
+    if fmt == "dimacs-col":
+        head = [f"p {rng.choice(['edge', 'col'])} {n} {len(edges)}"]
+        body = [f"e {u + 1} {v + 1}" for u, v in listed]
+        comment = "c a comment"
+    else:
+        head = [f"# n={n}"] if header else []
+        body = [f"{u} {v}" for u, v in listed]
+        comment = "# a comment"
+    lines = [comment] * rng.randint(0, 2) + head
+    for line in body:
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["", "  ", comment]))
+        lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", "  ", "\t "]))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"]), len(repeats)
+
+
+@pytest.mark.parametrize("fmt, header", [("dimacs-col", True), ("edge-list", True), ("edge-list", False)])
+def test_parse_equals_from_edges(fmt, header):
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        text, repeats = noisy_text(rng, n, edges, fmt, header)
+        if not header:
+            n = max((v for _, v in edges), default=-1) + 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = parse_graph(text, fmt)
+        assert g == Graph.from_edges(n, edges)
+        assert len(caught) == repeats
+        assert all("duplicate edge" in str(w.message) for w in caught)
+
+
+MALFORMED = [
+    ("dimacs-col", "e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
+    ("dimacs-col", "p edge 2 1\np edge 2 1\n", "line 2: repeated problem line"),
+    ("dimacs-col", "p edge 2 1\n  e 1 \t\n", "line 2: malformed edge line 'e 1'"),
+    ("dimacs-col", "p edge 2 1\ne a b\n", "line 2: malformed edge line 'e a b'"),
+    ("dimacs-col", "p edge 2 1\ne 2 2\n", "line 2: self-loop at vertex 1"),
+    ("dimacs-col", "p edge 2 1\ne 1 3\n", "line 2: edge (0, 2) out of range for n=2"),
+    ("dimacs-col", "p edge 2 1\ne 0 1\n", "line 2: edge (-1, 0) out of range for n=2"),
+    ("dimacs-col", "p edge -1 0\n", "line 1: negative vertex count"),
+    ("dimacs-col", "p edge x 0\n", "line 1: bad vertex count"),
+    ("dimacs-col", "p edge 3\n", "line 1: malformed problem line 'p edge 3'"),
+    ("dimacs-col", "  p col 2 1  \n\n x 1 2 \n", "line 3: unrecognized line 'x 1 2'"),
+    ("dimacs-col", "c only a comment\n", "missing 'p edge <n> <m>' header"),
+    ("edge-list", "# n=abc\n0 1\n", "line 1: bad vertex count in '# n=abc'"),
+    ("edge-list", "0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
+    ("edge-list", "1 1\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+    ("edge-list", "a b\n", "line 1: non-integer vertex id in 'a b'"),
+    ("edge-list", "0 -1\n", "line 1: negative vertex id in '0 -1'"),
+    ("edge-list", "1 1\n", "line 1: self-loop at vertex 1"),
+    ("edge-list", "# n=5\n0 1\n# n=1\n", "line 2: edge (0, 1) out of range for n=1"),
+    ("edge-list", "# n=-1\n", "negative vertex count -1"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", MALFORMED)
+def test_malformed_input_message(fmt, text, message):
+    with pytest.raises(GraphError) as info:
+        parse_graph(text, fmt)
+    assert str(info.value) == message
+
+
+def test_duplicate_warned_before_a_later_error():
+    with pytest.warns(UserWarning, match=r"line 3: duplicate edge \(0, 1\)"):
+        with pytest.raises(GraphError, match=r"line 4: edge \(0, 3\) out of range"):
+            parse_graph("p edge 3 2\ne 1 2\ne 2 1\ne 1 4\n", "dimacs-col")

@@ -25,7 +25,7 @@ from regmis.graph import (
     star_graph,
     triangle_count,
 )
-from regmis.io import serialize_graph
+from regmis.io import FORMATS, parse_graph, serialize_graph
 from regmis.reduction import (
     ReductionCertificate,
     ensure_odd_delta,
@@ -39,8 +39,9 @@ from regmis.reduction import (
     regularize_planar,
 )
 from regmis.solvers import mis_branch_bound, mis_bruteforce
+from regmis.verify import PASS, verify_all
 
-from conftest import random_graph_max_degree
+from conftest import grid_with_diagonals, random_graph_max_degree
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -326,6 +327,38 @@ class TestNoSolverOutsideTheAlphaMemo:
             assert not ports & normalize(reduced, ports, c)
         with pytest.raises(AssertionError, match="a solver ran"):
             layout.internal_alpha
+
+
+class TestSinglePassConstruction:
+    """Work guards: on the parse, regularize, verify and recover path no
+    graph of 100 or more vertices goes through ``Graph.from_edges``; only
+    the gadget blueprints, the parity clique and the star do."""
+
+    def test_large_graphs_never_built_from_edges(self, monkeypatch):
+        source = grid_with_diagonals(random.Random(5), 18, cap=4)  # 324 vertices
+        assert source.max_degree() == 4
+        texts = {fmt: serialize_graph(source, fmt) for fmt in FORMATS}
+        real = Graph.from_edges
+        built = []
+
+        def small_only(n, edges):
+            assert n < 100, f"Graph.from_edges({n}, ...) called"
+            built.append(n)
+            return real(n, edges)
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(small_only))
+        for fmt, text in texts.items():
+            assert parse_graph(text, fmt) == source
+        for gp, cert in (
+            reduce_to_regular(source, 5),
+            reduce_to_regular(source, 7),
+            regularize_planar(source),
+        ):
+            assert verify_all(source, gp, cert).overall == PASS
+            for fmt in FORMATS:
+                assert parse_graph(serialize_graph(gp, fmt), fmt) == gp
+            assert recover(gp, {0}, cert) == {0}
+        assert {6, 8} <= set(built)  # the parity clique K6 and the 7-leaf star
 
 
 class TestCertificateSerialization:

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from regmis import gadgets
+from regmis import gadgets, reduction
 from regmis.gadgets import GENERAL, ICOSA, PLANAR5
 from regmis.graph import (
     Graph,
@@ -303,6 +303,25 @@ class TestUntrustedCertificate:
         check = check_sandwich(cycle_graph(4), gp, cert, set())
         assert check.status == FAIL
         assert "source hash" in check.detail
+
+    @pytest.mark.parametrize("k, cause", [(100, "edges"), (2000, "past |V'|")])
+    def test_oversized_parity_step_fails_before_rebuild(self, k, cause, monkeypatch):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)  # parity K4, then a 6-vertex star
+        assert (gp.n, gp.m) == (854, 2135)
+        parity = dataclasses.replace(cert.steps[0], end=cert.steps[0].start + k)
+        forged = dataclasses.replace(cert, steps=(parity,) + cert.steps[1:])
+        real = reduction.complete_graph
+
+        def small_only(n):
+            assert n <= 6, f"complete_graph({n}) built"
+            return real(n)
+
+        monkeypatch.setattr(reduction, "complete_graph", small_only)
+        by_name = {c.name: c for c in check_certificate(g, gp, forged).checks}
+        assert by_name["padding-steps"].status == FAIL
+        assert cause in by_name["padding-steps"].detail
+        assert by_name["gadget-counts"].status == SKIP
 
     def test_planar_range_past_reduced_graph_fails(self, planar_pipeline):
         g, gp, cert = planar_pipeline

@@ -137,6 +137,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "nodes": result.nodes_explored,
         "millis": round((time.monotonic() - start) * 1000, 3),
         "method": result.method,
+        "stats": result.stats,
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

@@ -4,13 +4,20 @@ rules, minimum vertex cover via complementation, and small-clique search.
 Both MIS solvers are exact.  When a budget runs out they raise
 :class:`ResourceLimitError` carrying the best lower bound found so far;
 they never return an inexact value labeled exact.
+
+``SolveResult.stats`` holds the branch-and-bound search counters (the
+brute-force solver leaves it empty): ``bound_prunes``, the nodes cut by
+the clique-cover bound; ``max_depth``, the deepest node (the root is 0);
+``root_kernel``, the vertices left after the root's reductions; and
+``fired``, firings per reduction rule keyed by the names in ``RULES``.
+They are counted when a rule fires or a node is pruned, never per check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from .graph import Graph, GraphError, is_independent_set
 
@@ -44,6 +51,7 @@ class SolveResult:
     witness: FrozenSet[int]
     nodes_explored: int
     method: str  # "brute-force" | "branch-bound"
+    stats: Dict[str, Any] = field(default_factory=dict)  # branch-bound counters
 
 
 # ---------------------------------------------------------------------------
@@ -97,237 +105,281 @@ def mis_bruteforce(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResu
 # original vertices to include when it is chosen ("inset") and when it is
 # rejected ("outset").
 
-
-@dataclass
-class _KVertex:
-    weight: int
-    inset: FrozenSet[int]
-    outset: FrozenSet[int]
+RULES = ("isolated", "degree1", "degree2", "fold", "twin", "dominance")
 
 
-@dataclass
-class _State:
+@dataclass(slots=True)
+class _Kernel:
+    """Weighted kernel of one search node.
+
+    ``adj`` lists the vertices in ascending id order: ids are never reused,
+    and a folded vertex takes the next unused id.  ``sets[v]`` is v's
+    (inset, outset)."""
+
     adj: Dict[int, Set[int]]
-    verts: Dict[int, _KVertex]
-    base: int = 0
-    taken: Set[int] = field(default_factory=set)
-    next_id: int = 0
+    weight: Dict[int, int]
+    sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]]
+    base: int
+    taken: Set[int]
+    next_id: int
 
     @staticmethod
-    def from_graph(g: Graph) -> "_State":
-        return _State(
-            adj={v: set(g.adjacency[v]) for v in range(g.n)},
-            verts={v: _KVertex(1, frozenset((v,)), frozenset()) for v in range(g.n)},
-            next_id=g.n,
+    def from_graph(g: Graph) -> "_Kernel":
+        empty: FrozenSet[int] = frozenset()
+        return _Kernel(
+            {v: set(g.adjacency[v]) for v in range(g.n)},
+            dict.fromkeys(range(g.n), 1),
+            {v: (frozenset((v,)), empty) for v in range(g.n)},
+            0,
+            set(),
+            g.n,
         )
 
-    def copy(self) -> "_State":
-        return _State(
-            adj={v: set(s) for v, s in self.adj.items()},
-            verts=dict(self.verts),
-            base=self.base,
-            taken=set(self.taken),
-            next_id=self.next_id,
+    def copy(self) -> "_Kernel":
+        return _Kernel(
+            {v: s.copy() for v, s in self.adj.items()},
+            self.weight.copy(),
+            self.sets.copy(),
+            self.base,
+            set(self.taken),
+            self.next_id,
         )
 
-    def _drop(self, v: int) -> None:
-        for u in self.adj[v]:
-            self.adj[u].discard(v)
-        del self.adj[v]
 
-
-def _take(state: _State, v: int) -> None:
+def _take(k: _Kernel, v: int) -> None:
     """Include v, rejecting N(v)."""
-    state.base += state.verts[v].weight
-    state.taken |= state.verts[v].inset
-    for u in list(state.adj[v]):
-        state.taken |= state.verts[u].outset
-        state._drop(u)
-        del state.verts[u]
-    state._drop(v)
-    del state.verts[v]
+    adj, weight, sets = k.adj, k.weight, k.sets
+    nv = adj.pop(v)
+    k.base += weight.pop(v)
+    k.taken |= sets.pop(v)[0]
+    for u in nv:
+        k.taken |= sets.pop(u)[1]
+        del weight[u]
+        for x in adj.pop(u):
+            if x != v and x not in nv:
+                adj[x].discard(u)
 
 
-def _reject(state: _State, v: int) -> None:
-    state.taken |= state.verts[v].outset
-    state._drop(v)
-    del state.verts[v]
+def _reject(k: _Kernel, v: int) -> None:
+    adj = k.adj
+    k.taken |= k.sets.pop(v)[1]
+    del k.weight[v]
+    for x in adj.pop(v):
+        adj[x].discard(v)
 
 
-def _apply_reductions(state: _State, rules: Tuple[str, ...]) -> None:
-    """Exhaust the reduction rules; mutates state."""
+def _fold(k: _Kernel, v: int, u: int, w: int) -> None:
+    """Degree-2 fold: v with non-adjacent neighbors u, w collapses into one
+    vertex; choosing it later means {u, w}, rejecting it means {v}."""
+    adj, weight, sets = k.adj, k.weight, k.sets
+    fid = k.next_id
+    k.next_id += 1
+    del adj[v]
+    nu, nw = adj.pop(u), adj.pop(w)
+    for x in nu:
+        if x != v:
+            adj[x].discard(u)
+    for x in nw:
+        if x != v:
+            adj[x].discard(w)
+    new_nbrs = nu | nw
+    new_nbrs.discard(v)
+    for x in new_nbrs:
+        adj[x].add(fid)
+    adj[fid] = new_nbrs
+    wv = weight.pop(v)
+    k.base += wv
+    weight[fid] = weight.pop(u) + weight.pop(w) - wv
+    (vi, vo), (ui, uo), (wi, wo) = sets.pop(v), sets.pop(u), sets.pop(w)
+    sets[fid] = (ui | wi | vo, uo | wo | vi)
+
+
+def _merge_twin(k: _Kernel, v: int, u: int) -> None:
+    """Merge v into its non-adjacent twin u (same open neighborhood)."""
+    adj, weight, sets = k.adj, k.weight, k.sets
+    weight[u] += weight.pop(v)
+    (vi, vo), (ui, uo) = sets.pop(v), sets[u]
+    sets[u] = (ui | vi, uo | vo)
+    for x in adj.pop(v):
+        adj[x].discard(v)
+
+
+def _exhaust(k: _Kernel, fired: Dict[str, int]) -> None:
+    """Apply the reduction rules to exhaustion, in sweeps over the vertices
+    in ascending id order; a rule that fires ends that vertex's turn.
+
+    Per vertex v, in this order: take v if isolated; take a pendant v at
+    least as heavy as its neighbor; take a degree-2 v if its neighbors are
+    adjacent and v is at least as heavy as each, or if v outweighs both
+    together, and else fold it if it is at least as heavy as each; merge v
+    into the smallest lower-id twin; reject v if a neighbor u at least as
+    heavy has N[u] ⊆ N[v].  ``fired`` counts firings per rule.
+    """
+    adj, weight = k.adj, k.weight
     changed = True
     while changed:
         changed = False
-        for v in sorted(state.adj):
-            if v not in state.adj:
+        for v in list(adj):
+            if v not in adj:
                 continue
-            deg = len(state.adj[v])
-            wv = state.verts[v].weight
+            nv = adj[v]
+            deg = len(nv)
+            wv = weight[v]
 
-            if "isolated" in rules and deg == 0:
-                _take(state, v)
+            if deg == 0:
+                _take(k, v)
+                fired["isolated"] += 1
                 changed = True
                 continue
-
-            if "degree1" in rules and deg == 1:
-                u = next(iter(state.adj[v]))
-                if wv >= state.verts[u].weight:
-                    _take(state, v)
+            if deg == 1:
+                for u in nv:
+                    break
+                if wv >= weight[u]:
+                    _take(k, v)
+                    fired["degree1"] += 1
                     changed = True
                     continue
-
-            if "fold" in rules and deg == 2:
-                u, w = sorted(state.adj[v])
-                wu, ww = state.verts[u].weight, state.verts[w].weight
-                if w in state.adj[u]:
+            elif deg == 2:
+                u, w = nv
+                if u > w:
+                    u, w = w, u
+                wu, ww = weight[u], weight[w]
+                if w in adj[u]:
                     # N[v] is a triangle: taking v is never worse
-                    if wv >= max(wu, ww):
-                        _take(state, v)
+                    if wv >= wu and wv >= ww:
+                        _take(k, v)
+                        fired["degree2"] += 1
                         changed = True
                         continue
                 elif wv >= wu + ww:
-                    _take(state, v)
+                    _take(k, v)
+                    fired["degree2"] += 1
                     changed = True
                     continue
-                elif wv >= max(wu, ww):
-                    _fold(state, v, u, w)
-                    changed = True
-                    continue
-
-            if "twin" in rules:
-                if _collapse_twin(state, v):
+                elif wv >= wu and wv >= ww:
+                    _fold(k, v, u, w)
+                    fired["fold"] += 1
                     changed = True
                     continue
 
-            if "dominance" in rules:
-                if _drop_dominated(state, v):
-                    changed = True
-                    continue
-
-
-def _fold(state: _State, v: int, u: int, w: int) -> None:
-    """Degree-2 fold: v with non-adjacent neighbors u, w collapses into one
-    vertex; choosing it later means {u, w}, rejecting it means {v}."""
-    kv, ku, kw = state.verts[v], state.verts[u], state.verts[w]
-    fid = state.next_id
-    state.next_id += 1
-    new_nbrs = (state.adj[u] | state.adj[w]) - {u, v, w}
-    state.verts[fid] = _KVertex(
-        ku.weight + kw.weight - kv.weight,
-        ku.inset | kw.inset | kv.outset,
-        ku.outset | kw.outset | kv.inset,
-    )
-    state.base += kv.weight
-    for x in (v, u, w):
-        state._drop(x)
-        del state.verts[x]
-    state.adj[fid] = set(new_nbrs)
-    for x in new_nbrs:
-        state.adj[x].add(fid)
-
-
-def _collapse_twin(state: _State, v: int) -> bool:
-    """Merge v into a non-adjacent vertex with the same open neighborhood."""
-    nv = state.adj[v]
-    if not nv:
-        return False
-    probe = min(nv, key=lambda x: len(state.adj[x]))
-    for u in state.adj[probe]:
-        if u >= v or u in nv:
-            continue
-        if state.adj[u] == nv:
-            ku, kv = state.verts[u], state.verts[v]
-            state.verts[u] = _KVertex(
-                ku.weight + kv.weight, ku.inset | kv.inset, ku.outset | kv.outset
-            )
-            state._drop(v)
-            del state.verts[v]
-            return True
-    return False
-
-
-def _drop_dominated(state: _State, v: int) -> bool:
-    """If some neighbor u has N[u] ⊆ N[v] and weight(v) ≤ weight(u), v can
-    be rejected: any solution using v swaps to u at no loss."""
-    nv_closed = state.adj[v] | {v}
-    for u in state.adj[v]:
-        if state.verts[v].weight <= state.verts[u].weight and (
-            state.adj[u] | {u}
-        ) <= nv_closed:
-            _reject(state, v)
-            return True
-    return False
-
-
-_ALL_RULES = ("isolated", "degree1", "fold", "twin", "dominance")
-
-
-def _clique_cover_bound(state: _State) -> int:
-    """Greedy clique cover: the solution can take at most the heaviest
-    vertex of each clique."""
-    cliques: list[Tuple[Set[int], int]] = []  # (members, max weight)
-    for v in sorted(state.adj, key=lambda x: -len(state.adj[x])):
-        nv = state.adj[v]
-        for idx, (members, wmax) in enumerate(cliques):
-            if members <= nv:
-                members.add(v)
-                cliques[idx] = (members, max(wmax, state.verts[v].weight))
+            # every twin of v lies in the row of any neighbor of v
+            for x in nv:
                 break
+            twin = v
+            for u in adj[x]:
+                if u < twin and adj[u] == nv:
+                    twin = u
+            if twin != v:
+                _merge_twin(k, v, twin)
+                fired["twin"] += 1
+                changed = True
+                continue
+
+            # u is in N(v), so N[u] ⊆ N[v] is adj[u] ⊆ N[v]
+            closed = None
+            for u in nv:
+                if weight[u] >= wv and len(adj[u]) <= deg:
+                    if closed is None:
+                        closed = nv | {v}
+                    if adj[u] <= closed:
+                        _reject(k, v)
+                        fired["dominance"] += 1
+                        changed = True
+                        break
+
+
+def _clique_cover_bound(k: _Kernel) -> int:
+    """Greedy clique cover: the solution can take at most the heaviest
+    vertex of each clique.  Vertices are placed by decreasing degree, ties
+    in id order, each into the first clique (in creation order) that lies
+    inside its neighborhood.  Such a clique holds a neighbor of the vertex,
+    so only the cliques of its neighbors are looked at: a clique fits when
+    every one of its members is a neighbor."""
+    adj, weight = k.adj, k.weight
+    clique_of: Dict[int, int] = {}
+    size: list[int] = []
+    heaviest: list[int] = []
+    for v in sorted(adj, key=lambda x: -len(adj[x])):
+        fit = -1
+        hits: Dict[int, int] = {}
+        for x in adj[v]:
+            if x in clique_of:
+                c = clique_of[x]
+                hit = hits[c] = hits.get(c, 0) + 1
+                if hit == size[c] and (fit < 0 or c < fit):
+                    fit = c
+        wv = weight[v]
+        if fit < 0:
+            clique_of[v] = len(size)
+            size.append(1)
+            heaviest.append(wv)
         else:
-            cliques.append(({v}, state.verts[v].weight))
-    return sum(wmax for _, wmax in cliques)
+            clique_of[v] = fit
+            size[fit] += 1
+            if wv > heaviest[fit]:
+                heaviest[fit] = wv
+    return sum(heaviest)
 
 
 def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
     """Exact MIS by branch and bound with kernelization.
 
-    Rules applied to exhaustion at every node: isolated take, pendant take,
-    degree-2 folding, twin collapse, neighborhood dominance.  Branches on a
-    maximum-degree vertex (smallest id on ties) with a greedy clique-cover
-    upper bound.
+    Rules applied to exhaustion at every node (see ``_exhaust``): isolated
+    take, pendant take, degree-2 take and folding, twin collapse,
+    neighborhood dominance.  Branches on a maximum-degree vertex (smallest
+    id on ties) with a greedy clique-cover upper bound.  The result's
+    ``stats`` are described in the module docstring; in ``fired``,
+    ``degree2`` counts degree-2 vertices taken and ``fold`` those folded.
     """
     limits = limits or SolverLimits()
     deadline = (
         time.monotonic() + limits.time_budget if limits.time_budget else None
     )
     nodes = 0
+    prunes = 0
+    max_depth = 0
+    root_kernel = 0
+    fired = dict.fromkeys(RULES, 0)
     best_value = -1
     best_witness: Set[int] = set()
 
-    def visit(state: _State) -> None:
-        nonlocal nodes, best_value, best_witness
+    def visit(k: _Kernel, depth: int) -> None:
+        nonlocal nodes, prunes, max_depth, root_kernel, best_value, best_witness
         nodes += 1
         if limits.node_budget is not None and nodes > limits.node_budget:
             raise ResourceLimitError("node budget exhausted", max(best_value, 0))
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError("time budget exhausted", max(best_value, 0))
+        if depth > max_depth:
+            max_depth = depth
 
-        _apply_reductions(state, _ALL_RULES)
-        if not state.adj:
-            if state.base > best_value:
-                best_value = state.base
-                best_witness = set(state.taken)
+        _exhaust(k, fired)
+        adj = k.adj
+        if depth == 0:
+            root_kernel = len(adj)
+        if not adj:
+            if k.base > best_value:
+                best_value, best_witness = k.base, set(k.taken)
             return
-        if state.base + _clique_cover_bound(state) <= best_value:
+        if k.base + _clique_cover_bound(k) <= best_value:
+            prunes += 1
             return
 
-        v = max(sorted(state.adj), key=lambda x: len(state.adj[x]))
-        branch = state.copy()
+        v = max(adj, key=lambda x: len(adj[x]))  # first in id order on ties
+        branch = k.copy()
         _take(branch, v)
-        visit(branch)
-        _reject(state, v)
-        visit(state)
+        visit(branch, depth + 1)
+        _reject(k, v)
+        visit(k, depth + 1)
 
-    visit(_State.from_graph(g))
-    return SolveResult(best_value, frozenset(best_witness), nodes, "branch-bound")
-
-
-def twin_kernel_order(g: Graph) -> int:
-    """Vertex count after exhausting twin collapse alone (no branching)."""
-    state = _State.from_graph(g)
-    _apply_reductions(state, ("twin",))
-    return len(state.adj)
+    visit(_Kernel.from_graph(g), 0)
+    stats = {
+        "bound_prunes": prunes,
+        "max_depth": max_depth,
+        "root_kernel": root_kernel,
+        "fired": fired,
+    }
+    return SolveResult(best_value, frozenset(best_witness), nodes, "branch-bound", stats)
 
 
 # ---------------------------------------------------------------------------

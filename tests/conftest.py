@@ -41,6 +41,25 @@ def sparse_max_degree_graph(rng: random.Random, n: int, m: int, dmax: int) -> Gr
     return Graph.from_edges(n, sorted(edges))
 
 
+def random_cubic_graph(rng: random.Random, n: int) -> Graph:
+    """Random simple 3-regular graph on ``n`` (even) vertices by the pairing
+    model: pair up three points per vertex at random and start over while
+    the pairing has a loop or a repeated edge."""
+    if n % 2:
+        raise ValueError(f"a cubic graph needs an even vertex count, got {n}")
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges: set = set()
+        for u, v in zip(points[::2], points[1::2]):
+            key = (min(u, v), max(u, v))
+            if u == v or key in edges:
+                break
+            edges.add(key)
+        else:
+            return Graph.from_edges(n, sorted(edges))
+
+
 def grid_with_diagonals(rng: random.Random, side: int, cap: int = 5) -> Graph:
     """``side`` x ``side`` grid plus at most one diagonal per cell (cells in
     seeded order, random direction), kept only while both endpoints stay at

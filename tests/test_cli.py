@@ -106,6 +106,18 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["alpha"] == 4
         assert doc["method"] == "brute-force"
+        assert doc["stats"] == {}
+
+    def test_bb_prints_stats(self, tmp_path, capsys):
+        from regmis.gadgets import build_general_gadget
+
+        path = tmp_path / "gadget.col"
+        path.write_text(serialize_graph(build_general_gadget(5)[0], "dimacs-col"))
+        code, out, _ = run(capsys, "solve", path, "--method", "bb")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["alpha"], doc["nodes"], doc["method"]) == (10, 1, "branch-bound")
+        assert doc["stats"]["root_kernel"] == 0 and doc["stats"]["fired"]["twin"] > 0
 
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         import random

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from regmis.graph import (
     path_graph,
 )
 from regmis.solvers import (
+    RULES,
     ResourceLimitError,
     SolverLimits,
     check_result,
@@ -21,10 +23,9 @@ from regmis.solvers import (
     mis_branch_bound,
     mis_bruteforce,
     solve_mis,
-    twin_kernel_order,
 )
 
-from conftest import alpha_by_enumeration, random_graph
+from conftest import alpha_by_enumeration, random_cubic_graph, random_graph
 
 PETERSEN = Graph.from_edges(
     10,
@@ -103,9 +104,108 @@ class TestBranchBound:
         assert info.value.best_so_far >= 0
 
     def test_twin_collapse_shrinks_gadget(self):
-        g, _ = build_general_gadget(5)
-        assert g.n == 21
-        assert twin_kernel_order(g) <= 9
+        # the gadgets are solved at the root, by twin merges among others
+        for delta in (5, 7, 9):
+            result = mis_branch_bound(build_general_gadget(delta)[0])
+            assert result.nodes_explored == 1
+            assert result.stats["root_kernel"] == 0
+            assert result.stats["fired"]["twin"] > 0
+
+    def test_stats(self):
+        g = random_cubic_graph(random.Random(8), 100)
+        stats = mis_branch_bound(g).stats
+        assert set(stats) == {"bound_prunes", "max_depth", "root_kernel", "fired"}
+        assert tuple(stats["fired"]) == RULES
+        assert stats["root_kernel"] == 100  # no rule applies at this graph's root
+        assert 0 < stats["bound_prunes"] and 0 < stats["max_depth"]
+        assert mis_bruteforce(PETERSEN).stats == {}
+
+
+def _witness_digest(witness) -> str:
+    return hashlib.sha256(",".join(map(str, sorted(witness))).encode()).hexdigest()
+
+
+# (id, graph, alpha, nodes_explored, SHA-256 of the sorted witness): the search
+# tree of a fixed graph is part of the solver's contract; a faster node must
+# not change the rules, their order, the branching vertex or the bound.
+PINNED_TREES = [
+    ("cubic-40-seed1", lambda: random_cubic_graph(random.Random(1), 40), 17, 13,
+     "42a1f60ec3f4f8550c8c63e13c3c0167165519f30ed4db6d71c7fe2f0681b92e"),
+    ("cubic-50-seed2", lambda: random_cubic_graph(random.Random(2), 50), 22, 13,
+     "40c001d102590dd31622c1de5adce6f347df0ea61d978190f2bdf004a083f7a0"),
+    ("cubic-60-seed3", lambda: random_cubic_graph(random.Random(3), 60), 26, 25,
+     "8a8f4b66e98849d1048f482e99986b62e7efb7b3fdf0fb4fa67b942510d1b3db"),
+    ("cubic-70-seed4", lambda: random_cubic_graph(random.Random(4), 70), 31, 45,
+     "60dfc1d237741c5ef1faaa268432357cd6fa669151d082b90051be49359d1d4d"),
+    ("cubic-80-seed5", lambda: random_cubic_graph(random.Random(5), 80), 35, 85,
+     "5a2b586ee02b9f6e685588ba29f31163517585317bb569fedf9678d3177c8571"),
+    ("cubic-90-seed6", lambda: random_cubic_graph(random.Random(6), 90), 39, 71,
+     "990cafe4f0dd86cf4c4fed28c54cf05ff55eb55961304555f64d588650f94896"),
+    ("cubic-100-seed7", lambda: random_cubic_graph(random.Random(7), 100), 45, 105,
+     "447358c245b3e6e7e1514159f51712556cc14f76a556cf723bc8775fe7d5a6bf"),
+    ("cubic-100-seed8", lambda: random_cubic_graph(random.Random(8), 100), 44, 153,
+     "7f0cbc15f0df9069e52e886fe789e20bd6ccc79f0d704ea882f455733fa4163a"),
+    ("petersen", lambda: PETERSEN, 4, 3,
+     "65beb880c01c1e7dcdecd361888ffdb563e41120135231bf6f750121b77c18fa"),
+    ("general-5", lambda: build_general_gadget(5)[0], 10, 1,
+     "01fd58e35b9e6d63ca9b523cf072759dfa5a46c4e94cd13ece0028f2d35b1aca"),
+    ("general-7", lambda: build_general_gadget(7)[0], 21, 1,
+     "a8798898e7ca69152238ba628dd4ea1c4b0b030f94ad45f2dfef19be1fd99cf1"),
+    ("general-9", lambda: build_general_gadget(9)[0], 36, 1,
+     "e5281d607a1315338bb48bb9f9f3cbc864ddf83db730f10e93f59824dba5fcdd"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,alpha,nodes,digest", [p[1:] for p in PINNED_TREES], ids=[p[0] for p in PINNED_TREES]
+)
+def test_pinned_search_tree(build, alpha, nodes, digest):
+    result = mis_branch_bound(build())
+    assert (result.alpha, result.nodes_explored, _witness_digest(result.witness)) == (alpha, nodes, digest)
+
+
+def subdivided_graph(rng: random.Random, k: int, p: float) -> Graph:
+    """Random graph on ``k`` vertices with most edges (while the total stays
+    at 20 vertices or fewer) replaced by a path through a new midpoint: each
+    midpoint has degree 2 and non-adjacent neighbors, so it folds."""
+    n, edges = k, []
+    for u, v in random_graph(rng, k, p).edges():
+        if n < 20 and rng.random() < 0.7:
+            edges += [(u, n), (n, v)]
+            n += 1
+        else:
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def planted_k2k_graph(rng: random.Random, n: int, k: int) -> Graph:
+    """Vertices 0 and 1 joined to the same ``k`` vertices 2..k+1 (a K_{2,k})
+    and to nothing else, the other pairs random: 1 is a twin of 0."""
+    edges = [(a, c) for a in (0, 1) for c in range(2, 2 + k)]
+    edges += [(u, v) for u in range(2, n) for v in range(u + 1, n) if rng.random() < 0.25]
+    return Graph.from_edges(n, edges)
+
+
+class TestWeightedKernel:
+    """Folds and twin merges leave vertices of weight above 1; these graphs
+    make both fire, so the weighted rule and bound paths are checked
+    against brute force."""
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(9)
+        fired = dict.fromkeys(RULES, 0)
+        for _ in range(150):
+            for g in (
+                subdivided_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.8])),
+                planted_k2k_graph(rng, rng.randint(8, 20), rng.randint(3, 5)),
+            ):
+                assert g.n <= 20
+                result = mis_branch_bound(g)
+                check_result(g, result)
+                assert result.alpha == mis_bruteforce(g).alpha
+                for rule, count in result.stats["fired"].items():
+                    fired[rule] += count
+        assert fired["fold"] > 0 and fired["twin"] > 0
 
 
 class TestVertexCover:

@@ -12,17 +12,20 @@ is built once per call, each gadget block is compared with it in a single
 pass over the block's adjacency, and overlap and tiling are tracked in a
 ``bytearray`` of length |V'|.  Certificate fields (kind, degree, size, id
 range) are bounded against the reduced graph before any blueprint is
-built.  The triangle check enumerates the triangles of G' once.
+built.
+
+The triangle and planarity checks are derived from that structural result
+and walk neither G nor G' again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import gadgets
-from .graph import Graph, GraphError, is_independent_set, triangle_count, triangles
+from .graph import Graph, GraphError, is_independent_set, triangle_count
 from .reduction import (
     PARITY_FIX,
     STAR_PAD,
@@ -194,16 +197,9 @@ def check_certificate(
     checks: List[Check] = [check_regular(g_prime, cert.target_degree)]
 
     # originals induce exactly the source graph
-    induced = g_prime.induced_prefix(cert.source_n)
-    checks.append(
-        _check(
-            "origin-induced",
-            induced.adjacency == g.adjacency,
-            "edges among original vertices unchanged"
-            if induced.adjacency == g.adjacency
-            else "edges among original vertices were added or removed",
-        )
-    )
+    same = g_prime.induced_prefix(cert.source_n).adjacency == g.adjacency
+    detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
+    checks.append(_check("origin-induced", same, detail))
 
     # padding steps reconstruct, and their offsets are the forced values;
     # their ranges and edge counts are bounded by G' before any is rebuilt
@@ -346,35 +342,38 @@ def check_sandwich(
     )
 
 
+def _derived_triangles(cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]) -> Check:
+    """Triangle preservation from the structural checks ``structure``
+    returns, called only when the check applies.  Once they pass, G' has
+    the triangles of G, C(k, 3) per parity clique of k vertices and
+    #gadgets times the blueprint's (a port-owner bridge closes none), so
+    the claim holds iff the blueprint is triangle-free."""
+    if cert.gadgets and cert.gadget_kind != gadgets.GENERAL:
+        return Check("triangle-preservation", SKIP, f"applies to {gadgets.GENERAL} gadgets only")
+    try:
+        passed = {c.name for c in structure() if c.status == PASS}
+    except GraphError as exc:  # a hash mismatch
+        return Check("triangle-preservation", FAIL, str(exc))
+    if not passed >= {"padding-steps", "gadget-blueprints", "port-attachment"}:
+        return Check("triangle-preservation", FAIL, "not derivable: structural checks failed")
+    inside = triangle_count(gadgets.build_gadget(gadgets.GENERAL, cert.target_degree)[0]) if cert.gadgets else 0
+    cliques = sum(s.size * (s.size - 1) * (s.size - 2) // 6 for s in cert.steps if s.kind == PARITY_FIX)
+    return _check(
+        "triangle-preservation",
+        not inside,
+        f"derived: G' has the triangles of G plus {cliques} in parity cliques; no triangle touches a gadget"
+        if not inside
+        else f"the gadget blueprint for degree {cert.target_degree} has {inside} triangles",
+    )
+
+
 def check_triangle_preservation(
     g: Graph, g_prime: Graph, cert: ReductionCertificate
 ) -> Check:
     """General gadgets are triangle-free and attachment edges close no
-    triangle, so the only new triangles come from parity cliques."""
-    if cert.gadgets and cert.gadget_kind != gadgets.GENERAL:
-        return Check("triangle-preservation", SKIP, "planar gadgets contain triangles")
-    clique_triangles = sum(
-        s.size * (s.size - 1) * (s.size - 2) // 6
-        for s in cert.steps
-        if s.kind == PARITY_FIX
-    )
-    expected = triangle_count(g) + clique_triangles
-    actual, stray = 0, None
-    for t in triangles(g_prime):
-        actual += 1
-        if stray is None and t[2] >= cert.padded_n:  # t is sorted
-            stray = t
-    if actual != expected:
-        return Check(
-            "triangle-preservation",
-            FAIL,
-            f"reduced graph has {actual} triangles, expected {expected}",
-        )
-    return _check(
-        "triangle-preservation",
-        stray is None,
-        "no triangle touches a gadget" if stray is None else f"triangle {stray} touches a gadget",
-    )
+    triangle, so the only new triangles come from parity cliques.  Derived
+    from :func:`check_certificate`; a hash mismatch fails the check."""
+    return _derived_triangles(cert, lambda: check_certificate(g, g_prime, cert).checks)
 
 
 def check_port_exclusion(
@@ -411,42 +410,41 @@ def check_port_exclusion(
     )
 
 
-def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Check:
-    """Euler necessary condition plus the cut-edge attachment structure that
-    preserves planarity of a planar input."""
+def _derived_planarity(
+    g_prime: Graph, cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]
+) -> Check:
+    """Euler's bound, and one cut edge per gadget as the gadget-blueprints
+    and port-attachment checks ``structure`` returns establish.  Necessary
+    conditions only: the source graph's planarity is not tested."""
     if cert.gadget_kind != gadgets.PLANAR5:
         return Check("planarity-necessary", SKIP, "not a planar-gadget reduction")
-    if g_prime.n >= 3 and g_prime.m > 3 * g_prime.n - 6:
-        return Check(
-            "planarity-necessary",
-            FAIL,
-            f"m={g_prime.m} exceeds 3n-6={3 * g_prime.n - 6}",
-        )
-    for gi in cert.gadgets:
-        if not (0 <= gi.id_offset and gi.id_offset + gi.size <= g_prime.n):
-            return Check(
-                "planarity-necessary",
-                FAIL,
-                f"gadget at {gi.id_offset} lies outside the reduced graph",
-            )
-        rng = set(gi.vertex_range())
-        external = {
-            (w, x)
-            for w in rng
-            for x in g_prime.neighbors(w)
-            if x not in rng
-        }
-        if external != {(gi.port, gi.owner)}:
-            return Check(
-                "planarity-necessary",
-                FAIL,
-                f"gadget at {gi.id_offset} is not attached by a single cut edge",
-            )
+    n, m = g_prime.n, g_prime.m
+    if n >= 3 and m > 3 * n - 6:
+        return Check("planarity-necessary", FAIL, f"m={m} exceeds 3n-6={3 * n - 6}")
+    try:
+        passed = {c.name for c in structure() if c.status == PASS}
+    except GraphError as exc:  # a hash mismatch
+        return Check("planarity-necessary", FAIL, str(exc))
+    if not passed >= {"gadget-blueprints", "port-attachment"}:
+        return Check("planarity-necessary", FAIL, "gadgets are not blueprint blocks on single cut edges")
     return Check(
         "planarity-necessary",
         PASS,
-        f"m={g_prime.m} <= 3n-6={3 * g_prime.n - 6}; every gadget hangs off one cut edge",
+        f"m={m} <= 3n-6={3 * n - 6}; every gadget hangs off one cut edge; source planarity: not certified",
     )
+
+
+def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Check:
+    """Euler necessary condition plus the cut-edge attachment structure that
+    preserves planarity of a planar input, from the gadget-block checks; a
+    hash mismatch fails the check."""
+
+    def structure() -> Tuple[Check, Check]:
+        if cert.result_hash != g_prime.content_hash():
+            raise GraphError("certificate result hash does not match the reduced graph")
+        return _check_gadget_blocks(g_prime, cert)[:2]
+
+    return _derived_planarity(g_prime, cert, structure)
 
 
 def verify_all(
@@ -458,10 +456,11 @@ def verify_all(
 ) -> VerificationReport:
     """Run the full check battery; solver-backed checks only with
     ``with_oracle``."""
-    checks = list(check_certificate(g, g_prime, cert).checks)
+    structure = check_certificate(g, g_prime, cert).checks
+    checks = list(structure)
     blocks_ok = next(c.status == PASS for c in checks if c.name == "gadget-blueprints")
-    checks.append(check_triangle_preservation(g, g_prime, cert))
-    checks.append(check_planarity_necessary(g_prime, cert))
+    checks.append(_derived_triangles(cert, lambda: structure))
+    checks.append(_derived_planarity(g_prime, cert, lambda: structure))
     if with_oracle:
         checks.append(check_alpha_relation(g, g_prime, cert, limits))
         if cert.gadgets and not blocks_ok:

@@ -4,6 +4,7 @@ operation failed (the forged certificates included)."""
 
 from __future__ import annotations
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import run as perfbench_run  # noqa: E402
+import spans  # noqa: E402
 
 
 @pytest.fixture
@@ -32,3 +34,15 @@ def test_workload_smoke(workload, regmis_modules_restored):
     assert result["correct"], result["_record"]["failures"]
     assert result["failed"] == 0, result["_record"]["failures"]
     assert result["attempted"] > 0
+
+
+def test_traced_names_resolve(regmis_modules_restored):
+    """Every function the ``--trace 1`` run wraps still exists under its
+    name in a fresh import of regmis."""
+    for k in [k for k in sys.modules if k == "regmis" or k.startswith("regmis.")]:
+        del sys.modules[k]
+    for module, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"

@@ -13,6 +13,7 @@ from regmis.graph import (
     is_independent_set,
     path_graph,
 )
+from regmis.reduction import reduce_to_regular
 from regmis.solvers import (
     RULES,
     ResourceLimitError,
@@ -162,6 +163,19 @@ PINNED_TREES = [
 def test_pinned_search_tree(build, alpha, nodes, digest):
     result = mis_branch_bound(build())
     assert (result.alpha, result.nodes_explored, _witness_digest(result.witness)) == (alpha, nodes, digest)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 60])
+def test_reduced_graph_kernelizes_to_its_source(n):
+    """``verify --with-oracle`` solves G' at the cost of G: on a cubic source
+    reduced to degree 5, the root's reductions strip every gadget and the
+    star, leaving a kernel as large as G's and the same search."""
+    g = random_cubic_graph(random.Random(n), n)
+    gp, cert = reduce_to_regular(g, 5)
+    source, reduced = mis_branch_bound(g), mis_branch_bound(gp)
+    assert reduced.stats["root_kernel"] == source.stats["root_kernel"]
+    assert reduced.nodes_explored == source.nodes_explored
+    assert reduced.alpha == source.alpha + cert.total_offset
 
 
 def subdivided_graph(rng: random.Random, k: int, p: float) -> Graph:

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from regmis import gadgets, reduction
+from regmis import gadgets, graph, reduction
 from regmis.gadgets import GENERAL, ICOSA, PLANAR5
 from regmis.graph import (
     Graph,
@@ -362,8 +362,26 @@ class TestLinearWork:
         g = complete_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         walks = self.count_calls(monkeypatch, Graph, "edges")
+        enumerated = self.count_calls(monkeypatch, graph, "triangles")
         assert check_triangle_preservation(g, gp, cert).status == PASS
-        assert sorted(w.n for w in walks) == sorted([g.n, gp.n])
+        assert sorted(w.n for w in walks if w is g or w is gp) == sorted([g.n, gp.n])
+        assert all(w is g or w is gp or w.n <= gadgets.general_gadget_size(5) for w in walks)
+        assert not any(t is g or t is gp for t in enumerated)
+
+    @pytest.mark.parametrize(
+        "g, reduce",
+        [
+            (complete_graph(4), lambda g: reduce_to_regular(g, 5)),
+            (K4_MINUS_EDGE, lambda g: regularize(g, 3)),
+            (complete_graph(4), regularize_planar),
+        ],
+        ids=["padded", "general", "planar"],
+    )
+    def test_verify_all_enumerates_no_triangles_of_either_graph(self, g, reduce, monkeypatch):
+        gp, cert = reduce(g)
+        enumerated = self.count_calls(monkeypatch, graph, "triangles")
+        assert verify_all(g, gp, cert).overall == PASS
+        assert not any(t is g or t is gp for t in enumerated)
 
 
 class TestAlphaRelation:
@@ -435,6 +453,40 @@ class TestTrianglePreservation:
         g, gp, cert = planar_pipeline
         assert check_triangle_preservation(g, gp, cert).status == SKIP
 
+    def test_hash_mismatch_fails(self, pipeline):
+        _, gp, cert = pipeline
+        check = check_triangle_preservation(cycle_graph(4), gp, cert)
+        assert check.status == FAIL and "source hash" in check.detail
+
+    def test_skip_does_no_structural_work(self, pipeline, planar_pipeline, monkeypatch):
+        monkeypatch.setattr(Graph, "content_hash", None)  # any structural check would hash first
+        g, gp, cert = planar_pipeline
+        assert check_triangle_preservation(g, gp, cert).status == SKIP
+        _, gp, cert = pipeline
+        assert check_planarity_necessary(gp, cert).status == SKIP
+
+    def test_reads_the_blueprint(self, monkeypatch):
+        """A general gadget with a chord between two vertices of one side
+        closes triangles; the blocks still match (the same chorded
+        blueprint), so only the derived triangle check can see it."""
+        real = gadgets.build_gadget
+
+        def chorded(kind, delta=None):
+            blueprint, layout = real(kind, delta)
+            if kind == GENERAL:
+                blueprint = Graph.from_edges(blueprint.n, list(blueprint.edges()) + [(0, 1)])
+            return blueprint, layout
+
+        monkeypatch.setattr(gadgets, "build_gadget", chorded)
+        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        by_name = {c.name: c for c in verify_all(g, gp, cert).checks}
+        assert by_name["gadget-blueprints"].status == PASS
+        assert by_name["port-attachment"].status == PASS
+        assert by_name["triangle-preservation"].status == FAIL
+        assert "blueprint" in by_name["triangle-preservation"].detail
+
 
 class TestPortExclusion:
     def test_delta3_tie(self):
@@ -462,6 +514,17 @@ class TestPlanarityNecessary:
         assert check.status == PASS
         assert "510" in check.detail and "606" in check.detail
 
+    def test_pass_does_not_claim_source_planarity(self, planar_pipeline):
+        g, gp, cert = planar_pipeline
+        assert "source planarity: not certified" in check_planarity_necessary(gp, cert).detail
+        planarity = [c for c in verify_all(g, gp, cert).checks if c.name == "planarity-necessary"]
+        assert planarity[0].status == PASS and "not certified" in planarity[0].detail
+
+    def test_hash_mismatch_fails(self, planar_pipeline):
+        _, gp, cert = planar_pipeline
+        check = check_planarity_necessary(gp, rehash(cert, g_prime=complete_graph(4)))
+        assert check.status == FAIL and "result hash" in check.detail
+
     def test_general_pipeline_skipped(self, pipeline):
         g, gp, cert = pipeline
         assert check_planarity_necessary(gp, cert).status == SKIP
@@ -487,3 +550,163 @@ class TestVerifyAll:
         doc = json.loads(verify_all(g, gp, cert).to_json())
         assert doc["overall"] == "pass"
         assert {c["name"] for c in doc["checks"]} >= {"regular", "offset-arithmetic"}
+
+
+def _general():
+    return (K4_MINUS_EDGE, *regularize(K4_MINUS_EDGE, 3))
+
+
+def _planar():
+    return (complete_graph(4), *regularize_planar(complete_graph(4)))
+
+
+def _edited_graph(make, edit):
+    g, gp, cert = make()
+    mutated = edit(gp, cert.gadgets)
+    return g, mutated, rehash(cert, g_prime=mutated)
+
+
+def _forged_cert(make, forge):
+    g, gp, cert = make()
+    return g, gp, forge(cert, gp)
+
+
+def _ports_joined():
+    g, gp, cert = _general()
+    g1, g2 = cert.gadgets[0], cert.gadgets[1]
+    mutated = drop_edge(drop_edge(gp, g1.port, g1.owner), g2.port, g2.owner)
+    mutated = add_edge(add_edge(mutated, g1.port, g2.port), g1.owner, g2.owner)
+    forged = replace_gadget(replace_gadget(cert, 0, owner=g2.port), 1, owner=g1.port)
+    return g, mutated, rehash(forged, g_prime=mutated)
+
+
+def _forged_alpha(cert, gp):
+    return dataclasses.replace(
+        cert,
+        per_gadget_alpha=cert.per_gadget_alpha + 1,
+        total_offset=cert.total_offset + len(cert.gadgets),
+    )
+
+
+# The honest reductions and every mutation of TestMutationDetection, each
+# as a whole verify_all input.
+REPORT_INPUTS = {
+    "honest-general": _general,
+    "honest-padded": lambda: (cycle_graph(4), *reduce_to_regular(cycle_graph(4), 5)),
+    "honest-planar": _planar,
+    "deleted-gadget-edge": lambda: _edited_graph(
+        _general, lambda gp, gs: drop_edge(gp, gs[0].id_offset, gs[0].id_offset + 2)
+    ),
+    "offset-plus-one": lambda: _forged_cert(
+        _general, lambda c, gp: dataclasses.replace(c, total_offset=c.total_offset + 1)
+    ),
+    "port-rewire": lambda: _edited_graph(
+        _general,
+        lambda gp, gs: add_edge(
+            drop_edge(gp, gs[0].port, gs[0].owner), gs[0].port, 1 if gs[0].owner != 1 else 0
+        ),
+    ),
+    "edge-among-originals": lambda: _edited_graph(_general, lambda gp, gs: add_edge(gp, 2, 3)),
+    "planar-gadget-chord": lambda: _edited_graph(
+        _planar, lambda gp, gs: add_edge(gp, gs[0].id_offset, gs[1].id_offset)
+    ),
+    "overlapping-ranges": lambda: _forged_cert(
+        _general, lambda c, gp: replace_gadget(c, 1, id_offset=c.gadgets[0].id_offset)
+    ),
+    "range-past-reduced-graph": lambda: _forged_cert(
+        _general, lambda c, gp: replace_gadget(c, 1, id_offset=gp.n - 1)
+    ),
+    "planar-range-past-reduced-graph": lambda: _forged_cert(
+        _planar, lambda c, gp: replace_gadget(c, 1, id_offset=gp.n - 1)
+    ),
+    "dropped-gadget": lambda: _forged_cert(
+        _general,
+        lambda c, gp: dataclasses.replace(
+            c, gadgets=c.gadgets[:-1], total_offset=c.total_offset - c.per_gadget_alpha
+        ),
+    ),
+    "ports-joined": _ports_joined,
+    "edge-between-gadgets": lambda: _edited_graph(
+        _general, lambda gp, gs: add_edge(gp, gs[0].id_offset, gs[1].id_offset)
+    ),
+    "forged-gadget-alpha-general": lambda: _forged_cert(_general, _forged_alpha),
+    "forged-gadget-alpha-planar": lambda: _forged_cert(_planar, _forged_alpha),
+    "mixed-deltas": lambda: _forged_cert(
+        lambda: (K4_MINUS_EDGE, *regularize(K4_MINUS_EDGE, 5)),
+        lambda c, gp: replace_gadget(c, 0, delta=3),
+    ),
+    "even-degree": lambda: _forged_cert(
+        _general, lambda c, gp: dataclasses.replace(c, target_degree=4)
+    ),
+    "unknown-kind": lambda: _forged_cert(
+        _general,
+        lambda c, gp: dataclasses.replace(
+            c, gadgets=tuple(dataclasses.replace(gi, kind="foo") for gi in c.gadgets)
+        ),
+    ),
+    "extra-triangle": lambda: _edited_graph(
+        _general, lambda gp, gs: add_edge(gp, gs[0].id_offset, gs[0].id_offset + 1)
+    ),
+}
+
+REPORT_LAYOUT = (
+    "regular", "origin-induced", "padding-steps", "gadget-blueprints",
+    "port-attachment", "gadget-counts", "size-bound", "offset-arithmetic",
+    "gadget-alpha", "triangle-preservation", "planarity-necessary",
+    "alpha-relation", "port-exclusion",
+)
+
+# (input, with_oracle) -> status initials (pass, fail, skipped) in
+# REPORT_LAYOUT order, recorded when triangle-preservation still
+# enumerated the triangles of G and G'.
+ENUMERATED_REPORTS = {
+    ("honest-general", False): "ppppppppppss",
+    ("honest-general", True): "ppppppppppspp",
+    ("honest-padded", False): "ppppppppppss",
+    ("honest-planar", False): "pppppppppsps",
+    ("deleted-gadget-edge", False): "fppfppppspss",
+    ("offset-plus-one", False): "pppppppfppss",
+    ("offset-plus-one", True): "pppppppfppsfp",
+    ("port-rewire", False): "fpppfpppppss",
+    ("edge-among-originals", False): "fffppppppfss",
+    ("planar-gadget-chord", False): "fpppfppppsfs",
+    ("overlapping-ranges", False): "pppfppppspss",
+    ("range-past-reduced-graph", False): "pppfppppspss",
+    ("planar-range-past-reduced-graph", False): "pppfppppssfs",
+    ("dropped-gadget", False): "pppfpffpspss",
+    ("ports-joined", False): "pffpffpppfss",
+    ("edge-between-gadgets", False): "fpppfpppppss",
+    ("forged-gadget-alpha-general", False): "ppppppppfpss",
+    ("forged-gadget-alpha-planar", False): "ppppppppfsps",
+    ("mixed-deltas", False): "pppfppppfpss",
+    ("even-degree", False): "fppfpffpspss",
+    ("unknown-kind", False): "pppfppfpssss",
+    ("extra-triangle", False): "fppfppppsfss",
+}
+
+
+def derived_statuses(enumerated):
+    """The enumerating check's report with triangle preservation derived:
+    it fails wherever padding-steps, gadget-blueprints or port-attachment
+    did not pass, since the triangle count then cannot be derived."""
+    t = REPORT_LAYOUT.index("triangle-preservation")
+    if enumerated[t] == "p" and enumerated[2:5] != "ppp":  # padding-steps .. port-attachment
+        return enumerated[:t] + "f" + enumerated[t + 1 :]
+    return enumerated
+
+
+class TestReportLayout:
+    """The names, order and statuses of verify_all's checks are pinned on
+    the honest reductions and on every mutation; only the derived
+    triangle check may turn from pass to fail, and only where the
+    structure it is derived from failed."""
+
+    @pytest.mark.parametrize("name, with_oracle", sorted(ENUMERATED_REPORTS))
+    def test_pinned(self, name, with_oracle):
+        report = verify_all(*REPORT_INPUTS[name](), with_oracle=with_oracle)
+        expected = derived_statuses(ENUMERATED_REPORTS[name, with_oracle])
+        assert [c.name for c in report.checks] == list(REPORT_LAYOUT[: len(expected)])
+        assert "".join(c.status[0] for c in report.checks) == expected
+
+    def test_every_input_pinned(self):
+        assert {name for name, _ in ENUMERATED_REPORTS} == set(REPORT_INPUTS)

@@ -10,7 +10,7 @@ below each make one pass over the adjacency.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -89,20 +89,6 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
-
-    # -- derived graphs --------------------------------------------------
-
-    def induced_prefix(self, k: int) -> "Graph":
-        """Induced subgraph on vertices 0..k-1 (ids preserved)."""
-        if not (0 <= k <= self.n):
-            raise GraphError(f"prefix size {k} out of range for n={self.n}")
-        return Graph(
-            k,
-            tuple(
-                a if not a or a[-1] < k else a[: bisect_left(a, k)]
-                for a in self.adjacency[:k]
-            ),
-        )
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical (n, sorted edge list) encoding."""

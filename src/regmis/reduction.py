@@ -282,21 +282,6 @@ def reduce_to_regular(
     return _reduce(g, delta, gadgets.GENERAL, pad=True, strict=strict)
 
 
-def rebuild_padded(g: Graph, cert: ReductionCertificate) -> Graph:
-    """Reconstruct the padded source graph from the certificate's steps."""
-    padded = g
-    for step in cert.steps:
-        if step.start != padded.n:
-            raise GraphError("certificate step ranges are not contiguous")
-        if step.kind == PARITY_FIX:
-            padded = disjoint_union(padded, complete_graph(step.size))
-        elif step.kind == STAR_PAD:
-            padded = disjoint_union(padded, star_graph(step.size - 1))
-        else:
-            raise GraphError(f"unknown reduction step kind {step.kind!r}")
-    return padded
-
-
 # ---------------------------------------------------------------------------
 # solution maps
 

@@ -7,12 +7,12 @@ never run a solver on the reduced graph; only the alpha-relation and
 port-exclusion checks do.  The gadget-alpha check reads the memoized exact
 alpha of the one gadget blueprint, and only once the blocks have matched it.
 
-Cost: :func:`check_certificate` is linear in |V'| + |E'|.  The blueprint
-is built once per call, each gadget block is compared with it in a single
-pass over the block's adjacency, and overlap and tiling are tracked in a
-``bytearray`` of length |V'|.  Certificate fields (kind, degree, size, id
-range) are bounded against the reduced graph before any blueprint is
-built.
+Cost: :func:`check_certificate` is linear in |V'| + |E'|.  It compares
+G''s rows in place with the rows regenerated from G, the certificate's
+steps and the one gadget blueprint (:func:`_padded_rows`,
+:func:`_block_rows`), and builds no other graph.  Untrusted fields are
+bounded against G' first: a step's end and edge count before its rows,
+and the gadgets' kind, degree, size and id range before the blueprint.
 
 The triangle and planarity checks are derived from that structural result
 and walk neither G nor G' again.
@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import gadgets
 from .graph import Graph, GraphError, is_independent_set, triangle_count
-from .reduction import (
-    PARITY_FIX,
-    STAR_PAD,
-    ReductionCertificate,
-    forward_map,
-    rebuild_padded,
-)
+from .reduction import PARITY_FIX, STAR_PAD, ReductionCertificate, forward_map
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
@@ -77,35 +71,80 @@ def check_regular(g: Graph, d: int) -> Check:
     )
 
 
-def _bound_padding_steps(g_prime: Graph, cert: ReductionCertificate) -> None:
-    """Raise unless every step ends inside G' and the steps' components
-    (a clique of k vertices has k(k-1)/2 edges, a star k-1) fit in |E'|."""
-    edges = 0
+# ---------------------------------------------------------------------------
+# the rows G' must have
+
+Row = Tuple[int, ...]
+
+
+def _step_rows(kind: str, start: int, size: int) -> List[Row]:
+    """A padding step's rows on ids [start, start + size): a clique, or a
+    star with its centre first."""
+    ids = tuple(range(start, start + size))
+    if kind == PARITY_FIX:
+        return [ids[:i] + ids[i + 1 :] for i in range(size)]
+    return [ids[1:]] + [(start,)] * (size - 1)
+
+
+def _padded_rows(g: Graph, cert: ReductionCertificate, n: int, m: int) -> List[Row]:
+    """G's rows, then each step's rows, built only once the step is
+    contiguous, of a known kind, adds at least one vertex (a star two),
+    ends inside G' and keeps the steps' edges within |E'|; else raises."""
+    rows, edges = list(g.adjacency), 0
     for step in cert.steps:
-        if step.end > g_prime.n:
-            raise GraphError(f"step {step.kind} ends at {step.end}, past |V'|={g_prime.n}")
         k = step.size
-        edges += k * (k - 1) // 2 if step.kind == PARITY_FIX else max(k - 1, 0)
-    if edges > g_prime.m:
-        raise GraphError(f"padding steps need {edges} edges, more than |E'|={g_prime.m}")
+        if step.start != len(rows):
+            raise GraphError("certificate step ranges are not contiguous")
+        if step.kind not in (PARITY_FIX, STAR_PAD):
+            raise GraphError(f"unknown reduction step kind {step.kind!r}")
+        least = 1 if step.kind == PARITY_FIX else 2
+        if k < least:
+            raise GraphError(f"step {step.kind} adds {k} vertices, fewer than {least}")
+        if step.end > n:
+            raise GraphError(f"step {step.kind} ends at {step.end}, past |V'|={n}")
+        edges += k * (k - 1) // 2 if step.kind == PARITY_FIX else k - 1
+        if edges > m:
+            raise GraphError(f"padding steps need {edges} edges, more than |E'|={m}")
+        rows += _step_rows(step.kind, step.start, k)
+    return rows
+
+
+def _block_rows(blueprint: Sequence[Row], off: int, owner: int) -> List[Row]:
+    """The blueprint's rows shifted to the gadget block at ``off``, with
+    the owner first in the port's (last) row."""
+    rows = [tuple(map(off.__add__, r)) for r in blueprint]
+    rows[-1] = (owner,) + rows[-1]
+    return rows
+
+
+def _split(row: Row, off: int, end: int) -> Tuple[List[int], List[int]]:
+    """The ids of ``row`` inside the block [off, end), and those leaving it."""
+    return [x for x in row if off <= x < end], [x for x in row if not off <= x < end]
+
+
+def _rows_match_below(adjacency: Sequence[Row], expected: Sequence[Row], cut: int) -> bool:
+    """True iff each expected row (ids below ``cut``) is G''s row of its id cut at ``cut``."""
+    return len(expected) <= len(adjacency) and all(
+        row == want or (row[: len(want)] == want and row[len(want)] >= cut)
+        for row, want in zip(adjacency, expected)
+    )
 
 
 def _check_gadget_blocks(
     g_prime: Graph, cert: ReductionCertificate
 ) -> Tuple[Check, Check, Optional[int]]:
-    """The gadget-blueprints and port-attachment checks, in one pass over
-    the adjacency of the gadget blocks, and the closed-form gadget size
-    (None when the certificate's kind or degree has none).
+    """The gadget-blueprints and port-attachment checks, and the closed-form
+    gadget size (None when the certificate's kind or degree has none).
 
-    Every gadget must carry the certificate's (kind, delta), the closed-form
-    size and an id range inside [padded_n, |V'|) before the blueprint is
-    built, so an untrusted certificate cannot make the verifier build a
-    gadget larger than the reduced graph.  The blueprint is built once.
+    Each gadget must carry the certificate's (kind, delta), the closed-form
+    size and an id range inside [padded_n, |V'|) before the one blueprint
+    is built.  A block's rows are then compared whole with
+    :func:`_block_rows`; a row that differs is split into its in-block part
+    (blueprint) and its leaving part (attachment).
     """
     kind = cert.gadget_kind
     delta = cert.target_degree if kind == gadgets.GENERAL else None
     n, lo = g_prime.n, cert.padded_n
-    adjacency = g_prime.adjacency
     blocks_ok, attach_ok = True, True
     detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
     if kind == gadgets.GENERAL:
@@ -123,7 +162,7 @@ def _check_gadget_blocks(
     owned = bytearray(n)  # 1 for every id of the padded graph or of a gadget so far
     if 0 <= lo <= n:
         owned[:lo] = b"\x01" * lo
-    blueprint: Optional[Tuple[Tuple[int, ...], ...]] = None
+    blueprint: Optional[Sequence[Row]] = None
     for gi in cert.gadgets if blocks_ok else ():
         off, end = gi.id_offset, gi.id_offset + size
         if (gi.kind, gi.delta) != (kind, delta):
@@ -141,20 +180,18 @@ def _check_gadget_blocks(
         owned[off:end] = b"\x01" * size
         if blueprint is None:
             blueprint = gadgets.build_gadget(kind, delta)[0].adjacency
-        internal_ok, external = True, []
-        for w in range(off, end):
-            adj = adjacency[w]
-            inside = tuple(x - off for x in adj if off <= x < end)
-            if len(inside) != len(adj):
-                external += [(min(w, x), max(w, x)) for x in adj if not off <= x < end]
-            internal_ok = internal_ok and inside == blueprint[w - off]
+        internal_ok, leaving_ok = True, 0 <= gi.owner < lo
+        for row, want in zip(g_prime.adjacency[off:end], _block_rows(blueprint, off, gi.owner)):
+            if row != want:
+                (inside, leaving), (want_inside, want_leaving) = _split(row, off, end), _split(want, off, end)
+                internal_ok = internal_ok and inside == want_inside
+                leaving_ok = leaving_ok and leaving == want_leaving
         if not internal_ok:
             blocks_ok = False
             detail_blocks = f"gadget at {off} (owner {gi.owner}) deviates from the blueprint"
-        wanted = [(min(gi.port, gi.owner), max(gi.port, gi.owner))]
-        if external != wanted or not (0 <= gi.owner < lo):
+        if not leaving_ok:
             attach_ok = False
-            detail_attach = f"gadget at {off} has edges {sorted(set(external))} leaving it, expected only port-owner"
+            detail_attach = f"gadget at {off} does not hang off one port-owner edge to a padded vertex"
     if blocks_ok and (not 0 <= lo <= n or 0 in owned):
         blocks_ok, detail_blocks = False, "gadget ranges do not tile the reduced graph"
     return (
@@ -197,25 +234,26 @@ def check_certificate(
     checks: List[Check] = [check_regular(g_prime, cert.target_degree)]
 
     # originals induce exactly the source graph
-    same = g_prime.induced_prefix(cert.source_n).adjacency == g.adjacency
-    detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
+    if cert.source_n != g.n:
+        same, detail = False, f"source_n {cert.source_n} is not the source graph's {g.n} vertices"
+    else:
+        same = _rows_match_below(g_prime.adjacency, g.adjacency, g.n)
+        detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
     checks.append(_check("origin-induced", same, detail))
 
-    # padding steps reconstruct, and their offsets are the forced values;
-    # their ranges and edge counts are bounded by G' before any is rebuilt
+    # padding steps regenerate the padded prefix, and each step's offset is
+    # the alpha of what it adds: 1 for a clique, the leaves of a star
     try:
-        _bound_padding_steps(g_prime, cert)
-        padded = rebuild_padded(g, cert)
-        pad_ok = padded.n == cert.padded_n
-        pad_detail = "padding steps reconstruct"
+        padded: Optional[List[Row]] = _padded_rows(g, cert, g_prime.n, g_prime.m)
+        pad_ok, pad_detail = True, "padding steps reconstruct"
+        if len(padded) != cert.padded_n:
+            pad_ok, pad_detail = False, f"padded_n {cert.padded_n} is not |V(G)| plus the steps, {len(padded)}"
         for step in cert.steps:
             expected = 1 if step.kind == PARITY_FIX else step.size - 1
             if step.alpha_offset != expected:
-                pad_ok = False
-                pad_detail = f"step {step.kind} has offset {step.alpha_offset}, expected {expected}"
-        if pad_ok and g_prime.induced_prefix(cert.padded_n).adjacency != padded.adjacency:
-            pad_ok = False
-            pad_detail = "padded prefix of the reduced graph disagrees with the steps"
+                pad_ok, pad_detail = False, f"step {step.kind} has offset {step.alpha_offset}, expected {expected}"
+        if pad_ok and not _rows_match_below(g_prime.adjacency, padded, len(padded)):
+            pad_ok, pad_detail = False, "padded prefix of the reduced graph disagrees with the steps"
     except GraphError as exc:
         padded, pad_ok, pad_detail = None, False, str(exc)
     checks.append(_check("padding-steps", pad_ok, pad_detail))
@@ -224,27 +262,16 @@ def check_certificate(
     checks += [blueprints, attachment]
 
     # gadget counts equal the deficiency of each padded vertex
-    if padded is not None:
-        counts = [0] * padded.n
-        for gi in cert.gadgets:
-            if 0 <= gi.owner < padded.n:
-                counts[gi.owner] += 1
-        bad = [
-            v
-            for v, a in enumerate(padded.adjacency)
-            if counts[v] != cert.target_degree - len(a)
-        ]
-        checks.append(
-            _check(
-                "gadget-counts",
-                not bad,
-                "every vertex has degree-deficiency many gadgets"
-                if not bad
-                else f"vertices {bad[:5]} have the wrong number of gadgets",
-            )
-        )
-    else:
+    if padded is None:
         checks.append(Check("gadget-counts", SKIP, "padded graph unavailable"))
+    else:
+        counts = [0] * len(padded)
+        for gi in cert.gadgets:
+            if 0 <= gi.owner < len(padded):
+                counts[gi.owner] += 1
+        bad = [v for v, a in enumerate(padded) if counts[v] != cert.target_degree - len(a)]
+        checks.append(_check("gadget-counts", not bad, f"vertices {bad[:5]} have the wrong number of gadgets"
+                             if bad else "every vertex has degree-deficiency many gadgets"))
 
     # vertex count: closed form and the cubic-in-degree blowup bound
     if gadget_size is None:

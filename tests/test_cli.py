@@ -202,6 +202,21 @@ class TestVerifyAndRecover:
         status = {c["name"]: c["status"] for c in json.loads(stdout)["checks"]}
         assert status["gadget-blueprints"] == status["size-bound"] == "fail"
 
+    @pytest.mark.parametrize("source_n", [10**6, -1])
+    def test_verify_forged_source_n_fails(self, k4e_file, reduced, capsys, source_n):
+        out, cert = reduced
+        doc = json.loads(cert.read_text())
+        doc["source_n"] = source_n
+        cert.write_text(json.dumps(doc))
+        code, stdout, err = run(
+            capsys, "verify", "--graph", k4e_file, "--reduced", out, "--cert", cert,
+        )
+        assert code == 1 and err == ""
+        checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+        assert checks["origin-induced"]["status"] == "fail"
+        assert checks["padding-steps"]["status"] == "fail"
+        assert checks["padding-steps"]["detail"] != "padding steps reconstruct"
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_input_error(self, tmp_path, k4e_file, reduced, capsys, case):
         out, cert = reduced

@@ -132,10 +132,6 @@ class TestMisc:
         assert g.n == 6 and g.degree(0) == 5
         assert all(g.degree(v) == 1 for v in range(1, 6))
 
-    def test_induced_prefix(self):
-        g = complete_graph(5)
-        assert g.induced_prefix(3).adjacency == complete_graph(3).adjacency
-
     def test_content_hash_ignores_edge_order(self):
         a = Graph.from_edges(3, [(0, 1), (1, 2)])
         b = Graph.from_edges(3, [(1, 2), (0, 1)])

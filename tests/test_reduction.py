@@ -32,7 +32,6 @@ from regmis.reduction import (
     forward_map,
     normalize,
     pad_to_target,
-    rebuild_padded,
     recover,
     reduce_to_regular,
     regularize,
@@ -180,12 +179,6 @@ class TestFullPipeline:
     def test_empty_graph(self):
         gp, cert = reduce_to_regular(Graph.from_edges(0, []), 3)
         assert gp.n == 0 and cert.total_offset == 0
-
-    def test_rebuild_padded(self):
-        g = cycle_graph(4)
-        gp, cert = reduce_to_regular(g, 5)
-        padded = rebuild_padded(g, cert)
-        assert gp.induced_prefix(padded.n).adjacency == padded.adjacency
 
     @pytest.mark.parametrize("delta", [3, 5, 7])
     def test_regularity_on_random_graphs(self, delta):

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from regmis import gadgets, graph, reduction
+from regmis import gadgets, graph, reduction, verify
 from regmis.gadgets import GENERAL, ICOSA, PLANAR5
 from regmis.graph import (
     Graph,
@@ -12,14 +14,18 @@ from regmis.graph import (
     disjoint_union,
     empty_graph,
     path_graph,
+    star_graph,
 )
 from regmis.reduction import (
+    PARITY_FIX,
+    STAR_PAD,
+    ReductionStep,
     forward_map,
     reduce_to_regular,
     regularize,
     regularize_planar,
 )
-from regmis.solvers import SolverLimits, mis_bruteforce
+from regmis.solvers import SolverLimits, mis_branch_bound, mis_bruteforce
 from regmis.verify import (
     FAIL,
     PASS,
@@ -60,6 +66,18 @@ def replace_gadget(cert, i, **changes):
     forged = list(cert.gadgets)
     forged[i] = dataclasses.replace(forged[i], **changes)
     return dataclasses.replace(cert, gadgets=tuple(forged))
+
+
+def certify_as_step(g, cert, kind, size, offset):
+    """``cert``, issued for ``g`` plus a component of ``size`` vertices,
+    recast as a certificate for ``g`` padded by one ``kind`` step."""
+    return dataclasses.replace(
+        cert,
+        source_n=g.n,
+        source_hash=g.content_hash(),
+        steps=(ReductionStep(kind, g.n, g.n + size, offset),),
+        total_offset=cert.total_offset + offset,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +259,68 @@ class TestMutationDetection:
         forged = rehash(cert, g_prime=mutated)
         assert check_triangle_preservation(g, mutated, forged).status == FAIL
 
+    def test_source_longer_than_reduced_graph_kills_induced_check(self):
+        g = disjoint_union(complete_graph(4), empty_graph(1))
+        gp, cert = regularize(complete_graph(4), 3)  # G' = K4, one vertex short
+        forged = rehash(dataclasses.replace(cert, source_n=5), g=g)
+        report = check_certificate(g, gp, forged)
+        assert {c.name: c.status for c in report.checks}["origin-induced"] == FAIL
+
+    def test_zero_vertex_parity_step_kills_padding_steps(self, pipeline):
+        g, gp, cert = pipeline
+        forged = certify_as_step(g, cert, PARITY_FIX, 0, 1)
+        report = verify_all(g, gp, forged)
+        assert {c.name: c.status for c in report.checks}["padding-steps"] == FAIL
+        assert check_sandwich(g, gp, forged, {2, 3}).status == FAIL
+
+    def test_one_vertex_star_step_kills_padding_steps(self):
+        g = K4_MINUS_EDGE
+        gp, cert = regularize(disjoint_union(g, empty_graph(1)), 3)
+        forged = certify_as_step(g, cert, STAR_PAD, 1, 0)
+        report = verify_all(g, gp, forged)
+        assert {c.name: c.status for c in report.checks}["padding-steps"] == FAIL
+        assert check_sandwich(g, gp, forged, {2, 3}).status == FAIL
+
+
+SWEEP_COMPONENTS = {
+    "empty": empty_graph(0),
+    "K1": empty_graph(1),
+    "2K1": empty_graph(2),
+    "K2": complete_graph(2),
+    "K3": complete_graph(3),
+    "P3": path_graph(3),
+    "K1,3": star_graph(3),
+    "C4": cycle_graph(4),
+}
+
+
+class TestSoundnessSweep:
+    """Every small component certified as either step kind with every
+    offset in [-1, |C| + 1]: whenever verify_all passes without the
+    oracle, alpha(G') = alpha(G) + total_offset holds."""
+
+    @pytest.mark.parametrize(
+        "g", [K4_MINUS_EDGE, cycle_graph(5), path_graph(3)], ids=["K4-e", "C5", "P3"]
+    )
+    def test_passing_certificates_hold(self, g):
+        alpha = mis_branch_bound(g).alpha
+        passed = []
+        for name, c in SWEEP_COMPONENTS.items():
+            gp, cert = regularize(disjoint_union(g, c), 3)
+            for kind in (PARITY_FIX, STAR_PAD):
+                for offset in range(-1, c.n + 2):
+                    forged = certify_as_step(g, cert, kind, c.n, offset)
+                    if verify_all(g, gp, forged).overall == PASS:
+                        assert mis_branch_bound(gp).alpha == alpha + forged.total_offset
+                        passed.append((name, kind, offset))
+        assert passed == [  # the honest certificates, so the sweep is not vacuous
+            ("K1", PARITY_FIX, 1),
+            ("K2", PARITY_FIX, 1),
+            ("K2", STAR_PAD, 1),
+            ("K3", PARITY_FIX, 1),
+            ("K1,3", STAR_PAD, 3),
+        ]
+
 
 def refuse_degree(fn, delta):
     """``fn``, failing the test if it is ever called for degree ``delta``."""
@@ -311,17 +391,21 @@ class TestUntrustedCertificate:
         assert (gp.n, gp.m) == (854, 2135)
         parity = dataclasses.replace(cert.steps[0], end=cert.steps[0].start + k)
         forged = dataclasses.replace(cert, steps=(parity,) + cert.steps[1:])
-        real = reduction.complete_graph
+        real, built = verify._step_rows, []
 
-        def small_only(n):
-            assert n <= 6, f"complete_graph({n}) built"
-            return real(n)
+        def bounded_first(kind, start, size):
+            assert size < k, f"rows of a {size}-vertex {kind} built before its bounds"
+            built.append(size)
+            return real(kind, start, size)
 
-        monkeypatch.setattr(reduction, "complete_graph", small_only)
+        monkeypatch.setattr(verify, "_step_rows", bounded_first)
         by_name = {c.name: c for c in check_certificate(g, gp, forged).checks}
         assert by_name["padding-steps"].status == FAIL
         assert cause in by_name["padding-steps"].detail
         assert by_name["gadget-counts"].status == SKIP
+        assert built == []
+        assert check_certificate(g, gp, cert).overall == PASS
+        assert built == [4, 6]  # the parity clique and the star
 
     def test_planar_range_past_reduced_graph_fails(self, planar_pipeline):
         g, gp, cert = planar_pipeline
@@ -358,6 +442,18 @@ class TestLinearWork:
         assert len(walks) == 2  # the two content hashes
         assert len(builds) == 1
 
+    def test_certificate_builds_no_padded_graph(self, monkeypatch):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+
+        def refuse(*args):
+            raise AssertionError("the verifier built a padded Graph")
+
+        for owner in (graph, reduction):
+            for name in ("complete_graph", "star_graph", "disjoint_union"):
+                monkeypatch.setattr(owner, name, refuse)
+        assert check_certificate(g, gp, cert).overall == PASS
+
     def test_triangle_check_walks_each_graph_once(self, monkeypatch):
         g = complete_graph(4)
         gp, cert = reduce_to_regular(g, 5)
@@ -382,6 +478,19 @@ class TestLinearWork:
         enumerated = self.count_calls(monkeypatch, graph, "triangles")
         assert verify_all(g, gp, cert).overall == PASS
         assert not any(t is g or t is gp for t in enumerated)
+
+
+def test_verifier_imports_only_certificate_names_from_the_constructor():
+    """The verifier regenerates G' itself; from the constructor's module it
+    may take only the step kinds, the certificate type and the lifting."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    from_reduction = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("reduction", "regmis.reduction"):
+            from_reduction |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all("reduction" not in alias.name for alias in node.names)
+    assert from_reduction == {"PARITY_FIX", "STAR_PAD", "ReductionCertificate", "forward_map"}
 
 
 class TestAlphaRelation:

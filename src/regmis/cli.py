@@ -119,8 +119,6 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
     if args.planar:
         g_prime, cert = regularize_planar(g)
     else:
-        if args.degree is None:
-            raise GraphError("--degree or --planar is required")
         g_prime, cert = reduce_to_regular(g, args.degree, strict=args.strict)
     _write(args.output, serialize_graph(g_prime, args.out_format))
     _write(args.cert, cert.to_json())

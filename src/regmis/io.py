@@ -132,12 +132,12 @@ def _parse_edge_list(text: str) -> Graph:
 
     max_id = max((max(u, v) for _, u, v in pairs), default=-1)
     n = declared_n if declared_n is not None else max_id + 1
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
     adj = [set() for _ in range(n)]
     for lineno, u, v in pairs:
         if u == v or u >= n or v >= n or v in adj[u]:  # ids are >= 0 here
             _check_edge(adj, n, u, v, lineno)
         adj[u].add(v)
         adj[v].add(u)
-    if n < 0:
-        raise GraphError(f"negative vertex count {n}")
     return _graph(adj)

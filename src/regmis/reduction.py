@@ -20,7 +20,6 @@ from .graph import (
     GraphError,
     InfeasibleError,
     complete_graph,
-    disjoint_union,
     is_independent_set,
     star_graph,
 )
@@ -161,41 +160,15 @@ def _int(value: object) -> int:
 
 
 # ---------------------------------------------------------------------------
-# padding steps
-
-
-def ensure_odd_delta(g: Graph) -> Tuple[Graph, Optional[ReductionStep]]:
-    """Force an odd maximum degree by adding a disjoint K_{Δ+2} if needed.
-
-    The clique's vertices end up with degree Δ+1, the new maximum, so they
-    never need gadgets later.  Its independence number is 1, hence the
-    step's offset.
-    """
-    if g.n == 0:
-        raise GraphError("cannot regularize the empty graph")
-    delta = g.max_degree()
-    if delta % 2 == 1:
-        return g, None
-    clique = complete_graph(delta + 2)
-    step = ReductionStep(PARITY_FIX, g.n, g.n + clique.n, alpha_offset=1)
-    return disjoint_union(g, clique), step
-
-
-def pad_to_target(g: Graph, d: int) -> Tuple[Graph, Optional[ReductionStep]]:
-    """Raise the maximum degree to ``d`` by adding a disjoint star with
-    ``d`` leaves.  The star's independence number is ``d`` (its leaves)."""
-    delta = g.max_degree()
-    if d < delta:
-        raise InfeasibleError(f"target degree {d} below maximum degree {delta}")
-    if d == delta:
-        return g, None
-    star = star_graph(d)
-    step = ReductionStep(STAR_PAD, g.n, g.n + star.n, alpha_offset=d)
-    return disjoint_union(g, star), step
-
-
-# ---------------------------------------------------------------------------
 # the pipeline
+
+
+def _pad(rows: list, kind: str, component: Graph, alpha_offset: int) -> ReductionStep:
+    """Append ``component``'s rows to ``rows``, shifted past the rows already
+    there, and return the step that records them."""
+    start = len(rows)
+    rows += [tuple(w + start for w in row) for row in component.adjacency]
+    return ReductionStep(kind, start, len(rows), alpha_offset)
 
 
 def _reduce(
@@ -203,43 +176,44 @@ def _reduce(
 ) -> Tuple[Graph, ReductionCertificate]:
     """The one reduction pipeline behind every entry point.
 
-    Checks the target and the maximum degree, pads a non-empty source when
-    ``pad`` is set (parity fix, then star), attaches one gadget of ``kind``
-    per unit of deficiency and certifies the result.  The parity clique has
-    degree Δ+1 <= ``delta`` (Δ even, ``delta`` odd), so padding never
-    exceeds the target.  The result's adjacency is built directly, with no
-    edge list: each padded vertex's row gains its ports, and each gadget
-    block is the blueprint's rows shifted to its offset.
+    Checks the target against the source's maximum degree Δ, walked once.
+    When ``pad`` is set and the source is not empty, the padding
+    components' rows follow the source's: a K_{Δ+2} when Δ is even (its
+    degree Δ+1 is odd and at most ``delta``; offset 1), then a star with
+    ``delta`` leaves (offset ``delta``) when the maximum is still below
+    ``delta``.  One gadget of ``kind`` is then attached per unit of
+    deficiency, with no edge list: each padded row gains its ports, and
+    each gadget block is the blueprint's rows shifted to its offset.
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
-    if source.max_degree() > delta:
-        raise InfeasibleError(
-            f"maximum degree {source.max_degree()} exceeds target degree {delta}"
-        )
-    padded, steps = source, ()
+    top = source.max_degree()
+    if top > delta:
+        raise InfeasibleError(f"maximum degree {top} exceeds target degree {delta}")
+    rows = list(source.adjacency)
+    steps = []
     if pad and source.n:
-        if strict and source.max_degree() % 2 == 0:
-            raise InfeasibleError("input has even maximum degree and strict mode is on")
-        padded, parity = ensure_odd_delta(source)
-        padded, star = pad_to_target(padded, delta)
-        steps = tuple(s for s in (parity, star) if s)
+        if top % 2 == 0:
+            if strict:
+                raise InfeasibleError("input has even maximum degree and strict mode is on")
+            steps.append(_pad(rows, PARITY_FIX, complete_graph(top + 2), alpha_offset=1))
+            top += 1
+        if top < delta:
+            steps.append(_pad(rows, STAR_PAD, star_graph(delta), alpha_offset=delta))
 
     gadget_delta = delta if kind == gadgets.GENERAL else None
     blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
     *inner, port_row = blueprint.adjacency  # the port is the last id
-    rows = []  # a padded vertex's ports are ascending and above every padded id
     instances = []
-    nid = padded.n
-    for v, row in enumerate(padded.adjacency):
+    nid = len(rows)  # a padded vertex's ports are ascending and above every padded id
+    for v, row in enumerate(rows):
         deficiency = delta - len(row)
         if deficiency > 0:
-            row += tuple(range(nid + size - 1, nid + deficiency * size, size))
+            rows[v] = row + tuple(range(nid + size - 1, nid + deficiency * size, size))
             for j in range(1, deficiency + 1):
                 instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
                 nid += size
-        rows.append(row)
     for gi in instances:  # the owner is below the block, so it comes first in the port's row
         shift = gi.id_offset.__add__
         rows += [tuple(map(shift, r)) for r in inner]
@@ -250,7 +224,7 @@ def _reduce(
     return result, ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
-        steps=steps,
+        steps=tuple(steps),
         gadgets=tuple(instances),
         per_gadget_alpha=per_gadget_alpha,
         total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
@@ -262,8 +236,8 @@ def _reduce(
 def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
     """Attach gadgets until every vertex has degree exactly ``delta``.
 
-    Expects the input already prepared (odd maximum degree at most
-    ``delta``); use :func:`reduce_to_regular` for the full pipeline.
+    Adds no padding, so the input's maximum degree must be at most
+    ``delta``; use :func:`reduce_to_regular` for the full pipeline.
     """
     return _reduce(g, delta, gadgets.GENERAL)
 

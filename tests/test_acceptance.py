@@ -22,9 +22,7 @@ from regmis.graph import (
     triangle_count,
 )
 from regmis.reduction import (
-    ensure_odd_delta,
     forward_map,
-    pad_to_target,
     recover,
     reduce_to_regular,
     regularize,
@@ -150,6 +148,20 @@ def test_criterion_08_triangle_and_clique_preservation():
     report(8, "triangle/clique preservation", "100 random general pipelines, k in {3,4}")
 
 
+def padded_prefix(gp, n):
+    """The first ``n`` vertices of G': its rows below ``n``, cut at ``n``."""
+    return Graph(n, tuple(tuple(w for w in row if w < n) for row in gp.adjacency[:n]))
+
+
+def check_padding_offsets(g, gp, cert):
+    """alpha(G' cut after each step) = alpha(G) + the offsets so far."""
+    alpha = mis_bruteforce(g).alpha
+    for step in cert.steps:
+        assert step.end <= 18  # within brute-force reach
+        alpha += step.alpha_offset
+        assert mis_bruteforce(padded_prefix(gp, step.end)).alpha == alpha
+
+
 def test_criterion_09_parity_and_star_padding():
     rng = random.Random(9)
     checked = 0
@@ -158,21 +170,23 @@ def test_criterion_09_parity_and_star_padding():
         delta = g.max_degree()
         if delta % 2 == 1 or delta == 0:
             continue
-        padded, step = ensure_odd_delta(g)
+        gp, cert = reduce_to_regular(g, delta + 1)
+        (step,) = cert.steps
         assert step.kind == "parity-clique" and step.size == delta + 2
         assert step.alpha_offset == 1
-        assert padded.max_degree() == delta + 1
-        assert mis_bruteforce(padded).alpha == mis_bruteforce(g).alpha + 1
+        assert padded_prefix(gp, step.end).max_degree() == delta + 1
+        check_padding_offsets(g, gp, cert)
         checked += 1
     for target in (3, 5):
         g = random_graph(rng, 6, 0.3)
         if g.max_degree() > target:
             continue
-        padded, step = pad_to_target(g, target)
-        if step is not None:
-            assert step.alpha_offset == target
-            assert mis_bruteforce(padded).alpha == mis_bruteforce(g).alpha + target
-    report(9, "parity and star padding", "offsets 1 and d verified by oracle")
+        gp, cert = reduce_to_regular(g, target)
+        for step in cert.steps:
+            if step.kind == "star-pad":
+                assert step.alpha_offset == target and step.size == target + 1
+        check_padding_offsets(g, gp, cert)
+    report(9, "parity and star padding", "offsets 1 and d verified by oracle on the padded prefix of G'")
 
 
 def test_criterion_10_mutation_detection():

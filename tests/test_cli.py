@@ -65,6 +65,14 @@ class TestRegularize:
         )
         assert code == 1
 
+    def test_degree_or_planar_required(self, k4e_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(
+                capsys, "regularize", k4e_file,
+                "--output", tmp_path / "x.col", "--cert", tmp_path / "x.json",
+            )
+        assert info.value.code == 2
+
     def test_empty_graph(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# n=0\n")

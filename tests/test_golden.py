@@ -55,6 +55,14 @@ CASES = {
         lambda: regularize_planar(GRID_12),
         "33d0aa64150bdb0f4d62d70fcc4372aeaf863a165d99a117c587bfc8c091d444",
     ),
+    "k4-reduce-7": (  # star padding only: one 8-vertex star, 58 gadgets
+        lambda: reduce_to_regular(complete_graph(4), 7),
+        "4e06c5c3afee623c349da895d3dccfc71ba40c9752a6759c18c51e523971e957",
+    ),
+    "empty-3-reduce-3": (  # an edgeless source gets K2, then a star with 3 leaves
+        lambda: reduce_to_regular(empty_graph(3), 3),
+        "777c034b0454ac994d3c66e9f06199d497c9edcb7d80d2c229a02c0ac94b4753",
+    ),
 }
 
 

@@ -144,6 +144,7 @@ MALFORMED = [
     ("edge-list", "1 1\n", "line 1: self-loop at vertex 1"),
     ("edge-list", "# n=5\n0 1\n# n=1\n", "line 2: edge (0, 1) out of range for n=1"),
     ("edge-list", "# n=-1\n", "negative vertex count -1"),
+    ("edge-list", "# n=-1\n0 1\n", "negative vertex count -1"),
 ]
 
 

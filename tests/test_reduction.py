@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from regmis import gadgets, solvers
+from regmis import gadgets, graph, reduction, solvers
 from regmis.gadgets import (
     GENERAL,
     ICOSA,
@@ -28,10 +28,8 @@ from regmis.graph import (
 from regmis.io import FORMATS, parse_graph, serialize_graph
 from regmis.reduction import (
     ReductionCertificate,
-    ensure_odd_delta,
     forward_map,
     normalize,
-    pad_to_target,
     recover,
     reduce_to_regular,
     regularize,
@@ -45,41 +43,67 @@ from conftest import grid_with_diagonals, random_graph_max_degree
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
+def padding(g, delta):
+    """``cert.steps`` of ``reduce_to_regular(g, delta)`` as (kind, start,
+    end, offset) tuples, and the rows of G' past the source's, up to and
+    cut at the padded prefix."""
+    gp, cert = reduce_to_regular(g, delta)
+    steps = [(s.kind, s.start, s.end, s.alpha_offset) for s in cert.steps]
+    rows = [tuple(w for w in row if w < cert.padded_n) for row in gp.adjacency[g.n:cert.padded_n]]
+    return steps, rows
+
+
 class TestEnsureOddDelta:
+    """The parity-clique step of ``reduce_to_regular``."""
+
     def test_even_degree_gets_clique(self):
-        g, step = ensure_odd_delta(cycle_graph(4))
-        assert step is not None
-        assert step.kind == "parity-clique"
-        assert step.size == 4 and step.alpha_offset == 1
-        assert g.max_degree() == 3
+        steps, rows = padding(cycle_graph(4), 3)
+        assert steps == [("parity-clique", 4, 8, 1)]
+        assert rows == [tuple(w + 4 for w in row) for row in complete_graph(4).adjacency]
 
     def test_odd_degree_unchanged(self):
-        g, step = ensure_odd_delta(complete_graph(4))
-        assert step is None and g.adjacency == complete_graph(4).adjacency
+        gp, cert = reduce_to_regular(complete_graph(4), 3)
+        assert cert.steps == () and gp.adjacency == complete_graph(4).adjacency
 
     def test_star_k14(self):
-        g, step = ensure_odd_delta(star_graph(4))
-        assert step.size == 6 and g.max_degree() == 5
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(GraphError):
-            ensure_odd_delta(Graph.from_edges(0, []))
+        steps, rows = padding(star_graph(4), 5)
+        assert steps == [("parity-clique", 5, 11, 1)]  # K6 brings the maximum to 5
+        assert {len(row) for row in rows} == {5}
 
 
 class TestPadToTarget:
+    """The star-pad step of ``reduce_to_regular``."""
+
     def test_pads_with_star(self):
-        g, step = pad_to_target(path_graph(3), 5)
-        assert step.kind == "star-pad"
-        assert step.size == 6 and step.alpha_offset == 5
-        assert g.max_degree() == 5
+        steps, rows = padding(path_graph(2), 5)
+        assert steps == [("star-pad", 2, 8, 5)]
+        assert rows == [tuple(w + 2 for w in row) for row in star_graph(5).adjacency]
 
     def test_already_at_target(self):
-        g, step = pad_to_target(complete_graph(4), 3)
-        assert step is None
+        gp, cert = reduce_to_regular(complete_graph(6), 5)
+        assert cert.steps == () and cert.gadgets == ()
 
     def test_target_below_max_degree(self):
-        with pytest.raises(InfeasibleError):
-            pad_to_target(complete_graph(4), 2)
+        with pytest.raises(InfeasibleError, match="maximum degree 4 exceeds target degree 3"):
+            reduce_to_regular(complete_graph(5), 3)
+
+
+def test_padding_walks_the_degrees_once_and_joins_no_graphs(monkeypatch):
+    """The padding steps append rows: one walk of the source's degrees and
+    no intermediate padded graph."""
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+
+    count(Graph, "max_degree")
+    for owner in (graph, reduction):
+        if hasattr(owner, "disjoint_union"):
+            count(owner, "disjoint_union")
+    _, cert = reduce_to_regular(path_graph(3), 5)  # even maximum degree 2
+    assert [s.kind for s in cert.steps] == ["parity-clique", "star-pad"]
+    assert calls == ["max_degree"]
 
 
 class TestRegularize:

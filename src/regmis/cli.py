@@ -23,7 +23,7 @@ from .reduction import (
     regularize_planar,
 )
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
-from .verify import verify_all
+from .verify import verify_all, verify_canonical
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -76,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--degree", type=int, help="odd target degree")
     group.add_argument("--planar", action="store_true", help="5-regular planar pipeline")
-    p.add_argument("--strict", action="store_true", help="reject even-maximum-degree inputs instead of parity-fixing")
+    p.add_argument(
+        "--strict", action="store_true",
+        help="with --degree, reject even-maximum-degree inputs instead of parity-fixing",
+    )
     p.add_argument("--output", help="reduced graph output path (default stdout)")
     p.add_argument("--cert", help="certificate JSON output path")
     p.add_argument("--out-format", choices=FORMATS, default="dimacs-col")
@@ -115,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
+    if args.planar and args.strict:
+        raise GraphError("--strict applies to --degree only; the planar pipeline never parity-fixes")
     g = _read_graph(args.input, args.format)
     if args.planar:
         g_prime, cert = regularize_planar(g)
@@ -142,10 +147,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """G' is compared with its regeneration without being parsed; a file
+    that is not the canonical text is parsed and checked row by row.
+    Input faults are reported in the order G, G', certificate, budget."""
     g = _read_graph(args.graph, args.format)
-    g_prime = _read_graph(args.reduced, args.format)
-    cert = ReductionCertificate.from_json(Path(args.cert).read_text())
-    report = verify_all(g, g_prime, cert, with_oracle=args.with_oracle, limits=_limits(args))
+    with open(args.reduced, "rb") as reduced:
+        try:
+            cert = ReductionCertificate.from_json(Path(args.cert).read_text())
+            limits = _limits(args)
+        except (GraphError, OSError, ValueError):
+            _read_graph(args.reduced, args.format)  # a fault of G' comes first
+            raise
+        fmt = args.format if args.format != "auto" else sniff_format(args.reduced)
+        report = verify_canonical(g, reduced, fmt, cert, args.with_oracle, limits)
+    if report is None:
+        g_prime = _read_graph(args.reduced, args.format)
+        report = verify_all(g, g_prime, cert, with_oracle=args.with_oracle, limits=limits)
     print(report.to_json(), end="")
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 

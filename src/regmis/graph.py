@@ -5,6 +5,9 @@ one pass straight into its sorted adjacency tuples (see ``io`` and
 ``reduction``); :meth:`Graph.from_edges` is for the small named graphs,
 the padding components and the gadget blueprints.  The whole-graph queries
 below each make one pass over the adjacency.
+
+Text built from rows, the file formats' edge lines (``io``) and the content
+hash's, comes from one emitter, :class:`EdgeLines`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -92,8 +95,52 @@ class Graph:
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical (n, sorted edge list) encoding."""
-        text = "".join([f"n={self.n}\n"] + [f"{u} {v}\n" for u, v in self.edges()])
-        return hashlib.sha256(text.encode()).hexdigest()
+        return content_digest(self.n, map(hash_text, edge_runs(self.adjacency)))
+
+
+# -- text of rows ---------------------------------------------------------
+
+Row = Tuple[int, ...]
+
+
+class EdgeLines:
+    """The edges of a run of rows, each edge (u, v) with u < v once, in row
+    order, row i of ``rows`` being vertex ``first + i``.  The endpoints are
+    collected once, so one run renders in several line formats and at many
+    shifts (a gadget blueprint at each of its blocks)."""
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, rows: Sequence[Row], first: int = 0) -> None:
+        self._ends = [x for u, row in enumerate(rows, first) for v in row if v > u for x in (u, v)]
+
+    def render(self, line: str, shift: int = 0) -> str:
+        """``line % (u + shift, v + shift)`` for each edge, joined."""
+        ends = self._ends
+        return (line * (len(ends) // 2)) % tuple([x + shift for x in ends] if shift else ends)
+
+
+_RUN = 4096  # rows per run, so the text of a whole graph is built in pieces
+
+
+def edge_runs(rows: Sequence[Row]) -> Iterator[EdgeLines]:
+    """The edges of ``rows`` (row i is vertex i), a run of rows at a time."""
+    for first in range(0, len(rows), _RUN):
+        yield EdgeLines(rows[first : first + _RUN], first)
+
+
+def hash_text(lines: EdgeLines, shift: int = 0) -> str:
+    """The content encoding's text of ``lines``: ``u v`` per edge, 0-based."""
+    return lines.render("%d %d\n", shift)
+
+
+def content_digest(n: int, texts: Iterable[str]) -> str:
+    """SHA-256 of the content encoding of a graph on ``n`` vertices:
+    ``n=<n>``, then ``texts``, the :func:`hash_text` of its rows in id order."""
+    sha = hashlib.sha256(f"n={n}\n".encode())
+    for text in texts:
+        sha.update(text.encode())
+    return sha.hexdigest()
 
 
 def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
@@ -104,12 +151,6 @@ def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
         if not 0 <= v < n:
             raise GraphError(f"vertex {v} out of range for n={n}")
     return all(s.isdisjoint(adjacency[v]) for v in s)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; ``g2``'s vertex ids are shifted up by ``g1.n``."""
-    shifted = tuple(tuple(w + g1.n for w in a) for a in g2.adjacency)
-    return Graph(g1.n + g2.n, g1.adjacency + shifted)
 
 
 def triangle_count(g: Graph) -> int:

@@ -4,7 +4,8 @@ DIMACS .col: header ``p edge <n> <m>``, edges ``e <u> <v>`` 1-indexed,
 ``c`` comment lines ignored.  Edge list: one ``u v`` per line, 0-indexed,
 with an optional ``# n=<n>`` header so isolated vertices survive the round
 trip.  Serialization is byte-stable: edges are emitted in lexicographic
-order.
+order.  :func:`header` and :func:`edge_text` define each format's text;
+the serializer and the verifier's regeneration of G' both emit through them.
 
 Parsing is a single pass into per-vertex neighbour sets: each edge line is
 checked (self-loop, range, duplicate) and added as it is read, and the
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import warnings
 
-from .graph import Graph, GraphError
+from .graph import EdgeLines, Graph, GraphError, edge_runs
 
 FORMATS = ("dimacs-col", "edge-list")
+# per format: an edge line's template and the id of vertex 0 in it
+_LINES = {"dimacs-col": ("e %d %d\n", 1), "edge-list": ("%d %d\n", 0)}
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
@@ -29,16 +32,25 @@ def parse_graph(text: str, fmt: str) -> Graph:
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
-def serialize_graph(g: Graph, fmt: str) -> str:
+def header(fmt: str, n: int, m: int) -> str:
+    """The first line of a graph of ``n`` vertices and ``m`` edges in ``fmt``."""
     if fmt == "dimacs-col":
-        lines = [f"p edge {g.n} {g.m}"]
-        lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-        return "\n".join(lines) + "\n"
+        return f"p edge {n} {m}\n"
     if fmt == "edge-list":
-        lines = [f"# n={g.n}"]
-        lines += [f"{u} {v}" for u, v in g.edges()]
-        return "\n".join(lines) + "\n"
+        return f"# n={n}\n"
     raise GraphError(f"unknown graph format {fmt!r}")
+
+
+def edge_text(fmt: str, lines: EdgeLines, shift: int = 0) -> str:
+    """The ``fmt`` edge lines of ``lines``, every id ``shift`` higher."""
+    if fmt not in _LINES:
+        raise GraphError(f"unknown graph format {fmt!r}")
+    line, base = _LINES[fmt]
+    return lines.render(line, shift + base)
+
+
+def serialize_graph(g: Graph, fmt: str) -> str:
+    return "".join([header(fmt, g.n, g.m), *(edge_text(fmt, lines) for lines in edge_runs(g.adjacency))])
 
 
 def sniff_format(path: str) -> str:

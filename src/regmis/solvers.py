@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
-from .graph import Graph, GraphError, is_independent_set
+from .graph import Graph, GraphError
 
 
 class ResourceLimitError(RuntimeError):
@@ -431,10 +431,3 @@ def has_clique_k(g: Graph, k: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
             return True, witness
     return False, None
 
-
-def check_result(g: Graph, result: SolveResult) -> None:
-    """Assert the witness is independent and matches the reported size."""
-    if len(result.witness) != result.alpha:
-        raise AssertionError("witness size disagrees with alpha")
-    if not is_independent_set(g, result.witness):
-        raise AssertionError("witness is not independent")

@@ -14,6 +14,19 @@ steps and the one gadget blueprint (:func:`_padded_rows`,
 bounded against G' first: a step's end and edge count before its rows,
 and the gadgets' kind, degree, size and id range before the blueprint.
 
+:func:`verify_canonical` needs no G' at all.  It regenerates the canonical
+text of G' from G, the steps and the blueprint (the padded rows with their
+ports, then the blueprint at each block) and compares it with the file as
+the file is read, taking the content hash in the same pass; memory is
+O(|G| + #gadgets + blueprint).  Its work is bounded by the file's length:
+a canonical G' is d-regular and each edge line has a least length, so
+steps and the gadget layout that claim more than the file can hold are
+refused before any of their rows are built.  It answers only when the
+file is the canonical text, the certificate's gadget list is the canonical
+layout and both hashes match; any other input (another edge order, a
+difference, a hash mismatch, malformed text) goes to :func:`verify_all`
+on the parsed G', which also names the failing check.
+
 The triangle and planarity checks are derived from that structural result
 and walk neither G nor G' again.
 """
@@ -21,11 +34,24 @@ and walk neither G nor G' again.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gadgets
-from .graph import Graph, GraphError, is_independent_set, triangle_count
+from .graph import (
+    Graph,
+    GraphError,
+    Row,
+    EdgeLines,
+    content_digest,
+    edge_runs,
+    hash_text,
+    is_independent_set,
+    triangle_count,
+)
+from .io import edge_text, header
 from .reduction import PARITY_FIX, STAR_PAD, ReductionCertificate, forward_map
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 
@@ -62,19 +88,20 @@ def _check(name: str, ok: bool, detail: str) -> Check:
     return Check(name, PASS if ok else FAIL, detail)
 
 
-def check_regular(g: Graph, d: int) -> Check:
-    bad = [v for v, a in enumerate(g.adjacency) if len(a) != d]
+def _regular(n: int, d: int, bad: Sequence[int]) -> Check:
     return _check(
         "regular",
         not bad,
-        f"all {g.n} degrees equal {d}" if not bad else f"vertices {bad[:5]} deviate from degree {d}",
+        f"all {n} degrees equal {d}" if not bad else f"vertices {bad[:5]} deviate from degree {d}",
     )
+
+
+def check_regular(g: Graph, d: int) -> Check:
+    return _regular(g.n, d, [v for v, a in enumerate(g.adjacency) if len(a) != d])
 
 
 # ---------------------------------------------------------------------------
 # the rows G' must have
-
-Row = Tuple[int, ...]
 
 
 def _step_rows(kind: str, start: int, size: int) -> List[Row]:
@@ -130,6 +157,25 @@ def _rows_match_below(adjacency: Sequence[Row], expected: Sequence[Row], cut: in
     )
 
 
+_BLOCKS_MATCH = "all gadget blocks match their blueprint"
+_PORTS_ATTACH = "every port attaches to exactly its owner"
+
+
+def _gadget_delta(cert: ReductionCertificate) -> Optional[int]:
+    return cert.target_degree if cert.gadget_kind == gadgets.GENERAL else None
+
+
+def _gadget_size(cert: ReductionCertificate) -> int:
+    """The closed-form size of the certificate's gadget kind at its target
+    degree; raises :class:`GraphError` when there is none."""
+    kind = cert.gadget_kind
+    if kind == gadgets.GENERAL:
+        return gadgets.general_gadget_size(cert.target_degree)
+    if kind == gadgets.PLANAR5:
+        return gadgets.PLANAR_GADGET_SIZE
+    raise GraphError(f"unknown gadget kind {kind!r}")
+
+
 def _check_gadget_blocks(
     g_prime: Graph, cert: ReductionCertificate
 ) -> Tuple[Check, Check, Optional[int]]:
@@ -142,20 +188,14 @@ def _check_gadget_blocks(
     :func:`_block_rows`; a row that differs is split into its in-block part
     (blueprint) and its leaving part (attachment).
     """
-    kind = cert.gadget_kind
-    delta = cert.target_degree if kind == gadgets.GENERAL else None
+    kind, delta = cert.gadget_kind, _gadget_delta(cert)
     n, lo = g_prime.n, cert.padded_n
     blocks_ok, attach_ok = True, True
-    detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
-    if kind == gadgets.GENERAL:
-        try:
-            size = gadgets.general_gadget_size(cert.target_degree)
-        except GraphError as exc:
-            size, blocks_ok, detail_blocks = None, False, str(exc)
-    elif kind == gadgets.PLANAR5:
-        size = gadgets.PLANAR_GADGET_SIZE
-    else:
-        size, blocks_ok, detail_blocks = None, False, f"unknown gadget kind {kind!r}"
+    detail_blocks, detail_attach = _BLOCKS_MATCH, _PORTS_ATTACH
+    try:
+        size: Optional[int] = _gadget_size(cert)
+    except GraphError as exc:
+        size, blocks_ok, detail_blocks = None, False, str(exc)
     if blocks_ok and cert.gadgets and size * cert.target_degree > 2 * g_prime.m:
         blocks_ok, detail_blocks = False, f"a gadget of {size} vertices needs more edges than the reduced graph has"
 
@@ -230,21 +270,44 @@ def check_certificate(
         raise GraphError("certificate source hash does not match the source graph")
     if cert.result_hash != g_prime.content_hash():
         raise GraphError("certificate result hash does not match the reduced graph")
+    try:
+        padded, pad_error = _padded_rows(g, cert, g_prime.n, g_prime.m), ""
+    except GraphError as exc:
+        padded, pad_error = None, str(exc)
+    blocks = _check_gadget_blocks(g_prime, cert)
+    return VerificationReport(_structure(g, cert, g_prime.n, g_prime.adjacency, padded, pad_error, blocks))
 
-    checks: List[Check] = [check_regular(g_prime, cert.target_degree)]
+
+def _structure(
+    g: Graph,
+    cert: ReductionCertificate,
+    n: int,
+    rows: Optional[Sequence[Row]],
+    padded: Optional[List[Row]],
+    pad_error: str,
+    blocks: Tuple[Check, Check, Optional[int]],
+) -> Tuple[Check, ...]:
+    """check_certificate's checks for a G' of ``n`` vertices with the rows
+    ``rows``, given the padded rows (or why there are none) and the
+    gadget-block checks.  ``rows`` is None when G' is known to be the
+    regeneration of G, the steps and the blueprint: its row comparisons
+    then hold by construction."""
+    d = cert.target_degree
+    checks: List[Check] = [_regular(n, d, [] if rows is None else [v for v, a in enumerate(rows) if len(a) != d])]
 
     # originals induce exactly the source graph
     if cert.source_n != g.n:
         same, detail = False, f"source_n {cert.source_n} is not the source graph's {g.n} vertices"
     else:
-        same = _rows_match_below(g_prime.adjacency, g.adjacency, g.n)
+        same = rows is None or _rows_match_below(rows, g.adjacency, g.n)
         detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
     checks.append(_check("origin-induced", same, detail))
 
     # padding steps regenerate the padded prefix, and each step's offset is
     # the alpha of what it adds: 1 for a clique, the leaves of a star
-    try:
-        padded: Optional[List[Row]] = _padded_rows(g, cert, g_prime.n, g_prime.m)
+    if padded is None:
+        pad_ok, pad_detail = False, pad_error
+    else:
         pad_ok, pad_detail = True, "padding steps reconstruct"
         if len(padded) != cert.padded_n:
             pad_ok, pad_detail = False, f"padded_n {cert.padded_n} is not |V(G)| plus the steps, {len(padded)}"
@@ -252,13 +315,11 @@ def check_certificate(
             expected = 1 if step.kind == PARITY_FIX else step.size - 1
             if step.alpha_offset != expected:
                 pad_ok, pad_detail = False, f"step {step.kind} has offset {step.alpha_offset}, expected {expected}"
-        if pad_ok and not _rows_match_below(g_prime.adjacency, padded, len(padded)):
+        if pad_ok and rows is not None and not _rows_match_below(rows, padded, len(padded)):
             pad_ok, pad_detail = False, "padded prefix of the reduced graph disagrees with the steps"
-    except GraphError as exc:
-        padded, pad_ok, pad_detail = None, False, str(exc)
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
-    blueprints, attachment, gadget_size = _check_gadget_blocks(g_prime, cert)
+    blueprints, attachment, gadget_size = blocks
     checks += [blueprints, attachment]
 
     # gadget counts equal the deficiency of each padded vertex
@@ -269,7 +330,7 @@ def check_certificate(
         for gi in cert.gadgets:
             if 0 <= gi.owner < len(padded):
                 counts[gi.owner] += 1
-        bad = [v for v, a in enumerate(padded) if counts[v] != cert.target_degree - len(a)]
+        bad = [v for v, a in enumerate(padded) if counts[v] != d - len(a)]
         checks.append(_check("gadget-counts", not bad, f"vertices {bad[:5]} have the wrong number of gadgets"
                              if bad else "every vertex has degree-deficiency many gadgets"))
 
@@ -278,15 +339,15 @@ def check_certificate(
         checks.append(Check("size-bound", FAIL, f"no closed-form gadget size: {blueprints.detail}"))
     else:
         expected_n = cert.padded_n + len(cert.gadgets) * gadget_size
-        bound = cert.padded_n * (1 + cert.target_degree * gadget_size)
-        size_ok = g_prime.n == expected_n and g_prime.n <= bound
+        bound = cert.padded_n * (1 + d * gadget_size)
+        size_ok = n == expected_n and n <= bound
         checks.append(
             _check(
                 "size-bound",
                 size_ok,
-                f"|V'|={g_prime.n} equals closed form {expected_n}, within bound {bound}"
+                f"|V'|={n} equals closed form {expected_n}, within bound {bound}"
                 if size_ok
-                else f"|V'|={g_prime.n}, closed form {expected_n}, bound {bound}",
+                else f"|V'|={n}, closed form {expected_n}, bound {bound}",
             )
         )
 
@@ -303,7 +364,7 @@ def check_certificate(
         )
     )
     checks.append(_check_gadget_alpha(cert, blueprints.status == PASS))
-    return VerificationReport(tuple(checks))
+    return tuple(checks)
 
 
 def check_alpha_relation(
@@ -438,14 +499,14 @@ def check_port_exclusion(
 
 
 def _derived_planarity(
-    g_prime: Graph, cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]
+    n: int, m: int, cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]
 ) -> Check:
-    """Euler's bound, and one cut edge per gadget as the gadget-blueprints
-    and port-attachment checks ``structure`` returns establish.  Necessary
-    conditions only: the source graph's planarity is not tested."""
+    """Euler's bound on a G' of ``n`` vertices and ``m`` edges, and one cut
+    edge per gadget as the gadget-blueprints and port-attachment checks
+    ``structure`` returns establish.  Necessary conditions only: the source
+    graph's planarity is not tested."""
     if cert.gadget_kind != gadgets.PLANAR5:
         return Check("planarity-necessary", SKIP, "not a planar-gadget reduction")
-    n, m = g_prime.n, g_prime.m
     if n >= 3 and m > 3 * n - 6:
         return Check("planarity-necessary", FAIL, f"m={m} exceeds 3n-6={3 * n - 6}")
     try:
@@ -471,7 +532,7 @@ def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Che
             raise GraphError("certificate result hash does not match the reduced graph")
         return _check_gadget_blocks(g_prime, cert)[:2]
 
-    return _derived_planarity(g_prime, cert, structure)
+    return _derived_planarity(g_prime.n, g_prime.m, cert, structure)
 
 
 def verify_all(
@@ -484,12 +545,28 @@ def verify_all(
     """Run the full check battery; solver-backed checks only with
     ``with_oracle``."""
     structure = check_certificate(g, g_prime, cert).checks
+    return _report(g, cert, structure, g_prime.n, g_prime.m, lambda: g_prime, with_oracle, limits)
+
+
+def _report(
+    g: Graph,
+    cert: ReductionCertificate,
+    structure: Tuple[Check, ...],
+    n: int,
+    m: int,
+    g_prime: Callable[[], Graph],
+    with_oracle: bool,
+    limits: Optional[SolverLimits],
+) -> VerificationReport:
+    """The structural checks, then the derived and the solver-backed ones,
+    for a G' of ``n`` vertices and ``m`` edges; ``g_prime`` gives G' itself,
+    called only for the oracle."""
     checks = list(structure)
     blocks_ok = next(c.status == PASS for c in checks if c.name == "gadget-blueprints")
     checks.append(_derived_triangles(cert, lambda: structure))
-    checks.append(_derived_planarity(g_prime, cert, lambda: structure))
+    checks.append(_derived_planarity(n, m, cert, lambda: structure))
     if with_oracle:
-        checks.append(check_alpha_relation(g, g_prime, cert, limits))
+        checks.append(check_alpha_relation(g, g_prime(), cert, limits))
         if cert.gadgets and not blocks_ok:
             checks.append(Check("port-exclusion", SKIP, "gadget blocks failed their blueprint check"))
         elif cert.gadgets:
@@ -498,3 +575,134 @@ def verify_all(
     else:
         checks.append(Check("alpha-relation", SKIP, "oracle checks disabled"))
     return VerificationReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# verification by regeneration
+
+_BLOCKS_PER_RENDER = 64  # gadget blocks rendered, compared and hashed at a time
+
+
+def verify_canonical(
+    g: Graph,
+    reduced: BinaryIO,
+    fmt: str,
+    cert: ReductionCertificate,
+    with_oracle: bool = False,
+    limits: Optional[SolverLimits] = None,
+) -> Optional[VerificationReport]:
+    """:func:`verify_all`'s report on G and the G' in the seekable file
+    ``reduced``, when that file is byte for byte the canonical ``fmt`` text
+    of the G' that G, the certificate's steps and the gadget blueprint
+    determine; None for any other file, which the caller then parses and
+    hands to :func:`verify_all`.
+
+    The file is never parsed.  Its text is regenerated a piece at a time
+    and compared as it is read, stopping at the first difference, and the
+    content hash of the same rows is taken in that pass.  Once the file
+    equals the regeneration and the hashes match, every row comparison of
+    :func:`check_certificate` holds by construction, and the rest of the
+    report comes from G, the certificate and the blueprint."""
+    model = _regeneration(g, cert, reduced, fmt)
+    if model is None:
+        return None
+    padded, ported, blueprint, size = model
+    n, d = len(ported) + len(cert.gadgets) * size, cert.target_degree
+    m = n * d // 2
+    matched: List[bool] = []
+
+    def compared() -> Iterator[str]:
+        for text, hashed in _canonical_text(fmt, ported, blueprint, len(cert.gadgets), m):
+            data = text.encode()
+            if reduced.read(len(data)) != data:
+                return
+            yield hashed
+        matched.append(not reduced.read(1))
+
+    if content_digest(n, compared()) != cert.result_hash or matched != [True]:
+        return None
+
+    def g_prime() -> Graph:
+        rows = list(ported)
+        for gi in cert.gadgets:
+            rows += _block_rows(blueprint, gi.id_offset, gi.owner)
+        return Graph(n, tuple(rows))
+
+    blocks = (Check("gadget-blueprints", PASS, _BLOCKS_MATCH), Check("port-attachment", PASS, _PORTS_ATTACH), size)
+    structure = _structure(g, cert, n, None, padded, "", blocks)
+    return _report(g, cert, structure, n, m, g_prime, with_oracle, limits)
+
+
+def _regeneration(
+    g: Graph, cert: ReductionCertificate, reduced: BinaryIO, fmt: str
+) -> Optional[Tuple[List[Row], List[Row], Sequence[Row], int]]:
+    """The padded rows, the same rows with their ports, the blueprint and
+    the gadget size of the G' that G and the certificate determine, when
+    it is d-regular and the certificate's gadget list is its canonical
+    layout; else None.
+
+    A canonical G' is d-regular and each of its edge lines is at least as
+    long as the shortest one, so the file's length bounds |E'| and |V'|.
+    The steps are bounded by that before their rows are built, and the
+    layout before the blueprint is."""
+    d = cert.target_degree
+    if d < 1 or cert.source_n != g.n or cert.source_hash != g.content_hash():
+        return None
+    try:
+        size = _gadget_size(cert)
+        reduced.seek(0, os.SEEK_END)
+        edges = reduced.tell() // len(edge_text(fmt, EdgeLines(((1,), (0,)))))
+        reduced.seek(0)
+        padded = _padded_rows(g, cert, 2 * edges // d, edges)
+    except GraphError:
+        return None
+    deficiency = [d - len(row) for row in padded]
+    if min(deficiency, default=0) < 0 or len(cert.gadgets) != sum(deficiency):
+        return None
+    if (len(padded) + len(cert.gadgets) * size) * d > 2 * edges:
+        return None
+
+    kind, delta = cert.gadget_kind, _gadget_delta(cert)
+    blueprint: Sequence[Row] = ()
+    if cert.gadgets:
+        blueprint = gadgets.build_gadget(kind, delta)[0].adjacency
+        *inner, port = blueprint
+        if len(blueprint) != size or len(port) != d - 1 or any(len(r) != d for r in inner):
+            return None
+
+    # the canonical layout: owners ascending, index 1..deficiency, blocks
+    # contiguous from padded_n, the port last in each
+    layout, ported, off = [], [], len(padded)
+    for v, (row, k) in enumerate(zip(padded, deficiency)):
+        ported.append(row + tuple(range(off + size - 1, off + k * size, size)) if k else row)
+        for j in range(1, k + 1):
+            layout.append((v, j, kind, delta, off, size))
+            off += size
+    if list(map(_GADGET_FIELDS, cert.gadgets)) != layout:
+        return None
+    return padded, ported, blueprint, size
+
+
+_GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
+
+
+def _canonical_text(
+    fmt: str, ported: List[Row], blueprint: Sequence[Row], count: int, m: int
+) -> Iterator[Tuple[str, str]]:
+    """The canonical G' as (file text, content-hash text) pieces: the
+    header, the padded rows with their ports, then the blueprint's rows at
+    each of the ``count`` contiguous blocks, a group of blocks at a time."""
+    size = len(blueprint)
+    n = len(ported) + count * size
+    yield header(fmt, n, m), ""
+    for lines in edge_runs(ported):
+        yield edge_text(fmt, lines), hash_text(lines)
+    off = len(ported)
+    full, rest = divmod(count, _BLOCKS_PER_RENDER)
+    for blocks, times in ((_BLOCKS_PER_RENDER, full), (rest, 1)):
+        if not blocks * times:
+            continue
+        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in blueprint])
+        for _ in range(times):
+            yield edge_text(fmt, tile, off), hash_text(tile, off)
+            off += blocks * size

@@ -4,6 +4,21 @@ import random
 from itertools import combinations
 
 from regmis.graph import Graph, is_independent_set
+from regmis.solvers import SolveResult
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union; ``g2``'s vertex ids are shifted up by ``g1.n``."""
+    shifted = tuple(tuple(w + g1.n for w in a) for a in g2.adjacency)
+    return Graph(g1.n + g2.n, g1.adjacency + shifted)
+
+
+def check_result(g: Graph, result: SolveResult) -> None:
+    """Assert the witness is independent and matches the reported size."""
+    if len(result.witness) != result.alpha:
+        raise AssertionError("witness size disagrees with alpha")
+    if not is_independent_set(g, result.witness):
+        raise AssertionError("witness is not independent")
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,10 +1,19 @@
+import dataclasses
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from regmis import cli, gadgets, verify
 from regmis.cli import main
-from regmis.graph import Graph, complete_graph
-from regmis.io import serialize_graph
+from regmis.graph import Graph, GraphError, complete_graph, cycle_graph
+from regmis.io import parse_graph, serialize_graph
+from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
+from regmis.verify import verify_all
+
+from test_verify import ENUMERATED_REPORTS, REPORT_INPUTS
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -90,6 +99,17 @@ class TestRegularize:
             "--output", tmp_path / "o.col", "--cert", tmp_path / "c.json",
         )
         assert code == 0
+
+    def test_planar_strict_is_input_error(self, tmp_path, capsys):
+        c4 = tmp_path / "c4.col"
+        c4.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+        out = tmp_path / "x.col"
+        code, _, err = run(
+            capsys, "regularize", c4, "--planar", "--strict", "--output", out, "--cert", tmp_path / "x.json",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "--strict" in err
+        assert not out.exists()
 
     def test_planar(self, tmp_path, capsys):
         k4 = tmp_path / "k4.col"
@@ -308,3 +328,235 @@ class TestGadgetAndStats:
             "degree_histogram": {"2": 2, "3": 2},
             "triangles": 2,
         }
+
+
+# ---------------------------------------------------------------------------
+# verify by regeneration: the canonical fast path against the parse path
+
+
+def reversed_dimacs(gp):
+    """G' in DIMACS with its edge lines in reverse order: the same graph in
+    a file that is not the canonical text."""
+    header, *edges = serialize_graph(gp, "dimacs-col").splitlines(keepends=True)
+    return header + "".join(reversed(edges))
+
+
+LAYOUTS = {
+    "canonical": ("gp.col", lambda gp: serialize_graph(gp, "dimacs-col")),
+    "reversed": ("gp.col", reversed_dimacs),
+    "edge-list": ("gp.txt", lambda gp: serialize_graph(gp, "edge-list")),
+}
+
+
+def write_inputs(tmp_path, g, reduced_text, cert_text, reduced_name="gp.col"):
+    paths = tmp_path / "g.col", tmp_path / reduced_name, tmp_path / "cert.json"
+    for path, text in zip(paths, (serialize_graph(g, "dimacs-col"), reduced_text, cert_text)):
+        path.write_text(text)
+    return paths
+
+
+def verify_files(capsys, paths, *flags):
+    src, red, cert = paths
+    return run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert, *flags)
+
+
+def parse_path(g, reduced_text, fmt, cert_text):
+    """Exit code and stdout of verify when G' is parsed: verify_all on the
+    parsed file, or exit 2 with no output when an input is malformed."""
+    try:
+        g_prime = parse_graph(reduced_text, fmt)
+        report = verify_all(g, g_prime, ReductionCertificate.from_json(cert_text))
+    except GraphError:
+        return 2, ""
+    return (0 if report.overall == "pass" else 1), report.to_json()
+
+
+class TestVerifyByRegeneration:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("name, with_oracle", sorted(ENUMERATED_REPORTS))
+    def test_report_layout_inputs_agree_in_every_layout(self, tmp_path, capsys, name, with_oracle, layout):
+        g, gp, cert = REPORT_INPUTS[name]()
+        reduced_name, text = LAYOUTS[layout]
+        paths = write_inputs(tmp_path, g, text(gp), cert.to_json(), reduced_name)
+        code, out, err = verify_files(capsys, paths, *(["--with-oracle"] if with_oracle else []))
+        report = verify_all(g, gp, cert, with_oracle=with_oracle)
+        assert (code, out, err) == (0 if report.overall == "pass" else 1, report.to_json(), "")
+
+    @pytest.mark.parametrize("fmt, reduced_name", [("dimacs-col", "gp.col"), ("edge-list", "gp.txt")])
+    @pytest.mark.parametrize(
+        "g, reduce",
+        [
+            (K4_MINUS_EDGE, lambda g: regularize(g, 3)),
+            (cycle_graph(4), lambda g: reduce_to_regular(g, 5)),
+            (complete_graph(4), regularize_planar),
+        ],
+        ids=["general", "padded", "planar"],
+    )
+    def test_honest_canonical_input_parses_only_the_source(
+        self, tmp_path, capsys, monkeypatch, g, reduce, fmt, reduced_name
+    ):
+        gp, cert = reduce(g)
+        paths = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
+        parsed, built = [], []
+        real_parse, real_init = cli.parse_graph, Graph.__post_init__
+        monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f) or real_parse(text, f))
+        monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
+        code, out, _ = verify_files(capsys, paths)
+        assert code == 0 and json.loads(out)["overall"] == "pass"
+        assert parsed == ["dimacs-col"]  # G only
+        assert gp.n not in built
+
+    @pytest.mark.parametrize("k, cause", [(100, "edges"), (2000, "past |V'|")])
+    def test_oversized_step_builds_no_rows(self, tmp_path, capsys, monkeypatch, k, cause):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)  # parity K4, then a 6-vertex star
+        parity = dataclasses.replace(cert.steps[0], end=cert.steps[0].start + k)
+        forged = dataclasses.replace(cert, steps=(parity,) + cert.steps[1:])
+        paths = write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), forged.to_json())
+        real, built = verify._step_rows, []
+
+        def bounded_first(kind, start, size):
+            assert size < k, f"rows of a {size}-vertex {kind} built before its bounds"
+            built.append(size)
+            return real(kind, start, size)
+
+        monkeypatch.setattr(verify, "_step_rows", bounded_first)
+        code, out, err = verify_files(capsys, paths)
+        assert (code, err) == (1, "")
+        padding = {c["name"]: c for c in json.loads(out)["checks"]}["padding-steps"]
+        assert padding["status"] == "fail" and cause in padding["detail"]
+        assert built == []
+
+    @pytest.mark.parametrize("fmt, head", [("dimacs-col", "p edge 1000000000 1000000000\n"), ("edge-list", "# n=1000000000\n")])
+    def test_forged_header_and_step_build_no_rows(self, monkeypatch, fmt, head):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        huge = 10**6
+        star = dataclasses.replace(cert.steps[1], end=cert.steps[1].start + huge)
+        forged = dataclasses.replace(cert, steps=(cert.steps[0], star))
+        text = head + serialize_graph(gp, fmt).split("\n", 1)[1]
+        real, built = verify._step_rows, []
+        monkeypatch.setattr(verify, "_step_rows", lambda *a: built.append(a[2]) or real(*a))
+        assert verify.verify_canonical(g, io.BytesIO(text.encode()), fmt, forged) is None
+        assert max(built, default=0) < 100
+
+    def test_huge_degree_layout_builds_no_gadget(self, tmp_path, capsys, monkeypatch):
+        from test_verify import refuse_degree, with_degree
+
+        g, gp, cert = REPORT_INPUTS["honest-general"]()
+        forged = with_degree(cert, 10001)
+        paths = write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), forged.to_json())
+        for name in ("build_gadget", "gadget_alpha"):
+            monkeypatch.setattr(gadgets, name, refuse_degree(getattr(gadgets, name), 10001))
+        code, out, err = verify_files(capsys, paths)
+        assert (code, err) == (1, "")
+        assert {c["name"]: c["status"] for c in json.loads(out)["checks"]}["gadget-blueprints"] == "fail"
+
+    @pytest.mark.parametrize(
+        "reduced_text, cert_text, flags, expected",
+        [
+            ("p edge 2 1\ne 1 1\n", "{", [], "line 2: self-loop"),
+            ("p edge 2 1\ne 1 1\n", None, ["--budget-secs", "-1"], "line 2: self-loop"),
+            (None, "{", [], "malformed certificate"),
+            (None, None, ["--budget-nodes", "0"], "node_budget must be positive"),
+        ],
+        ids=["graph-then-cert", "graph-then-budget", "cert", "budget"],
+    )
+    def test_input_faults_keep_their_order(self, tmp_path, capsys, reduced_text, cert_text, flags, expected):
+        g, gp, cert = REPORT_INPUTS["honest-general"]()
+        paths = write_inputs(
+            tmp_path,
+            g,
+            serialize_graph(gp, "dimacs-col") if reduced_text is None else reduced_text,
+            cert.to_json() if cert_text is None else cert_text,
+        )
+        code, out, err = verify_files(capsys, paths, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and expected in err
+
+
+def mutate_line(text, rng_index, edit):
+    """``text`` with one line edited: the header's vertex count or an edge
+    line's second endpoint raised by one, an edge line dropped, or a
+    self-loop inserted.  Each changes the parsed graph (a repeated line
+    would not: the parser drops duplicate edges)."""
+    lines = text.splitlines(keepends=True)
+    i = 1 + rng_index % (len(lines) - 1)
+    if edit == "header-n":
+        head = lines[0].split(" ")
+        if head[0] == "p":
+            head[2] = str(int(head[2]) + 1)
+        else:  # "# n=<n>"
+            head = [f"# n={int(head[1][2:]) + 1}\n"]
+        lines[0] = " ".join(head)
+    elif edit == "endpoint":
+        *rest, last = lines[i].split(" ")
+        lines[i] = " ".join(rest + [f"{int(last) + 1}\n"])
+    elif edit == "drop":
+        del lines[i]
+    else:  # "self-loop"
+        *rest, _ = lines[i].split(" ")
+        lines.insert(i, " ".join(rest + [rest[-1] + "\n"]))
+    return "".join(lines)
+
+
+# certificate fields whose change the verifier must see (gadgets[].index is
+# not one: neither path reads it)
+CERT_FIELDS = (
+    "target_degree", "source_n", "per_gadget_alpha", "total_offset", "source_hash", "result_hash",
+    "steps.start", "steps.end", "steps.alpha_offset",
+    "gadgets.owner", "gadgets.kind", "gadgets.delta", "gadgets.id_offset", "gadgets.size", "gadgets.port",
+)
+
+DIFFERENTIAL_CASES = {
+    "general": lambda: (K4_MINUS_EDGE, *regularize(K4_MINUS_EDGE, 3)),
+    "padded": lambda: (cycle_graph(4), *reduce_to_regular(cycle_graph(4), 5)),
+    "planar": lambda: (complete_graph(4), *regularize_planar(complete_graph(4))),
+}
+
+
+def mutate_cert(doc, field, index, delta):
+    if "." in field:
+        group, key = field.split(".")
+        if not doc[group]:
+            return False
+        target = doc[group][index % len(doc[group])]
+    else:
+        target, key = doc, field
+    value = target[key]
+    if isinstance(value, bool) or value is None:
+        target[key] = delta
+    elif isinstance(value, int):
+        target[key] = value + delta
+    else:
+        target[key] = value[:-1] + ("0" if value[-1] != "0" else "1")
+    return True
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=st.sampled_from(sorted(DIFFERENTIAL_CASES)),
+    fmt=st.sampled_from(["dimacs-col", "edge-list"]),
+    what=st.sampled_from(["graph", "cert"]),
+    edit=st.sampled_from(["header-n", "endpoint", "drop", "self-loop"]),
+    field=st.sampled_from(CERT_FIELDS),
+    index=st.integers(0, 10**6),
+    delta=st.sampled_from([-2, -1, 1, 2, 7]),
+)
+def test_mutated_canonical_input_fails_as_on_the_parse_path(
+    tmp_path, capsys, case, fmt, what, edit, field, index, delta
+):
+    g, gp, cert = DIFFERENTIAL_CASES[case]()
+    reduced_text, doc = serialize_graph(gp, fmt), json.loads(cert.to_json())
+    if what == "graph":
+        reduced_text = mutate_line(reduced_text, index, edit)
+    elif not mutate_cert(doc, field, index, delta):
+        return
+    cert_text = json.dumps(doc)
+    paths = write_inputs(tmp_path, g, reduced_text, cert_text, "gp.col" if fmt == "dimacs-col" else "gp.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate edges warn on both paths
+        code, out, err = verify_files(capsys, paths)
+        expected = parse_path(g, reduced_text, fmt, cert_text)
+    assert code in (1, 2) and "Traceback" not in err
+    assert (code, out) == expected

@@ -8,7 +8,6 @@ from regmis.graph import (
     GraphError,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     is_independent_set,
     path_graph,
@@ -16,7 +15,7 @@ from regmis.graph import (
     triangle_count,
 )
 
-from conftest import random_graph
+from conftest import disjoint_union, random_graph
 
 
 def edge_lists(max_n=12):

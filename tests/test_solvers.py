@@ -18,7 +18,6 @@ from regmis.solvers import (
     RULES,
     ResourceLimitError,
     SolverLimits,
-    check_result,
     has_clique_k,
     min_vertex_cover,
     mis_branch_bound,
@@ -26,7 +25,7 @@ from regmis.solvers import (
     solve_mis,
 )
 
-from conftest import alpha_by_enumeration, random_cubic_graph, random_graph
+from conftest import alpha_by_enumeration, check_result, random_cubic_graph, random_graph
 
 PETERSEN = Graph.from_edges(
     10,

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import io
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from regmis.graph import (
     GraphError,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     path_graph,
     star_graph,
@@ -38,7 +38,11 @@ from regmis.verify import (
     check_sandwich,
     check_triangle_preservation,
     verify_all,
+    verify_canonical,
 )
+from regmis.io import serialize_graph
+
+from conftest import disjoint_union
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -322,6 +326,67 @@ class TestSoundnessSweep:
         ]
 
 
+def regenerated(g, gp, cert, fmt="dimacs-col", **kwargs):
+    """verify_canonical on the canonical text of ``gp``."""
+    return verify_canonical(g, io.BytesIO(serialize_graph(gp, fmt).encode()), fmt, cert, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
+@pytest.mark.parametrize(
+    "g, reduce, with_oracle",
+    [
+        (empty_graph(0), lambda g: reduce_to_regular(g, 3), True),
+        (empty_graph(3), lambda g: reduce_to_regular(g, 3), True),
+        (complete_graph(4), lambda g: regularize(g, 3), True),
+        (K4_MINUS_EDGE, lambda g: regularize(g, 3), True),
+        (complete_graph(4), lambda g: reduce_to_regular(g, 7), False),
+        (path_graph(3), lambda g: reduce_to_regular(g, 5), False),
+        (cycle_graph(5), regularize_planar, False),
+        (cycle_graph(130), lambda g: regularize(g, 3), False),
+    ],
+    ids=["empty", "edgeless", "already-regular", "k4e-oracle", "star-only", "parity", "planar", "130-gadgets"],
+)
+def test_canonical_input_is_answered_by_regeneration(g, reduce, with_oracle, fmt):
+    gp, cert = reduce(g)
+    report = regenerated(g, gp, cert, fmt, with_oracle=with_oracle)
+    assert report is not None and report == verify_all(g, gp, cert, with_oracle=with_oracle)
+
+
+class TestSoundnessSweepByRegeneration:
+    """The sweep's certificates on canonical files: the regeneration path
+    either declines or gives verify_all's report, and it answers for the
+    honest ones."""
+
+    @pytest.mark.parametrize("g", [K4_MINUS_EDGE, cycle_graph(5)], ids=["K4-e", "C5"])
+    def test_same_report_as_the_parse_path(self, g):
+        answered = []
+        for name, c in SWEEP_COMPONENTS.items():
+            gp, cert = regularize(disjoint_union(g, c), 3)
+            for kind in (PARITY_FIX, STAR_PAD):
+                for offset in range(-1, c.n + 2):
+                    forged = certify_as_step(g, cert, kind, c.n, offset)
+                    report = regenerated(g, gp, forged)
+                    if report is not None:
+                        assert report == verify_all(g, gp, forged)
+                        answered.append((name, kind, offset, report.overall))
+        assert {(name, kind, offset) for name, kind, offset, overall in answered if overall == PASS} == {
+            ("K1", PARITY_FIX, 1), ("K2", PARITY_FIX, 1), ("K2", STAR_PAD, 1), ("K3", PARITY_FIX, 1), ("K1,3", STAR_PAD, 3),
+        }
+
+    def test_chorded_blueprint_is_left_to_the_parse_path(self, monkeypatch):
+        real = gadgets.build_gadget
+
+        def chorded(kind, delta=None):
+            blueprint, layout = real(kind, delta)
+            return Graph.from_edges(blueprint.n, list(blueprint.edges()) + [(0, 1)]), layout
+
+        monkeypatch.setattr(gadgets, "build_gadget", chorded)
+        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        assert regenerated(g, gp, cert) is None  # its blocks are not 5-regular
+
+
 def refuse_degree(fn, delta):
     """``fn``, failing the test if it is ever called for degree ``delta``."""
 
@@ -436,10 +501,12 @@ class TestLinearWork:
         g = cycle_graph(n)
         gp, cert = regularize(g, 3)
         assert len(cert.gadgets) == n
-        walks = self.count_calls(monkeypatch, Graph, "edges")
+        edge_walks = self.count_calls(monkeypatch, Graph, "edges")
+        text_walks = self.count_calls(monkeypatch, graph, "edge_runs")
         builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
         assert check_certificate(g, gp, cert).overall == PASS
-        assert len(walks) == 2  # the two content hashes
+        assert edge_walks == []
+        assert len(text_walks) == 2  # the two content hashes
         assert len(builds) == 1
 
     def test_certificate_builds_no_padded_graph(self, monkeypatch):
@@ -449,7 +516,8 @@ class TestLinearWork:
         def refuse(*args):
             raise AssertionError("the verifier built a padded Graph")
 
-        for name in ("complete_graph", "star_graph", "disjoint_union"):
+        # disjoint_union is no longer library code (it lives in conftest)
+        for name in ("complete_graph", "star_graph"):
             monkeypatch.setattr(graph, name, refuse)
         for name in ("complete_graph", "star_graph"):
             monkeypatch.setattr(reduction, name, refuse)
@@ -459,10 +527,13 @@ class TestLinearWork:
         g = complete_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         walks = self.count_calls(monkeypatch, Graph, "edges")
+        text_walks = self.count_calls(monkeypatch, graph, "edge_runs")
         enumerated = self.count_calls(monkeypatch, graph, "triangles")
         assert check_triangle_preservation(g, gp, cert).status == PASS
-        assert sorted(w.n for w in walks if w is g or w is gp) == sorted([g.n, gp.n])
-        assert all(w is g or w is gp or w.n <= gadgets.general_gadget_size(5) for w in walks)
+        # each graph is walked once, by its content hash
+        assert sorted(map(len, text_walks)) == sorted([g.n, gp.n])
+        assert all(rows is g.adjacency or rows is gp.adjacency for rows in text_walks)
+        assert all(w.n <= gadgets.general_gadget_size(5) for w in walks)
         assert not any(t is g or t is gp for t in enumerated)
 
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from .io import FORMATS, parse_graph, serialize_graph, sniff_format
 from .reduction import (
     ReductionCertificate,
     recover,
+    recover_canonical,
     reduce_to_regular,
     regularize_planar,
 )
@@ -28,15 +29,27 @@ from .verify import verify_all, verify_canonical
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text; other bytes are an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_graph(path: str, fmt: str) -> Graph:
-    text = Path(path).read_text()
-    return parse_graph(text, fmt if fmt != "auto" else sniff_format(path))
+    text = _read_text(path)
+    return parse_graph(text, _format(path, fmt))
+
+
+def _format(path: str, fmt: str) -> str:
+    return fmt if fmt != "auto" else sniff_format(path)
 
 
 def _read_solution(path: str) -> list[int]:
     """One vertex id per non-blank line."""
     ids = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if line.strip():
             try:
                 ids.append(int(line))
@@ -153,13 +166,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.format)
     with open(args.reduced, "rb") as reduced:
         try:
-            cert = ReductionCertificate.from_json(Path(args.cert).read_text())
+            cert = ReductionCertificate.from_json(_read_text(args.cert))
             limits = _limits(args)
         except (GraphError, OSError, ValueError):
             _read_graph(args.reduced, args.format)  # a fault of G' comes first
             raise
-        fmt = args.format if args.format != "auto" else sniff_format(args.reduced)
-        report = verify_canonical(g, reduced, fmt, cert, args.with_oracle, limits)
+        report = verify_canonical(g, reduced, _format(args.reduced, args.format), cert, args.with_oracle, limits)
     if report is None:
         g_prime = _read_graph(args.reduced, args.format)
         report = verify_all(g, g_prime, cert, with_oracle=args.with_oracle, limits=limits)
@@ -168,10 +180,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    g_prime = _read_graph(args.reduced, args.format)
-    cert = ReductionCertificate.from_json(Path(args.cert).read_text())
-    ids = _read_solution(args.solution)
-    recovered = recover(g_prime, ids, cert)
+    """G' is read once as canonical text and never built; a file that is
+    not canonical text is parsed.  Input faults are reported in the order
+    G', certificate, solution."""
+    with open(args.reduced, "rb") as reduced:
+        try:
+            cert = ReductionCertificate.from_json(_read_text(args.cert))
+            ids = _read_solution(args.solution)
+        except (GraphError, OSError, ValueError):
+            _read_graph(args.reduced, args.format)  # a fault of G' comes first
+            raise
+        recovered = recover_canonical(reduced, _format(args.reduced, args.format), ids, cert)
+    if recovered is None:
+        recovered = recover(_read_graph(args.reduced, args.format), ids, cert)
     doc = {
         "recovered": sorted(recovered),
         "recovered_size": len(recovered),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -107,16 +107,24 @@ class EdgeLines:
     """The edges of a run of rows, each edge (u, v) with u < v once, in row
     order, row i of ``rows`` being vertex ``first + i``.  The endpoints are
     collected once, so one run renders in several line formats and at many
-    shifts (a gadget blueprint at each of its blocks)."""
+    shifts (a gadget blueprint at each of its blocks).  ``ends`` is
+    ``[u0, v0, u1, v1, ...]``."""
 
-    __slots__ = ("_ends",)
+    __slots__ = ("ends",)
 
     def __init__(self, rows: Sequence[Row], first: int = 0) -> None:
-        self._ends = [x for u, row in enumerate(rows, first) for v in row if v > u for x in (u, v)]
+        self.ends = [x for u, row in enumerate(rows, first) for v in row if v > u for x in (u, v)]
+
+    @classmethod
+    def from_ends(cls, ends: List[int]) -> "EdgeLines":
+        """The edges (ends[0], ends[1]), (ends[2], ends[3]), ... in that order."""
+        lines = cls.__new__(cls)
+        lines.ends = ends
+        return lines
 
     def render(self, line: str, shift: int = 0) -> str:
         """``line % (u + shift, v + shift)`` for each edge, joined."""
-        ends = self._ends
+        ends = self.ends
         return (line * (len(ends) // 2)) % tuple([x + shift for x in ends] if shift else ends)
 
 
@@ -146,11 +154,16 @@ def content_digest(n: int, texts: Iterable[str]) -> str:
 def is_independent_set(g: Graph, members: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``members``."""
     s = set(members)
-    n, adjacency = g.n, g.adjacency
-    for v in s:
+    check_ids(s, g.n)
+    adjacency = g.adjacency
+    return all(s.isdisjoint(adjacency[v]) for v in s)
+
+
+def check_ids(ids: Iterable[int], n: int) -> None:
+    """Raise :class:`GraphError` on the first of ``ids`` outside 0..n-1."""
+    for v in ids:
         if not 0 <= v < n:
             raise GraphError(f"vertex {v} out of range for n={n}")
-    return all(s.isdisjoint(adjacency[v]) for v in s)
 
 
 def triangle_count(g: Graph) -> int:

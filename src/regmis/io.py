@@ -7,29 +7,54 @@ trip.  Serialization is byte-stable: edges are emitted in lexicographic
 order.  :func:`header` and :func:`edge_text` define each format's text;
 the serializer and the verifier's regeneration of G' both emit through them.
 
-Parsing is a single pass into per-vertex neighbour sets: each edge line is
-checked (self-loop, range, duplicate) and added as it is read, and the
-sets become the graph's sorted adjacency tuples.  The edge list collects
-its id pairs first, since its vertex count is known only at the end.
+*Canonical text* is exactly what :func:`serialize_graph` emits: the
+header, then one edge line per edge with ``u < v``, strictly increasing,
+every id in range, and in DIMACS a header ``m`` equal to the number of
+edge lines.  There are two parse paths, and the text selects between them.
+:func:`parse_graph` first reads the text as canonical text
+(:func:`canonical_edges`), a chunk of whole lines at a time with C-level
+passes: split, ``int``, re-render with the format's line template and
+compare, then order and range checks that carry the last edge across
+chunks.  Sorted edges give sorted rows, so the rows are built by
+appending, with no per-vertex sets and no sort.  At the first deviation
+the text goes to the line parser instead, which accepts comments, blank
+lines, any edge order and duplicates, and names the line of a fault.  On
+canonical text both paths give the same graph and no warning.
+
+The line parser is a single pass into per-vertex neighbour sets: each edge
+line is checked (self-loop, range, duplicate) and added as it is read, and
+the sets become the graph's sorted adjacency tuples.  The edge list
+collects its id pairs first, since its vertex count is known only at the
+end.  On both paths a vertex without edges costs one shared empty row, so
+a declared n costs 8 bytes per vertex, the size of the adjacency tuple.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
+from itertools import chain, islice, repeat
+from operator import add, lt, mul
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .graph import EdgeLines, Graph, GraphError, edge_runs
 
 FORMATS = ("dimacs-col", "edge-list")
 # per format: an edge line's template and the id of vertex 0 in it
 _LINES = {"dimacs-col": ("e %d %d\n", 1), "edge-list": ("%d %d\n", 0)}
+_CHUNK = 1 << 16  # most characters of whole lines the canonical reader checks at a time
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
+    if fmt not in _LINES:
+        raise GraphError(f"unknown graph format {fmt!r}")
+    try:
+        return _parse_canonical(text, fmt)
+    except NotCanonical:
+        pass
     if fmt == "dimacs-col":
         return _parse_dimacs(text)
-    if fmt == "edge-list":
-        return _parse_edge_list(text)
-    raise GraphError(f"unknown graph format {fmt!r}")
+    return _parse_edge_list(text)
 
 
 def header(fmt: str, n: int, m: int) -> str:
@@ -57,7 +82,118 @@ def sniff_format(path: str) -> str:
     return "dimacs-col" if path.endswith(".col") else "edge-list"
 
 
-def _check_edge(adj: list, n: int, u: int, v: int, lineno: int) -> None:
+# -- canonical text ---------------------------------------------------------
+
+
+class NotCanonical(Exception):
+    """Raised by the canonical reader at the first deviation from canonical text."""
+
+
+def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[EdgeLines]]:
+    """The vertex count of the canonical ``fmt`` text that ``chunks`` join
+    to, and its edges, 0-based, a chunk at a time.  ``chunks`` must split
+    the text after a newline (:func:`text_chunks`, :func:`file_chunks`);
+    a chunk that ends elsewhere is a deviation.  Raises
+    :class:`NotCanonical` at the first deviation, from this call (the
+    header) or while the edges are iterated; the edges seen by then are
+    not those of any canonical text."""
+    if fmt not in _LINES:
+        raise GraphError(f"unknown graph format {fmt!r}")
+    chunks = iter(chunks)
+    first = next(chunks, "")
+    cut = first.find("\n") + 1
+    words = first[:cut].split()
+    try:
+        if fmt == "dimacs-col":
+            n, m = int(words[2]), int(words[3])
+        else:
+            n, m = int(words[1][2:]), None
+    except (IndexError, ValueError):
+        raise NotCanonical from None
+    if n < 0 or header(fmt, n, m) != first[:cut]:
+        raise NotCanonical
+    return n, _canonical_runs(chain((first[cut:],), chunks), fmt, n, m)
+
+
+def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -> Iterator[EdgeLines]:
+    line, base = _LINES[fmt]
+    last, count = -1, 0  # the key of the edge before the chunk, and the edges so far
+    for chunk in chunks:
+        if not chunk:
+            continue
+        tokens = chunk.split()
+        if fmt == "dimacs-col":
+            del tokens[::3]  # each line's "e", which the rendering below checks
+        try:
+            ends = list(map(int, tokens))
+        except ValueError:
+            raise NotCanonical from None
+        k = len(ends) // 2
+        if len(ends) % 2 or (line * k) % tuple(ends) != chunk:
+            raise NotCanonical
+        if base:
+            ends = [x - base for x in ends]
+        us, vs = ends[::2], ends[1::2]
+        if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
+            raise NotCanonical
+        keys = list(map(add, map(mul, us, repeat(n)), vs))  # u * n + v, in the order of (u, v)
+        if not (last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))):
+            raise NotCanonical
+        last, count = keys[-1], count + k
+        yield EdgeLines.from_ends(ends)
+    if m is not None and count != m:
+        raise NotCanonical
+
+
+def text_chunks(text: str) -> Iterator[str]:
+    """``text`` in pieces of whole lines of at most ``_CHUNK`` characters;
+    a piece without a final newline is the rest of a longer line or of
+    the text."""
+    start = 0
+    while start < len(text):
+        end = text.rfind("\n", start, start + _CHUNK) + 1 or start + _CHUNK
+        yield text[start:end]
+        start = end
+
+
+def file_chunks(f: BinaryIO) -> Iterator[str]:
+    """The binary file ``f`` in pieces as :func:`text_chunks` gives them,
+    each decoded as ASCII; raises :class:`NotCanonical` on any other byte."""
+    rest = b""
+    while True:
+        block = f.read(_CHUNK - len(rest))
+        if not block:
+            break
+        data = rest + block
+        cut = data.rfind(b"\n") + 1 or len(data)
+        yield _ascii(data[:cut])
+        rest = data[cut:]
+    if rest:
+        yield _ascii(rest)
+
+
+def _ascii(piece: bytes) -> str:
+    try:
+        return piece.decode("ascii")
+    except UnicodeDecodeError:
+        raise NotCanonical from None
+
+
+def _parse_canonical(text: str, fmt: str) -> Graph:
+    n, runs = canonical_edges(text_chunks(text), fmt)
+    adj = defaultdict(list)  # the edges come sorted, so each row is built in order
+    for lines in runs:
+        ends = iter(lines.ends)
+        for u, v in zip(ends, ends):
+            adj[u].append(v)
+            adj[v].append(u)
+    return _graph(n, adj, ordered=True)
+
+
+# -- the line parser ----------------------------------------------------------
+
+
+def _check_edge(adj: Mapping, n: int, u: int, v: int, lineno: int) -> None:
     """Raise on a self-loop or an out-of-range edge read on line ``lineno``;
     warn if ``{u, v}`` is already in the neighbour sets ``adj``."""
     if u == v:
@@ -69,13 +205,19 @@ def _check_edge(adj: list, n: int, u: int, v: int, lineno: int) -> None:
         warnings.warn(f"line {lineno}: duplicate edge {key}, ignoring", stacklevel=3)
 
 
-def _graph(adj: list) -> Graph:
-    """The graph whose vertex ``v`` has the neighbour set ``adj[v]``."""
-    return Graph(len(adj), tuple(map(tuple, map(sorted, adj))))
+def _graph(n: int, adj: Mapping[int, Iterable[int]], ordered: bool = False) -> Graph:
+    """The graph on ``n`` vertices whose vertex ``v`` has the neighbours
+    ``adj[v]`` (already in order when ``ordered``); a vertex missing from
+    ``adj`` gets the one shared empty row."""
+    rows = [()] * n
+    for v, row in adj.items():
+        rows[v] = tuple(row if ordered else sorted(row))
+    return Graph(n, tuple(rows))
 
 
 def _parse_dimacs(text: str) -> Graph:
     n, adj = 0, None
+    problem, edge_lines = None, 0  # the problem line's number and edge count; edge lines read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -92,6 +234,7 @@ def _parse_dimacs(text: str) -> Graph:
                 _check_edge(adj, n, u, v, lineno)  # raises, or warns of a duplicate
             adj[u].add(v)
             adj[v].add(u)
+            edge_lines += 1
         elif tag.startswith("c"):
             continue
         elif tag == "p":
@@ -105,12 +248,30 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: bad vertex count") from exc
             if n < 0:
                 raise GraphError(f"line {lineno}: negative vertex count")
-            adj = [set() for _ in range(n)]
+            adj, problem = defaultdict(set), (lineno, parts[3])
         else:
             raise GraphError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if adj is None:
         raise GraphError("missing 'p edge <n> <m>' header")
-    return _graph(adj)
+    _check_edge_count(problem, edge_lines, sum(map(len, adj.values())) // 2)
+    return _graph(n, adj)
+
+
+def _check_edge_count(problem: Tuple[int, str], edge_lines: int, distinct: int) -> None:
+    """Warn when the problem line's edge count is neither the number of
+    edge lines nor the number of distinct edges.  A warning, not an error:
+    some files count each edge in both directions."""
+    lineno, declared = problem
+    try:
+        m: Optional[int] = int(declared)
+    except ValueError:
+        m = None
+    if m not in (edge_lines, distinct):
+        warnings.warn(
+            f"line {lineno}: problem line declares {declared} edges, "
+            f"but the file has {edge_lines} edge lines and {distinct} distinct edges",
+            stacklevel=3,
+        )
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -146,10 +307,10 @@ def _parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_id + 1
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
-    adj = [set() for _ in range(n)]
+    adj = defaultdict(set)
     for lineno, u, v in pairs:
         if u == v or u >= n or v >= n or v in adj[u]:  # ids are >= 0 here
             _check_edge(adj, n, u, v, lineno)
         adj[u].add(v)
         adj[v].add(u)
-    return _graph(adj)
+    return _graph(n, adj)

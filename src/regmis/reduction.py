@@ -12,17 +12,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from operator import and_
+from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from . import gadgets
 from .graph import (
+    EdgeLines,
     Graph,
     GraphError,
     InfeasibleError,
+    check_ids,
     complete_graph,
+    content_digest,
+    hash_text,
     is_independent_set,
     star_graph,
 )
+from .io import NotCanonical, canonical_edges, file_chunks
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
@@ -295,10 +301,49 @@ def recover(
     """Restrict an independent set of the reduced graph to the original
     vertices; loses at most ``cert.total_offset`` vertices.  Raises
     :class:`GraphError` if ``cert`` was not issued for ``g_prime``."""
-    if cert.result_hash != g_prime.content_hash():
-        raise GraphError("certificate result hash does not match the reduced graph")
+    digest = g_prime.content_hash()
     s = set(members)
-    if not is_independent_set(g_prime, s):
+    return _restrict(s, cert, digest, g_prime.n, lambda: is_independent_set(g_prime, s))
+
+
+def recover_canonical(
+    reduced: BinaryIO, fmt: str, members: Iterable[int], cert: ReductionCertificate
+) -> Optional[FrozenSet[int]]:
+    """:func:`recover` on the G' whose canonical ``fmt`` text is the binary
+    file ``reduced``, read once a chunk at a time and never built: each
+    chunk's edges feed the content hash and are looked up in the set of
+    members, so memory is one chunk beyond that set.  None when the file
+    is not canonical text; the caller then parses it and calls
+    :func:`recover`, which raises what this would."""
+    s = set(members)
+    clash = []  # [True] once an edge joins two members
+
+    def texts(runs: Iterable[EdgeLines]) -> Iterator[str]:
+        for lines in runs:
+            if s and not clash:
+                ends = lines.ends
+                if any(map(and_, map(s.__contains__, ends[::2]), map(s.__contains__, ends[1::2]))):
+                    clash.append(True)
+            yield hash_text(lines)
+
+    try:
+        n, runs = canonical_edges(file_chunks(reduced), fmt)
+        digest = content_digest(n, texts(runs))
+    except NotCanonical:
+        return None
+    return _restrict(s, cert, digest, n, lambda: not clash)
+
+
+def _restrict(
+    s: Set[int], cert: ReductionCertificate, digest: str, n: int, independent: Callable[[], bool]
+) -> FrozenSet[int]:
+    """The members ``s`` below ``cert.source_n``, once G' (``n`` vertices,
+    content hash ``digest``) is the certificate's, every member is a
+    vertex of it and ``independent()`` says no edge joins two members."""
+    if cert.result_hash != digest:
+        raise GraphError("certificate result hash does not match the reduced graph")
+    check_ids(s, n)
+    if not independent():
         raise GraphError("input set is not independent in the reduced graph")
     return frozenset(v for v in s if v < cert.source_n)
 

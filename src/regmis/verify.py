@@ -322,17 +322,25 @@ def _structure(
     blueprints, attachment, gadget_size = blocks
     checks += [blueprints, attachment]
 
-    # gadget counts equal the deficiency of each padded vertex
+    # gadget counts equal the deficiency of each padded vertex, and each
+    # owner's gadgets are numbered 1..k in order
     if padded is None:
         checks.append(Check("gadget-counts", SKIP, "padded graph unavailable"))
     else:
-        counts = [0] * len(padded)
+        counts, misnumbered = [0] * len(padded), []
         for gi in cert.gadgets:
             if 0 <= gi.owner < len(padded):
                 counts[gi.owner] += 1
+                if gi.index != counts[gi.owner]:
+                    misnumbered.append(gi.owner)
         bad = [v for v, a in enumerate(padded) if counts[v] != d - len(a)]
-        checks.append(_check("gadget-counts", not bad, f"vertices {bad[:5]} have the wrong number of gadgets"
-                             if bad else "every vertex has degree-deficiency many gadgets"))
+        if bad:
+            counts_detail = f"vertices {bad[:5]} have the wrong number of gadgets"
+        elif misnumbered:
+            counts_detail = f"gadgets of vertices {misnumbered[:5]} are not numbered 1..k in order"
+        else:
+            counts_detail = "every vertex has degree-deficiency many gadgets"
+        checks.append(_check("gadget-counts", not (bad or misnumbered), counts_detail))
 
     # vertex count: closed form and the cubic-in-degree blowup bound
     if gadget_size is None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 from regmis.graph import Graph, is_independent_set
@@ -123,3 +124,61 @@ def all_maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
         elif len(s) == best:
             out.append(frozenset(s))
     return out
+
+
+# one deviation each from canonical graph text (regmis.io); "m-1"/"m+1"
+# and "p-col" apply to DIMACS only
+TEXT_EDITS = (
+    "swap", "duplicate", "reverse", "digit", "leading-zero", "plus", "non-ascii-digit", "comment",
+    "blank", "trailing-space", "crlf", "p-col", "n-1", "n+1", "m-1", "m+1", "no-final-newline",
+)
+
+
+def edit_canonical(text: str, fmt: str, edit: str, index: int) -> str:
+    """Canonical ``fmt`` text with one ``edit`` at a place ``index`` picks;
+    unchanged when the text has no place for the edit.  Some edits keep
+    the graph (a comment, CRLF, a swap), others change it or make the
+    text malformed."""
+    lines = text.splitlines(keepends=True)
+    edges = len(lines) - 1
+    if edit == "swap" and edges >= 2:
+        i = 1 + index % (edges - 1)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif edit == "duplicate" and edges:
+        i = 1 + index % edges
+        lines.insert(i, lines[i])
+    elif edit == "reverse":
+        lines[1:] = reversed(lines[1:])
+    elif edit in ("digit", "leading-zero", "plus", "non-ascii-digit"):
+        spans = [m.span() for m in re.finditer(r"\d+", text)]
+        a, b = spans[index % len(spans)]
+        last = int(text[b - 1])
+        new = {
+            "digit": text[a : b - 1] + str((last + 1) % 10),
+            "leading-zero": "0" + text[a:b],
+            "plus": "+" + text[a:b],
+            "non-ascii-digit": text[a : b - 1] + chr(0x0660 + last),  # the same value in Arabic-Indic
+        }[edit]
+        return text[:a] + new + text[b:]
+    elif edit in ("comment", "blank"):
+        comment = "c a comment\n" if fmt == "dimacs-col" else "# a comment\n"
+        lines.insert(index % (len(lines) + 1), comment if edit == "comment" else "\n")
+    elif edit == "trailing-space":
+        i = index % len(lines)
+        lines[i] = lines[i][:-1] + " \n"
+    elif edit == "crlf":
+        return text.replace("\n", "\r\n")
+    elif edit == "p-col":
+        return text.replace("p edge", "p col", 1)
+    elif edit in ("n-1", "n+1", "m-1", "m+1"):
+        step = 1 if edit[1] == "+" else -1
+        words = lines[0].split()
+        if fmt == "dimacs-col":
+            at = 2 if edit[0] == "n" else 3
+            words[at] = str(int(words[at]) + step)
+            lines[0] = " ".join(words) + "\n"
+        elif edit[0] == "n":
+            lines[0] = f"# n={int(words[1][2:]) + step}\n"
+    elif edit == "no-final-newline":
+        return text[:-1]
+    return "".join(lines)

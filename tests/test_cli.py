@@ -7,12 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regmis import cli, gadgets, verify
+from regmis import io as graph_io
 from regmis.cli import main
 from regmis.graph import Graph, GraphError, complete_graph, cycle_graph
 from regmis.io import parse_graph, serialize_graph
 from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
 from regmis.verify import verify_all
 
+from conftest import TEXT_EDITS, edit_canonical
 from test_verify import ENUMERATED_REPORTS, REPORT_INPUTS
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -500,12 +502,12 @@ def mutate_line(text, rng_index, edit):
     return "".join(lines)
 
 
-# certificate fields whose change the verifier must see (gadgets[].index is
-# not one: neither path reads it)
+# certificate fields whose change the verifier must see
 CERT_FIELDS = (
     "target_degree", "source_n", "per_gadget_alpha", "total_offset", "source_hash", "result_hash",
     "steps.start", "steps.end", "steps.alpha_offset",
-    "gadgets.owner", "gadgets.kind", "gadgets.delta", "gadgets.id_offset", "gadgets.size", "gadgets.port",
+    "gadgets.owner", "gadgets.index", "gadgets.kind", "gadgets.delta", "gadgets.id_offset", "gadgets.size",
+    "gadgets.port",
 )
 
 DIFFERENTIAL_CASES = {
@@ -560,3 +562,119 @@ def test_mutated_canonical_input_fails_as_on_the_parse_path(
         expected = parse_path(g, reduced_text, fmt, cert_text)
     assert code in (1, 2) and "Traceback" not in err
     assert (code, out) == expected
+
+
+# ---------------------------------------------------------------------------
+# recover reads a canonical G' once and never builds it
+
+
+def greedy_independent(gp):
+    chosen = set()
+    for v in range(gp.n):
+        if chosen.isdisjoint(gp.neighbors(v)):
+            chosen.add(v)
+    return sorted(chosen)
+
+
+def recover_files(capsys, red, cert, sol):
+    """Exit code, stdout, stderr and warnings of ``regmis recover``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("fmt, reduced_name", [("dimacs-col", "gp.col"), ("edge-list", "gp.txt")])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_recover_on_canonical_input_builds_no_reduced_graph(tmp_path, capsys, monkeypatch, name, fmt, reduced_name):
+    g, gp, cert = DIFFERENTIAL_CASES[name]()
+    _, red, cert_path = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
+    solution = greedy_independent(gp)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in solution))
+    parsed, built = [], []
+    real_parse, real_init = cli.parse_graph, Graph.__post_init__
+    monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f) or real_parse(text, f))
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
+    code, out, err, caught = recover_files(capsys, red, cert_path, sol)
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["recovered"] == [v for v in solution if v < g.n]
+    assert parsed == [] and gp.n not in built
+
+
+SOLUTIONS = {
+    "independent": lambda gp: greedy_independent(gp),
+    "dependent": lambda gp: greedy_independent(gp) + [gp.neighbors(0)[0]],
+    "out-of-range": lambda gp: [0, gp.n, -1],
+    "empty": lambda gp: [],
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=st.sampled_from(sorted(DIFFERENTIAL_CASES)),
+    fmt=st.sampled_from(["dimacs-col", "edge-list"]),
+    edit=st.sampled_from(TEXT_EDITS),
+    index=st.integers(0, 10**6),
+    solution=st.sampled_from(sorted(SOLUTIONS)),
+    cert_kind=st.sampled_from(["honest", "foreign", "malformed"]),
+    chunk=st.sampled_from([24, 1 << 16]),
+)
+def test_recover_on_edited_canonical_input_matches_the_parse_path(
+    tmp_path, capsys, monkeypatch, case, fmt, edit, index, solution, cert_kind, chunk
+):
+    """Every edit of a canonical G' gives the output, exit code and
+    warnings that parsing G' and recovering on the built graph give."""
+    g, gp, cert = DIFFERENTIAL_CASES[case]()
+    cert_text = {
+        "honest": cert.to_json(),
+        "foreign": regularize(cycle_graph(4), 3)[1].to_json(),
+        "malformed": "{",
+    }[cert_kind]
+    reduced_text = edit_canonical(serialize_graph(gp, fmt), fmt, edit, index)
+    _, red, cert_path = write_inputs(tmp_path, g, reduced_text, cert_text, "gp.col" if fmt == "dimacs-col" else "gp.txt")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in SOLUTIONS[solution](gp)))
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_io, "_CHUNK", chunk)
+        got = recover_files(capsys, red, cert_path, sol)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "recover_canonical", lambda *args: None)
+        expected = recover_files(capsys, red, cert_path, sol)
+    assert got == expected
+    assert "Traceback" not in got[2]
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("stats", "graph"),
+        ("regularize", "graph"),
+        ("verify", "graph"),
+        ("verify", "reduced"),
+        ("verify", "cert"),
+        ("recover", "reduced"),
+        ("recover", "cert"),
+        ("recover", "solution"),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_an_input_error(tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.setattr(graph_io, "_CHUNK", 32)  # the byte lies past the reader's first chunk
+    g, gp, cert = DIFFERENTIAL_CASES["general"]()
+    files = dict(zip(("graph", "reduced", "cert"), write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), cert.to_json())))
+    files["solution"] = tmp_path / "sol.txt"
+    files["solution"].write_text("0\n")
+    files[kind].write_bytes(files[kind].read_bytes() + b"\xff\n")
+    argv = {
+        "stats": ["stats", files["graph"]],
+        "regularize": ["regularize", files["graph"], "--degree", "3", "--output", tmp_path / "out.col"],
+        "verify": ["verify", "--graph", files["graph"], "--reduced", files["reduced"], "--cert", files["cert"]],
+        "recover": ["recover", "--reduced", files["reduced"], "--cert", files["cert"], "--solution", files["solution"]],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {files[kind]}: not UTF-8 text") and "Traceback" not in err

@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from regmis import io
 from regmis.graph import Graph, GraphError, complete_graph, path_graph
 from regmis.io import parse_graph, serialize_graph
 
-from conftest import random_graph
+from conftest import TEXT_EDITS, edit_canonical, random_graph
 
 
 def test_parse_dimacs_path():
@@ -159,3 +162,129 @@ def test_duplicate_warned_before_a_later_error():
     with pytest.warns(UserWarning, match=r"line 3: duplicate edge \(0, 1\)"):
         with pytest.raises(GraphError, match=r"line 4: edge \(0, 3\) out of range"):
             parse_graph("p edge 3 2\ne 1 2\ne 2 1\ne 1 4\n", "dimacs-col")
+
+
+# -- the header's edge count ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 2 5\ne 1 2\n", "line 1: problem line declares 5 edges, but the file has 1 edge lines and 1 distinct edges"),
+        ("c first\np edge 3 x\ne 1 2\n", "line 2: problem line declares x edges, but the file has 1 edge lines and 1 distinct edges"),
+        ("p edge 3 0\ne 1 2\ne 2 3\n", "line 1: problem line declares 0 edges, but the file has 2 edge lines and 2 distinct edges"),
+    ],
+)
+def test_dimacs_edge_count_off_warns(text, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = parse_graph(text, "dimacs-col")
+    assert [str(w.message) for w in caught] == [message]
+    assert g.m == text.count("\ne ")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_dimacs_edge_count_of_lines_or_of_distinct_edges_is_quiet(m):
+    """Some files count each edge once per direction: both counts are kept
+    quiet, and only the duplicate line warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = parse_graph(f"p edge 2 {m}\ne 1 2\ne 2 1\n", "dimacs-col")
+    assert g.m == 1
+    assert [str(w.message) for w in caught] == ["line 3: duplicate edge (0, 1), ignoring"]
+
+
+# -- a declared vertex count without edges ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, fmt, path",
+    [
+        ("p edge 200000 0\n", "dimacs-col", "canonical"),
+        ("c no edges\np edge 200000 0\n", "dimacs-col", "line"),
+        ("# n=200000\n", "edge-list", "canonical"),
+        ("# no edges\n# n=200000\n", "edge-list", "line"),
+    ],
+)
+def test_vertices_without_edges_share_one_empty_row(monkeypatch, text, fmt, path):
+    line_parses = []
+    for name in ("_parse_dimacs", "_parse_edge_list"):
+        real = getattr(io, name)
+        monkeypatch.setattr(io, name, lambda t, real=real: line_parses.append(t) or real(t))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (200000, 0)
+    assert peak < 8 * 2**20
+    assert bool(line_parses) == (path == "line")
+
+
+# -- canonical text: the bulk path against the line parser ---------------------
+
+LINE_PARSERS = {"dimacs-col": io._parse_dimacs, "edge-list": io._parse_edge_list}
+
+
+def outcome(parse, text):
+    """The graph (or the error message) and the warnings of ``parse(text)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except GraphError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
+@pytest.mark.parametrize("chunk", [24, 1 << 16])
+def test_canonical_text_takes_the_bulk_path(monkeypatch, fmt, chunk):
+    """Serialized graphs never reach the line parser, whatever the chunk
+    size, and give back the graph."""
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    for name in ("_parse_dimacs", "_parse_edge_list"):
+        monkeypatch.setattr(io, name, lambda text: pytest.fail("canonical text reached the line parser"))
+    rng = random.Random(5)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 14), rng.random())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fmt=st.sampled_from(["dimacs-col", "edge-list"]),
+    edit=st.sampled_from(TEXT_EDITS),
+    index=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+    chunk=st.sampled_from([24, 1 << 16]),
+)
+def test_edited_canonical_text_parses_as_the_line_parser_does(monkeypatch, fmt, edit, index, seed, chunk):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 12), rng.random())
+    text = edit_canonical(serialize_graph(g, fmt), fmt, edit, index)
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "_CHUNK", chunk)
+        got = outcome(lambda t: parse_graph(t, fmt), text)
+    assert got == outcome(LINE_PARSERS[fmt], text)
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("dimacs-col", "x edge 3 1\ne 1 2\n"),
+        ("dimacs-col", "p edge 3 2\ne 1 2\nx 1 3\n"),
+        ("dimacs-col", "p edge 3 1\ne 1\n2\n"),
+        ("dimacs-col", "p edge 3 1\ne 1 3 \n"),
+        ("edge-list", "# x=4\n0 1\n"),
+        ("edge-list", "# n=4\n0 1 2 3\n"),
+        ("edge-list", "# n=4\n0 1\t\n"),
+    ],
+)
+def test_canonical_ids_in_other_lines_go_to_the_line_parser(fmt, text):
+    assert outcome(lambda t: parse_graph(t, fmt), text) == outcome(LINE_PARSERS[fmt], text)
+    with pytest.raises(io.NotCanonical):
+        list(io.canonical_edges(io.text_chunks(text), fmt)[1])

@@ -209,6 +209,14 @@ class TestMutationDetection:
         report = check_certificate(g, mutated, rehash(forged, g_prime=mutated))
         assert {c.name: c.status for c in report.checks}["port-attachment"] == FAIL
 
+    @pytest.mark.parametrize("index", [99, 0, 2])
+    def test_misnumbered_gadget_kills_counts(self, pipeline, index):
+        g, gp, cert = pipeline
+        forged = replace_gadget(cert, 0, index=index)
+        report = verify_all(g, gp, forged)
+        assert [c.name for c in report.checks if c.status == FAIL] == ["gadget-counts"]
+        assert "not numbered 1..k" in {c.name: c.detail for c in report.checks}["gadget-counts"]
+
     def test_edge_between_gadgets_kills_attachment(self, pipeline):
         g, gp, cert = pipeline
         g1, g2 = cert.gadgets[0], cert.gadgets[1]

@@ -193,12 +193,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         recovered = recover_canonical(reduced, _format(args.reduced, args.format), ids, cert)
     if recovered is None:
         recovered = recover(_read_graph(args.reduced, args.format), ids, cert)
+    input_size = len(set(ids))
     doc = {
         "recovered": sorted(recovered),
         "recovered_size": len(recovered),
-        "input_size": len(set(ids)),
+        "input_size": input_size,
         "offset": cert.total_offset,
-        "size_bound_met": len(recovered) >= len(set(ids)) - cert.total_offset,
+        "size_bound_met": len(recovered) >= input_size - cert.total_offset,
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK if doc["size_bound_met"] else EXIT_FAIL

@@ -181,25 +181,11 @@ def triangles(g: Graph) -> Iterator[Tuple[int, int, int]]:
                 yield (u, v, w)
 
 
-# -- small named graphs used throughout the pipelines and tests ----------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [])
+# -- small named graphs used by the pipelines ---------------------------
 
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(leaves: int) -> Graph:

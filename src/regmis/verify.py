@@ -7,25 +7,30 @@ never run a solver on the reduced graph; only the alpha-relation and
 port-exclusion checks do.  The gadget-alpha check reads the memoized exact
 alpha of the one gadget blueprint, and only once the blocks have matched it.
 
-Cost: :func:`check_certificate` is linear in |V'| + |E'|.  It compares
-G''s rows in place with the rows regenerated from G, the certificate's
-steps and the one gadget blueprint (:func:`_padded_rows`,
-:func:`_block_rows`), and builds no other graph.  Untrusted fields are
-bounded against G' first: a step's end and edge count before its rows,
-and the gadgets' kind, degree, size and id range before the blueprint.
+One model of G' serves every check (:func:`_model`).  G, the steps, the
+target degree and the gadget kind fix it: the padded rows, one gadget per
+unit of deficiency in the canonical layout (owners ascending, ``index``
+1..deficiency, blocks contiguous from ``padded_n``, the port last) and the
+one blueprint.  The certificate's gadget list is compared with that layout
+whole, so only the canonical layout is accepted; every regmis certificate
+lists it.
 
-:func:`verify_canonical` needs no G' at all.  It regenerates the canonical
-text of G' from G, the steps and the blueprint (the padded rows with their
-ports, then the blueprint at each block) and compares it with the file as
-the file is read, taking the content hash in the same pass; memory is
-O(|G| + #gadgets + blueprint).  Its work is bounded by the file's length:
-a canonical G' is d-regular and each edge line has a least length, so
-steps and the gadget layout that claim more than the file can hold are
-refused before any of their rows are built.  It answers only when the
-file is the canonical text, the certificate's gadget list is the canonical
-layout and both hashes match; any other input (another edge order, a
-difference, a hash mismatch, malformed text) goes to :func:`verify_all`
-on the parsed G', which also names the failing check.
+Cost: :func:`check_certificate` is linear in |V'| + |E'|.  It compares
+G''s rows in place with the model's and builds no other graph.  Untrusted
+fields are bounded against G' first: a step's end and edge count before
+its rows, and the layout's size before the blueprint.
+
+:func:`verify_canonical` needs no G' at all.  It regenerates the model's
+canonical text (the padded rows with their ports, then the blueprint at
+each block) and compares it with the file as the file is read, taking the
+content hash in the same pass; memory is O(|G| + #gadgets + blueprint).
+Its work is bounded by the file's length: a canonical G' is d-regular and
+each edge line has a least length, so steps and a layout that claim more
+than the file can hold are refused before any of their rows are built.  It
+answers whenever the file is the model's text and both hashes match,
+whatever the certificate's gadget list says; any other input (another edge
+order, a difference, a hash mismatch, malformed text) goes to
+:func:`verify_all` on the parsed G', which also names the failing check.
 
 The triangle and planarity checks are derived from that structural result
 and walk neither G nor G' again.
@@ -35,9 +40,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gadgets
 from .graph import (
@@ -157,102 +163,105 @@ def _rows_match_below(adjacency: Sequence[Row], expected: Sequence[Row], cut: in
     )
 
 
-_BLOCKS_MATCH = "all gadget blocks match their blueprint"
-_PORTS_ATTACH = "every port attaches to exactly its owner"
+_GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
 
 
 def _gadget_delta(cert: ReductionCertificate) -> Optional[int]:
     return cert.target_degree if cert.gadget_kind == gadgets.GENERAL else None
 
 
-def _gadget_size(cert: ReductionCertificate) -> int:
-    """The closed-form size of the certificate's gadget kind at its target
-    degree; raises :class:`GraphError` when there is none."""
-    kind = cert.gadget_kind
-    if kind == gadgets.GENERAL:
-        return gadgets.general_gadget_size(cert.target_degree)
+class _Model(NamedTuple):
+    """The G' that the padded rows, the target degree and the gadget kind
+    fix: the padded rows with their ports, the canonical gadget layout as
+    ``_GADGET_FIELDS`` tuples, the blueprint (empty without gadgets), the
+    closed-form gadget size and the vertex count."""
+
+    ported: List[Row]
+    layout: List[Tuple[int, int, str, Optional[int], int, int]]
+    blueprint: Sequence[Row]
+    size: int
+    n: int
+
+
+def _model(padded: Sequence[Row], cert: ReductionCertificate, n: int, m: int) -> _Model:
+    """The model of a G' of ``n`` vertices and ``m`` edges over ``padded``:
+    one gadget per unit of deficiency, owners ascending, ``index``
+    1..deficiency, blocks contiguous from the padded ids, the port last in
+    each.  The layout is bounded by ``n`` and ``m`` before the blueprint is
+    built; raises :class:`GraphError` when there is no such model."""
+    d, kind, delta = cert.target_degree, cert.gadget_kind, _gadget_delta(cert)
     if kind == gadgets.PLANAR5:
-        return gadgets.PLANAR_GADGET_SIZE
-    raise GraphError(f"unknown gadget kind {kind!r}")
+        size = gadgets.PLANAR_GADGET_SIZE
+    elif kind == gadgets.GENERAL and d >= 3 and d % 2:
+        size = gadgets.general_gadget_size(d)
+    else:
+        raise GraphError(f"no closed-form gadget size for a {kind!r} gadget at degree {d}")
+    deficiency = [d - len(row) for row in padded]
+    if min(deficiency, default=0) < 0:
+        raise GraphError(f"a padded vertex has degree above {d}")
+    total = sum(deficiency)
+    if total and size * d > 2 * m:
+        raise GraphError(f"a gadget of {size} vertices needs more edges than the reduced graph has")
+    if len(padded) + total * size > n:
+        raise GraphError(f"{total} gadgets of {size} vertices do not fit in |V'|={n}")
+    layout, ported, off = [], [], len(padded)
+    for v, (row, k) in enumerate(zip(padded, deficiency)):
+        ported.append(row + tuple(range(off + size - 1, off + k * size, size)) if k else row)
+        for j in range(1, k + 1):
+            layout.append((v, j, kind, delta, off, size))
+            off += size
+    blueprint = gadgets.build_gadget(kind, delta)[0].adjacency if layout else ()
+    return _Model(ported, layout, blueprint, size, off)
 
 
-def _check_gadget_blocks(
-    g_prime: Graph, cert: ReductionCertificate
-) -> Tuple[Check, Check, Optional[int]]:
-    """The gadget-blueprints and port-attachment checks, and the closed-form
-    gadget size (None when the certificate's kind or degree has none).
-
-    Each gadget must carry the certificate's (kind, delta), the closed-form
-    size and an id range inside [padded_n, |V'|) before the one blueprint
-    is built.  A block's rows are then compared whole with
-    :func:`_block_rows`; a row that differs is split into its in-block part
-    (blueprint) and its leaving part (attachment).
-    """
-    kind, delta = cert.gadget_kind, _gadget_delta(cert)
-    n, lo = g_prime.n, cert.padded_n
+def _check_blocks(rows: Optional[Sequence[Row]], model: _Model) -> List[Check]:
+    """gadget-blueprints and port-attachment: G''s rows at each block of
+    the model are compared whole with :func:`_block_rows`; a row that
+    differs is split into its in-block part (blueprint) and its leaving
+    part (attachment).  Both hold by construction when ``rows`` is None."""
     blocks_ok, attach_ok = True, True
-    detail_blocks, detail_attach = _BLOCKS_MATCH, _PORTS_ATTACH
-    try:
-        size: Optional[int] = _gadget_size(cert)
-    except GraphError as exc:
-        size, blocks_ok, detail_blocks = None, False, str(exc)
-    if blocks_ok and cert.gadgets and size * cert.target_degree > 2 * g_prime.m:
-        blocks_ok, detail_blocks = False, f"a gadget of {size} vertices needs more edges than the reduced graph has"
-
-    owned = bytearray(n)  # 1 for every id of the padded graph or of a gadget so far
-    if 0 <= lo <= n:
-        owned[:lo] = b"\x01" * lo
-    blueprint: Optional[Sequence[Row]] = None
-    for gi in cert.gadgets if blocks_ok else ():
-        off, end = gi.id_offset, gi.id_offset + size
-        if (gi.kind, gi.delta) != (kind, delta):
-            blocks_ok, detail_blocks = False, f"gadget at {off} is not a {kind} gadget for degree {cert.target_degree}"
-            break
-        if gi.size != size:
-            blocks_ok, detail_blocks = False, f"gadget at {off} has wrong size"
-            break
-        if not (0 <= lo <= off and end <= n):
-            blocks_ok, detail_blocks = False, f"gadget at {off} lies outside the gadget ids [{lo}, {n})"
-            break
-        if 1 in owned[off:end]:
-            blocks_ok, detail_blocks = False, f"gadget at {off} overlaps other ids"
-            break
-        owned[off:end] = b"\x01" * size
-        if blueprint is None:
-            blueprint = gadgets.build_gadget(kind, delta)[0].adjacency
-        internal_ok, leaving_ok = True, 0 <= gi.owner < lo
-        for row, want in zip(g_prime.adjacency[off:end], _block_rows(blueprint, off, gi.owner)):
+    detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
+    for owner, _, _, _, off, size in model.layout if rows is not None else ():
+        end, internal_ok, leaving_ok = off + size, True, True
+        for row, want in zip(rows[off:end], _block_rows(model.blueprint, off, owner)):
             if row != want:
                 (inside, leaving), (want_inside, want_leaving) = _split(row, off, end), _split(want, off, end)
                 internal_ok = internal_ok and inside == want_inside
                 leaving_ok = leaving_ok and leaving == want_leaving
         if not internal_ok:
             blocks_ok = False
-            detail_blocks = f"gadget at {off} (owner {gi.owner}) deviates from the blueprint"
+            detail_blocks = f"gadget at {off} (owner {owner}) deviates from the blueprint"
         if not leaving_ok:
             attach_ok = False
             detail_attach = f"gadget at {off} does not hang off one port-owner edge to a padded vertex"
-    if blocks_ok and (not 0 <= lo <= n or 0 in owned):
-        blocks_ok, detail_blocks = False, "gadget ranges do not tile the reduced graph"
-    return (
-        _check("gadget-blueprints", blocks_ok, detail_blocks),
-        _check("port-attachment", attach_ok, detail_attach),
-        size,
+    return [_check("gadget-blueprints", blocks_ok, detail_blocks), _check("port-attachment", attach_ok, detail_attach)]
+
+
+def _check_gadget_list(cert: ReductionCertificate, layout: List[tuple]) -> Check:
+    """gadget-counts: the certificate's gadget list is the canonical layout,
+    compared whole; a difference names the first entry that differs."""
+    listed = list(map(_GADGET_FIELDS, cert.gadgets))
+    i = next((i for i, (a, b) in enumerate(zip(listed, layout)) if a != b), min(len(listed), len(layout)))
+    got, want = (str(e[i]) if i < len(e) else "none" for e in (listed, layout))
+    return _check(
+        "gadget-counts",
+        listed == layout,
+        "the gadget list is the canonical layout, degree-deficiency many per vertex"
+        if listed == layout
+        else f"gadgets[{i}] is {got}, the canonical layout has {want} (owner, index, kind, delta, id_offset, size)",
     )
 
 
-def _check_gadget_alpha(cert: ReductionCertificate, blocks_ok: bool) -> Check:
-    """``per_gadget_alpha`` equals the exact alpha of the one (kind, delta)
-    every gadget shares.  The memoized solver runs only on a blueprint
-    whose blocks passed their check."""
-    shapes = {(gi.kind, gi.delta) for gi in cert.gadgets}
-    if not shapes:
+def _check_gadget_alpha(cert: ReductionCertificate, attached: Optional[int]) -> Check:
+    """``per_gadget_alpha`` equals the exact alpha of the certificate's
+    gadget kind at its target degree.  ``attached`` is the model's gadget
+    count, None unless G''s blocks passed their check: the memoized solver
+    runs only on a blueprint that the model bounded and the blocks matched."""
+    if attached is None:
+        return Check("gadget-alpha", SKIP, "gadget blocks did not pass their blueprint check")
+    if not attached:
         return Check("gadget-alpha", PASS, "no gadgets attached")
-    if len(shapes) > 1:
-        return Check("gadget-alpha", FAIL, f"gadgets mix {len(shapes)} (kind, delta) pairs")
-    if not blocks_ok:
-        return Check("gadget-alpha", SKIP, "gadget blocks failed their blueprint check")
-    kind, delta = shapes.pop()
+    kind, delta = cert.gadget_kind, _gadget_delta(cert)
     exact = gadgets.gadget_alpha(delta) if kind == gadgets.GENERAL else gadgets.planar_gadget_alpha()
     return _check(
         "gadget-alpha",
@@ -270,12 +279,14 @@ def check_certificate(
         raise GraphError("certificate source hash does not match the source graph")
     if cert.result_hash != g_prime.content_hash():
         raise GraphError("certificate result hash does not match the reduced graph")
+    padded: Optional[List[Row]] = None
+    model: Optional[_Model] = None
     try:
-        padded, pad_error = _padded_rows(g, cert, g_prime.n, g_prime.m), ""
+        padded = _padded_rows(g, cert, g_prime.n, g_prime.m)
+        model, error = _model(padded, cert, g_prime.n, g_prime.m), ""
     except GraphError as exc:
-        padded, pad_error = None, str(exc)
-    blocks = _check_gadget_blocks(g_prime, cert)
-    return VerificationReport(_structure(g, cert, g_prime.n, g_prime.adjacency, padded, pad_error, blocks))
+        error = str(exc)
+    return VerificationReport(_structure(g, cert, g_prime.n, g_prime.adjacency, padded, model, error))
 
 
 def _structure(
@@ -284,14 +295,14 @@ def _structure(
     n: int,
     rows: Optional[Sequence[Row]],
     padded: Optional[List[Row]],
-    pad_error: str,
-    blocks: Tuple[Check, Check, Optional[int]],
+    model: Optional[_Model],
+    error: str,
 ) -> Tuple[Check, ...]:
     """check_certificate's checks for a G' of ``n`` vertices with the rows
-    ``rows``, given the padded rows (or why there are none) and the
-    gadget-block checks.  ``rows`` is None when G' is known to be the
-    regeneration of G, the steps and the blueprint: its row comparisons
-    then hold by construction."""
+    ``rows``, given the padded rows and the model (each None when it could
+    not be built, and ``error`` why).  ``rows`` is None when G' is known to
+    be the model's regeneration: its row comparisons then hold by
+    construction."""
     d = cert.target_degree
     checks: List[Check] = [_regular(n, d, [] if rows is None else [v for v, a in enumerate(rows) if len(a) != d])]
 
@@ -306,7 +317,7 @@ def _structure(
     # padding steps regenerate the padded prefix, and each step's offset is
     # the alpha of what it adds: 1 for a clique, the leaves of a star
     if padded is None:
-        pad_ok, pad_detail = False, pad_error
+        pad_ok, pad_detail = False, error
     else:
         pad_ok, pad_detail = True, "padding steps reconstruct"
         if len(padded) != cert.padded_n:
@@ -319,45 +330,28 @@ def _structure(
             pad_ok, pad_detail = False, "padded prefix of the reduced graph disagrees with the steps"
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
-    blueprints, attachment, gadget_size = blocks
-    checks += [blueprints, attachment]
-
-    # gadget counts equal the deficiency of each padded vertex, and each
-    # owner's gadgets are numbered 1..k in order
-    if padded is None:
-        checks.append(Check("gadget-counts", SKIP, "padded graph unavailable"))
+    # G''s gadget blocks, the certificate's gadget list and |V'| against the model
+    attached: Optional[int] = None
+    if model is None:  # skipped without padded rows; else the blueprints and |V'| fail
+        status, why = (SKIP, "padded graph unavailable") if padded is None else (FAIL, error)
+        checks += [Check("gadget-blueprints", status, why), Check("port-attachment", SKIP, why)]
+        checks += [Check("gadget-counts", SKIP, why), Check("size-bound", status, why)]
     else:
-        counts, misnumbered = [0] * len(padded), []
-        for gi in cert.gadgets:
-            if 0 <= gi.owner < len(padded):
-                counts[gi.owner] += 1
-                if gi.index != counts[gi.owner]:
-                    misnumbered.append(gi.owner)
-        bad = [v for v, a in enumerate(padded) if counts[v] != d - len(a)]
-        if bad:
-            counts_detail = f"vertices {bad[:5]} have the wrong number of gadgets"
-        elif misnumbered:
-            counts_detail = f"gadgets of vertices {misnumbered[:5]} are not numbered 1..k in order"
-        else:
-            counts_detail = "every vertex has degree-deficiency many gadgets"
-        checks.append(_check("gadget-counts", not (bad or misnumbered), counts_detail))
-
-    # vertex count: closed form and the cubic-in-degree blowup bound
-    if gadget_size is None:
-        checks.append(Check("size-bound", FAIL, f"no closed-form gadget size: {blueprints.detail}"))
-    else:
-        expected_n = cert.padded_n + len(cert.gadgets) * gadget_size
-        bound = cert.padded_n * (1 + d * gadget_size)
-        size_ok = n == expected_n and n <= bound
-        checks.append(
+        blocks = _check_blocks(rows, model)
+        attached = len(model.layout) if blocks[0].status == PASS else None
+        # vertex count: closed form and the cubic-in-degree blowup bound
+        bound = len(padded) * (1 + d * model.size)
+        size_ok = n == model.n and n <= bound
+        checks += blocks + [
+            _check_gadget_list(cert, model.layout),
             _check(
                 "size-bound",
                 size_ok,
-                f"|V'|={n} equals closed form {expected_n}, within bound {bound}"
+                f"|V'|={n} equals closed form {model.n}, within bound {bound}"
                 if size_ok
-                else f"|V'|={n}, closed form {expected_n}, bound {bound}",
-            )
-        )
+                else f"|V'|={n}, closed form {model.n}, bound {bound}",
+            ),
+        ]
 
     # offset arithmetic
     expected_offset = (
@@ -371,7 +365,7 @@ def _structure(
             f"total_offset {cert.total_offset} vs recomputed {expected_offset}",
         )
     )
-    checks.append(_check_gadget_alpha(cert, blueprints.status == PASS))
+    checks.append(_check_gadget_alpha(cert, attached))
     return tuple(checks)
 
 
@@ -438,21 +432,22 @@ def check_sandwich(
     )
 
 
-def _derived_triangles(cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]) -> Check:
-    """Triangle preservation from the structural checks ``structure``
-    returns, called only when the check applies.  Once they pass, G' has
-    the triangles of G, C(k, 3) per parity clique of k vertices and
-    #gadgets times the blueprint's (a port-owner bridge closes none), so
-    the claim holds iff the blueprint is triangle-free."""
+def _derived_triangles(cert: ReductionCertificate, n: int, structure: Callable[[], Iterable[Check]]) -> Check:
+    """Triangle preservation for a G' of ``n`` vertices from the structural
+    checks ``structure`` returns, called only when the check applies.  Once
+    G' is the model, it has the triangles of G, C(k, 3) per parity clique of
+    k vertices and the blueprint's per gadget (a port-owner bridge closes
+    none), so the claim holds iff ``n`` is ``padded_n`` or the blueprint is
+    triangle-free."""
     if cert.gadgets and cert.gadget_kind != gadgets.GENERAL:
         return Check("triangle-preservation", SKIP, f"applies to {gadgets.GENERAL} gadgets only")
     try:
         passed = {c.name for c in structure() if c.status == PASS}
     except GraphError as exc:  # a hash mismatch
         return Check("triangle-preservation", FAIL, str(exc))
-    if not passed >= {"padding-steps", "gadget-blueprints", "port-attachment"}:
+    if not passed >= {"padding-steps", "gadget-blueprints", "port-attachment", "size-bound"}:
         return Check("triangle-preservation", FAIL, "not derivable: structural checks failed")
-    inside = triangle_count(gadgets.build_gadget(gadgets.GENERAL, cert.target_degree)[0]) if cert.gadgets else 0
+    inside = triangle_count(gadgets.build_gadget(gadgets.GENERAL, cert.target_degree)[0]) if n > cert.padded_n else 0
     cliques = sum(s.size * (s.size - 1) * (s.size - 2) // 6 for s in cert.steps if s.kind == PARITY_FIX)
     return _check(
         "triangle-preservation",
@@ -469,7 +464,7 @@ def check_triangle_preservation(
     """General gadgets are triangle-free and attachment edges close no
     triangle, so the only new triangles come from parity cliques.  Derived
     from :func:`check_certificate`; a hash mismatch fails the check."""
-    return _derived_triangles(cert, lambda: check_certificate(g, g_prime, cert).checks)
+    return _derived_triangles(cert, g_prime.n, lambda: check_certificate(g, g_prime, cert).checks)
 
 
 def check_port_exclusion(
@@ -532,13 +527,19 @@ def _derived_planarity(
 
 def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Check:
     """Euler necessary condition plus the cut-edge attachment structure that
-    preserves planarity of a planar input, from the gadget-block checks; a
-    hash mismatch fails the check."""
+    preserves planarity of a planar input, from the gadget-block checks
+    against the model over G''s own rows below ``padded_n``; a hash
+    mismatch fails the check."""
 
-    def structure() -> Tuple[Check, Check]:
+    def structure() -> List[Check]:
         if cert.result_hash != g_prime.content_hash():
             raise GraphError("certificate result hash does not match the reduced graph")
-        return _check_gadget_blocks(g_prime, cert)[:2]
+        lo = cert.padded_n
+        padded = [row[: bisect_left(row, lo)] for row in g_prime.adjacency[: max(lo, 0)]]
+        try:
+            return _check_blocks(g_prime.adjacency, _model(padded, cert, g_prime.n, g_prime.m))
+        except GraphError:
+            return []
 
     return _derived_planarity(g_prime.n, g_prime.m, cert, structure)
 
@@ -570,16 +571,15 @@ def _report(
     for a G' of ``n`` vertices and ``m`` edges; ``g_prime`` gives G' itself,
     called only for the oracle."""
     checks = list(structure)
-    blocks_ok = next(c.status == PASS for c in checks if c.name == "gadget-blueprints")
-    checks.append(_derived_triangles(cert, lambda: structure))
+    passed = {c.name for c in checks if c.status == PASS}
+    checks.append(_derived_triangles(cert, n, lambda: structure))
     checks.append(_derived_planarity(n, m, cert, lambda: structure))
     if with_oracle:
         checks.append(check_alpha_relation(g, g_prime(), cert, limits))
-        if cert.gadgets and not blocks_ok:
-            checks.append(Check("port-exclusion", SKIP, "gadget blocks failed their blueprint check"))
+        if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
+            checks.append(Check("port-exclusion", SKIP, "the gadget blocks or the gadget list failed their check"))
         elif cert.gadgets:
-            gi = cert.gadgets[0]
-            checks.append(check_port_exclusion(gi.kind, gi.delta, limits))
+            checks.append(check_port_exclusion(cert.gadget_kind, _gadget_delta(cert), limits))
     else:
         checks.append(Check("alpha-relation", SKIP, "oracle checks disabled"))
     return VerificationReport(tuple(checks))
@@ -601,26 +601,35 @@ def verify_canonical(
 ) -> Optional[VerificationReport]:
     """:func:`verify_all`'s report on G and the G' in the seekable file
     ``reduced``, when that file is byte for byte the canonical ``fmt`` text
-    of the G' that G, the certificate's steps and the gadget blueprint
-    determine; None for any other file, which the caller then parses and
-    hands to :func:`verify_all`.
+    of the model's G' and both hashes match; None for any other file, which
+    the caller then parses and hands to :func:`verify_all`.
 
     The file is never parsed.  Its text is regenerated a piece at a time
     and compared as it is read, stopping at the first difference, and the
-    content hash of the same rows is taken in that pass.  Once the file
-    equals the regeneration and the hashes match, every row comparison of
-    :func:`check_certificate` holds by construction, and the rest of the
-    report comes from G, the certificate and the blueprint."""
-    model = _regeneration(g, cert, reduced, fmt)
-    if model is None:
+    content hash of the same rows is taken in that pass.  Every row
+    comparison of :func:`check_certificate` then holds by construction, and
+    the rest of the report comes from G, the certificate and the model."""
+    d = cert.target_degree
+    if d < 1 or cert.source_n != g.n or cert.source_hash != g.content_hash():
         return None
-    padded, ported, blueprint, size = model
-    n, d = len(ported) + len(cert.gadgets) * size, cert.target_degree
+    # a canonical G' is d-regular and each of its edge lines is at least as
+    # long as the shortest one, so the file's length bounds |E'| and |V'|
+    reduced.seek(0, os.SEEK_END)
+    edges = reduced.tell() // len(edge_text(fmt, EdgeLines(((1,), (0,)))))
+    reduced.seek(0)
+    try:
+        padded = _padded_rows(g, cert, 2 * edges // d, edges)
+        model = _model(padded, cert, 2 * edges // d, edges)
+    except GraphError:
+        return None
+    if model.layout and [len(r) for r in model.blueprint] != [d] * (model.size - 1) + [d - 1]:
+        return None  # the blocks would not be d-regular
+    n = model.n
     m = n * d // 2
     matched: List[bool] = []
 
     def compared() -> Iterator[str]:
-        for text, hashed in _canonical_text(fmt, ported, blueprint, len(cert.gadgets), m):
+        for text, hashed in _canonical_text(fmt, model, m):
             data = text.encode()
             if reduced.read(len(data)) != data:
                 return
@@ -631,86 +640,29 @@ def verify_canonical(
         return None
 
     def g_prime() -> Graph:
-        rows = list(ported)
-        for gi in cert.gadgets:
-            rows += _block_rows(blueprint, gi.id_offset, gi.owner)
+        rows = list(model.ported)
+        for owner, _, _, _, off, _ in model.layout:
+            rows += _block_rows(model.blueprint, off, owner)
         return Graph(n, tuple(rows))
 
-    blocks = (Check("gadget-blueprints", PASS, _BLOCKS_MATCH), Check("port-attachment", PASS, _PORTS_ATTACH), size)
-    structure = _structure(g, cert, n, None, padded, "", blocks)
+    structure = _structure(g, cert, n, None, padded, model, "")
     return _report(g, cert, structure, n, m, g_prime, with_oracle, limits)
 
 
-def _regeneration(
-    g: Graph, cert: ReductionCertificate, reduced: BinaryIO, fmt: str
-) -> Optional[Tuple[List[Row], List[Row], Sequence[Row], int]]:
-    """The padded rows, the same rows with their ports, the blueprint and
-    the gadget size of the G' that G and the certificate determine, when
-    it is d-regular and the certificate's gadget list is its canonical
-    layout; else None.
-
-    A canonical G' is d-regular and each of its edge lines is at least as
-    long as the shortest one, so the file's length bounds |E'| and |V'|.
-    The steps are bounded by that before their rows are built, and the
-    layout before the blueprint is."""
-    d = cert.target_degree
-    if d < 1 or cert.source_n != g.n or cert.source_hash != g.content_hash():
-        return None
-    try:
-        size = _gadget_size(cert)
-        reduced.seek(0, os.SEEK_END)
-        edges = reduced.tell() // len(edge_text(fmt, EdgeLines(((1,), (0,)))))
-        reduced.seek(0)
-        padded = _padded_rows(g, cert, 2 * edges // d, edges)
-    except GraphError:
-        return None
-    deficiency = [d - len(row) for row in padded]
-    if min(deficiency, default=0) < 0 or len(cert.gadgets) != sum(deficiency):
-        return None
-    if (len(padded) + len(cert.gadgets) * size) * d > 2 * edges:
-        return None
-
-    kind, delta = cert.gadget_kind, _gadget_delta(cert)
-    blueprint: Sequence[Row] = ()
-    if cert.gadgets:
-        blueprint = gadgets.build_gadget(kind, delta)[0].adjacency
-        *inner, port = blueprint
-        if len(blueprint) != size or len(port) != d - 1 or any(len(r) != d for r in inner):
-            return None
-
-    # the canonical layout: owners ascending, index 1..deficiency, blocks
-    # contiguous from padded_n, the port last in each
-    layout, ported, off = [], [], len(padded)
-    for v, (row, k) in enumerate(zip(padded, deficiency)):
-        ported.append(row + tuple(range(off + size - 1, off + k * size, size)) if k else row)
-        for j in range(1, k + 1):
-            layout.append((v, j, kind, delta, off, size))
-            off += size
-    if list(map(_GADGET_FIELDS, cert.gadgets)) != layout:
-        return None
-    return padded, ported, blueprint, size
-
-
-_GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
-
-
-def _canonical_text(
-    fmt: str, ported: List[Row], blueprint: Sequence[Row], count: int, m: int
-) -> Iterator[Tuple[str, str]]:
-    """The canonical G' as (file text, content-hash text) pieces: the
-    header, the padded rows with their ports, then the blueprint's rows at
-    each of the ``count`` contiguous blocks, a group of blocks at a time."""
-    size = len(blueprint)
-    n = len(ported) + count * size
-    yield header(fmt, n, m), ""
-    for lines in edge_runs(ported):
+def _canonical_text(fmt: str, model: _Model, m: int) -> Iterator[Tuple[str, str]]:
+    """The model's canonical G' of ``m`` edges as (file text, content-hash
+    text) pieces: the header, the padded rows with their ports, then the
+    blueprint's rows at each block, a group of blocks at a time."""
+    size = model.size
+    yield header(fmt, model.n, m), ""
+    for lines in edge_runs(model.ported):
         yield edge_text(fmt, lines), hash_text(lines)
-    off = len(ported)
-    full, rest = divmod(count, _BLOCKS_PER_RENDER)
+    off = len(model.ported)
+    full, rest = divmod(len(model.layout), _BLOCKS_PER_RENDER)
     for blocks, times in ((_BLOCKS_PER_RENDER, full), (rest, 1)):
         if not blocks * times:
             continue
-        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in blueprint])
+        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in model.blueprint])
         for _ in range(times):
             yield edge_text(fmt, tile, off), hash_text(tile, off)
             off += blocks * size

@@ -4,8 +4,22 @@ import random
 import re
 from itertools import combinations
 
-from regmis.graph import Graph, is_independent_set
+from regmis.graph import Graph, GraphError, is_independent_set
 from regmis.solvers import SolveResult
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphError("cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

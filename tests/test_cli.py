@@ -9,13 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from regmis import cli, gadgets, verify
 from regmis import io as graph_io
 from regmis.cli import main
-from regmis.graph import Graph, GraphError, complete_graph, cycle_graph
+from regmis.graph import Graph, GraphError, complete_graph
 from regmis.io import parse_graph, serialize_graph
 from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
 from regmis.verify import verify_all
 
-from conftest import TEXT_EDITS, edit_canonical
-from test_verify import ENUMERATED_REPORTS, REPORT_INPUTS
+from conftest import TEXT_EDITS, cycle_graph, edit_canonical, path_graph
+from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, with_layout
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -453,6 +453,16 @@ class TestVerifyByRegeneration:
         code, out, err = verify_files(capsys, paths)
         assert (code, err) == (1, "")
         assert {c["name"]: c["status"] for c in json.loads(out)["checks"]}["gadget-blueprints"] == "fail"
+
+    @pytest.mark.parametrize("order", sorted(GADGET_ORDERS))
+    def test_gadget_blocks_in_another_order_fail_gadget_counts(self, tmp_path, capsys, order):
+        g, gp, cert = with_layout(path_graph(3), 3, GADGET_ORDERS[order])
+        paths = write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), cert.to_json())
+        code, out, err = verify_files(capsys, paths)
+        assert (code, out, err) == (1, verify_all(g, gp, cert).to_json(), "")
+        failed = {c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+        expected = {"gadget-counts"} | (set() if order == "index-order" else {"port-attachment", "triangle-preservation"})
+        assert failed == expected
 
     @pytest.mark.parametrize(
         "reduced_text, cert_text, flags, expected",

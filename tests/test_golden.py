@@ -11,11 +11,18 @@ import random
 
 import pytest
 
-from regmis.graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph
+from regmis.graph import Graph, complete_graph
 from regmis.io import serialize_graph
 from regmis.reduction import reduce_to_regular, regularize, regularize_planar
 
-from conftest import grid_with_diagonals, random_graph_max_degree, sparse_max_degree_graph
+from conftest import (
+    cycle_graph,
+    empty_graph,
+    grid_with_diagonals,
+    path_graph,
+    random_graph_max_degree,
+    sparse_max_degree_graph,
+)
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 MAX_DEGREE_4 = random_graph_max_degree(random.Random(3), 12, 4)

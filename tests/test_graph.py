@@ -7,15 +7,12 @@ from regmis.graph import (
     Graph,
     GraphError,
     complete_graph,
-    cycle_graph,
-    empty_graph,
     is_independent_set,
-    path_graph,
     star_graph,
     triangle_count,
 )
 
-from conftest import disjoint_union, random_graph
+from conftest import cycle_graph, disjoint_union, empty_graph, path_graph, random_graph
 
 
 def edge_lists(max_n=12):

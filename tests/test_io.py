@@ -6,10 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regmis import io
-from regmis.graph import Graph, GraphError, complete_graph, path_graph
+from regmis.graph import Graph, GraphError, complete_graph
 from regmis.io import parse_graph, serialize_graph
 
-from conftest import TEXT_EDITS, edit_canonical, random_graph
+from conftest import TEXT_EDITS, edit_canonical, path_graph, random_graph
 
 
 def test_parse_dimacs_path():

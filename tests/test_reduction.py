@@ -19,9 +19,7 @@ from regmis.graph import (
     GraphError,
     InfeasibleError,
     complete_graph,
-    cycle_graph,
     is_independent_set,
-    path_graph,
     star_graph,
     triangle_count,
 )
@@ -38,7 +36,7 @@ from regmis.reduction import (
 from regmis.solvers import mis_branch_bound, mis_bruteforce
 from regmis.verify import PASS, verify_all
 
-from conftest import grid_with_diagonals, random_graph_max_degree
+from conftest import cycle_graph, grid_with_diagonals, path_graph, random_graph_max_degree
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 

@@ -9,9 +9,7 @@ from regmis.graph import (
     Graph,
     GraphError,
     complete_graph,
-    cycle_graph,
     is_independent_set,
-    path_graph,
 )
 from regmis.reduction import reduce_to_regular
 from regmis.solvers import (
@@ -25,7 +23,7 @@ from regmis.solvers import (
     solve_mis,
 )
 
-from conftest import alpha_by_enumeration, check_result, random_cubic_graph, random_graph
+from conftest import alpha_by_enumeration, check_result, cycle_graph, path_graph, random_cubic_graph, random_graph
 
 PETERSEN = Graph.from_edges(
     10,

@@ -11,9 +11,6 @@ from regmis.graph import (
     Graph,
     GraphError,
     complete_graph,
-    cycle_graph,
-    empty_graph,
-    path_graph,
     star_graph,
 )
 from regmis.reduction import (
@@ -42,7 +39,7 @@ from regmis.verify import (
 )
 from regmis.io import serialize_graph
 
-from conftest import disjoint_union
+from conftest import cycle_graph, disjoint_union, empty_graph, path_graph
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -125,6 +122,18 @@ class TestCheckCertificate:
         assert check_certificate(g, gp, cert).overall == PASS
 
 
+def failed_checks(report):
+    """The failing checks of ``report``, by name, with their details."""
+    return {c.name: c.detail for c in report.checks if c.status == FAIL}
+
+
+def first_difference(forged, cert, i):
+    """gadget-counts' detail when ``forged``'s gadget list first differs
+    from ``cert``'s canonical one at entry ``i``."""
+    got, want = (str(verify._GADGET_FIELDS(c.gadgets[i])) if i < len(c.gadgets) else "none" for c in (forged, cert))
+    return f"gadgets[{i}] is {got}, the canonical layout has {want} (owner, index, kind, delta, id_offset, size)"
+
+
 class TestMutationDetection:
     """Every verifier check must fail under its designated single-edit
     mutation (100% kill rate on this set)."""
@@ -171,24 +180,19 @@ class TestMutationDetection:
         forged = rehash(cert, g_prime=mutated)
         assert check_planarity_necessary(mutated, forged).status == FAIL
 
-    def test_overlapping_ranges_kill_blueprints(self, pipeline):
+    def test_overlapping_ranges_kill_gadget_counts(self, pipeline):
         g, gp, cert = pipeline
-        g1 = cert.gadgets[0]
-        forged = replace_gadget(cert, 1, id_offset=g1.id_offset)
+        forged = replace_gadget(cert, 1, id_offset=cert.gadgets[0].id_offset)
         report = check_certificate(g, gp, forged)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["gadget-blueprints"].status == FAIL
-        assert f"gadget at {g1.id_offset} overlaps" in by_name["gadget-blueprints"].detail
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
 
-    def test_range_past_reduced_graph_kills_blueprints(self, pipeline):
+    def test_range_past_reduced_graph_kills_gadget_counts(self, pipeline):
         g, gp, cert = pipeline
         forged = replace_gadget(cert, 1, id_offset=gp.n - 1)
         report = check_certificate(g, gp, forged)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["gadget-blueprints"].status == FAIL
-        assert "lies outside" in by_name["gadget-blueprints"].detail
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
 
-    def test_dropped_gadget_kills_tiling(self, pipeline):
+    def test_dropped_gadget_kills_gadget_counts(self, pipeline):
         g, gp, cert = pipeline
         forged = dataclasses.replace(
             cert,
@@ -196,9 +200,7 @@ class TestMutationDetection:
             total_offset=cert.total_offset - cert.per_gadget_alpha,
         )
         report = check_certificate(g, gp, forged)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["gadget-blueprints"].status == FAIL
-        assert "do not tile" in by_name["gadget-blueprints"].detail
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
 
     def test_ports_joined_to_each_other_kill_attachment(self, pipeline):
         g, gp, cert = pipeline
@@ -214,8 +216,7 @@ class TestMutationDetection:
         g, gp, cert = pipeline
         forged = replace_gadget(cert, 0, index=index)
         report = verify_all(g, gp, forged)
-        assert [c.name for c in report.checks if c.status == FAIL] == ["gadget-counts"]
-        assert "not numbered 1..k" in {c.name: c.detail for c in report.checks}["gadget-counts"]
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 0)}
 
     def test_edge_between_gadgets_kills_attachment(self, pipeline):
         g, gp, cert = pipeline
@@ -236,14 +237,12 @@ class TestMutationDetection:
         assert report.overall == FAIL
         assert [c.name for c in report.checks if c.status != PASS] == ["gadget-alpha"]
 
-    def test_mixed_deltas_kill_gadget_alpha(self):
+    def test_mixed_deltas_kill_gadget_counts(self):
         g = K4_MINUS_EDGE
         gp, cert = regularize(g, 5)
         forged = replace_gadget(cert, 0, delta=3)
         report = check_certificate(g, gp, forged)
-        by_name = {c.name: c.status for c in report.checks}
-        assert by_name["gadget-alpha"] == FAIL
-        assert by_name["gadget-blueprints"] == FAIL
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 0)}
 
     @pytest.mark.parametrize(
         "forge",
@@ -484,9 +483,9 @@ class TestUntrustedCertificate:
         g, gp, cert = planar_pipeline
         forged = replace_gadget(cert, 1, id_offset=gp.n - 1)
         report = verify_all(g, gp, forged)
-        by_name = {c.name: c.status for c in report.checks}
-        assert by_name["gadget-blueprints"] == FAIL
-        assert by_name["planarity-necessary"] == FAIL
+        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
+        # G' itself is the model, so its planarity conditions hold
+        assert {c.name: c.status for c in report.checks}["planarity-necessary"] == PASS
 
 
 class TestLinearWork:
@@ -847,7 +846,10 @@ REPORT_LAYOUT = (
 
 # (input, with_oracle) -> status initials (pass, fail, skipped) in
 # REPORT_LAYOUT order, recorded when triangle-preservation still
-# enumerated the triangles of G and G'.
+# enumerated the triangles of G and G'.  The inputs whose certificate lists
+# a non-canonical gadget layout or names a gadget without a closed-form
+# size were recorded again once the gadget list was compared whole with
+# the verifier's model of G'.
 ENUMERATED_REPORTS = {
     ("honest-general", False): "ppppppppppss",
     ("honest-general", True): "ppppppppppspp",
@@ -859,27 +861,29 @@ ENUMERATED_REPORTS = {
     ("port-rewire", False): "fpppfpppppss",
     ("edge-among-originals", False): "fffppppppfss",
     ("planar-gadget-chord", False): "fpppfppppsfs",
-    ("overlapping-ranges", False): "pppfppppspss",
-    ("range-past-reduced-graph", False): "pppfppppspss",
-    ("planar-range-past-reduced-graph", False): "pppfppppssfs",
-    ("dropped-gadget", False): "pppfpffpspss",
+    ("overlapping-ranges", False): "pppppfppppss",
+    ("range-past-reduced-graph", False): "pppppfppppss",
+    ("planar-range-past-reduced-graph", False): "pppppfpppsps",
+    ("dropped-gadget", False): "pppppfppppss",
     ("ports-joined", False): "pffpffpppfss",
     ("edge-between-gadgets", False): "fpppfpppppss",
     ("forged-gadget-alpha-general", False): "ppppppppfpss",
     ("forged-gadget-alpha-planar", False): "ppppppppfsps",
-    ("mixed-deltas", False): "pppfppppfpss",
-    ("even-degree", False): "fppfpffpspss",
-    ("unknown-kind", False): "pppfppfpssss",
+    ("mixed-deltas", False): "pppppfppppss",
+    ("even-degree", False): "fppfssfpspss",
+    ("unknown-kind", False): "pppfssfpssss",
     ("extra-triangle", False): "fppfppppsfss",
 }
 
 
 def derived_statuses(enumerated):
     """The enumerating check's report with triangle preservation derived:
-    it fails wherever padding-steps, gadget-blueprints or port-attachment
-    did not pass, since the triangle count then cannot be derived."""
+    it fails wherever padding-steps, gadget-blueprints, port-attachment or
+    size-bound did not pass, since G' then is not known to be the model
+    the triangle count is derived from."""
     t = REPORT_LAYOUT.index("triangle-preservation")
-    if enumerated[t] == "p" and enumerated[2:5] != "ppp":  # padding-steps .. port-attachment
+    structure = enumerated[2:5] + enumerated[REPORT_LAYOUT.index("size-bound")]
+    if enumerated[t] == "p" and structure != "pppp":  # padding-steps .. port-attachment, size-bound
         return enumerated[:t] + "f" + enumerated[t + 1 :]
     return enumerated
 
@@ -899,3 +903,100 @@ class TestReportLayout:
 
     def test_every_input_pinned(self):
         assert {name for name, _ in ENUMERATED_REPORTS} == set(REPORT_INPUTS)
+
+
+# The inputs of REPORT_INPUTS that forge only the certificate: their G' is
+# the honest reduction.  Two have no closed-form gadget size, so there is
+# no model of G' to regenerate, and the parse path answers for them.
+CERT_ONLY_INPUTS = (
+    "offset-plus-one", "overlapping-ranges", "range-past-reduced-graph",
+    "planar-range-past-reduced-graph", "dropped-gadget", "forged-gadget-alpha-general",
+    "forged-gadget-alpha-planar", "mixed-deltas", "even-degree", "unknown-kind",
+)
+WITHOUT_MODEL = {"even-degree", "unknown-kind"}
+
+
+def _padded():
+    return (cycle_graph(4), *reduce_to_regular(cycle_graph(4), 5))
+
+
+def _owner_swap(cert, gp):
+    """The first gadget and the first gadget of another owner swap owners."""
+    first = cert.gadgets[0]
+    i = next(i for i, gi in enumerate(cert.gadgets) if gi.owner != first.owner)
+    return replace_gadget(replace_gadget(cert, 0, owner=cert.gadgets[i].owner), i, owner=first.owner)
+
+
+def _step_offset(cert, gp):
+    """The first step's offset and the total offset, each one higher."""
+    first = dataclasses.replace(cert.steps[0], alpha_offset=cert.steps[0].alpha_offset + 1)
+    return dataclasses.replace(cert, steps=(first,) + cert.steps[1:], total_offset=cert.total_offset + 1)
+
+
+# the three forgeries of the benchmark's verify runs, each on honest G'
+BENCH_FORGERIES = {
+    "owner-swap-general": lambda: _forged_cert(_general, _owner_swap),
+    "owner-swap-padded": lambda: _forged_cert(_padded, _owner_swap),
+    "owner-swap-planar": lambda: _forged_cert(_planar, _owner_swap),
+    "step-offset-padded": lambda: _forged_cert(_padded, _step_offset),
+    "per-gadget-alpha-padded": lambda: _forged_cert(_padded, _forged_alpha),
+}
+
+
+@pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
+@pytest.mark.parametrize("name", CERT_ONLY_INPUTS + tuple(BENCH_FORGERIES))
+def test_certificate_only_forgery_gets_the_parse_paths_report(name, fmt):
+    """On canonical G' text the regeneration path answers whatever the
+    certificate's gadget list says, with verify_all's report."""
+    g, gp, cert = {**REPORT_INPUTS, **BENCH_FORGERIES}[name]()
+    report = regenerated(g, gp, cert, fmt)
+    if name in WITHOUT_MODEL:
+        assert report is None
+    else:
+        assert report is not None and report == verify_all(g, gp, cert)
+        assert report.overall == FAIL
+
+
+def with_layout(g, d, entries):
+    """``g`` with a general gadget block for degree ``d`` per (owner, index)
+    of ``entries``, the blocks in that order from ``g.n`` and each hanging
+    off its owner by its port, and regularize's certificate listing them so."""
+    blueprint = gadgets.build_gadget(GENERAL, d)[0]
+    size, edges, listed = blueprint.n, list(g.edges()), []
+    for j, (owner, index) in enumerate(entries):
+        off = g.n + j * size
+        edges += [(off + u, off + v) for u, v in blueprint.edges()] + [(owner, off + size - 1)]
+        listed.append(reduction.GadgetInstance(owner, index, GENERAL, d, off, size))
+    gp = Graph.from_edges(g.n + len(entries) * size, edges)
+    _, cert = regularize(g, d)
+    return g, gp, rehash(dataclasses.replace(cert, gadgets=tuple(listed)), g_prime=gp)
+
+
+# P3 at degree 3: deficiencies 2, 1, 2
+CANONICAL_LAYOUT = [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2)]
+GADGET_ORDERS = {
+    "index-order": [(0, 2), (0, 1), (1, 1), (2, 1), (2, 2)],
+    "owners-descending": [(2, 1), (2, 2), (1, 1), (0, 1), (0, 2)],
+}
+
+
+class TestCanonicalLayoutTradeOff:
+    """The verifier accepts only the canonical gadget layout: a G' built with
+    its gadget blocks in another order, and a certificate that lists that
+    order, fail even where the alpha relation holds."""
+
+    def test_canonical_layout_is_regularize_output(self):
+        g = path_graph(3)
+        assert with_layout(g, 3, CANONICAL_LAYOUT) == (g, *regularize(g, 3))
+
+    @pytest.mark.parametrize("layout", sorted(GADGET_ORDERS))
+    def test_correct_reduction_in_another_order_fails(self, layout):
+        g, gp, cert = with_layout(path_graph(3), 3, GADGET_ORDERS[layout])
+        assert mis_branch_bound(gp).alpha == mis_branch_bound(g).alpha + cert.total_offset
+        _, _, canonical = with_layout(g, 3, CANONICAL_LAYOUT)
+        failed = failed_checks(verify_all(g, gp, cert))
+        assert failed.pop("gadget-counts") == first_difference(cert, canonical, 0)
+        if layout == "index-order":  # the same G': blocks of one owner are alike
+            assert failed == {}
+        else:  # each block hangs off another owner than the model's
+            assert set(failed) == {"port-attachment", "triangle-preservation"}

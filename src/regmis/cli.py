@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification pass, 1 verification fail or
-infeasible request, 2 malformed input, 3 solver budget exhausted.
+infeasible request, 2 malformed input or a file that cannot be opened,
+3 solver budget exhausted.
 """
 
 from __future__ import annotations
@@ -10,19 +11,14 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
 from .graph import Graph, GraphError, InfeasibleError, triangle_count
 from .io import FORMATS, parse_graph, serialize_graph, sniff_format
-from .reduction import (
-    ReductionCertificate,
-    recover,
-    recover_canonical,
-    reduce_to_regular,
-    regularize_planar,
-)
+from .reduction import ReductionCertificate, plan_reduction, recover, recover_canonical
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_all, verify_canonical
 
@@ -58,11 +54,14 @@ def _read_solution(path: str) -> list[int]:
     return ids
 
 
+def _output(path: Optional[str]) -> ContextManager[TextIO]:
+    """The text file at ``path`` opened for writing, or stdout (left open)."""
+    return nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
+
+
 def _write(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    with _output(path) as out:
+        out.write(text)
 
 
 def _limits(args: argparse.Namespace) -> SolverLimits:
@@ -131,14 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
+    """G' is written from the plan as it is rendered and never built; a
+    rejected request opens no output."""
     if args.planar and args.strict:
         raise GraphError("--strict applies to --degree only; the planar pipeline never parity-fixes")
-    g = _read_graph(args.input, args.format)
-    if args.planar:
-        g_prime, cert = regularize_planar(g)
-    else:
-        g_prime, cert = reduce_to_regular(g, args.degree, strict=args.strict)
-    _write(args.output, serialize_graph(g_prime, args.out_format))
+    plan = plan_reduction(_read_graph(args.input, args.format), args.degree, args.planar, args.strict)
+    with _output(args.output) as out:
+        cert = plan.write(out, args.out_format)
     _write(args.cert, cert.to_json())
     return EXIT_OK
 
@@ -256,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

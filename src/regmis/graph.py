@@ -1,8 +1,9 @@
 """Immutable undirected simple graph with dense 0-based vertex ids.
 
-Every graph on the parse, regularize, verify and recover path is built in
-one pass straight into its sorted adjacency tuples (see ``io`` and
-``reduction``); :meth:`Graph.from_edges` is for the small named graphs,
+A parsed graph and the library's reduced graph are each built in one pass
+straight into their sorted adjacency tuples (see ``io`` and ``reduction``).
+The CLI's regularize builds no reduced graph, nor do its verify and recover
+on canonical text.  :meth:`Graph.from_edges` is for the small named graphs,
 the padding components and the gadget blueprints.  The whole-graph queries
 below each make one pass over the adjacency.
 

@@ -5,15 +5,17 @@ degree is even), star padding (when targeting a degree above the current
 maximum), then gadget attachment on every deficient vertex.  Original
 vertices always occupy ids 0..source_n-1 of the result, padding vertices
 come next, and gadget blocks are allocated in (owner id, gadget index)
-order, so results are reproducible byte for byte.
+order, so results are reproducible byte for byte.  The pipeline ends at a
+:class:`Plan`, from which the library builds G' and the CLI writes its text.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from operator import and_
-from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Set, TextIO, Tuple
 
 from . import gadgets
 from .graph import (
@@ -21,17 +23,20 @@ from .graph import (
     Graph,
     GraphError,
     InfeasibleError,
+    Row,
     check_ids,
     complete_graph,
     content_digest,
+    edge_runs,
     hash_text,
     is_independent_set,
     star_graph,
 )
-from .io import NotCanonical, canonical_edges, file_chunks
+from .io import NotCanonical, canonical_edges, edge_text, file_chunks, header
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
+_BLOCKS_PER_RENDER = 64  # gadget blocks written and hashed at a time
 
 
 @dataclass(frozen=True)
@@ -94,36 +99,13 @@ class ReductionCertificate:
         return self.gadgets[0].kind if self.gadgets else gadgets.GENERAL
 
     def to_json(self) -> str:
-        doc = {
-            "target_degree": self.target_degree,
-            "source_n": self.source_n,
-            "steps": [
-                {
-                    "kind": s.kind,
-                    "start": s.start,
-                    "end": s.end,
-                    "alpha_offset": s.alpha_offset,
-                }
-                for s in self.steps
-            ],
-            "gadgets": [
-                {
-                    "owner": gi.owner,
-                    "index": gi.index,
-                    "kind": gi.kind,
-                    "delta": gi.delta,
-                    "id_offset": gi.id_offset,
-                    "size": gi.size,
-                    "port": gi.port,
-                }
-                for gi in self.gadgets
-            ],
-            "per_gadget_alpha": self.per_gadget_alpha,
-            "total_offset": self.total_offset,
-            "origin_range": list(self.origin_range),
-            "source_hash": self.source_hash,
-            "result_hash": self.result_hash,
-        }
+        """The fields as JSON keys, each gadget with its port, and ``origin_range``."""
+        doc = dict(
+            vars(self),
+            steps=[vars(s) for s in self.steps],
+            gadgets=[{**vars(gi), "port": gi.port} for gi in self.gadgets],
+            origin_range=list(self.origin_range),
+        )
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @staticmethod
@@ -177,9 +159,50 @@ def _pad(rows: list, kind: str, component: Graph, alpha_offset: int) -> Reductio
     return ReductionStep(kind, start, len(rows), alpha_offset)
 
 
-def _reduce(
-    source: Graph, delta: int, kind: str, pad: bool = False, strict: bool = False
-) -> Tuple[Graph, ReductionCertificate]:
+class Plan(NamedTuple):
+    """A reduction before G' exists: the padded rows with their ports
+    appended, the certificate with an empty ``result_hash``, and the gadget
+    blueprint.  G' is these rows, then the blueprint at each gadget's block."""
+
+    rows: list[Row]
+    cert: ReductionCertificate
+    blueprint: Graph
+
+    def build(self) -> Tuple[Graph, ReductionCertificate]:
+        """G' as a :class:`Graph`, and its certificate."""
+        rows = list(self.rows)
+        *inner, port_row = self.blueprint.adjacency  # the port is the last id
+        for gi in self.cert.gadgets:  # the owner is below the block, so it comes first in the port's row
+            shift = gi.id_offset.__add__
+            rows += [tuple(map(shift, r)) for r in inner]
+            rows.append((gi.owner,) + tuple(map(shift, port_row)))
+        result = Graph(len(rows), tuple(rows))
+        return result, replace(self.cert, result_hash=result.content_hash())
+
+    def write(self, out: TextIO, fmt: str) -> ReductionCertificate:
+        """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
+        certificate, never building G': each run of rows, then each tile of
+        blocks, is rendered once for ``out`` and once for the content hash."""
+        rows, cert, blueprint = self
+        count, size = len(cert.gadgets), blueprint.n
+        n = len(rows) + count * size
+        out.write(header(fmt, n, n * cert.target_degree // 2))  # G' is d-regular
+        block = EdgeLines(blueprint.adjacency).ends  # the port's edge to its owner is in the owner's row
+        tile = [x + b * size for b in range(_BLOCKS_PER_RENDER) for x in block]
+        tiles = (  # the last tile is cut to the blocks that remain
+            (EdgeLines.from_ends(tile[: len(block) * (count - b)]), len(rows) + b * size)
+            for b in range(0, count, _BLOCKS_PER_RENDER)
+        )
+
+        def texts() -> Iterator[str]:
+            for lines, shift in chain(zip(edge_runs(rows), repeat(0)), tiles):
+                out.write(edge_text(fmt, lines, shift))
+                yield hash_text(lines, shift)
+
+        return replace(cert, result_hash=content_digest(n, texts()))
+
+
+def _reduce(source: Graph, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
     """The one reduction pipeline behind every entry point.
 
     Checks the target against the source's maximum degree Δ, walked once.
@@ -187,9 +210,9 @@ def _reduce(
     components' rows follow the source's: a K_{Δ+2} when Δ is even (its
     degree Δ+1 is odd and at most ``delta``; offset 1), then a star with
     ``delta`` leaves (offset ``delta``) when the maximum is still below
-    ``delta``.  One gadget of ``kind`` is then attached per unit of
+    ``delta``.  One gadget of ``kind`` is then planned per unit of
     deficiency, with no edge list: each padded row gains its ports, and
-    each gadget block is the blueprint's rows shifted to its offset.
+    each gadget block will be the blueprint's rows shifted to its offset.
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
@@ -210,7 +233,6 @@ def _reduce(
     gadget_delta = delta if kind == gadgets.GENERAL else None
     blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
-    *inner, port_row = blueprint.adjacency  # the port is the last id
     instances = []
     nid = len(rows)  # a padded vertex's ports are ascending and above every padded id
     for v, row in enumerate(rows):
@@ -220,14 +242,9 @@ def _reduce(
             for j in range(1, deficiency + 1):
                 instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
                 nid += size
-    for gi in instances:  # the owner is below the block, so it comes first in the port's row
-        shift = gi.id_offset.__add__
-        rows += [tuple(map(shift, r)) for r in inner]
-        rows.append((gi.owner,) + tuple(map(shift, port_row)))
-    result = Graph(nid, tuple(rows))
 
     per_gadget_alpha = layout.internal_alpha
-    return result, ReductionCertificate(
+    return Plan(rows, ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
         steps=tuple(steps),
@@ -235,8 +252,16 @@ def _reduce(
         per_gadget_alpha=per_gadget_alpha,
         total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
         source_hash=source.content_hash(),
-        result_hash=result.content_hash(),
-    )
+        result_hash="",
+    ), blueprint)
+
+
+def plan_reduction(g: Graph, delta: Optional[int], planar: bool = False, strict: bool = False) -> Plan:
+    """The plan of :func:`regularize_planar` when ``planar`` (``delta`` is
+    then unused), else of :func:`reduce_to_regular`."""
+    if planar:
+        return _reduce(g, 5, gadgets.PLANAR5)
+    return _reduce(g, delta, gadgets.GENERAL, pad=True, strict=strict)
 
 
 def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
@@ -245,21 +270,21 @@ def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
     Adds no padding, so the input's maximum degree must be at most
     ``delta``; use :func:`reduce_to_regular` for the full pipeline.
     """
-    return _reduce(g, delta, gadgets.GENERAL)
+    return _reduce(g, delta, gadgets.GENERAL).build()
 
 
 def regularize_planar(g: Graph) -> Tuple[Graph, ReductionCertificate]:
     """5-regularize with the planar gadget; planarity of the input is the
     caller's responsibility and is preserved structurally (each gadget is
     planar and hangs off a single cut edge)."""
-    return _reduce(g, 5, gadgets.PLANAR5)
+    return plan_reduction(g, 5, planar=True).build()
 
 
 def reduce_to_regular(
     g: Graph, delta: int, strict: bool = False
 ) -> Tuple[Graph, ReductionCertificate]:
     """Full pipeline: parity fix, star padding, gadget attachment."""
-    return _reduce(g, delta, gadgets.GENERAL, pad=True, strict=strict)
+    return plan_reduction(g, delta, strict=strict).build()
 
 
 # ---------------------------------------------------------------------------

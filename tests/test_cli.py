@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import random
 import warnings
 
 import pytest
@@ -10,11 +11,12 @@ from regmis import cli, gadgets, verify
 from regmis import io as graph_io
 from regmis.cli import main
 from regmis.graph import Graph, GraphError, complete_graph
-from regmis.io import parse_graph, serialize_graph
+from regmis.io import FORMATS, parse_graph, serialize_graph
 from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
 from regmis.verify import verify_all
 
-from conftest import TEXT_EDITS, cycle_graph, edit_canonical, path_graph
+from conftest import TEXT_EDITS, cycle_graph, edit_canonical, empty_graph, grid_with_diagonals, path_graph
+from test_golden import CASES as GOLDEN_CASES, GRID_12, MAX_DEGREE_4, MEDIUM_MAX_DEGREE_4
 from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, with_layout
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -61,20 +63,35 @@ class TestRegularize:
         assert outputs[0] == outputs[1]
 
     def test_even_degree_rejected(self, k4e_file, capsys, tmp_path):
+        out = tmp_path / "x.col"
         code, _, err = run(
             capsys, "regularize", k4e_file, "--degree", "4",
-            "--output", tmp_path / "x.col", "--cert", tmp_path / "x.json",
+            "--output", out, "--cert", tmp_path / "x.json",
         )
         assert code == 2
+        assert not out.exists()
 
     def test_strict_mode_rejects_even_max_degree(self, tmp_path, capsys):
         c4 = tmp_path / "c4.col"
         c4.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+        out = tmp_path / "x.col"
         code, _, _ = run(
             capsys, "regularize", c4, "--degree", "3", "--strict",
-            "--output", tmp_path / "x.col", "--cert", tmp_path / "x.json",
+            "--output", out, "--cert", tmp_path / "x.json",
         )
         assert code == 1
+        assert not out.exists()
+
+    def test_degree_below_max_degree_rejected(self, tmp_path, capsys):
+        k5 = tmp_path / "k5.col"
+        k5.write_text(serialize_graph(complete_graph(5), "dimacs-col"))
+        out = tmp_path / "x.col"
+        code, _, err = run(
+            capsys, "regularize", k5, "--degree", "3", "--output", out, "--cert", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert err == "error: maximum degree 4 exceeds target degree 3\n"
+        assert not out.exists()
 
     def test_degree_or_planar_required(self, k4e_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -123,6 +140,92 @@ class TestRegularize:
         )
         assert code == 0
         assert json.loads(cert.read_text())["total_offset"] == 64
+
+
+# the source and flags of each golden case as `regmis regularize` is given them;
+# K4 minus an edge has odd maximum degree 3, so --degree 3 adds no padding
+GOLDEN_SOURCES = {
+    "k4e-regularize-3": (K4_MINUS_EDGE, ["--degree", "3"]),
+    "c4-reduce-5": (cycle_graph(4), ["--degree", "5"]),
+    "p3-reduce-5": (path_graph(3), ["--degree", "5"]),
+    "empty-reduce-3": (empty_graph(0), ["--degree", "3"]),
+    "max-degree-4-reduce-7": (MAX_DEGREE_4, ["--degree", "7"]),
+    "k4-planar": (complete_graph(4), ["--planar"]),
+    "medium-max-degree-4-reduce-5": (MEDIUM_MAX_DEGREE_4, ["--degree", "5"]),
+    "grid-12-planar": (GRID_12, ["--planar"]),
+    "k4-reduce-7": (complete_graph(4), ["--degree", "7"]),
+    "empty-3-reduce-3": (empty_graph(3), ["--degree", "3"]),
+}
+
+
+def test_every_golden_case_has_a_cli_source():
+    assert GOLDEN_SOURCES.keys() == GOLDEN_CASES.keys()
+
+
+@pytest.mark.parametrize("output", ["file", "-", None])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+def test_cli_bytes_equal_library_bytes(tmp_path, capsys, name, fmt, output):
+    """The G' that `regmis regularize` streams, to a file or to stdout, is
+    the library's G' serialized, and its certificate the library's."""
+    source, flags = GOLDEN_SOURCES[name]
+    gp, cert = GOLDEN_CASES[name][0]()
+    src, out, cert_path = tmp_path / "g.col", tmp_path / "gp", tmp_path / "cert.json"
+    src.write_text(serialize_graph(source, "dimacs-col"))
+    target = {"file": ["--output", out], "-": ["--output", "-"], None: []}[output]
+    code, stdout, err = run(capsys, "regularize", src, *flags, "--out-format", fmt, *target, "--cert", cert_path)
+    assert (code, err) == (0, "")
+    written = out.read_bytes() if output == "file" else stdout.encode()
+    assert written == serialize_graph(gp, fmt).encode()
+    assert stdout == ("" if output == "file" else written.decode())
+    assert cert_path.read_bytes() == cert.to_json().encode()
+
+
+def test_regularize_builds_no_reduced_graph(tmp_path, capsys, monkeypatch):
+    """`regmis regularize` writes G' from the reduction plan: no graph with
+    more vertices than the source is built and nothing is serialized; the
+    output still verifies and recovers."""
+    source = grid_with_diagonals(random.Random(5), 18, cap=4)  # the 324 vertices of TestSinglePassConstruction
+    src = tmp_path / "g.col"
+    src.write_text(serialize_graph(source, "dimacs-col"))
+    real_init = Graph.__post_init__
+
+    def no_larger_graph(self):
+        assert self.n <= source.n, f"a graph of {self.n} vertices was built"
+        real_init(self)
+
+    def no_serialize(g, fmt):
+        raise AssertionError("serialize_graph called")
+
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    for flags in (["--degree", "5"], ["--degree", "7"], ["--planar"]):
+        red, cert = tmp_path / "gp.col", tmp_path / "cert.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "__post_init__", no_larger_graph)
+            patch.setattr(cli, "serialize_graph", no_serialize)
+            patch.setattr(graph_io, "serialize_graph", no_serialize)
+            assert run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert) == (0, "", "")
+        code, out, _ = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert)
+        assert (code, json.loads(out)["overall"]) == (0, "pass")
+        code, out, _ = run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol)
+        assert (code, json.loads(out)["recovered"]) == (0, [0])
+
+
+@pytest.mark.parametrize("command", ["regularize --output", "regularize input", "verify --reduced"])
+def test_os_error_is_an_input_error(tmp_path, k4e_file, capsys, command):
+    """A path that cannot be opened as a file (here a directory) exits 2
+    with an error line, not a traceback."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "regularize --output": ["regularize", k4e_file, "--degree", "5", "--output", folder],
+        "regularize input": ["regularize", folder, "--degree", "5", "--output", tmp_path / "gp.col"],
+        "verify --reduced": ["verify", "--graph", k4e_file, "--reduced", folder, "--cert", tmp_path / "cert.json"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(folder) in err
 
 
 class TestSolve:

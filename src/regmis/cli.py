@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
-from .graph import Graph, GraphError, InfeasibleError, triangle_count
-from .io import FORMATS, parse_graph, serialize_graph, sniff_format
+from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
+from .io import FORMATS, parse_edges, parse_graph, serialize_graph, sniff_format
 from .reduction import ReductionCertificate, plan_reduction, recover, recover_canonical
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_all, verify_canonical
@@ -34,8 +34,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
-    return parse_graph(text, _format(path, fmt))
+    return parse_graph(_read_text(path), _format(path, fmt))
+
+
+def _read_edges(path: str, fmt: str) -> SortedEdges:
+    return parse_edges(_read_text(path), _format(path, fmt))
 
 
 def _format(path: str, fmt: str) -> str:
@@ -130,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
-    """G' is written from the plan as it is rendered and never built; a
-    rejected request opens no output."""
+    """G is read as its sorted edges, and G' is written from the plan as it
+    is rendered; neither is built.  A rejected request opens no output."""
     if args.planar and args.strict:
         raise GraphError("--strict applies to --degree only; the planar pipeline never parity-fixes")
-    plan = plan_reduction(_read_graph(args.input, args.format), args.degree, args.planar, args.strict)
+    plan = plan_reduction(_read_edges(args.input, args.format), args.degree, args.planar, args.strict)
     with _output(args.output) as out:
         cert = plan.write(out, args.out_format)
     _write(args.cert, cert.to_json())
@@ -158,10 +161,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """G' is compared with its regeneration without being parsed; a file
-    that is not the canonical text is parsed and checked row by row.
-    Input faults are reported in the order G, G', certificate, budget."""
-    g = _read_graph(args.graph, args.format)
+    """G is read as its sorted edges and G' compared with its regeneration
+    unparsed; a G' that is not the canonical text is parsed and checked row
+    by row.  Input faults are reported in the order G, G', certificate, budget."""
+    g = _read_edges(args.graph, args.format)
     with open(args.reduced, "rb") as reduced:
         try:
             cert = ReductionCertificate.from_json(_read_text(args.cert))
@@ -172,7 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_canonical(g, reduced, _format(args.reduced, args.format), cert, args.with_oracle, limits)
     if report is None:
         g_prime = _read_graph(args.reduced, args.format)
-        report = verify_all(g, g_prime, cert, with_oracle=args.with_oracle, limits=limits)
+        report = verify_all(g.graph(), g_prime, cert, with_oracle=args.with_oracle, limits=limits)
     print(report.to_json(), end="")
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 

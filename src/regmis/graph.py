@@ -2,10 +2,11 @@
 
 A parsed graph and the library's reduced graph are each built in one pass
 straight into their sorted adjacency tuples (see ``io`` and ``reduction``).
-The CLI's regularize builds no reduced graph, nor do its verify and recover
-on canonical text.  :meth:`Graph.from_edges` is for the small named graphs,
-the padding components and the gadget blueprints.  The whole-graph queries
-below each make one pass over the adjacency.
+The CLI's regularize and, on canonical text, its verify (but for the
+oracle) and recover build no graph of G or G': G is read as
+:class:`SortedEdges`.  :meth:`Graph.from_edges` is for the small named
+graphs, the padding components and the gadget blueprints.  The
+whole-graph queries below each make one pass over the adjacency.
 
 Text built from rows, the file formats' edge lines (``io``) and the content
 hash's, comes from one emitter, :class:`EdgeLines`.
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -136,6 +138,53 @@ def edge_runs(rows: Sequence[Row]) -> Iterator[EdgeLines]:
     """The edges of ``rows`` (row i is vertex i), a run of rows at a time."""
     for first in range(0, len(rows), _RUN):
         yield EdgeLines(rows[first : first + _RUN], first)
+
+
+def end_runs(ends: List[int]) -> Iterator[EdgeLines]:
+    """The edges of ``ends``, a run of ``_RUN`` edges at a time."""
+    return (EdgeLines.from_ends(ends[first : first + 2 * _RUN]) for first in range(0, len(ends), 2 * _RUN))
+
+
+def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:
+    """The sorted ``ends`` with each edge (u, w), w in ``ws``, after its last
+    (x, y) with x <= u, per ``(u, ws)`` of ``ports``: u and w ascending, w above ``ends``."""
+    us, out, done = ends[::2], [], 0
+    for u, ws in ports:
+        at = 2 * bisect_right(us, u, done // 2)
+        out += ends[done:at]  # in place: a concatenation would copy ``out`` again
+        out += [x for w in ws for x in (u, w)]
+        done = at
+    out += ends[done:]
+    return out
+
+
+def sorted_rows(n: int, ends: Iterable[int]) -> List[Row]:
+    """The rows of the graph on ``n`` vertices with the sorted edges ``ends``, built by appending."""
+    adj = defaultdict(list)
+    ends = iter(ends)
+    for u, v in zip(ends, ends):
+        adj[u].append(v)
+        adj[v].append(u)
+    rows: List[Row] = [()] * n
+    for v, row in adj.items():
+        rows[v] = tuple(row)
+    return rows
+
+
+class SortedEdges(NamedTuple):
+    """A graph as its vertex count, its edges as the sorted ``ends`` of
+    :class:`EdgeLines` and its :meth:`Graph.content_hash`."""
+
+    n: int
+    ends: List[int]
+    digest: str
+
+    @classmethod
+    def of(cls, g: Graph) -> "SortedEdges":
+        return cls(g.n, EdgeLines(g.adjacency).ends, g.content_hash())
+
+    def graph(self) -> Graph:
+        return Graph(self.n, tuple(sorted_rows(self.n, self.ends)))
 
 
 def hash_text(lines: EdgeLines, shift: int = 0) -> str:

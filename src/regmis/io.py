@@ -11,15 +11,16 @@ the serializer and the verifier's regeneration of G' both emit through them.
 header, then one edge line per edge with ``u < v``, strictly increasing,
 every id in range, and in DIMACS a header ``m`` equal to the number of
 edge lines.  There are two parse paths, and the text selects between them.
-:func:`parse_graph` first reads the text as canonical text
+:func:`parse_graph` and :func:`parse_edges` first read it as canonical text
 (:func:`canonical_edges`), a chunk of whole lines at a time with C-level
 passes: split, ``int``, re-render with the format's line template and
 compare, then order and range checks that carry the last edge across
-chunks.  Sorted edges give sorted rows, so the rows are built by
-appending, with no per-vertex sets and no sort.  At the first deviation
-the text goes to the line parser instead, which accepts comments, blank
-lines, any edge order and duplicates, and names the line of a fault.  On
-canonical text both paths give the same graph and no warning.
+chunks.  The checked chunks are the sorted edge list, which
+:func:`parse_edges` keeps and hashes and :func:`parse_graph` appends to
+rows.  At the first deviation the text goes to the line parser instead,
+which accepts comments, blank lines, any edge order and duplicates, and
+names the line of a fault.  On canonical text both paths give the same
+graph and no warning.
 
 The line parser is a single pass into per-vertex neighbour sets: each edge
 line is checked (self-loop, range, duplicate) and added as it is read, and
@@ -37,7 +38,9 @@ from itertools import chain, islice, repeat
 from operator import add, lt, mul
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .graph import EdgeLines, Graph, GraphError, edge_runs
+from .graph import (
+    EdgeLines, Graph, GraphError, SortedEdges, content_digest, edge_runs, end_runs, hash_text, sorted_rows
+)
 
 FORMATS = ("dimacs-col", "edge-list")
 # per format: an edge line's template and the id of vertex 0 in it
@@ -46,15 +49,23 @@ _CHUNK = 1 << 16  # most characters of whole lines the canonical reader checks a
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
-    if fmt not in _LINES:
-        raise GraphError(f"unknown graph format {fmt!r}")
     try:
-        return _parse_canonical(text, fmt)
+        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
+        return Graph(n, tuple(sorted_rows(n, chain.from_iterable(lines.ends for lines in runs))))
     except NotCanonical:
         pass
-    if fmt == "dimacs-col":
-        return _parse_dimacs(text)
-    return _parse_edge_list(text)
+    return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
+
+
+def parse_edges(text: str, fmt: str) -> SortedEdges:
+    """The graph of ``text`` as :class:`SortedEdges`, with no graph built on
+    canonical text; any other text is converted from :func:`parse_graph`."""
+    try:
+        n, runs = canonical_edges(text_chunks(text), fmt)
+        ends = list(chain.from_iterable(lines.ends for lines in runs))
+    except NotCanonical:
+        return SortedEdges.of(parse_graph(text, fmt))
+    return SortedEdges(n, ends, content_digest(n, map(hash_text, end_runs(ends))))
 
 
 def header(fmt: str, n: int, m: int) -> str:
@@ -179,17 +190,6 @@ def _ascii(piece: bytes) -> str:
         raise NotCanonical from None
 
 
-def _parse_canonical(text: str, fmt: str) -> Graph:
-    n, runs = canonical_edges(text_chunks(text), fmt)
-    adj = defaultdict(list)  # the edges come sorted, so each row is built in order
-    for lines in runs:
-        ends = iter(lines.ends)
-        for u, v in zip(ends, ends):
-            adj[u].append(v)
-            adj[v].append(u)
-    return _graph(n, adj, ordered=True)
-
-
 # -- the line parser ----------------------------------------------------------
 
 
@@ -205,13 +205,12 @@ def _check_edge(adj: Mapping, n: int, u: int, v: int, lineno: int) -> None:
         warnings.warn(f"line {lineno}: duplicate edge {key}, ignoring", stacklevel=3)
 
 
-def _graph(n: int, adj: Mapping[int, Iterable[int]], ordered: bool = False) -> Graph:
+def _graph(n: int, adj: Mapping[int, Iterable[int]]) -> Graph:
     """The graph on ``n`` vertices whose vertex ``v`` has the neighbours
-    ``adj[v]`` (already in order when ``ordered``); a vertex missing from
-    ``adj`` gets the one shared empty row."""
+    ``adj[v]``; a vertex missing from ``adj`` gets the one shared empty row."""
     rows = [()] * n
     for v, row in adj.items():
-        rows[v] = tuple(row if ordered else sorted(row))
+        rows[v] = tuple(sorted(row))
     return Graph(n, tuple(rows))
 
 

@@ -5,15 +5,16 @@ degree is even), star padding (when targeting a degree above the current
 maximum), then gadget attachment on every deficient vertex.  Original
 vertices always occupy ids 0..source_n-1 of the result, padding vertices
 come next, and gadget blocks are allocated in (owner id, gadget index)
-order, so results are reproducible byte for byte.  The pipeline ends at a
-:class:`Plan`, from which the library builds G' and the CLI writes its text.
+order, so results are reproducible byte for byte.  The pipeline reads G's
+sorted edges and ends at a :class:`Plan`, which G' is built or written from.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import and_
 from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Set, TextIO, Tuple
 
@@ -23,13 +24,15 @@ from .graph import (
     Graph,
     GraphError,
     InfeasibleError,
-    Row,
+    SortedEdges,
     check_ids,
     complete_graph,
     content_digest,
-    edge_runs,
+    end_runs,
     hash_text,
     is_independent_set,
+    sorted_rows,
+    splice,
     star_graph,
 )
 from .io import NotCanonical, canonical_edges, edge_text, file_chunks, header
@@ -37,6 +40,8 @@ from .io import NotCanonical, canonical_edges, edge_text, file_chunks, header
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
 _BLOCKS_PER_RENDER = 64  # gadget blocks written and hashed at a time
+_GADGET_KEYS = ("delta", "id_offset", "index", "kind", "owner", "port", "size")  # sorted
+_GADGET_JSON = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _GADGET_KEYS)
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,15 @@ class ReductionCertificate:
         return self.gadgets[0].kind if self.gadgets else gadgets.GENERAL
 
     def to_json(self) -> str:
-        """The fields as JSON keys, each gadget with its port, and ``origin_range``."""
-        doc = dict(
-            vars(self),
-            steps=[vars(s) for s in self.steps],
-            gadgets=[{**vars(gi), "port": gi.port} for gi in self.gadgets],
-            origin_range=list(self.origin_range),
-        )
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """The fields, each gadget with its port, and ``origin_range``, as ``json.dumps(indent=2,
+        sort_keys=True)`` renders them; the gadgets skip its pure-Python encoder, a template each."""
+        doc = dict(vars(self), steps=[vars(s) for s in self.steps], gadgets=[], origin_range=list(self.origin_range))
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        kinds = {kind: json.dumps(kind) for kind in {gi.kind for gi in self.gadgets}}
+        entries = ",\n".join([_GADGET_JSON % (
+            "null" if gi.delta is None else gi.delta, gi.id_offset, gi.index, kinds[gi.kind], gi.owner, gi.port, gi.size
+        ) for gi in self.gadgets])
+        return text.replace('"gadgets": []', f'"gadgets": [\n{entries}\n  ]', 1) if entries else text
 
     @staticmethod
     def from_json(text: str) -> "ReductionCertificate":
@@ -151,117 +157,112 @@ def _int(value: object) -> int:
 # the pipeline
 
 
-def _pad(rows: list, kind: str, component: Graph, alpha_offset: int) -> ReductionStep:
-    """Append ``component``'s rows to ``rows``, shifted past the rows already
-    there, and return the step that records them."""
-    start = len(rows)
-    rows += [tuple(w + start for w in row) for row in component.adjacency]
-    return ReductionStep(kind, start, len(rows), alpha_offset)
-
-
 class Plan(NamedTuple):
-    """A reduction before G' exists: the padded rows with their ports
-    appended, the certificate with an empty ``result_hash``, and the gadget
-    blueprint.  G' is these rows, then the blueprint at each gadget's block."""
+    """A reduction before G' exists: the sorted edges of G' below its first
+    block (the padded edges and the ports'), the certificate with an empty
+    ``result_hash``, and the gadget blueprint, which each block repeats."""
 
-    rows: list[Row]
+    ends: list[int]
     cert: ReductionCertificate
     blueprint: Graph
 
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
-        rows = list(self.rows)
+        n = self.cert.padded_n + len(self.cert.gadgets) * self.blueprint.n
+        rows = sorted_rows(n, self.ends)  # each port's row is its owner so far
         *inner, port_row = self.blueprint.adjacency  # the port is the last id
-        for gi in self.cert.gadgets:  # the owner is below the block, so it comes first in the port's row
+        for gi in self.cert.gadgets:
             shift = gi.id_offset.__add__
-            rows += [tuple(map(shift, r)) for r in inner]
-            rows.append((gi.owner,) + tuple(map(shift, port_row)))
-        result = Graph(len(rows), tuple(rows))
+            rows[gi.id_offset : gi.port] = [tuple(map(shift, r)) for r in inner]
+            rows[gi.port] += tuple(map(shift, port_row))
+        result = Graph(n, tuple(rows))
         return result, replace(self.cert, result_hash=result.content_hash())
 
     def write(self, out: TextIO, fmt: str) -> ReductionCertificate:
         """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
-        certificate, never building G': each run of rows, then each tile of
+        certificate, never building G': each run of edges, then each tile of
         blocks, is rendered once for ``out`` and once for the content hash."""
-        rows, cert, blueprint = self
-        count, size = len(cert.gadgets), blueprint.n
-        n = len(rows) + count * size
+        ends, cert, blueprint = self
+        count, size, first = len(cert.gadgets), blueprint.n, cert.padded_n
+        n = first + count * size
         out.write(header(fmt, n, n * cert.target_degree // 2))  # G' is d-regular
-        block = EdgeLines(blueprint.adjacency).ends  # the port's edge to its owner is in the owner's row
+        block = EdgeLines(blueprint.adjacency).ends  # the port's edge to its owner is in ``ends``
         tile = [x + b * size for b in range(_BLOCKS_PER_RENDER) for x in block]
         tiles = (  # the last tile is cut to the blocks that remain
-            (EdgeLines.from_ends(tile[: len(block) * (count - b)]), len(rows) + b * size)
+            (EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size)
             for b in range(0, count, _BLOCKS_PER_RENDER)
         )
 
         def texts() -> Iterator[str]:
-            for lines, shift in chain(zip(edge_runs(rows), repeat(0)), tiles):
+            for lines, shift in chain(zip(end_runs(ends), repeat(0)), tiles):
                 out.write(edge_text(fmt, lines, shift))
                 yield hash_text(lines, shift)
 
         return replace(cert, result_hash=content_digest(n, texts()))
 
 
-def _reduce(source: Graph, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
+def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
     """The one reduction pipeline behind every entry point.
 
-    Checks the target against the source's maximum degree Δ, walked once.
-    When ``pad`` is set and the source is not empty, the padding
-    components' rows follow the source's: a K_{Δ+2} when Δ is even (its
-    degree Δ+1 is odd and at most ``delta``; offset 1), then a star with
-    ``delta`` leaves (offset ``delta``) when the maximum is still below
-    ``delta``.  One gadget of ``kind`` is then planned per unit of
-    deficiency, with no edge list: each padded row gains its ports, and
-    each gadget block will be the blueprint's rows shifted to its offset.
+    Checks the target against the source's maximum degree Δ, counted once
+    from its edges.  When ``pad`` is set and the source is not empty, the
+    padding components' edges follow the source's: a K_{Δ+2} when Δ is
+    even (its degree Δ+1 is odd and at most ``delta``; offset 1), then a
+    star with ``delta`` leaves (offset ``delta``) when the maximum is still
+    below ``delta``.  One gadget of ``kind`` is then planned per unit of
+    deficiency: each padded vertex's port edges are spliced in after its
+    last edge, and each block will be the blueprint shifted to its offset.
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
-    top = source.max_degree()
+    degree = Counter(source.ends)
+    top = max(degree.values(), default=0)
     if top > delta:
         raise InfeasibleError(f"maximum degree {top} exceeds target degree {delta}")
-    rows = list(source.adjacency)
-    steps = []
+    steps, padding = [], []
     if pad and source.n:
-        if top % 2 == 0:
-            if strict:
-                raise InfeasibleError("input has even maximum degree and strict mode is on")
-            steps.append(_pad(rows, PARITY_FIX, complete_graph(top + 2), alpha_offset=1))
-            top += 1
-        if top < delta:
-            steps.append(_pad(rows, STAR_PAD, star_graph(delta), alpha_offset=delta))
+        if top % 2 == 0 and strict:
+            raise InfeasibleError("input has even maximum degree and strict mode is on")
+        pads = [(PARITY_FIX, complete_graph(top + 2), 1)] if top % 2 == 0 else []
+        if top + len(pads) < delta:  # a parity clique raises the maximum by one
+            pads.append((STAR_PAD, star_graph(delta), delta))
+        for step_kind, component, alpha_offset in pads:  # each component's ids follow the ids before it
+            start = steps[-1].end if steps else source.n
+            steps.append(ReductionStep(step_kind, start, start + component.n, alpha_offset))
+            padding += [x + start for x in EdgeLines(component.adjacency).ends]
+    degree.update(padding)
+    ends = source.ends + padding if padding else source.ends  # G's own list, copied only to append padding
 
     gadget_delta = delta if kind == gadgets.GENERAL else None
     blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
-    instances = []
-    nid = len(rows)  # a padded vertex's ports are ascending and above every padded id
-    for v, row in enumerate(rows):
-        deficiency = delta - len(row)
-        if deficiency > 0:
-            rows[v] = row + tuple(range(nid + size - 1, nid + deficiency * size, size))
-            for j in range(1, deficiency + 1):
-                instances.append(GadgetInstance(v, j, kind, gadget_delta, nid, size))
-                nid += size
+    nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
+    deficiency = [delta - k for k in map(degree.__getitem__, range(nid))]
+    instances, ports = [], []
+    for v, k in compress(enumerate(deficiency), deficiency):
+        ports.append((v, range(nid + size - 1, nid + k * size, size)))
+        instances += [GadgetInstance(v, j, kind, gadget_delta, nid + (j - 1) * size, size) for j in range(1, k + 1)]
+        nid += k * size
 
     per_gadget_alpha = layout.internal_alpha
-    return Plan(rows, ReductionCertificate(
+    return Plan(splice(ends, ports), ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
         steps=tuple(steps),
         gadgets=tuple(instances),
         per_gadget_alpha=per_gadget_alpha,
         total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
-        source_hash=source.content_hash(),
+        source_hash=source.digest,
         result_hash="",
     ), blueprint)
 
 
-def plan_reduction(g: Graph, delta: Optional[int], planar: bool = False, strict: bool = False) -> Plan:
+def plan_reduction(source: SortedEdges, delta: Optional[int], planar: bool = False, strict: bool = False) -> Plan:
     """The plan of :func:`regularize_planar` when ``planar`` (``delta`` is
     then unused), else of :func:`reduce_to_regular`."""
     if planar:
-        return _reduce(g, 5, gadgets.PLANAR5)
-    return _reduce(g, delta, gadgets.GENERAL, pad=True, strict=strict)
+        return _reduce(source, 5, gadgets.PLANAR5)
+    return _reduce(source, delta, gadgets.GENERAL, pad=True, strict=strict)
 
 
 def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
@@ -270,21 +271,21 @@ def regularize(g: Graph, delta: int) -> Tuple[Graph, ReductionCertificate]:
     Adds no padding, so the input's maximum degree must be at most
     ``delta``; use :func:`reduce_to_regular` for the full pipeline.
     """
-    return _reduce(g, delta, gadgets.GENERAL).build()
+    return _reduce(SortedEdges.of(g), delta, gadgets.GENERAL).build()
 
 
 def regularize_planar(g: Graph) -> Tuple[Graph, ReductionCertificate]:
     """5-regularize with the planar gadget; planarity of the input is the
     caller's responsibility and is preserved structurally (each gadget is
     planar and hangs off a single cut edge)."""
-    return plan_reduction(g, 5, planar=True).build()
+    return plan_reduction(SortedEdges.of(g), 5, planar=True).build()
 
 
 def reduce_to_regular(
     g: Graph, delta: int, strict: bool = False
 ) -> Tuple[Graph, ReductionCertificate]:
     """Full pipeline: parity fix, star padding, gadget attachment."""
-    return plan_reduction(g, delta, strict=strict).build()
+    return plan_reduction(SortedEdges.of(g), delta, strict=strict).build()
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,22 @@ never run a solver on the reduced graph; only the alpha-relation and
 port-exclusion checks do.  The gadget-alpha check reads the memoized exact
 alpha of the one gadget blueprint, and only once the blocks have matched it.
 
-One model of G' serves every check (:func:`_model`).  G, the steps, the
-target degree and the gadget kind fix it: the padded rows, one gadget per
-unit of deficiency in the canonical layout (owners ascending, ``index``
-1..deficiency, blocks contiguous from ``padded_n``, the port last) and the
-one blueprint.  The certificate's gadget list is compared with that layout
-whole, so only the canonical layout is accepted; every regmis certificate
-lists it.
+One model of G' serves every check (:func:`_model`).  G's sorted edges,
+the steps, the target degree and the gadget kind fix it: the padded edges,
+one gadget per unit of deficiency in the canonical layout (owners
+ascending, ``index`` 1..deficiency, blocks contiguous from ``padded_n``,
+the port last) and the one blueprint.  The certificate's gadget list is
+compared with that layout whole, so only the canonical layout is accepted;
+every regmis certificate lists it.
 
 Cost: :func:`check_certificate` is linear in |V'| + |E'|.  It compares
-G''s rows in place with the model's and builds no other graph.  Untrusted
-fields are bounded against G' first: a step's end and edge count before
-its rows, and the layout's size before the blueprint.
+G''s edges below ``source_n`` and ``padded_n`` with G's and the padded
+edges, and its block rows in place with the model's.  Untrusted fields
+are bounded against G' first: a step's end and edge count before its
+rows, and the layout's size before the blueprint.
 
 :func:`verify_canonical` needs no G' at all.  It regenerates the model's
-canonical text (the padded rows with their ports, then the blueprint at
+canonical text (the padded edges with the ports', then the blueprint at
 each block) and compares it with the file as the file is read, taking the
 content hash in the same pass; memory is O(|G| + #gadgets + blueprint).
 Its work is bounded by the file's length: a canonical G' is d-regular and
@@ -41,7 +42,9 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,10 +54,13 @@ from .graph import (
     GraphError,
     Row,
     EdgeLines,
+    SortedEdges,
     content_digest,
-    edge_runs,
+    end_runs,
     hash_text,
     is_independent_set,
+    sorted_rows,
+    splice,
     triangle_count,
 )
 from .io import edge_text, header
@@ -107,7 +113,7 @@ def check_regular(g: Graph, d: int) -> Check:
 
 
 # ---------------------------------------------------------------------------
-# the rows G' must have
+# the edges and rows G' must have
 
 
 def _step_rows(kind: str, start: int, size: int) -> List[Row]:
@@ -119,14 +125,14 @@ def _step_rows(kind: str, start: int, size: int) -> List[Row]:
     return [ids[1:]] + [(start,)] * (size - 1)
 
 
-def _padded_rows(g: Graph, cert: ReductionCertificate, n: int, m: int) -> List[Row]:
-    """G's rows, then each step's rows, built only once the step is
-    contiguous, of a known kind, adds at least one vertex (a star two),
-    ends inside G' and keeps the steps' edges within |E'|; else raises."""
-    rows, edges = list(g.adjacency), 0
+def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) -> Tuple[int, List[int]]:
+    """The padded vertex count, and G's edges then each step's, built once
+    the step is contiguous, of a known kind, adds at least one vertex (a
+    star two), ends inside G' and keeps the steps' edges within |E'|; else raises."""
+    count, padding, edges = g.n, [], 0
     for step in cert.steps:
         k = step.size
-        if step.start != len(rows):
+        if step.start != count:
             raise GraphError("certificate step ranges are not contiguous")
         if step.kind not in (PARITY_FIX, STAR_PAD):
             raise GraphError(f"unknown reduction step kind {step.kind!r}")
@@ -138,8 +144,9 @@ def _padded_rows(g: Graph, cert: ReductionCertificate, n: int, m: int) -> List[R
         edges += k * (k - 1) // 2 if step.kind == PARITY_FIX else k - 1
         if edges > m:
             raise GraphError(f"padding steps need {edges} edges, more than |E'|={m}")
-        rows += _step_rows(step.kind, step.start, k)
-    return rows
+        padding += EdgeLines(_step_rows(step.kind, step.start, k), step.start).ends
+        count = step.end
+    return count, g.ends + padding if padding else g.ends  # G's own list unless a step follows it
 
 
 def _block_rows(blueprint: Sequence[Row], off: int, owner: int) -> List[Row]:
@@ -155,12 +162,9 @@ def _split(row: Row, off: int, end: int) -> Tuple[List[int], List[int]]:
     return [x for x in row if off <= x < end], [x for x in row if not off <= x < end]
 
 
-def _rows_match_below(adjacency: Sequence[Row], expected: Sequence[Row], cut: int) -> bool:
-    """True iff each expected row (ids below ``cut``) is G''s row of its id cut at ``cut``."""
-    return len(expected) <= len(adjacency) and all(
-        row == want or (row[: len(want)] == want and row[len(want)] >= cut)
-        for row, want in zip(adjacency, expected)
-    )
+def _edges_below(adjacency: Sequence[Row], cut: int) -> List[int]:
+    """The sorted edges of G' (its rows ``adjacency``) among the ids below ``cut``."""
+    return EdgeLines([row[: bisect_left(row, cut)] for row in adjacency[: max(cut, 0)]]).ends
 
 
 _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
@@ -171,19 +175,19 @@ def _gadget_delta(cert: ReductionCertificate) -> Optional[int]:
 
 
 class _Model(NamedTuple):
-    """The G' that the padded rows, the target degree and the gadget kind
-    fix: the padded rows with their ports, the canonical gadget layout as
-    ``_GADGET_FIELDS`` tuples, the blueprint (empty without gadgets), the
-    closed-form gadget size and the vertex count."""
+    """The G' that the padded edges, the target degree and the gadget kind
+    fix: its sorted edges below the first block (``ported``), the canonical
+    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint (empty without
+    gadgets), the closed-form gadget size and the vertex count."""
 
-    ported: List[Row]
+    ported: List[int]
     layout: List[Tuple[int, int, str, Optional[int], int, int]]
     blueprint: Sequence[Row]
     size: int
     n: int
 
 
-def _model(padded: Sequence[Row], cert: ReductionCertificate, n: int, m: int) -> _Model:
+def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
     """The model of a G' of ``n`` vertices and ``m`` edges over ``padded``:
     one gadget per unit of deficiency, owners ascending, ``index``
     1..deficiency, blocks contiguous from the padded ids, the port last in
@@ -196,22 +200,23 @@ def _model(padded: Sequence[Row], cert: ReductionCertificate, n: int, m: int) ->
         size = gadgets.general_gadget_size(d)
     else:
         raise GraphError(f"no closed-form gadget size for a {kind!r} gadget at degree {d}")
-    deficiency = [d - len(row) for row in padded]
+    count, ends = padded
+    deficiency = [d - k for k in map(Counter(ends).__getitem__, range(count))]
     if min(deficiency, default=0) < 0:
         raise GraphError(f"a padded vertex has degree above {d}")
     total = sum(deficiency)
     if total and size * d > 2 * m:
         raise GraphError(f"a gadget of {size} vertices needs more edges than the reduced graph has")
-    if len(padded) + total * size > n:
+    if count + total * size > n:
         raise GraphError(f"{total} gadgets of {size} vertices do not fit in |V'|={n}")
-    layout, ported, off = [], [], len(padded)
-    for v, (row, k) in enumerate(zip(padded, deficiency)):
-        ported.append(row + tuple(range(off + size - 1, off + k * size, size)) if k else row)
+    layout, ports, off = [], [], count
+    for v, k in compress(enumerate(deficiency), deficiency):
+        ports.append((v, range(off + size - 1, off + k * size, size)))
         for j in range(1, k + 1):
             layout.append((v, j, kind, delta, off, size))
             off += size
     blueprint = gadgets.build_gadget(kind, delta)[0].adjacency if layout else ()
-    return _Model(ported, layout, blueprint, size, off)
+    return _Model(splice(ends, ports), layout, blueprint, size, off)
 
 
 def _check_blocks(rows: Optional[Sequence[Row]], model: _Model) -> List[Check]:
@@ -275,34 +280,34 @@ def check_certificate(
     g: Graph, g_prime: Graph, cert: ReductionCertificate
 ) -> VerificationReport:
     """Pure-structure verification; no solver runs on either graph."""
-    if cert.source_hash != g.content_hash():
+    source = SortedEdges.of(g)
+    if cert.source_hash != source.digest:
         raise GraphError("certificate source hash does not match the source graph")
     if cert.result_hash != g_prime.content_hash():
         raise GraphError("certificate result hash does not match the reduced graph")
-    padded: Optional[List[Row]] = None
+    padded: Optional[Tuple[int, List[int]]] = None
     model: Optional[_Model] = None
     try:
-        padded = _padded_rows(g, cert, g_prime.n, g_prime.m)
+        padded = _padded_edges(source, cert, g_prime.n, g_prime.m)
         model, error = _model(padded, cert, g_prime.n, g_prime.m), ""
     except GraphError as exc:
         error = str(exc)
-    return VerificationReport(_structure(g, cert, g_prime.n, g_prime.adjacency, padded, model, error))
+    return VerificationReport(_structure(source, cert, g_prime.n, g_prime.adjacency, padded, model, error))
 
 
 def _structure(
-    g: Graph,
+    g: SortedEdges,
     cert: ReductionCertificate,
     n: int,
     rows: Optional[Sequence[Row]],
-    padded: Optional[List[Row]],
+    padded: Optional[Tuple[int, List[int]]],
     model: Optional[_Model],
     error: str,
 ) -> Tuple[Check, ...]:
     """check_certificate's checks for a G' of ``n`` vertices with the rows
-    ``rows``, given the padded rows and the model (each None when it could
+    ``rows``, given the padded edges and the model (each None when it could
     not be built, and ``error`` why).  ``rows`` is None when G' is known to
-    be the model's regeneration: its row comparisons then hold by
-    construction."""
+    be the model's regeneration: its comparisons then hold by construction."""
     d = cert.target_degree
     checks: List[Check] = [_regular(n, d, [] if rows is None else [v for v, a in enumerate(rows) if len(a) != d])]
 
@@ -310,7 +315,7 @@ def _structure(
     if cert.source_n != g.n:
         same, detail = False, f"source_n {cert.source_n} is not the source graph's {g.n} vertices"
     else:
-        same = rows is None or _rows_match_below(rows, g.adjacency, g.n)
+        same = rows is None or (len(rows) >= g.n and _edges_below(rows, g.n) == g.ends)
         detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
     checks.append(_check("origin-induced", same, detail))
 
@@ -320,13 +325,14 @@ def _structure(
         pad_ok, pad_detail = False, error
     else:
         pad_ok, pad_detail = True, "padding steps reconstruct"
-        if len(padded) != cert.padded_n:
-            pad_ok, pad_detail = False, f"padded_n {cert.padded_n} is not |V(G)| plus the steps, {len(padded)}"
+        count, ends = padded
+        if count != cert.padded_n:
+            pad_ok, pad_detail = False, f"padded_n {cert.padded_n} is not |V(G)| plus the steps, {count}"
         for step in cert.steps:
             expected = 1 if step.kind == PARITY_FIX else step.size - 1
             if step.alpha_offset != expected:
                 pad_ok, pad_detail = False, f"step {step.kind} has offset {step.alpha_offset}, expected {expected}"
-        if pad_ok and rows is not None and not _rows_match_below(rows, padded, len(padded)):
+        if pad_ok and rows is not None and not (len(rows) >= count and _edges_below(rows, count) == ends):
             pad_ok, pad_detail = False, "padded prefix of the reduced graph disagrees with the steps"
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
@@ -340,7 +346,7 @@ def _structure(
         blocks = _check_blocks(rows, model)
         attached = len(model.layout) if blocks[0].status == PASS else None
         # vertex count: closed form and the cubic-in-degree blowup bound
-        bound = len(padded) * (1 + d * model.size)
+        bound = padded[0] * (1 + d * model.size)
         size_ok = n == model.n and n <= bound
         checks += blocks + [
             _check_gadget_list(cert, model.layout),
@@ -353,10 +359,10 @@ def _structure(
             ),
         ]
 
-    # offset arithmetic
+    # offset arithmetic, over the model's gadgets whenever there is a model
     expected_offset = (
         sum(s.alpha_offset for s in cert.steps)
-        + len(cert.gadgets) * cert.per_gadget_alpha
+        + len(cert.gadgets if model is None else model.layout) * cert.per_gadget_alpha
     )
     checks.append(
         _check(
@@ -534,8 +540,8 @@ def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Che
     def structure() -> List[Check]:
         if cert.result_hash != g_prime.content_hash():
             raise GraphError("certificate result hash does not match the reduced graph")
-        lo = cert.padded_n
-        padded = [row[: bisect_left(row, lo)] for row in g_prime.adjacency[: max(lo, 0)]]
+        lo = max(cert.padded_n, 0)
+        padded = (min(lo, g_prime.n), _edges_below(g_prime.adjacency, lo))
         try:
             return _check_blocks(g_prime.adjacency, _model(padded, cert, g_prime.n, g_prime.m))
         except GraphError:
@@ -554,28 +560,27 @@ def verify_all(
     """Run the full check battery; solver-backed checks only with
     ``with_oracle``."""
     structure = check_certificate(g, g_prime, cert).checks
-    return _report(g, cert, structure, g_prime.n, g_prime.m, lambda: g_prime, with_oracle, limits)
+    return _report(cert, structure, g_prime.n, g_prime.m, lambda: (g, g_prime), with_oracle, limits)
 
 
 def _report(
-    g: Graph,
     cert: ReductionCertificate,
     structure: Tuple[Check, ...],
     n: int,
     m: int,
-    g_prime: Callable[[], Graph],
+    graphs: Callable[[], Tuple[Graph, Graph]],
     with_oracle: bool,
     limits: Optional[SolverLimits],
 ) -> VerificationReport:
     """The structural checks, then the derived and the solver-backed ones,
-    for a G' of ``n`` vertices and ``m`` edges; ``g_prime`` gives G' itself,
-    called only for the oracle."""
+    for a G' of ``n`` vertices and ``m`` edges; ``graphs`` gives G and G'
+    themselves, called only for the oracle."""
     checks = list(structure)
     passed = {c.name for c in checks if c.status == PASS}
     checks.append(_derived_triangles(cert, n, lambda: structure))
     checks.append(_derived_planarity(n, m, cert, lambda: structure))
     if with_oracle:
-        checks.append(check_alpha_relation(g, g_prime(), cert, limits))
+        checks.append(check_alpha_relation(*graphs(), cert, limits))
         if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
             checks.append(Check("port-exclusion", SKIP, "the gadget blocks or the gadget list failed their check"))
         elif cert.gadgets:
@@ -592,25 +597,25 @@ _BLOCKS_PER_RENDER = 64  # gadget blocks rendered, compared and hashed at a time
 
 
 def verify_canonical(
-    g: Graph,
+    g: SortedEdges,
     reduced: BinaryIO,
     fmt: str,
     cert: ReductionCertificate,
     with_oracle: bool = False,
     limits: Optional[SolverLimits] = None,
 ) -> Optional[VerificationReport]:
-    """:func:`verify_all`'s report on G and the G' in the seekable file
-    ``reduced``, when that file is byte for byte the canonical ``fmt`` text
-    of the model's G' and both hashes match; None for any other file, which
-    the caller then parses and hands to :func:`verify_all`.
+    """:func:`verify_all`'s report on G (its sorted edges) and the G' in the
+    seekable file ``reduced``, when that file is byte for byte the canonical
+    ``fmt`` text of the model's G' and both hashes match; None for any other
+    file, which the caller then parses and hands to :func:`verify_all`.
 
     The file is never parsed.  Its text is regenerated a piece at a time
     and compared as it is read, stopping at the first difference, and the
-    content hash of the same rows is taken in that pass.  Every row
-    comparison of :func:`check_certificate` then holds by construction, and
-    the rest of the report comes from G, the certificate and the model."""
+    content hash of the same edges is taken in that pass.  Every edge and
+    row comparison of :func:`check_certificate` then holds by construction,
+    and the rest of the report comes from G, the certificate and the model."""
     d = cert.target_degree
-    if d < 1 or cert.source_n != g.n or cert.source_hash != g.content_hash():
+    if d < 1 or cert.source_n != g.n or cert.source_hash != g.digest:
         return None
     # a canonical G' is d-regular and each of its edge lines is at least as
     # long as the shortest one, so the file's length bounds |E'| and |V'|
@@ -618,7 +623,7 @@ def verify_canonical(
     edges = reduced.tell() // len(edge_text(fmt, EdgeLines(((1,), (0,)))))
     reduced.seek(0)
     try:
-        padded = _padded_rows(g, cert, 2 * edges // d, edges)
+        padded = _padded_edges(g, cert, 2 * edges // d, edges)
         model = _model(padded, cert, 2 * edges // d, edges)
     except GraphError:
         return None
@@ -639,25 +644,25 @@ def verify_canonical(
     if content_digest(n, compared()) != cert.result_hash or matched != [True]:
         return None
 
-    def g_prime() -> Graph:
-        rows = list(model.ported)
-        for owner, _, _, _, off, _ in model.layout:
-            rows += _block_rows(model.blueprint, off, owner)
-        return Graph(n, tuple(rows))
+    def graphs() -> Tuple[Graph, Graph]:
+        rows = sorted_rows(n, model.ported)
+        for owner, _, _, _, off, size in model.layout:
+            rows[off : off + size] = _block_rows(model.blueprint, off, owner)
+        return g.graph(), Graph(n, tuple(rows))
 
     structure = _structure(g, cert, n, None, padded, model, "")
-    return _report(g, cert, structure, n, m, g_prime, with_oracle, limits)
+    return _report(cert, structure, n, m, graphs, with_oracle, limits)
 
 
 def _canonical_text(fmt: str, model: _Model, m: int) -> Iterator[Tuple[str, str]]:
     """The model's canonical G' of ``m`` edges as (file text, content-hash
-    text) pieces: the header, the padded rows with their ports, then the
+    text) pieces: the header, the edges below the first block, then the
     blueprint's rows at each block, a group of blocks at a time."""
     size = model.size
     yield header(fmt, model.n, m), ""
-    for lines in edge_runs(model.ported):
+    for lines in end_runs(model.ported):
         yield edge_text(fmt, lines), hash_text(lines)
-    off = len(model.ported)
+    off = model.n - len(model.layout) * size
     full, rest = divmod(len(model.layout), _BLOCKS_PER_RENDER)
     for blocks, times in ((_BLOCKS_PER_RENDER, full), (rest, 1)):
         if not blocks * times:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from regmis import cli, gadgets, verify
 from regmis import io as graph_io
 from regmis.cli import main
-from regmis.graph import Graph, GraphError, complete_graph
+from regmis.graph import Graph, GraphError, SortedEdges, complete_graph
 from regmis.io import FORMATS, parse_graph, serialize_graph
 from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
 from regmis.verify import verify_all
@@ -210,6 +210,75 @@ def test_regularize_builds_no_reduced_graph(tmp_path, capsys, monkeypatch):
         assert (code, json.loads(out)["overall"]) == (0, "pass")
         code, out, _ = run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol)
         assert (code, json.loads(out)["recovered"]) == (0, [0])
+
+
+def source_texts(g, fmt):
+    """G in ``fmt`` written four ways: canonical text, with a comment line,
+    with its edge lines reversed, and (when it has an edge) with its first
+    edge line repeated at the end."""
+    head, *edges = serialize_graph(g, fmt).splitlines(keepends=True)
+    comment = "c a comment\n" if fmt == "dimacs-col" else "# a comment\n"
+    texts = {
+        "canonical": head + "".join(edges),
+        "comment": head + comment + "".join(edges),
+        "reversed": head + "".join(reversed(edges)),
+    }
+    if edges:
+        texts["duplicate"] = head + "".join(edges) + edges[0]
+    return texts
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+def test_every_reading_of_the_source_gives_the_same_outputs(tmp_path, capsys, name, fmt):
+    """G is read as sorted edges when it is canonical text and parsed
+    otherwise; either way regularize writes the same bytes, verify prints
+    the same report and recover the same output, and a duplicate edge
+    keeps its warning."""
+    source, flags = GOLDEN_SOURCES[name]
+    suffix = ".col" if fmt == "dimacs-col" else ".txt"
+    sol = tmp_path / "sol.txt"
+    sol.write_text("")
+    outputs = {}
+    for how, text in source_texts(source, fmt).items():
+        src, red, cert = (tmp_path / f"{stem}-{how}{suffix}" for stem in ("g", "gp", "cert"))
+        src.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            regularized = run(capsys, "regularize", src, *flags, "--out-format", fmt, "--output", red, "--cert", cert)
+            verified = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert)
+        recovered = run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol)
+        duplicates = [str(w.message) for w in caught if "duplicate edge" in str(w.message)]
+        assert len(duplicates) == (2 if how == "duplicate" else 0), duplicates
+        assert (regularized[0], verified[0], recovered[0]) == (0, 0, 0)
+        outputs[how] = (red.read_bytes(), cert.read_bytes(), verified[1], recovered[1])
+    assert all(out == outputs["canonical"] for out in outputs.values())
+
+
+def test_regularize_and_verify_read_the_source_as_edges(tmp_path, capsys, monkeypatch):
+    """On canonical text, regularize and verify (without the oracle) never
+    parse G and build no graph as large as G; G' is not built either."""
+    source = grid_with_diagonals(random.Random(5), 18, cap=4)  # 324 vertices
+    src = tmp_path / "g.col"
+    src.write_text(serialize_graph(source, "dimacs-col"))
+    real_init = Graph.__post_init__
+
+    def smaller_than_the_source(self):
+        assert self.n < source.n, f"a graph of {self.n} vertices was built"
+        real_init(self)
+
+    def no_parse(text, fmt):
+        raise AssertionError("parse_graph called")
+
+    for flags in (["--degree", "5"], ["--degree", "7"], ["--planar"]):
+        red, cert = tmp_path / "gp.col", tmp_path / "cert.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "__post_init__", smaller_than_the_source)
+            patch.setattr(cli, "parse_graph", no_parse)
+            patch.setattr(graph_io, "parse_graph", no_parse)
+            assert run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert) == (0, "", "")
+            code, out, err = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert)
+        assert (code, json.loads(out)["overall"], err) == (0, "pass", "")
 
 
 @pytest.mark.parametrize("command", ["regularize --output", "regularize input", "verify --reduced"])
@@ -508,7 +577,7 @@ class TestVerifyByRegeneration:
         monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
         code, out, _ = verify_files(capsys, paths)
         assert code == 0 and json.loads(out)["overall"] == "pass"
-        assert parsed == ["dimacs-col"]  # G only
+        assert parsed == []  # G is read as its sorted edges, G' is regenerated
         assert gp.n not in built
 
     @pytest.mark.parametrize("k, cause", [(100, "edges"), (2000, "past |V'|")])
@@ -542,7 +611,7 @@ class TestVerifyByRegeneration:
         text = head + serialize_graph(gp, fmt).split("\n", 1)[1]
         real, built = verify._step_rows, []
         monkeypatch.setattr(verify, "_step_rows", lambda *a: built.append(a[2]) or real(*a))
-        assert verify.verify_canonical(g, io.BytesIO(text.encode()), fmt, forged) is None
+        assert verify.verify_canonical(SortedEdges.of(g), io.BytesIO(text.encode()), fmt, forged) is None
         assert max(built, default=0) < 100
 
     def test_huge_degree_layout_builds_no_gadget(self, tmp_path, capsys, monkeypatch):

@@ -87,8 +87,8 @@ class TestPadToTarget:
 
 
 def test_padding_walks_the_degrees_once_and_joins_no_graphs(monkeypatch):
-    """The padding steps append rows: one walk of the source's degrees and
-    no intermediate padded graph."""
+    """The padding steps append edges: one count of the source's degrees,
+    from its edges, and no intermediate padded graph."""
     calls = []
 
     def count(owner, name):
@@ -96,12 +96,13 @@ def test_padding_walks_the_degrees_once_and_joins_no_graphs(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
 
     count(Graph, "max_degree")
+    count(reduction, "Counter")
     for owner in (graph, reduction):
         if hasattr(owner, "disjoint_union"):
             count(owner, "disjoint_union")
     _, cert = reduce_to_regular(path_graph(3), 5)  # even maximum degree 2
     assert [s.kind for s in cert.steps] == ["parity-clique", "star-pad"]
-    assert calls == ["max_degree"]
+    assert calls == ["Counter"]
 
 
 class TestRegularize:
@@ -385,6 +386,32 @@ class TestCertificateSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(GraphError):
             ReductionCertificate.from_json("{}")
+
+    @pytest.mark.parametrize("name", ["no-gadgets", "planar", "padded", "escaped-kind"])
+    def test_to_json_is_the_indented_encoders_text(self, name):
+        """to_json renders each gadget from a template; the text is still
+        that of json.dumps(indent=2, sort_keys=True), a kind that needs
+        escaping included."""
+        if name == "escaped-kind":
+            doc = json.loads(regularize(K4_MINUS_EDGE, 3)[1].to_json())
+            for entry in doc["gadgets"]:
+                entry["kind"] = 'odd "é" kind'
+            cert = ReductionCertificate.from_json(json.dumps(doc))
+        else:
+            reduce = {
+                "no-gadgets": lambda: reduce_to_regular(complete_graph(6), 5),
+                "planar": lambda: regularize_planar(complete_graph(4)),
+                "padded": lambda: reduce_to_regular(cycle_graph(4), 5),
+            }[name]
+            cert = reduce()[1]
+        assert bool(cert.gadgets) == (name != "no-gadgets") and bool(cert.steps) == (name == "padded")
+        doc = dict(
+            vars(cert),
+            steps=[vars(s) for s in cert.steps],
+            gadgets=[{**vars(gi), "port": gi.port} for gi in cert.gadgets],
+            origin_range=list(cert.origin_range),
+        )
+        assert cert.to_json() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -10,6 +10,7 @@ from regmis.gadgets import GENERAL, ICOSA, PLANAR5
 from regmis.graph import (
     Graph,
     GraphError,
+    SortedEdges,
     complete_graph,
     star_graph,
 )
@@ -193,6 +194,9 @@ class TestMutationDetection:
         assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
 
     def test_dropped_gadget_kills_gadget_counts(self, pipeline):
+        """A list one gadget short, with ``total_offset`` lowered to match,
+        fails offset-arithmetic too: the offset is recomputed from the
+        model's gadgets, not from the untrusted list's length."""
         g, gp, cert = pipeline
         forged = dataclasses.replace(
             cert,
@@ -200,7 +204,10 @@ class TestMutationDetection:
             total_offset=cert.total_offset - cert.per_gadget_alpha,
         )
         report = check_certificate(g, gp, forged)
-        assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
+        assert failed_checks(report) == {
+            "gadget-counts": first_difference(forged, cert, 1),
+            "offset-arithmetic": f"total_offset {forged.total_offset} vs recomputed {cert.total_offset}",
+        }
 
     def test_ports_joined_to_each_other_kill_attachment(self, pipeline):
         g, gp, cert = pipeline
@@ -335,7 +342,7 @@ class TestSoundnessSweep:
 
 def regenerated(g, gp, cert, fmt="dimacs-col", **kwargs):
     """verify_canonical on the canonical text of ``gp``."""
-    return verify_canonical(g, io.BytesIO(serialize_graph(gp, fmt).encode()), fmt, cert, **kwargs)
+    return verify_canonical(SortedEdges.of(g), io.BytesIO(serialize_graph(gp, fmt).encode()), fmt, cert, **kwargs)
 
 
 @pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
@@ -849,7 +856,8 @@ REPORT_LAYOUT = (
 # enumerated the triangles of G and G'.  The inputs whose certificate lists
 # a non-canonical gadget layout or names a gadget without a closed-form
 # size were recorded again once the gadget list was compared whole with
-# the verifier's model of G'.
+# the verifier's model of G', and the dropped gadget once offset-arithmetic
+# counted the model's gadgets instead of the list's.
 ENUMERATED_REPORTS = {
     ("honest-general", False): "ppppppppppss",
     ("honest-general", True): "ppppppppppspp",
@@ -864,7 +872,7 @@ ENUMERATED_REPORTS = {
     ("overlapping-ranges", False): "pppppfppppss",
     ("range-past-reduced-graph", False): "pppppfppppss",
     ("planar-range-past-reduced-graph", False): "pppppfpppsps",
-    ("dropped-gadget", False): "pppppfppppss",
+    ("dropped-gadget", False): "pppppfpfppss",
     ("ports-joined", False): "pffpffpppfss",
     ("edge-between-gadgets", False): "fpppfpppppss",
     ("forged-gadget-alpha-general", False): "ppppppppfpss",

@@ -46,9 +46,15 @@ def _format(path: str, fmt: str) -> str:
 
 
 def _read_solution(path: str) -> list[int]:
-    """One vertex id per non-blank line."""
+    """One vertex id per non-blank line, read in one pass; the line of a
+    fault is looked for only once that pass fails."""
+    lines = _read_text(path).splitlines()
+    try:
+        return list(map(int, filter(str.strip, lines)))
+    except ValueError:
+        pass
     ids = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 ids.append(int(line))

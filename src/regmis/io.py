@@ -20,7 +20,9 @@ chunks.  The checked chunks are the sorted edge list, which
 rows.  At the first deviation the text goes to the line parser instead,
 which accepts comments, blank lines, any edge order and duplicates, and
 names the line of a fault.  On canonical text both paths give the same
-graph and no warning.
+graph and no warning.  A binary file can also be read a part at a time:
+its header (:func:`canonical_header`), then its next edge lines
+(:func:`canonical_prefix`), each part checked as above.
 
 The line parser is a single pass into per-vertex neighbour sets: each edge
 line is checked (self-loop, range, duplicate) and added as it is read, and
@@ -53,19 +55,23 @@ def parse_graph(text: str, fmt: str) -> Graph:
         n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
         return Graph(n, tuple(sorted_rows(n, chain.from_iterable(lines.ends for lines in runs))))
     except NotCanonical:
-        pass
-    return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
+        return _parse_lines(text, fmt)
 
 
 def parse_edges(text: str, fmt: str) -> SortedEdges:
     """The graph of ``text`` as :class:`SortedEdges`, with no graph built on
-    canonical text; any other text is converted from :func:`parse_graph`."""
+    canonical text; any other text is converted from the line parser's graph."""
     try:
-        n, runs = canonical_edges(text_chunks(text), fmt)
+        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
         ends = list(chain.from_iterable(lines.ends for lines in runs))
     except NotCanonical:
-        return SortedEdges.of(parse_graph(text, fmt))
+        return SortedEdges.of(_parse_lines(text, fmt))
     return SortedEdges(n, ends, content_digest(n, map(hash_text, end_runs(ends))))
+
+
+def _parse_lines(text: str, fmt: str) -> Graph:
+    """The graph of ``text`` read by the line parser of ``fmt``."""
+    return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
 
 
 def header(fmt: str, n: int, m: int) -> str:
@@ -113,7 +119,32 @@ def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[Edge
     chunks = iter(chunks)
     first = next(chunks, "")
     cut = first.find("\n") + 1
-    words = first[:cut].split()
+    n, m = _counts(first[:cut], fmt)
+    return n, _canonical_runs(chain((first[cut:],), chunks), fmt, n, m)
+
+
+def canonical_header(f: BinaryIO, fmt: str) -> Tuple[int, Optional[int]]:
+    """The vertex count, and in DIMACS the edge count, of the canonical
+    ``fmt`` header that the binary file ``f`` starts with, read as
+    :func:`canonical_edges` reads it; ``f`` is left at the line after it.
+    Raises :class:`NotCanonical` on any other first line."""
+    if fmt not in _LINES:
+        raise GraphError(f"unknown graph format {fmt!r}")
+    return _counts(_ascii(f.readline(_CHUNK)), fmt)
+
+
+def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[EdgeLines]:
+    """The next ``count`` edge lines of the binary file ``f``, read as the
+    canonical ``fmt`` edges of a graph on ``n`` vertices a chunk at a time,
+    as :func:`canonical_edges` reads them; ``f`` is left at the line after
+    them once they are iterated.  Raises :class:`NotCanonical` at the first
+    deviation, and when the file has fewer lines."""
+    return _canonical_runs(_first_lines(f, count), fmt, n, count)
+
+
+def _counts(line: str, fmt: str) -> Tuple[int, Optional[int]]:
+    """``n``, and in DIMACS ``m``, of the header ``line``, if it is the canonical one."""
+    words = line.split()
     try:
         if fmt == "dimacs-col":
             n, m = int(words[2]), int(words[3])
@@ -121,9 +152,9 @@ def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[Edge
             n, m = int(words[1][2:]), None
     except (IndexError, ValueError):
         raise NotCanonical from None
-    if n < 0 or header(fmt, n, m) != first[:cut]:
+    if n < 0 or header(fmt, n, m) != line:
         raise NotCanonical
-    return n, _canonical_runs(chain((first[cut:],), chunks), fmt, n, m)
+    return n, m
 
 
 def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -> Iterator[EdgeLines]:
@@ -181,6 +212,23 @@ def file_chunks(f: BinaryIO) -> Iterator[str]:
         rest = data[cut:]
     if rest:
         yield _ascii(rest)
+
+
+def _first_lines(f: BinaryIO, count: int) -> Iterator[str]:
+    """:func:`file_chunks` of ``f`` up to the end of its next ``count``
+    lines, then ``f`` is put there.  Newlines are counted a chunk at a
+    time, and only the chunk that holds the last line is split."""
+    at = f.tell()
+    for chunk in file_chunks(f):
+        lines = chunk.count("\n")
+        if lines >= count:
+            chunk = chunk[: len(chunk) - len(chunk.split("\n", count)[-1])]
+        yield chunk
+        at += len(chunk)  # ASCII, so characters are bytes
+        count -= lines
+        if count <= 0:
+            break
+    f.seek(at)
 
 
 def _ascii(piece: bytes) -> str:

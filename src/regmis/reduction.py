@@ -12,11 +12,11 @@ sorted edges and ends at a :class:`Plan`, which G' is built or written from.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import os
 from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from operator import and_
-from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Set, TextIO, Tuple
+from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, TextIO, Tuple
 
 from . import gadgets
 from .graph import (
@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     GraphError,
     InfeasibleError,
+    Row,
     SortedEdges,
     check_ids,
     complete_graph,
@@ -35,7 +36,7 @@ from .graph import (
     splice,
     star_graph,
 )
-from .io import NotCanonical, canonical_edges, edge_text, file_chunks, header
+from .io import NotCanonical, canonical_header, canonical_prefix, edge_text, header
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
@@ -183,22 +184,27 @@ class Plan(NamedTuple):
         certificate, never building G': each run of edges, then each tile of
         blocks, is rendered once for ``out`` and once for the content hash."""
         ends, cert, blueprint = self
-        count, size, first = len(cert.gadgets), blueprint.n, cert.padded_n
-        n = first + count * size
+        count, first = len(cert.gadgets), cert.padded_n
+        n = first + count * blueprint.n
         out.write(header(fmt, n, n * cert.target_degree // 2))  # G' is d-regular
-        block = EdgeLines(blueprint.adjacency).ends  # the port's edge to its owner is in ``ends``
-        tile = [x + b * size for b in range(_BLOCKS_PER_RENDER) for x in block]
-        tiles = (  # the last tile is cut to the blocks that remain
-            (EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size)
-            for b in range(0, count, _BLOCKS_PER_RENDER)
-        )
 
         def texts() -> Iterator[str]:
-            for lines, shift in chain(zip(end_runs(ends), repeat(0)), tiles):
+            for lines, shift in chain(zip(end_runs(ends), repeat(0)), _tiles(blueprint, first, count)):
                 out.write(edge_text(fmt, lines, shift))
                 yield hash_text(lines, shift)
 
         return replace(cert, result_hash=content_digest(n, texts()))
+
+
+def _tiles(blueprint: Graph, first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
+    """The edges inside ``count`` blocks of ``blueprint`` from id ``first``,
+    as (edges, shift) tiles of up to ``_BLOCKS_PER_RENDER`` blocks, the last
+    tile cut to the blocks that remain.  A port's edge to its owner lies
+    below ``first``, in no block."""
+    size, block = blueprint.n, EdgeLines(blueprint.adjacency).ends
+    tile = [x + b * size for b in range(min(count, _BLOCKS_PER_RENDER)) for x in block]
+    for b in range(0, count, _BLOCKS_PER_RENDER):
+        yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
 
 
 def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
@@ -215,8 +221,10 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
-    degree = Counter(source.ends)
-    top = max(degree.values(), default=0)
+    degree = [0] * source.n
+    for x in source.ends:
+        degree[x] += 1
+    top = max(degree, default=0)
     if top > delta:
         raise InfeasibleError(f"maximum degree {top} exceeds target degree {delta}")
     steps, padding = [], []
@@ -230,14 +238,16 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
             start = steps[-1].end if steps else source.n
             steps.append(ReductionStep(step_kind, start, start + component.n, alpha_offset))
             padding += [x + start for x in EdgeLines(component.adjacency).ends]
-    degree.update(padding)
+    nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
+    degree += [0] * (nid - source.n)
+    for x in padding:
+        degree[x] += 1
     ends = source.ends + padding if padding else source.ends  # G's own list, copied only to append padding
 
     gadget_delta = delta if kind == gadgets.GENERAL else None
     blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
     size = blueprint.n
-    nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
-    deficiency = [delta - k for k in map(degree.__getitem__, range(nid))]
+    deficiency = [delta - k for k in degree]
     instances, ports = [], []
     for v, k in compress(enumerate(deficiency), deficiency):
         ports.append((v, range(nid + size - 1, nid + k * size, size)))
@@ -336,11 +346,19 @@ def recover_canonical(
     reduced: BinaryIO, fmt: str, members: Iterable[int], cert: ReductionCertificate
 ) -> Optional[FrozenSet[int]]:
     """:func:`recover` on the G' whose canonical ``fmt`` text is the binary
-    file ``reduced``, read once a chunk at a time and never built: each
-    chunk's edges feed the content hash and are looked up in the set of
-    members, so memory is one chunk beyond that set.  None when the file
-    is not canonical text; the caller then parses it and calls
-    :func:`recover`, which raises what this would."""
+    file ``reduced``, which is never built.  None, with nothing read, when
+    the file cannot seek (a pipe), and None when it deviates from the
+    split below; the caller then parses it and calls :func:`recover`,
+    which raises what this would.
+
+    The file is read as the certificate plans it (:func:`_read_by_plan`):
+    the edge lines below ``padded_n`` a chunk at a time, each chunk's edges
+    fed to the content hash and looked up in the set of members, then the
+    gadget blocks compared with their regeneration and hashed, unparsed.
+    The members in blocks are checked against the blueprint's rows.  Memory
+    is one chunk, and a byte per block vertex, beyond the set of members."""
+    if not reduced.seekable():
+        return None
     s = set(members)
     clash = []  # [True] once an edge joins two members
 
@@ -353,11 +371,79 @@ def recover_canonical(
             yield hash_text(lines)
 
     try:
-        n, runs = canonical_edges(file_chunks(reduced), fmt)
-        digest = content_digest(n, texts(runs))
+        n, digest, first, rows = _read_by_plan(reduced, fmt, cert, texts)
     except NotCanonical:
         return None
-    return _restrict(s, cert, digest, n, lambda: not clash)
+    return _restrict(s, cert, digest, n, lambda: not clash and _independent_in_blocks(s, first, n, rows))
+
+
+def _read_by_plan(
+    reduced: BinaryIO, fmt: str, cert: ReductionCertificate, texts: Callable[[Iterable[EdgeLines]], Iterator[str]]
+) -> Tuple[int, str, int, Sequence[Row]]:
+    """The vertex count and content hash of the canonical text in the
+    seekable file ``reduced``, read as the header and ``cert`` split it,
+    then where its gadget blocks start and the blueprint's rows, which each
+    block repeats (none when G' has no blocks).
+
+    The ``k`` edge lines below the blocks go through the canonical reader
+    and ``texts``, where ``k`` is the header's (or the d-regular) edge
+    count less the blocks' edges.  The rest is compared with the plan's
+    rendering of the blocks (:func:`_tiles`) and must end the file.  Raises
+    :class:`NotCanonical` at the first deviation from that split, which
+    need not be a deviation from canonical text."""
+    # each line is at least as long as the shortest one, so the file's length bounds its edges
+    edges = reduced.seek(0, os.SEEK_END) // len(edge_text(fmt, EdgeLines.from_ends([0, 1])))
+    reduced.seek(0)
+    n, m = canonical_header(reduced, fmt)
+    first, d, kind = cert.padded_n, cert.target_degree, cert.gadget_kind
+    k = n * d // 2 if m is None else m
+    if first < 0 or n < first:
+        raise NotCanonical
+    tiles: Iterable[Tuple[EdgeLines, int]] = ()
+    rows: Sequence[Row] = ()
+    if n > first:
+        if kind not in (gadgets.GENERAL, gadgets.PLANAR5):
+            raise NotCanonical
+        if kind == gadgets.GENERAL and not (d >= 3 and d % 2 and gadgets.general_gadget_size(d) * d <= 2 * edges + 1):
+            raise NotCanonical  # no blueprint, or one with more edges than the file has lines
+        blueprint = gadgets.build_gadget(kind, d if kind == gadgets.GENERAL else None)[0]
+        count, rest = divmod(n - first, blueprint.n)
+        if rest:
+            raise NotCanonical
+        k -= count * blueprint.m
+        tiles, rows = _tiles(blueprint, first, count), blueprint.adjacency
+    if k < 0:
+        raise NotCanonical
+
+    def prefix() -> Iterator[EdgeLines]:
+        lines = None
+        for lines in canonical_prefix(reduced, fmt, n, k):
+            yield lines
+        if lines is not None and lines.ends[-2] >= first:  # the blocks' edges must sort after it
+            raise NotCanonical
+
+    def blocks() -> Iterator[str]:
+        for lines, shift in tiles:
+            data = edge_text(fmt, lines, shift).encode()
+            if reduced.read(len(data)) != data:
+                raise NotCanonical
+            yield hash_text(lines, shift)
+        if reduced.read(1):
+            raise NotCanonical
+
+    return n, content_digest(n, chain(texts(prefix()), blocks())), first, rows
+
+
+def _independent_in_blocks(s: Set[int], first: int, n: int, rows: Sequence[Row]) -> bool:
+    """No edge of the blueprint ``rows``, repeated in the blocks from
+    ``first`` to ``n``, joins two of ``s``: each member there is marked,
+    and each blueprint edge (x, y) ANDs the marks of x and of y over all blocks."""
+    size, marks = len(rows), bytearray(n - first)
+    for v in s:
+        if v >= first:
+            marks[v - first] = 1
+    column = [int.from_bytes(marks[x::size], "little") for x in range(size)]
+    return not any(column[x] & column[y] for x, row in enumerate(rows) for y in row if y > x)
 
 
 def _restrict(

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
@@ -201,7 +200,10 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
     else:
         raise GraphError(f"no closed-form gadget size for a {kind!r} gadget at degree {d}")
     count, ends = padded
-    deficiency = [d - k for k in map(Counter(ends).__getitem__, range(count))]
+    degree = [0] * count
+    for x in ends:
+        degree[x] += 1
+    deficiency = [d - k for k in degree]
     if min(deficiency, default=0) < 0:
         raise GraphError(f"a padded vertex has degree above {d}")
     total = sum(deficiency)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import random
 import warnings
 
@@ -440,6 +441,14 @@ class TestVerifyAndRecover:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["0 1", "abc", "1.0"])
+    def test_a_bad_solution_line_is_named(self, tmp_path, reduced, capsys, bad):
+        out, cert = reduced
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"0\n\n 2 \n{bad}\n3\n")
+        code, stdout, err = run(capsys, "recover", "--reduced", out, "--cert", cert, "--solution", sol)
+        assert (code, stdout, err) == (2, "", f"error: line 4: expected one vertex id, got {bad!r}\n")
+
     def test_recover(self, tmp_path, k4e_file, reduced, capsys):
         out, cert = reduced
         code, stdout, _ = run(capsys, "solve", out, "--method", "brute")
@@ -787,6 +796,7 @@ def test_recover_on_canonical_input_builds_no_reduced_graph(tmp_path, capsys, mo
 SOLUTIONS = {
     "independent": lambda gp: greedy_independent(gp),
     "dependent": lambda gp: greedy_independent(gp) + [gp.neighbors(0)[0]],
+    "dependent-in-a-block": lambda gp: greedy_independent(gp) + list(gp.neighbors(gp.n - 1)[-1:]) + [gp.n - 1],
     "out-of-range": lambda gp: [0, gp.n, -1],
     "empty": lambda gp: [],
 }
@@ -825,6 +835,168 @@ def test_recover_on_edited_canonical_input_matches_the_parse_path(
         expected = recover_files(capsys, red, cert_path, sol)
     assert got == expected
     assert "Traceback" not in got[2]
+
+
+def prefix_edges(gp, cert):
+    """The number of G''s edges below its first gadget block."""
+    return sum(1 for u, _ in gp.edges() if u < cert.padded_n)
+
+
+@pytest.mark.parametrize("fmt, reduced_name", [("dimacs-col", "gp.col"), ("edge-list", "gp.txt")])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+@pytest.mark.parametrize("solution", ["independent", "dependent-in-a-block"])
+def test_recover_on_canonical_input_parses_only_the_edges_below_the_blocks(
+    tmp_path, capsys, monkeypatch, name, fmt, reduced_name, solution
+):
+    """The gadget blocks are compared with their regeneration, not parsed,
+    and a member pair inside a block is still found."""
+    g, gp, cert = DIFFERENTIAL_CASES[name]()
+    _, red, cert_path = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in SOLUTIONS[solution](gp)))
+    parsed, real = [], graph_io._canonical_runs
+
+    def runs(*args):
+        for lines in real(*args):
+            parsed.append(len(lines.ends) // 2)
+            yield lines
+
+    monkeypatch.setattr(graph_io, "_canonical_runs", runs)
+    monkeypatch.setattr(graph_io, "_CHUNK", 24)
+    code, _, err, _ = recover_files(capsys, red, cert_path, sol)
+    assert sum(parsed) == prefix_edges(gp, cert) < gp.m
+    if solution == "independent":
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, "error: input set is not independent in the reduced graph\n")
+
+
+def edit_at_the_boundary(text, gp, cert, edit):
+    """Canonical G' text with its lines edited where its first gadget block starts."""
+    lines = text.splitlines(keepends=True)
+    k = 1 + prefix_edges(gp, cert)  # the index of the first line of the blocks
+    if edit == "swap-across":
+        lines[k - 1], lines[k] = lines[k], lines[k - 1]
+    elif edit == "drop-last-below":
+        del lines[k - 1]
+    elif edit == "drop-first-block-line":
+        del lines[k]
+    elif edit == "block-line-for-last-below":  # sorted on either side, not across
+        lines[k - 1] = lines[k]
+    elif edit == "drop-last-line":
+        del lines[-1]
+    elif edit == "append-a-line":
+        lines.append(lines[-1])
+    return "".join(lines)
+
+
+def move_padded_n(doc, by):
+    doc["steps"][-1]["end"] += by
+
+
+def empty_gadget_list(doc):
+    doc["gadgets"] = []
+
+
+@pytest.mark.parametrize("chunk", [24, 1 << 16])
+@pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
+@pytest.mark.parametrize("solution", ["independent", "dependent-in-a-block"])
+@pytest.mark.parametrize(
+    "case, edit, cert_edit",
+    [
+        *(
+            (case, edit, None)
+            for case in sorted(DIFFERENTIAL_CASES)
+            for edit in (
+                "swap-across", "drop-last-below", "drop-first-block-line", "block-line-for-last-below",
+                "drop-last-line", "append-a-line",
+            )
+        ),
+        ("padded", None, lambda doc: move_padded_n(doc, 1)),
+        ("padded", None, lambda doc: move_padded_n(doc, -1)),
+        ("planar", None, empty_gadget_list),
+    ],
+)
+def test_recover_falls_back_as_the_parse_path_when_g_prime_leaves_the_plan(
+    tmp_path, capsys, monkeypatch, case, edit, cert_edit, solution, fmt, chunk
+):
+    """A G' or a certificate that does not split as the certificate plans
+    gives the output, exit code and warnings of the parse path."""
+    g, gp, cert = DIFFERENTIAL_CASES[case]()
+    doc = json.loads(cert.to_json())
+    if cert_edit is not None:
+        cert_edit(doc)
+    reduced_text = serialize_graph(gp, fmt)
+    if edit is not None:
+        reduced_text = edit_at_the_boundary(reduced_text, gp, cert, edit)
+    _, red, cert_path = write_inputs(
+        tmp_path, g, reduced_text, json.dumps(doc), "gp.col" if fmt == "dimacs-col" else "gp.txt"
+    )
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in SOLUTIONS[solution](gp)))
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_io, "_CHUNK", chunk)
+        got = recover_files(capsys, red, cert_path, sol)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "recover_canonical", lambda *args: None)
+        expected = recover_files(capsys, red, cert_path, sol)
+    assert got == expected
+    assert "Traceback" not in got[2]
+
+
+@pytest.mark.parametrize("fmt, reduced_name", [("dimacs-col", "gp.col"), ("edge-list", "gp.txt")])
+@pytest.mark.parametrize("solution", ["independent", "dependent"])
+def test_recover_on_canonical_input_with_no_blocks_reads_it_canonically(
+    tmp_path, capsys, monkeypatch, fmt, reduced_name, solution
+):
+    """A G' with no gadget blocks is all prefix: every edge goes through the
+    canonical reader, and the parser is never called."""
+    g = complete_graph(4)
+    gp, cert = regularize(g, 3)
+    assert cert.gadgets == () and gp.n == cert.padded_n
+    _, red, cert_path = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in SOLUTIONS[solution](gp)))
+    parsed, edges, real = [], [], graph_io._canonical_runs
+
+    def runs(*args):
+        for lines in real(*args):
+            edges.append(len(lines.ends) // 2)
+            yield lines
+
+    monkeypatch.setattr(graph_io, "_canonical_runs", runs)
+    monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f))
+    code, out, err, _ = recover_files(capsys, red, cert_path, sol)
+    assert parsed == [] and sum(edges) == gp.m
+    if solution == "independent":
+        assert (code, err) == (0, "")
+        assert json.loads(out)["recovered"] == SOLUTIONS[solution](gp)
+    else:
+        assert (code, err) == (2, "error: input set is not independent in the reduced graph\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_recover_reads_g_prime_from_a_pipe(tmp_path, capsys, name):
+    """``--reduced`` may name a pipe, as in ``<(zcat gp.col.gz)``: it is
+    parsed, with the output of the same G' read from a file."""
+    g, gp, cert = DIFFERENTIAL_CASES[name]()
+    text = serialize_graph(gp, "dimacs-col")
+    _, red, cert_path = write_inputs(tmp_path, g, text, cert.to_json())
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in greedy_independent(gp)))
+    expected = run(capsys, "recover", "--reduced", red, "--cert", cert_path, "--solution", sol)
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as w:
+            w.write(text.encode())  # within one pipe buffer, so no writer thread is needed
+        got = run(
+            capsys, "recover", "--reduced", f"/dev/fd/{read_end}", "--format", "dimacs-col",
+            "--cert", cert_path, "--solution", sol,
+        )
+    finally:
+        os.close(read_end)
+    assert got == expected and expected[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 import warnings
+from io import BytesIO
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -252,6 +253,28 @@ def test_canonical_text_takes_the_bulk_path(monkeypatch, fmt, chunk):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
+@pytest.mark.parametrize("fmt", ["dimacs-col", "edge-list"])
+@pytest.mark.parametrize("chunk", [24, 1 << 16])
+def test_a_canonical_file_reads_in_parts(monkeypatch, fmt, chunk):
+    """The header, then any number of edge lines, leaving the file at the
+    next line; more lines than the file has is a deviation."""
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    g = random_graph(random.Random(3), 12, 0.4)
+    text = serialize_graph(g, fmt)
+    lines = text.splitlines(keepends=True)
+    edges = [x for u, v in g.edges() for x in (u, v)]
+    for count in range(g.m + 1):
+        f = BytesIO(text.encode())
+        assert io.canonical_header(f, fmt) == (g.n, g.m if fmt == "dimacs-col" else None)
+        read = [x for run in io.canonical_prefix(f, fmt, g.n, count) for x in run.ends]
+        assert read == edges[: 2 * count]
+        assert f.tell() == len("".join(lines[: count + 1]))
+    f = BytesIO(text.encode())
+    io.canonical_header(f, fmt)
+    with pytest.raises(io.NotCanonical):
+        list(io.canonical_prefix(f, fmt, g.n, g.m + 1))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

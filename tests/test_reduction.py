@@ -18,6 +18,7 @@ from regmis.graph import (
     Graph,
     GraphError,
     InfeasibleError,
+    SortedEdges,
     complete_graph,
     is_independent_set,
     star_graph,
@@ -28,6 +29,7 @@ from regmis.reduction import (
     ReductionCertificate,
     forward_map,
     normalize,
+    plan_reduction,
     recover,
     reduce_to_regular,
     regularize,
@@ -95,14 +97,19 @@ def test_padding_walks_the_degrees_once_and_joins_no_graphs(monkeypatch):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
 
+    class Ends(list):
+        def __iter__(self):
+            calls.append("walk G's edges")
+            return super().__iter__()
+
     count(Graph, "max_degree")
-    count(reduction, "Counter")
     for owner in (graph, reduction):
         if hasattr(owner, "disjoint_union"):
             count(owner, "disjoint_union")
-    _, cert = reduce_to_regular(path_graph(3), 5)  # even maximum degree 2
-    assert [s.kind for s in cert.steps] == ["parity-clique", "star-pad"]
-    assert calls == ["Counter"]
+    source = SortedEdges.of(path_graph(3))  # even maximum degree 2
+    plan = plan_reduction(source._replace(ends=Ends(source.ends)), 5)
+    assert [s.kind for s in plan.cert.steps] == ["parity-clique", "star-pad"]
+    assert calls == ["walk G's edges"]
 
 
 class TestRegularize:

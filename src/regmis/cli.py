@@ -18,9 +18,9 @@ from typing import ContextManager, Optional, Sequence, TextIO
 from . import gadgets
 from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
 from .io import FORMATS, parse_edges, parse_graph, serialize_graph, sniff_format
-from .reduction import ReductionCertificate, plan_reduction, recover, recover_canonical
+from .reduction import ReductionCertificate, plan_reduction, recover_canonical, recover_edges
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
-from .verify import verify_all, verify_canonical
+from .verify import verify_canonical, verify_edges
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -168,38 +168,38 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """G is read as its sorted edges and G' compared with its regeneration
-    unparsed; a G' that is not the canonical text is parsed and checked row
-    by row.  Input faults are reported in the order G, G', certificate, budget."""
+    unparsed; a G' that is not the canonical text is read as its sorted
+    edges and compared with the model's.  No graph is built but for the
+    oracle.  Input faults are reported in the order G, G', certificate, budget."""
     g = _read_edges(args.graph, args.format)
     with open(args.reduced, "rb") as reduced:
         try:
             cert = ReductionCertificate.from_json(_read_text(args.cert))
             limits = _limits(args)
         except (GraphError, OSError, ValueError):
-            _read_graph(args.reduced, args.format)  # a fault of G' comes first
+            _read_edges(args.reduced, args.format)  # a fault of G' comes first
             raise
         report = verify_canonical(g, reduced, _format(args.reduced, args.format), cert, args.with_oracle, limits)
     if report is None:
-        g_prime = _read_graph(args.reduced, args.format)
-        report = verify_all(g.graph(), g_prime, cert, with_oracle=args.with_oracle, limits=limits)
+        report = verify_edges(g, _read_edges(args.reduced, args.format), cert, args.with_oracle, limits)
     print(report.to_json(), end="")
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    """G' is read once as canonical text and never built; a file that is
-    not canonical text is parsed.  Input faults are reported in the order
-    G', certificate, solution."""
+    """G' is read once as canonical text; a file that is not canonical text
+    is read as its sorted edges.  G' is never built.  Input faults are
+    reported in the order G', certificate, solution."""
     with open(args.reduced, "rb") as reduced:
         try:
             cert = ReductionCertificate.from_json(_read_text(args.cert))
             ids = _read_solution(args.solution)
         except (GraphError, OSError, ValueError):
-            _read_graph(args.reduced, args.format)  # a fault of G' comes first
+            _read_edges(args.reduced, args.format)  # a fault of G' comes first
             raise
         recovered = recover_canonical(reduced, _format(args.reduced, args.format), ids, cert)
     if recovered is None:
-        recovered = recover(_read_graph(args.reduced, args.format), ids, cert)
+        recovered = recover_edges(_read_edges(args.reduced, args.format), ids, cert)
     input_size = len(set(ids))
     doc = {
         "recovered": sorted(recovered),

@@ -1,12 +1,12 @@
 """Immutable undirected simple graph with dense 0-based vertex ids.
 
-A parsed graph and the library's reduced graph are each built in one pass
-straight into their sorted adjacency tuples (see ``io`` and ``reduction``).
-The CLI's regularize and, on canonical text, its verify (but for the
-oracle) and recover build no graph of G or G': G is read as
-:class:`SortedEdges`.  :meth:`Graph.from_edges` is for the small named
-graphs, the padding components and the gadget blueprints.  The
-whole-graph queries below each make one pass over the adjacency.
+A parsed graph takes one form, :class:`SortedEdges` (see ``io``); its
+rows, and the library's reduced graph's, are appended straight from
+sorted edges (:func:`sorted_rows`).  The CLI's regularize, verify (but
+for the oracle) and recover build no graph of G or G'.
+:meth:`Graph.from_edges` is for the small named graphs, the padding
+components and the gadget blueprints.  The whole-graph queries below each
+make one pass over the adjacency.
 
 Text built from rows, the file formats' edge lines (``io``) and the content
 hash's, comes from one emitter, :class:`EdgeLines`.

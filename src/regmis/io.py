@@ -7,38 +7,36 @@ trip.  Serialization is byte-stable: edges are emitted in lexicographic
 order.  :func:`header` and :func:`edge_text` define each format's text;
 the serializer and the verifier's regeneration of G' both emit through them.
 
-*Canonical text* is exactly what :func:`serialize_graph` emits: the
-header, then one edge line per edge with ``u < v``, strictly increasing,
-every id in range, and in DIMACS a header ``m`` equal to the number of
-edge lines.  There are two parse paths, and the text selects between them.
-:func:`parse_graph` and :func:`parse_edges` first read it as canonical text
-(:func:`canonical_edges`), a chunk of whole lines at a time with C-level
-passes: split, ``int``, re-render with the format's line template and
-compare, then order and range checks that carry the last edge across
-chunks.  The checked chunks are the sorted edge list, which
-:func:`parse_edges` keeps and hashes and :func:`parse_graph` appends to
-rows.  At the first deviation the text goes to the line parser instead,
-which accepts comments, blank lines, any edge order and duplicates, and
-names the line of a fault.  On canonical text both paths give the same
-graph and no warning.  A binary file can also be read a part at a time:
-its header (:func:`canonical_header`), then its next edge lines
-(:func:`canonical_prefix`), each part checked as above.
+Every parse ends at one form: the vertex count and the sorted edges of
+:class:`SortedEdges`, which :func:`parse_edges` hashes and from which
+:func:`parse_graph` builds rows.  *Canonical text* is exactly what
+:func:`serialize_graph` emits: the header, then one edge line per edge
+with ``u < v``, strictly increasing, every id in range, and in DIMACS a
+header ``m`` equal to the number of edge lines.  It is read a chunk of
+whole lines at a time with C-level passes (:func:`canonical_edges`):
+split, ``int``, re-render with the format's line template and compare,
+then order and range checks that carry the last edge across chunks.  A
+binary file can be read so a part at a time: its header
+(:func:`canonical_header`), then its next edge lines (:func:`canonical_prefix`).
 
-The line parser is a single pass into per-vertex neighbour sets: each edge
-line is checked (self-loop, range, duplicate) and added as it is read, and
-the sets become the graph's sorted adjacency tuples.  The edge list
-collects its id pairs first, since its vertex count is known only at the
-end.  On both paths a vertex without edges costs one shared empty row, so
-a declared n costs 8 bytes per vertex, the size of the adjacency tuple.
+At the first deviation the text goes to the line parser, which accepts
+comments, blank lines, any edge order and duplicates, and names the line
+of a fault.  It builds no neighbour sets: each edge line is checked
+(syntax, range, self-loop) and kept as one key u * n + v (u < v) and its
+line's number; the edge list checks ranges once every line is read, as
+its vertex count is known only then.  The keys are sorted once, so a
+repeated edge lands next to its first copy, and only then are the
+repeats warned of, in line order, and dropped.  A declared n costs
+nothing on either path until :func:`parse_graph` builds its rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
+from array import array
 from itertools import chain, islice, repeat
-from operator import add, lt, mul
-from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Tuple
+from operator import add, eq, lt, mul
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     EdgeLines, Graph, GraphError, SortedEdges, content_digest, edge_runs, end_runs, hash_text, sorted_rows
@@ -51,27 +49,24 @@ _CHUNK = 1 << 16  # most characters of whole lines the canonical reader checks a
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
-    try:
-        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
-        return Graph(n, tuple(sorted_rows(n, chain.from_iterable(lines.ends for lines in runs))))
-    except NotCanonical:
-        return _parse_lines(text, fmt)
+    """The graph of ``text``, read as :func:`parse_edges` reads it, in rows."""
+    n, ends = _read(text, fmt)
+    return Graph(n, tuple(sorted_rows(n, ends)))
 
 
 def parse_edges(text: str, fmt: str) -> SortedEdges:
-    """The graph of ``text`` as :class:`SortedEdges`, with no graph built on
-    canonical text; any other text is converted from the line parser's graph."""
-    try:
-        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
-        ends = list(chain.from_iterable(lines.ends for lines in runs))
-    except NotCanonical:
-        return SortedEdges.of(_parse_lines(text, fmt))
+    """The graph of ``text`` as :class:`SortedEdges`; no graph is built."""
+    n, ends = _read(text, fmt)
     return SortedEdges(n, ends, content_digest(n, map(hash_text, end_runs(ends))))
 
 
-def _parse_lines(text: str, fmt: str) -> Graph:
-    """The graph of ``text`` read by the line parser of ``fmt``."""
-    return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
+def _read(text: str, fmt: str) -> Tuple[int, List[int]]:
+    """The vertex count of ``text`` and its sorted edges, read as canonical text or else by the line parser."""
+    try:
+        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
+        return n, list(chain.from_iterable(lines.ends for lines in runs))
+    except NotCanonical:
+        return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
 
 
 def header(fmt: str, n: int, m: int) -> str:
@@ -241,67 +236,73 @@ def _ascii(piece: bytes) -> str:
 # -- the line parser ----------------------------------------------------------
 
 
-def _check_edge(adj: Mapping, n: int, u: int, v: int, lineno: int) -> None:
-    """Raise on a self-loop or an out-of-range edge read on line ``lineno``;
-    warn if ``{u, v}`` is already in the neighbour sets ``adj``."""
+def _check_edge(n: int, u: int, v: int, lineno: int) -> None:
+    """Raise on a self-loop or an out-of-range edge read on line ``lineno``."""
     if u == v:
         raise GraphError(f"line {lineno}: self-loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
         raise GraphError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-    if v in adj[u]:
-        key = (u, v) if u < v else (v, u)
-        warnings.warn(f"line {lineno}: duplicate edge {key}, ignoring", stacklevel=3)
 
 
-def _graph(n: int, adj: Mapping[int, Iterable[int]]) -> Graph:
-    """The graph on ``n`` vertices whose vertex ``v`` has the neighbours
-    ``adj[v]``; a vertex missing from ``adj`` gets the one shared empty row."""
-    rows = [()] * n
-    for v, row in adj.items():
-        rows[v] = tuple(sorted(row))
-    return Graph(n, tuple(rows))
+def _sorted_ends(n: int, keys: List[int], lines: Sequence[int]) -> List[int]:
+    """The distinct edges of ``keys`` (u * n + v, u < v, for an edge read on
+    line ``lines[i]``), sorted as :class:`EdgeLines` ends; only when two keys
+    are equal are the repeated lines looked for and warned of, in line order."""
+    ordered = sorted(keys)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
+        seen = set()
+        for key, lineno in zip(keys, lines):
+            if key in seen:
+                warnings.warn(f"line {lineno}: duplicate edge {divmod(key, n)}, ignoring", stacklevel=3)
+            seen.add(key)
+        ordered = sorted(seen)
+    return list(chain.from_iterable(map(divmod, ordered, repeat(n))))
 
 
-def _parse_dimacs(text: str) -> Graph:
-    n, adj = 0, None
-    problem, edge_lines = None, 0  # the problem line's number and edge count; edge lines read
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "e":
-            if adj is None:
-                raise GraphError(f"line {lineno}: edge before problem line")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except (IndexError, ValueError) as exc:
-                raise GraphError(f"line {lineno}: malformed edge line {raw.strip()!r}") from exc
-            if u == v or not (0 <= u < n and 0 <= v < n) or v in adj[u]:
-                _check_edge(adj, n, u, v, lineno)  # raises, or warns of a duplicate
-            adj[u].add(v)
-            adj[v].add(u)
-            edge_lines += 1
-        elif tag.startswith("c"):
-            continue
-        elif tag == "p":
-            if adj is not None:
-                raise GraphError(f"line {lineno}: repeated problem line")
-            if len(parts) != 4 or parts[1] not in ("edge", "col"):
-                raise GraphError(f"line {lineno}: malformed problem line {raw.strip()!r}")
-            try:
-                n = int(parts[2])
-            except ValueError as exc:
-                raise GraphError(f"line {lineno}: bad vertex count") from exc
-            if n < 0:
-                raise GraphError(f"line {lineno}: negative vertex count")
-            adj, problem = defaultdict(set), (lineno, parts[3])
-        else:
-            raise GraphError(f"line {lineno}: unrecognized line {raw.strip()!r}")
-    if adj is None:
+def _parse_dimacs(text: str) -> Tuple[int, List[int]]:
+    n, problem = 0, None  # the problem line's number and edge count
+    keys, lines = [], array("q")  # each edge line's key and its number
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "e":
+                if problem is None:
+                    raise GraphError(f"line {lineno}: edge before problem line")
+                try:
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                except (IndexError, ValueError) as exc:
+                    raise GraphError(f"line {lineno}: malformed edge line {raw.strip()!r}") from exc
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    _check_edge(n, u, v, lineno)
+                keys.append(u * n + v if u < v else v * n + u)
+                lines.append(lineno)
+            elif tag.startswith("c"):
+                continue
+            elif tag == "p":
+                if problem is not None:
+                    raise GraphError(f"line {lineno}: repeated problem line")
+                if len(parts) != 4 or parts[1] not in ("edge", "col"):
+                    raise GraphError(f"line {lineno}: malformed problem line {raw.strip()!r}")
+                try:
+                    n = int(parts[2])
+                except ValueError as exc:
+                    raise GraphError(f"line {lineno}: bad vertex count") from exc
+                if n < 0:
+                    raise GraphError(f"line {lineno}: negative vertex count")
+                problem = (lineno, parts[3])
+            else:
+                raise GraphError(f"line {lineno}: unrecognized line {raw.strip()!r}")
+    except GraphError:
+        _sorted_ends(n, keys, lines)  # the repeats before the fault warn first
+        raise
+    if problem is None:
         raise GraphError("missing 'p edge <n> <m>' header")
-    _check_edge_count(problem, edge_lines, sum(map(len, adj.values())) // 2)
-    return _graph(n, adj)
+    distinct = _sorted_ends(n, keys, lines)
+    _check_edge_count(problem, len(lines), len(distinct) // 2)
+    return n, distinct
 
 
 def _check_edge_count(problem: Tuple[int, str], edge_lines: int, distinct: int) -> None:
@@ -321,12 +322,12 @@ def _check_edge_count(problem: Tuple[int, str], edge_lines: int, distinct: int) 
         )
 
 
-def _parse_edge_list(text: str) -> Graph:
-    """Two passes over the lines: the vertex count is known only once every
-    line is read (the ``# n=`` header may come last, and without one it is
-    the largest id + 1), and every syntax error outranks a range error."""
+def _parse_edge_list(text: str) -> Tuple[int, List[int]]:
+    """Two passes: the vertex count is known only once every line is read
+    (the ``# n=`` header may come last, and without one it is the largest
+    id + 1), and every syntax error outranks a range error."""
     declared_n = None
-    pairs = []
+    ends, lines = [], array("q")  # each edge line's ids and its number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -348,16 +349,16 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}") from exc
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id in {raw.strip()!r}")
-        pairs.append((lineno, u, v))
+        ends += (u, v)
+        lines.append(lineno)
 
-    max_id = max((max(u, v) for _, u, v in pairs), default=-1)
-    n = declared_n if declared_n is not None else max_id + 1
+    n = declared_n if declared_n is not None else max(ends, default=-1) + 1
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
-    adj = defaultdict(set)
-    for lineno, u, v in pairs:
-        if u == v or u >= n or v >= n or v in adj[u]:  # ids are >= 0 here
-            _check_edge(adj, n, u, v, lineno)
-        adj[u].add(v)
-        adj[v].add(u)
-    return _graph(n, adj)
+    us, vs = ends[::2], ends[1::2]
+    keys = list(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
+    if any(map(eq, us, vs)) or max(ends, default=-1) >= n:  # ids are >= 0 here
+        i = next(i for i, (u, v) in enumerate(zip(us, vs)) if u == v or max(u, v) >= n)
+        _sorted_ends(n, keys[:i], lines)  # the repeats before the fault warn first
+        _check_edge(n, us[i], vs[i], lines[i])
+    return n, _sorted_ends(n, keys, lines)

@@ -331,15 +331,22 @@ def forward_map(g: Graph, members: Iterable[int], cert: ReductionCertificate) ->
     return frozenset(out)
 
 
-def recover(
-    g_prime: Graph, members: Iterable[int], cert: ReductionCertificate
-) -> FrozenSet[int]:
+def recover(g_prime: Graph, members: Iterable[int], cert: ReductionCertificate) -> FrozenSet[int]:
     """Restrict an independent set of the reduced graph to the original
     vertices; loses at most ``cert.total_offset`` vertices.  Raises
     :class:`GraphError` if ``cert`` was not issued for ``g_prime``."""
-    digest = g_prime.content_hash()
+    return recover_edges(SortedEdges.of(g_prime), members, cert)
+
+
+def recover_edges(g_prime: SortedEdges, members: Iterable[int], cert: ReductionCertificate) -> FrozenSet[int]:
+    """:func:`recover` on the reduced graph as its sorted edges."""
     s = set(members)
-    return _restrict(s, cert, digest, g_prime.n, lambda: is_independent_set(g_prime, s))
+    return _restrict(s, cert, g_prime.digest, g_prime.n, lambda: not _joins(s, g_prime.ends))
+
+
+def _joins(s: Set[int], ends: Sequence[int]) -> bool:
+    """True iff an edge of ``ends`` (as :class:`EdgeLines` holds them) joins two of ``s``."""
+    return any(map(and_, map(s.__contains__, ends[::2]), map(s.__contains__, ends[1::2])))
 
 
 def recover_canonical(
@@ -348,7 +355,7 @@ def recover_canonical(
     """:func:`recover` on the G' whose canonical ``fmt`` text is the binary
     file ``reduced``, which is never built.  None, with nothing read, when
     the file cannot seek (a pipe), and None when it deviates from the
-    split below; the caller then parses it and calls :func:`recover`,
+    split below; the caller then parses it and calls :func:`recover_edges`,
     which raises what this would.
 
     The file is read as the certificate plans it (:func:`_read_by_plan`):
@@ -364,10 +371,8 @@ def recover_canonical(
 
     def texts(runs: Iterable[EdgeLines]) -> Iterator[str]:
         for lines in runs:
-            if s and not clash:
-                ends = lines.ends
-                if any(map(and_, map(s.__contains__, ends[::2]), map(s.__contains__, ends[1::2]))):
-                    clash.append(True)
+            if s and not clash and _joins(s, lines.ends):
+                clash.append(True)
             yield hash_text(lines)
 
     try:

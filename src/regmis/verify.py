@@ -13,25 +13,24 @@ one gadget per unit of deficiency in the canonical layout (owners
 ascending, ``index`` 1..deficiency, blocks contiguous from ``padded_n``,
 the port last) and the one blueprint.  The certificate's gadget list is
 compared with that layout whole, so only the canonical layout is accepted;
-every regmis certificate lists it.
+every regmis certificate lists it.  Untrusted fields are bounded against
+G' first: a step's end and edge count before its rows, and the layout's
+size before the blueprint.
 
-Cost: :func:`check_certificate` is linear in |V'| + |E'|.  It compares
-G''s edges below ``source_n`` and ``padded_n`` with G's and the padded
-edges, and its block rows in place with the model's.  Untrusted fields
-are bounded against G' first: a step's end and edge count before its
-rows, and the layout's size before the blueprint.
+Cost: linear in |V'| + |E'|, in memory that follows |E'|, not a declared
+|V'|.  G''s sorted edges are compared in order with the model's
+(:func:`_pieces`); only when they differ is each differing edge placed by
+its ends, which names the failing checks (:func:`_faults`).
 
 :func:`verify_canonical` needs no G' at all.  It regenerates the model's
-canonical text (the padded edges with the ports', then the blueprint at
-each block) and compares it with the file as the file is read, taking the
-content hash in the same pass; memory is O(|G| + #gadgets + blueprint).
-Its work is bounded by the file's length: a canonical G' is d-regular and
-each edge line has a least length, so steps and a layout that claim more
-than the file can hold are refused before any of their rows are built.  It
-answers whenever the file is the model's text and both hashes match,
-whatever the certificate's gadget list says; any other input (another edge
-order, a difference, a hash mismatch, malformed text) goes to
-:func:`verify_all` on the parsed G', which also names the failing check.
+canonical text and compares it with the file as the file is read, taking
+the content hash in the same pass; memory is O(|G| + #gadgets +
+blueprint).  Its work is bounded by the file's length: a canonical G' is
+d-regular and each edge line has a least length, so steps and a layout
+that claim more than the file can hold are refused before any of their
+rows are built.  It answers whenever the file is the model's text and
+both hashes match, whatever the certificate's gadget list says; any
+other file goes to :func:`verify_edges` on G''s sorted edges.
 
 The triangle and planarity checks are derived from that structural result
 and walk neither G nor G' again.
@@ -41,9 +40,10 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import compress
+from collections import Counter
+from dataclasses import asdict, dataclass
+from heapq import merge
+from itertools import chain, compress, islice
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -85,13 +85,7 @@ class VerificationReport:
         return FAIL if any(c.status == FAIL for c in self.checks) else PASS
 
     def to_json(self) -> str:
-        doc = {
-            "overall": self.overall,
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        doc = {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
         return json.dumps(doc, indent=2) + "\n"
 
 
@@ -146,24 +140,6 @@ def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) ->
         padding += EdgeLines(_step_rows(step.kind, step.start, k), step.start).ends
         count = step.end
     return count, g.ends + padding if padding else g.ends  # G's own list unless a step follows it
-
-
-def _block_rows(blueprint: Sequence[Row], off: int, owner: int) -> List[Row]:
-    """The blueprint's rows shifted to the gadget block at ``off``, with
-    the owner first in the port's (last) row."""
-    rows = [tuple(map(off.__add__, r)) for r in blueprint]
-    rows[-1] = (owner,) + rows[-1]
-    return rows
-
-
-def _split(row: Row, off: int, end: int) -> Tuple[List[int], List[int]]:
-    """The ids of ``row`` inside the block [off, end), and those leaving it."""
-    return [x for x in row if off <= x < end], [x for x in row if not off <= x < end]
-
-
-def _edges_below(adjacency: Sequence[Row], cut: int) -> List[int]:
-    """The sorted edges of G' (its rows ``adjacency``) among the ids below ``cut``."""
-    return EdgeLines([row[: bisect_left(row, cut)] for row in adjacency[: max(cut, 0)]]).ends
 
 
 _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
@@ -221,27 +197,53 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
     return _Model(splice(ends, ports), layout, blueprint, size, off)
 
 
-def _check_blocks(rows: Optional[Sequence[Row]], model: _Model) -> List[Check]:
-    """gadget-blueprints and port-attachment: G''s rows at each block of
-    the model are compared whole with :func:`_block_rows`; a row that
-    differs is split into its in-block part (blueprint) and its leaving
-    part (attachment).  Both hold by construction when ``rows`` is None."""
-    blocks_ok, attach_ok = True, True
-    detail_blocks, detail_attach = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
-    for owner, _, _, _, off, size in model.layout if rows is not None else ():
-        end, internal_ok, leaving_ok = off + size, True, True
-        for row, want in zip(rows[off:end], _block_rows(model.blueprint, off, owner)):
-            if row != want:
-                (inside, leaving), (want_inside, want_leaving) = _split(row, off, end), _split(want, off, end)
-                internal_ok = internal_ok and inside == want_inside
-                leaving_ok = leaving_ok and leaving == want_leaving
-        if not internal_ok:
-            blocks_ok = False
-            detail_blocks = f"gadget at {off} (owner {owner}) deviates from the blueprint"
-        if not leaving_ok:
-            attach_ok = False
-            detail_attach = f"gadget at {off} does not hang off one port-owner edge to a padded vertex"
-    return [_check("gadget-blueprints", blocks_ok, detail_blocks), _check("port-attachment", attach_ok, detail_attach)]
+def _faults(
+    gp: SortedEdges, d: int, source_n: int, base: Tuple[int, List[int]], model: Optional[_Model]
+) -> Tuple[List[int], bool, bool, int, int]:
+    """Where G' deviates from the model (or, without one, from ``base``, the
+    padded count and edges): the first vertices off degree ``d``, whether
+    an edge differs below ``source_n`` and below the padded count, and the
+    last block (by layout place, else -1) with a differing edge inside it
+    and one leaving it.  Edges are placed only once the in-order comparison fails."""
+    ends, n = gp.ends, gp.n
+    degree = Counter(ends)
+    missing = (v for v in range(n) if v not in degree) if d else ()
+    irregular = list(islice(merge(sorted(v for v, k in degree.items() if k != d), missing), 5))
+    count, reference = base
+    origin, padding, block, attachment = n < source_n, n < count, -1, -1
+    if model is None or not _is_model(ends, model):
+        reference = reference if model is None else list(chain.from_iterable(_pieces(model)))
+        edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
+        for u, v in edges[0] ^ edges[1]:
+            if v < count:
+                origin, padding = origin or v < source_n, True
+            elif model is not None:
+                i, j = ((x - count) // model.size if count <= x < model.n else -1 for x in (u, v))
+                if i == j:
+                    block = max(block, i)
+                else:
+                    attachment = max(attachment, i, j)
+    return irregular, origin, padding, block, attachment
+
+
+def _is_model(ends: List[int], model: _Model) -> bool:
+    """``ends`` are the model's sorted edges, compared a piece at a time."""
+    at = 0
+    for piece in _pieces(model):
+        if ends[at : at + len(piece)] != piece:
+            return False
+        at += len(piece)
+    return at == len(ends)
+
+
+def _block_checks(block: int, attachment: int, model: _Model) -> List[Check]:
+    """gadget-blueprints and port-attachment, naming the last failing block (a layout place, or -1)."""
+    inside, leaving = "all gadget blocks match their blueprint", "every port attaches to exactly its owner"
+    if block >= 0:
+        inside = "gadget at {4} (owner {0}) deviates from the blueprint".format(*model.layout[block])
+    if attachment >= 0:
+        leaving = f"gadget at {model.layout[attachment][4]} does not hang off one port-owner edge to a padded vertex"
+    return [_check("gadget-blueprints", block < 0, inside), _check("port-attachment", attachment < 0, leaving)]
 
 
 def _check_gadget_list(cert: ReductionCertificate, layout: List[tuple]) -> Check:
@@ -278,46 +280,45 @@ def _check_gadget_alpha(cert: ReductionCertificate, attached: Optional[int]) -> 
     )
 
 
-def check_certificate(
-    g: Graph, g_prime: Graph, cert: ReductionCertificate
-) -> VerificationReport:
+def check_certificate(g: Graph, g_prime: Graph, cert: ReductionCertificate) -> VerificationReport:
     """Pure-structure verification; no solver runs on either graph."""
-    source = SortedEdges.of(g)
-    if cert.source_hash != source.digest:
+    return VerificationReport(_checks(SortedEdges.of(g), SortedEdges.of(g_prime), cert))
+
+
+def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> Tuple[Check, ...]:
+    """check_certificate's checks on G and G' given as their sorted edges."""
+    if cert.source_hash != g.digest:
         raise GraphError("certificate source hash does not match the source graph")
-    if cert.result_hash != g_prime.content_hash():
+    if cert.result_hash != gp.digest:
         raise GraphError("certificate result hash does not match the reduced graph")
+    n, m = gp.n, len(gp.ends) // 2
     padded: Optional[Tuple[int, List[int]]] = None
     model: Optional[_Model] = None
     try:
-        padded = _padded_edges(source, cert, g_prime.n, g_prime.m)
-        model, error = _model(padded, cert, g_prime.n, g_prime.m), ""
+        padded = _padded_edges(g, cert, n, m)
+        model, error = _model(padded, cert, n, m), ""
     except GraphError as exc:
         error = str(exc)
-    return VerificationReport(_structure(source, cert, g_prime.n, g_prime.adjacency, padded, model, error))
+    faults = _faults(gp, cert.target_degree, g.n, (g.n, g.ends) if padded is None else padded, model)
+    return _structure(g, cert, n, faults, padded, model, error)
 
 
 def _structure(
-    g: SortedEdges,
-    cert: ReductionCertificate,
-    n: int,
-    rows: Optional[Sequence[Row]],
-    padded: Optional[Tuple[int, List[int]]],
-    model: Optional[_Model],
-    error: str,
+    g: SortedEdges, cert: ReductionCertificate, n: int, faults: Tuple[List[int], bool, bool, int, int],
+    padded: Optional[Tuple[int, List[int]]], model: Optional[_Model], error: str,
 ) -> Tuple[Check, ...]:
-    """check_certificate's checks for a G' of ``n`` vertices with the rows
-    ``rows``, given the padded edges and the model (each None when it could
-    not be built, and ``error`` why).  ``rows`` is None when G' is known to
-    be the model's regeneration: its comparisons then hold by construction."""
+    """check_certificate's checks for a G' of ``n`` vertices that deviates
+    from the model as ``faults`` says, given the padded edges and the model
+    (each None when it could not be built, and ``error`` why)."""
     d = cert.target_degree
-    checks: List[Check] = [_regular(n, d, [] if rows is None else [v for v, a in enumerate(rows) if len(a) != d])]
+    irregular, origin, padding, block, attachment = faults
+    checks: List[Check] = [_regular(n, d, irregular)]
 
     # originals induce exactly the source graph
     if cert.source_n != g.n:
         same, detail = False, f"source_n {cert.source_n} is not the source graph's {g.n} vertices"
     else:
-        same = rows is None or (len(rows) >= g.n and _edges_below(rows, g.n) == g.ends)
+        same = not origin
         detail = "edges among original vertices " + ("unchanged" if same else "were added or removed")
     checks.append(_check("origin-induced", same, detail))
 
@@ -327,14 +328,14 @@ def _structure(
         pad_ok, pad_detail = False, error
     else:
         pad_ok, pad_detail = True, "padding steps reconstruct"
-        count, ends = padded
+        count = padded[0]
         if count != cert.padded_n:
             pad_ok, pad_detail = False, f"padded_n {cert.padded_n} is not |V(G)| plus the steps, {count}"
         for step in cert.steps:
             expected = 1 if step.kind == PARITY_FIX else step.size - 1
             if step.alpha_offset != expected:
                 pad_ok, pad_detail = False, f"step {step.kind} has offset {step.alpha_offset}, expected {expected}"
-        if pad_ok and rows is not None and not (len(rows) >= count and _edges_below(rows, count) == ends):
+        if pad_ok and padding:
             pad_ok, pad_detail = False, "padded prefix of the reduced graph disagrees with the steps"
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
@@ -345,35 +346,21 @@ def _structure(
         checks += [Check("gadget-blueprints", status, why), Check("port-attachment", SKIP, why)]
         checks += [Check("gadget-counts", SKIP, why), Check("size-bound", status, why)]
     else:
-        blocks = _check_blocks(rows, model)
+        blocks = _block_checks(block, attachment, model)
         attached = len(model.layout) if blocks[0].status == PASS else None
         # vertex count: closed form and the cubic-in-degree blowup bound
         bound = padded[0] * (1 + d * model.size)
         size_ok = n == model.n and n <= bound
-        checks += blocks + [
-            _check_gadget_list(cert, model.layout),
-            _check(
-                "size-bound",
-                size_ok,
-                f"|V'|={n} equals closed form {model.n}, within bound {bound}"
-                if size_ok
-                else f"|V'|={n}, closed form {model.n}, bound {bound}",
-            ),
-        ]
+        detail = f"|V'|={n}, closed form {model.n}, bound {bound}"
+        if size_ok:
+            detail = f"|V'|={n} equals closed form {model.n}, within bound {bound}"
+        checks += blocks + [_check_gadget_list(cert, model.layout), _check("size-bound", size_ok, detail)]
 
     # offset arithmetic, over the model's gadgets whenever there is a model
-    expected_offset = (
-        sum(s.alpha_offset for s in cert.steps)
-        + len(cert.gadgets if model is None else model.layout) * cert.per_gadget_alpha
-    )
-    checks.append(
-        _check(
-            "offset-arithmetic",
-            cert.total_offset == expected_offset,
-            f"total_offset {cert.total_offset} vs recomputed {expected_offset}",
-        )
-    )
-    checks.append(_check_gadget_alpha(cert, attached))
+    gadget_count = len(cert.gadgets if model is None else model.layout)
+    expected = sum(s.alpha_offset for s in cert.steps) + gadget_count * cert.per_gadget_alpha
+    detail = f"total_offset {cert.total_offset} vs recomputed {expected}"
+    checks += [_check("offset-arithmetic", cert.total_offset == expected, detail), _check_gadget_alpha(cert, attached)]
     return tuple(checks)
 
 
@@ -425,13 +412,9 @@ def check_sandwich(
         return Check("sandwich", FAIL, str(exc))
     if not is_independent_set(g_prime, lifted):
         return Check("sandwich", FAIL, "lifted set is not independent in the reduced graph")
-    if len(lifted) != len(s) + cert.total_offset:
-        return Check(
-            "sandwich",
-            FAIL,
-            f"lifted set has {len(lifted)} vertices, expected {len(s) + cert.total_offset}",
-        )
     certified = len(s) + cert.total_offset
+    if len(lifted) != certified:
+        return Check("sandwich", FAIL, f"lifted set has {len(lifted)} vertices, expected {certified}")
     return Check(
         "sandwich",
         PASS,
@@ -536,33 +519,41 @@ def _derived_planarity(
 def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Check:
     """Euler necessary condition plus the cut-edge attachment structure that
     preserves planarity of a planar input, from the gadget-block checks
-    against the model over G''s own rows below ``padded_n``; a hash
+    against the model over G''s own edges below ``padded_n``; a hash
     mismatch fails the check."""
 
     def structure() -> List[Check]:
-        if cert.result_hash != g_prime.content_hash():
+        gp = SortedEdges.of(g_prime)
+        if cert.result_hash != gp.digest:
             raise GraphError("certificate result hash does not match the reduced graph")
-        lo = max(cert.padded_n, 0)
-        padded = (min(lo, g_prime.n), _edges_below(g_prime.adjacency, lo))
+        lo, ends = max(cert.padded_n, 0), gp.ends
+        padded = (min(lo, gp.n), [x for u, v in zip(ends[::2], ends[1::2]) if v < lo for x in (u, v)])
         try:
-            return _check_blocks(g_prime.adjacency, _model(padded, cert, g_prime.n, g_prime.m))
+            model = _model(padded, cert, gp.n, g_prime.m)
         except GraphError:
             return []
+        return _block_checks(*_faults(gp, cert.target_degree, 0, padded, model)[3:], model)
 
     return _derived_planarity(g_prime.n, g_prime.m, cert, structure)
 
 
 def verify_all(
-    g: Graph,
-    g_prime: Graph,
-    cert: ReductionCertificate,
-    with_oracle: bool = False,
-    limits: Optional[SolverLimits] = None,
+    g: Graph, g_prime: Graph, cert: ReductionCertificate, with_oracle: bool = False, limits: Optional[SolverLimits] = None
 ) -> VerificationReport:
     """Run the full check battery; solver-backed checks only with
     ``with_oracle``."""
-    structure = check_certificate(g, g_prime, cert).checks
-    return _report(cert, structure, g_prime.n, g_prime.m, lambda: (g, g_prime), with_oracle, limits)
+    return verify_edges(SortedEdges.of(g), SortedEdges.of(g_prime), cert, with_oracle, limits)
+
+
+def verify_edges(
+    g: SortedEdges, g_prime: SortedEdges, cert: ReductionCertificate, with_oracle: bool = False,
+    limits: Optional[SolverLimits] = None,
+) -> VerificationReport:
+    """:func:`verify_all` on G and G' as their sorted edges; their graphs
+    are built only for the oracle."""
+    structure = _checks(g, g_prime, cert)
+    graphs = lambda: (g.graph(), g_prime.graph())  # noqa: E731
+    return _report(cert, structure, g_prime.n, len(g_prime.ends) // 2, graphs, with_oracle, limits)
 
 
 def _report(
@@ -609,7 +600,7 @@ def verify_canonical(
     """:func:`verify_all`'s report on G (its sorted edges) and the G' in the
     seekable file ``reduced``, when that file is byte for byte the canonical
     ``fmt`` text of the model's G' and both hashes match; None for any other
-    file, which the caller then parses and hands to :func:`verify_all`.
+    file, which the caller then parses and hands to :func:`verify_edges`.
 
     The file is never parsed.  Its text is regenerated a piece at a time
     and compared as it is read, stopping at the first difference, and the
@@ -647,29 +638,31 @@ def verify_canonical(
         return None
 
     def graphs() -> Tuple[Graph, Graph]:
-        rows = sorted_rows(n, model.ported)
-        for owner, _, _, _, off, size in model.layout:
-            rows[off : off + size] = _block_rows(model.blueprint, off, owner)
-        return g.graph(), Graph(n, tuple(rows))
+        return g.graph(), Graph(n, tuple(sorted_rows(n, chain.from_iterable(_pieces(model)))))
 
-    structure = _structure(g, cert, n, None, padded, model, "")
+    structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
     return _report(cert, structure, n, m, graphs, with_oracle, limits)
 
 
 def _canonical_text(fmt: str, model: _Model, m: int) -> Iterator[Tuple[str, str]]:
     """The model's canonical G' of ``m`` edges as (file text, content-hash
-    text) pieces: the header, the edges below the first block, then the
-    blueprint's rows at each block, a group of blocks at a time."""
-    size = model.size
+    text) pieces: the header, then the model's edges in runs."""
     yield header(fmt, model.n, m), ""
-    for lines in end_runs(model.ported):
+    for lines in chain.from_iterable(map(end_runs, _pieces(model))):
         yield edge_text(fmt, lines), hash_text(lines)
+
+
+def _pieces(model: _Model) -> Iterator[List[int]]:
+    """The model's sorted edges as ends: the edges below the first block,
+    then the blueprint's at ``_BLOCKS_PER_RENDER`` blocks at a time."""
+    yield model.ported
+    size = model.size
     off = model.n - len(model.layout) * size
     full, rest = divmod(len(model.layout), _BLOCKS_PER_RENDER)
     for blocks, times in ((_BLOCKS_PER_RENDER, full), (rest, 1)):
         if not blocks * times:
             continue
-        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in model.blueprint])
+        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in model.blueprint]).ends
         for _ in range(times):
-            yield edge_text(fmt, tile, off), hash_text(tile, off)
+            yield [x + off for x in tile]
             off += blocks * size

@@ -3,12 +3,13 @@ import io
 import json
 import os
 import random
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from regmis import cli, gadgets, verify
+from regmis import cli, gadgets, graph, reduction, verify
 from regmis import io as graph_io
 from regmis.cli import main
 from regmis.graph import Graph, GraphError, SortedEdges, complete_graph
@@ -258,7 +259,8 @@ def test_every_reading_of_the_source_gives_the_same_outputs(tmp_path, capsys, na
 
 def test_regularize_and_verify_read_the_source_as_edges(tmp_path, capsys, monkeypatch):
     """On canonical text, regularize and verify (without the oracle) never
-    parse G and build no graph as large as G; G' is not built either."""
+    run the line parser on G and build no graph as large as G; G' is not
+    built either."""
     source = grid_with_diagonals(random.Random(5), 18, cap=4)  # 324 vertices
     src = tmp_path / "g.col"
     src.write_text(serialize_graph(source, "dimacs-col"))
@@ -268,8 +270,8 @@ def test_regularize_and_verify_read_the_source_as_edges(tmp_path, capsys, monkey
         assert self.n < source.n, f"a graph of {self.n} vertices was built"
         real_init(self)
 
-    def no_parse(text, fmt):
-        raise AssertionError("parse_graph called")
+    def no_parse(text, *fmt):
+        raise AssertionError("a graph was parsed")
 
     for flags in (["--degree", "5"], ["--degree", "7"], ["--planar"]):
         red, cert = tmp_path / "gp.col", tmp_path / "cert.json"
@@ -277,6 +279,7 @@ def test_regularize_and_verify_read_the_source_as_edges(tmp_path, capsys, monkey
             patch.setattr(Graph, "__post_init__", smaller_than_the_source)
             patch.setattr(cli, "parse_graph", no_parse)
             patch.setattr(graph_io, "parse_graph", no_parse)
+            patch.setattr(graph_io, "_parse_dimacs", no_parse)
             assert run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert) == (0, "", "")
             code, out, err = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert)
         assert (code, json.loads(out)["overall"], err) == (0, "pass", "")
@@ -581,12 +584,12 @@ class TestVerifyByRegeneration:
         gp, cert = reduce(g)
         paths = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
         parsed, built = [], []
-        real_parse, real_init = cli.parse_graph, Graph.__post_init__
-        monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f) or real_parse(text, f))
+        real_read, real_init = cli.parse_edges, Graph.__post_init__
+        monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(text) or real_read(text, f))
         monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
         code, out, _ = verify_files(capsys, paths)
         assert code == 0 and json.loads(out)["overall"] == "pass"
-        assert parsed == []  # G is read as its sorted edges, G' is regenerated
+        assert parsed == [serialize_graph(g, "dimacs-col")]  # G is read as its sorted edges, G' is regenerated
         assert gp.n not in built
 
     @pytest.mark.parametrize("k, cause", [(100, "edges"), (2000, "past |V'|")])
@@ -784,13 +787,75 @@ def test_recover_on_canonical_input_builds_no_reduced_graph(tmp_path, capsys, mo
     sol = tmp_path / "sol.txt"
     sol.write_text("".join(f"{v}\n" for v in solution))
     parsed, built = [], []
-    real_parse, real_init = cli.parse_graph, Graph.__post_init__
-    monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f) or real_parse(text, f))
+    real_read, real_init = cli.parse_edges, Graph.__post_init__
+    monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(f) or real_read(text, f))
     monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
     code, out, err, caught = recover_files(capsys, red, cert_path, sol)
     assert (code, err, caught) == (0, "", [])
     assert json.loads(out)["recovered"] == [v for v in solution if v < g.n]
     assert parsed == [] and gp.n not in built
+
+
+@pytest.mark.parametrize("fmt, reduced_name", [("dimacs-col", "gp.col"), ("edge-list", "gp.txt")])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_a_g_prime_in_another_order_is_read_as_edges_and_never_built(
+    tmp_path, capsys, monkeypatch, name, fmt, reduced_name
+):
+    """A G' that is not canonical text goes through the line parser, once
+    for verify and once for recover, and neither builds a graph of it."""
+    g, gp, cert = DIFFERENTIAL_CASES[name]()
+    head, *edges = serialize_graph(gp, fmt).splitlines(keepends=True)
+    paths = write_inputs(tmp_path, g, head + "".join(reversed(edges)), cert.to_json(), reduced_name)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in greedy_independent(gp)))
+    parsed, built = [], []
+    for name in ("_parse_dimacs", "_parse_edge_list"):
+        real = getattr(graph_io, name)
+        monkeypatch.setattr(graph_io, name, lambda text, real=real, name=name: parsed.append(name) or real(text))
+    real_init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
+    code, out, err = verify_files(capsys, paths)
+    assert (code, json.loads(out)["overall"], err) == (0, "pass", "")
+    code, out, err, caught = recover_files(capsys, paths[1], paths[2], sol)
+    assert (code, err, caught) == (0, "", [])
+    line_parser = "_parse_dimacs" if fmt == "dimacs-col" else "_parse_edge_list"
+    assert parsed == [line_parser, line_parser] and gp.n not in built
+
+
+@pytest.mark.parametrize("fmt, text", [("dimacs-col", "p edge 10000000 0\n"), ("edge-list", "# n=10000000\n")])
+def test_a_declared_vertex_count_costs_nothing(tmp_path, capsys, monkeypatch, fmt, text):
+    """A G' of 10^7 vertices and no edges, with a certificate whose hash
+    binds it: verify fails and names the first vertices off the degree,
+    recover answers as usual, and neither builds rows or a graph of G', or
+    anything else with an entry per vertex."""
+    g, _, cert = DIFFERENTIAL_CASES["general"]()
+    forged = dataclasses.replace(cert, result_hash=graph.content_digest(10**7, []))
+    paths = write_inputs(tmp_path, g, text, forged.to_json(), "gp.col" if fmt == "dimacs-col" else "gp.txt")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    real_init, real_rows = Graph.__post_init__, graph.sorted_rows
+
+    def small(n):
+        assert n < 1000, f"a graph or rows of {n} vertices were built"
+
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: small(self.n) or real_init(self))
+    for module in (graph, graph_io, verify, reduction):
+        if hasattr(module, "sorted_rows"):
+            monkeypatch.setattr(module, "sorted_rows", lambda n, ends: small(n) or real_rows(n, ends))
+    tracemalloc.start()
+    try:
+        verified = verify_files(capsys, paths)
+        recovered = recover_files(capsys, paths[1], paths[2], sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    code, out, err = verified
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (code, err, checks["size-bound"]["status"]) == (1, "", "fail")
+    assert checks["regular"]["detail"] == "vertices [0, 1, 2, 3, 4] deviate from degree 3"
+    code, out, err, caught = recovered
+    assert (code, json.loads(out)["recovered"], err, caught) == (0, [0], "", [])
+    assert peak < 16 * 2**20  # an entry per vertex would take 80 MB
 
 
 SOLUTIONS = {
@@ -965,7 +1030,7 @@ def test_recover_on_canonical_input_with_no_blocks_reads_it_canonically(
             yield lines
 
     monkeypatch.setattr(graph_io, "_canonical_runs", runs)
-    monkeypatch.setattr(cli, "parse_graph", lambda text, f: parsed.append(f))
+    monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(f))
     code, out, err, _ = recover_files(capsys, red, cert_path, sol)
     assert parsed == [] and sum(edges) == gp.m
     if solution == "independent":

@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regmis import io
-from regmis.graph import Graph, GraphError, complete_graph
+from regmis.graph import Graph, GraphError, SortedEdges, complete_graph
 from regmis.io import parse_graph, serialize_graph
 
 from conftest import TEXT_EDITS, edit_canonical, path_graph, random_graph
@@ -165,6 +166,68 @@ def test_duplicate_warned_before_a_later_error():
             parse_graph("p edge 3 2\ne 1 2\ne 2 1\ne 1 4\n", "dimacs-col")
 
 
+# -- duplicate edges ----------------------------------------------------------
+
+
+def caught_while(parse):
+    """The warnings of ``parse()`` as (message, file, line), and its result or error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse()
+        except GraphError as exc:
+            result = str(exc)
+    return [(str(w.message), w.filename, w.lineno) for w in caught], result
+
+
+def line_parser_call():
+    """Where the line parsers are called from: the frame their warnings name."""
+    source, first = inspect.getsourcelines(io._read)
+    return io.__file__, first + next(i for i, line in enumerate(source) if "_parse_dimacs(" in line)
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("dimacs-col", "p edge 4 3\ne 3 4\ne 1 2\nc a note\ne 4 3\ne 2 1\ne 2 3\ne 1 2\n"),
+        ("edge-list", "# n=4\n2 3\n0 1\n# a note\n3 2\n1 0\n1 2\n0 1\n"),
+    ],
+)
+def test_duplicates_warn_in_line_order_from_the_line_parsers_caller(fmt, text):
+    """Repeats of edges read in another order warn in the order of their
+    lines, and each warning names the line parser's caller."""
+    caught, g = caught_while(lambda: parse_graph(text, fmt))
+    messages = [f"line {n}: duplicate edge {e}, ignoring" for n, e in ((5, (2, 3)), (6, (0, 1)), (8, (0, 1)))]
+    assert caught == [(m, *line_parser_call()) for m in messages]
+    assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "fmt, text, warned, message",
+    [
+        ("dimacs-col", "p edge 3 2\ne 1 2\ne 2 1\ne x y\n", [3], "line 4: malformed edge line 'e x y'"),
+        ("dimacs-col", "p edge 3 2\ne 1 2\ne 2 1\nx\n", [3], "line 4: unrecognized line 'x'"),
+        ("dimacs-col", "p edge 3 2\ne 1 2\ne 2 1\ne 3 3\n", [3], "line 4: self-loop at vertex 2"),
+        ("edge-list", "0 1\n1 0\n2 2\n", [2], "line 3: self-loop at vertex 2"),
+        ("edge-list", "# n=3\n0 1\n1 0\n0 3\n", [3], "line 4: edge (0, 3) out of range for n=3"),
+        # every syntax error of an edge list outranks its duplicates and range errors
+        ("edge-list", "0 1\n1 0\n2 2\nx y\n", [], "line 4: non-integer vertex id in 'x y'"),
+    ],
+)
+def test_duplicates_before_a_fault_warn_first(fmt, text, warned, message):
+    caught, error = caught_while(lambda: parse_graph(text, fmt))
+    assert (caught, error) == ([(f"line {n}: duplicate edge (0, 1), ignoring", *line_parser_call()) for n in warned], message)
+
+
+def test_dimacs_edge_count_warning_counts_lines_and_distinct_edges():
+    text = "p edge 3 7\ne 1 2\ne 2 1\ne 2 3\ne 3 2\ne 1 2\n"
+    caught, g = caught_while(lambda: parse_graph(text, "dimacs-col"))
+    messages = [f"line {n}: duplicate edge {e}, ignoring" for n, e in ((3, (0, 1)), (5, (1, 2)), (6, (0, 1)))]
+    messages.append("line 1: problem line declares 7 edges, but the file has 5 edge lines and 2 distinct edges")
+    assert caught == [(m, *line_parser_call()) for m in messages]
+    assert g.m == 2
+
+
 # -- the header's edge count ------------------------------------------------
 
 
@@ -225,7 +288,12 @@ def test_vertices_without_edges_share_one_empty_row(monkeypatch, text, fmt, path
 
 # -- canonical text: the bulk path against the line parser ---------------------
 
-LINE_PARSERS = {"dimacs-col": io._parse_dimacs, "edge-list": io._parse_edge_list}
+def built(parse):
+    """The line parser ``parse`` with its vertex count and sorted edges built into a graph."""
+    return lambda text: SortedEdges(*parse(text), "").graph()
+
+
+LINE_PARSERS = {"dimacs-col": built(io._parse_dimacs), "edge-list": built(io._parse_edge_list)}
 
 
 def outcome(parse, text):

@@ -421,6 +421,31 @@ def with_degree(cert, delta):
     )
 
 
+class TestEdgesPlacedByTheirEnds:
+    """Each edge of G' that differs from the model fails the check that
+    its ends belong to, as the comparison of rows did."""
+
+    def test_dropped_padding_edge_fails_padding_steps(self):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        u, v = next((u, v) for u, v in gp.edges() if g.n <= u and v < cert.padded_n)
+        mutated = drop_edge(gp, u, v)
+        failed = failed_checks(check_certificate(g, mutated, rehash(cert, g_prime=mutated)))
+        assert failed.pop("padding-steps") == "padded prefix of the reduced graph disagrees with the steps"
+        assert set(failed) == {"regular"}
+
+    def test_edge_past_the_model_fails_port_attachment(self, pipeline):
+        """An edge from a gadget block to a vertex past the model's |V'|
+        is seen from the block's side."""
+        g, gp, cert = pipeline
+        gi = cert.gadgets[0]
+        mutated = Graph.from_edges(gp.n + 1, list(gp.edges()) + [(gi.id_offset, gp.n)])
+        failed = failed_checks(check_certificate(g, mutated, rehash(cert, g_prime=mutated)))
+        detail = f"gadget at {gi.id_offset} does not hang off one port-owner edge to a padded vertex"
+        assert failed.pop("port-attachment") == detail
+        assert set(failed) == {"regular", "size-bound"}
+
+
 class TestUntrustedCertificate:
     def test_huge_degree_rejected_without_building_it(self, pipeline, monkeypatch):
         g, gp, cert = pipeline

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / verification pass, 1 verification fail or
 infeasible request, 2 malformed input or a file that cannot be opened,
-3 solver budget exhausted.
+3 solver budget exhausted.  A run builds only the parser of the command
+it names; no command, an unknown one and unrecognized arguments go
+through the full parser, so every usage and error text is its own.
 """
 
 from __future__ import annotations
@@ -73,69 +75,19 @@ def _write(path: Optional[str], text: str) -> None:
         out.write(text)
 
 
+def _print_ids(doc: dict, key: str) -> None:
+    """``print(json.dumps(doc, indent=2))``, the int list ``doc[key]`` spliced
+    into the text of ``doc`` with that list empty, as the encoder lays it out."""
+    ids = ",\n    ".join(map(str, doc[key]))
+    text = json.dumps({**doc, key: []}, indent=2)
+    print(text.replace(f'"{key}": []', f'"{key}": [\n    {ids}\n  ]', 1) if ids else text)
+
+
 def _limits(args: argparse.Namespace) -> SolverLimits:
     return SolverLimits(
         node_budget=getattr(args, "budget_nodes", None),
         time_budget=getattr(args, "budget_secs", None),
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="regmis",
-        description="Degree-regularizing reductions for maximum independent set, "
-        "with certificates, exact solvers, and verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", help="graph file (- reads nothing; use a path)")
-        p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
-
-    p = sub.add_parser("regularize", help="transform a graph into a regular one")
-    add_io(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int, help="odd target degree")
-    group.add_argument("--planar", action="store_true", help="5-regular planar pipeline")
-    p.add_argument(
-        "--strict", action="store_true",
-        help="with --degree, reject even-maximum-degree inputs instead of parity-fixing",
-    )
-    p.add_argument("--output", help="reduced graph output path (default stdout)")
-    p.add_argument("--cert", help="certificate JSON output path")
-    p.add_argument("--out-format", choices=FORMATS, default="dimacs-col")
-
-    p = sub.add_parser("solve", help="exact maximum independent set")
-    add_io(p)
-    p.add_argument("--method", choices=("auto", "brute", "bb"), default="auto")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
-
-    p = sub.add_parser("verify", help="check a reduction against its certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--reduced", required=True)
-    p.add_argument("--cert", required=True)
-    p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
-    p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
-
-    p = sub.add_parser("recover", help="map a reduced-graph solution back to the source")
-    p.add_argument("--reduced", required=True)
-    p.add_argument("--cert", required=True)
-    p.add_argument("--solution", required=True, help="newline-separated 0-indexed vertex ids")
-    p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
-
-    p = sub.add_parser("gadget", help="dump a gadget and its role map")
-    p.add_argument("--kind", choices=(gadgets.GENERAL, gadgets.PLANAR5, gadgets.ICOSA), default=gadgets.GENERAL)
-    p.add_argument("--delta", type=int, help="odd target degree (general gadget)")
-    p.add_argument("--out-format", choices=FORMATS, default="edge-list")
-    p.add_argument("--output", help="graph output path (default stdout)")
-    p.add_argument("--roles", help="role map JSON output path (default stdout)")
-
-    p = sub.add_parser("stats", help="basic instance statistics")
-    add_io(p)
-    return parser
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
@@ -162,7 +114,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "method": result.method,
         "stats": result.stats,
     }
-    print(json.dumps(doc, indent=2))
+    _print_ids(doc, "witness")
     return EXIT_OK
 
 
@@ -208,7 +160,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         "offset": cert.total_offset,
         "size_bound_met": len(recovered) >= input_size - cert.total_offset,
     }
-    print(json.dumps(doc, indent=2))
+    _print_ids(doc, "recovered")
     return EXIT_OK if doc["size_bound_met"] else EXIT_FAIL
 
 
@@ -247,19 +199,85 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "regularize": _cmd_regularize,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "recover": _cmd_recover,
-    "gadget": _cmd_gadget,
-    "stats": _cmd_stats,
+    "regularize": (_cmd_regularize, "transform a graph into a regular one"),
+    "solve": (_cmd_solve, "exact maximum independent set"),
+    "verify": (_cmd_verify, "check a reduction against its certificate"),
+    "recover": (_cmd_recover, "map a reduced-graph solution back to the source"),
+    "gadget": (_cmd_gadget, "dump a gadget and its role map"),
+    "stats": (_cmd_stats, "basic instance statistics"),
 }
 
 
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Define ``command``'s arguments on ``p``, its parser."""
+    if command in ("regularize", "solve", "stats"):
+        p.add_argument("input", help="graph file (- reads nothing; use a path)")
+        p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+    if command == "regularize":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--degree", type=int, help="odd target degree")
+        group.add_argument("--planar", action="store_true", help="5-regular planar pipeline")
+        p.add_argument(
+            "--strict", action="store_true",
+            help="with --degree, reject even-maximum-degree inputs instead of parity-fixing",
+        )
+        p.add_argument("--output", help="reduced graph output path (default stdout)")
+        p.add_argument("--cert", help="certificate JSON output path")
+        p.add_argument("--out-format", choices=FORMATS, default="dimacs-col")
+    elif command == "solve":
+        p.add_argument("--method", choices=("auto", "brute", "bb"), default="auto")
+        p.add_argument("--budget-nodes", type=int)
+        p.add_argument("--budget-secs", type=float)
+    elif command == "verify":
+        p.add_argument("--graph", required=True)
+        p.add_argument("--reduced", required=True)
+        p.add_argument("--cert", required=True)
+        p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+        p.add_argument("--with-oracle", action="store_true")
+        p.add_argument("--budget-nodes", type=int)
+        p.add_argument("--budget-secs", type=float)
+    elif command == "recover":
+        p.add_argument("--reduced", required=True)
+        p.add_argument("--cert", required=True)
+        p.add_argument("--solution", required=True, help="newline-separated 0-indexed vertex ids")
+        p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
+    elif command == "gadget":
+        p.add_argument("--kind", choices=(gadgets.GENERAL, gadgets.PLANAR5, gadgets.ICOSA), default=gadgets.GENERAL)
+        p.add_argument("--delta", type=int, help="odd target degree (general gadget)")
+        p.add_argument("--out-format", choices=FORMATS, default="edge-list")
+        p.add_argument("--output", help="graph output path (default stdout)")
+        p.add_argument("--roles", help="role map JSON output path (default stdout)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="regmis",
+        description="Degree-regularizing reductions for maximum independent set, "
+        "with certificates, exact solvers, and verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary) in _COMMANDS.items():
+        _add_arguments(command, sub.add_parser(command, help=summary))
+    return parser
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named
+    command's parser unless the full one is needed for its usage or error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"regmis {argv[0]}")
+        _add_arguments(argv[0], parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:  # else the full parser reports them as unrecognized
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

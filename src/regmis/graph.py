@@ -9,7 +9,8 @@ components and the gadget blueprints.  The whole-graph queries below each
 make one pass over the adjacency.
 
 Text built from rows, the file formats' edge lines (``io``) and the content
-hash's, comes from one emitter, :class:`EdgeLines`.
+hash's, comes from one emitter, :class:`EdgeLines`; gadget blocks repeat a
+blueprint's a tile at a time (:func:`tiles`).
 """
 
 from __future__ import annotations
@@ -143,6 +144,19 @@ def edge_runs(rows: Sequence[Row]) -> Iterator[EdgeLines]:
 def end_runs(ends: List[int]) -> Iterator[EdgeLines]:
     """The edges of ``ends``, a run of ``_RUN`` edges at a time."""
     return (EdgeLines.from_ends(ends[first : first + 2 * _RUN]) for first in range(0, len(ends), 2 * _RUN))
+
+
+_BLOCKS_PER_TILE = 64  # gadget blocks rendered, compared and hashed at a time
+
+
+def tiles(rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
+    """The edges inside ``count`` consecutive blocks of the blueprint
+    ``rows`` from id ``first``, as (edges, shift) tiles of up to
+    ``_BLOCKS_PER_TILE`` blocks, the last tile cut to the blocks that remain."""
+    size, block, per = len(rows), EdgeLines(rows).ends, _BLOCKS_PER_TILE
+    tile = [x + b * size for b in range(min(count, per)) for x in block]
+    for b in range(0, count, per):
+        yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
 
 
 def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:

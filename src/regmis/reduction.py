@@ -35,12 +35,12 @@ from .graph import (
     sorted_rows,
     splice,
     star_graph,
+    tiles,
 )
 from .io import NotCanonical, canonical_header, canonical_prefix, edge_text, header
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
-_BLOCKS_PER_RENDER = 64  # gadget blocks written and hashed at a time
 _GADGET_KEYS = ("delta", "id_offset", "index", "kind", "owner", "port", "size")  # sorted
 _GADGET_JSON = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _GADGET_KEYS)
 
@@ -189,22 +189,11 @@ class Plan(NamedTuple):
         out.write(header(fmt, n, n * cert.target_degree // 2))  # G' is d-regular
 
         def texts() -> Iterator[str]:
-            for lines, shift in chain(zip(end_runs(ends), repeat(0)), _tiles(blueprint, first, count)):
+            for lines, shift in chain(zip(end_runs(ends), repeat(0)), tiles(blueprint.adjacency, first, count)):
                 out.write(edge_text(fmt, lines, shift))
                 yield hash_text(lines, shift)
 
         return replace(cert, result_hash=content_digest(n, texts()))
-
-
-def _tiles(blueprint: Graph, first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
-    """The edges inside ``count`` blocks of ``blueprint`` from id ``first``,
-    as (edges, shift) tiles of up to ``_BLOCKS_PER_RENDER`` blocks, the last
-    tile cut to the blocks that remain.  A port's edge to its owner lies
-    below ``first``, in no block."""
-    size, block = blueprint.n, EdgeLines(blueprint.adjacency).ends
-    tile = [x + b * size for b in range(min(count, _BLOCKS_PER_RENDER)) for x in block]
-    for b in range(0, count, _BLOCKS_PER_RENDER):
-        yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
 
 
 def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
@@ -393,7 +382,7 @@ def _read_by_plan(
     The ``k`` edge lines below the blocks go through the canonical reader
     and ``texts``, where ``k`` is the header's (or the d-regular) edge
     count less the blocks' edges.  The rest is compared with the plan's
-    rendering of the blocks (:func:`_tiles`) and must end the file.  Raises
+    rendering of the blocks (:func:`tiles`) and must end the file.  Raises
     :class:`NotCanonical` at the first deviation from that split, which
     need not be a deviation from canonical text."""
     # each line is at least as long as the shortest one, so the file's length bounds its edges
@@ -404,8 +393,8 @@ def _read_by_plan(
     k = n * d // 2 if m is None else m
     if first < 0 or n < first:
         raise NotCanonical
-    tiles: Iterable[Tuple[EdgeLines, int]] = ()
     rows: Sequence[Row] = ()
+    count = 0
     if n > first:
         if kind not in (gadgets.GENERAL, gadgets.PLANAR5):
             raise NotCanonical
@@ -416,7 +405,7 @@ def _read_by_plan(
         if rest:
             raise NotCanonical
         k -= count * blueprint.m
-        tiles, rows = _tiles(blueprint, first, count), blueprint.adjacency
+        rows = blueprint.adjacency
     if k < 0:
         raise NotCanonical
 
@@ -428,7 +417,7 @@ def _read_by_plan(
             raise NotCanonical
 
     def blocks() -> Iterator[str]:
-        for lines, shift in tiles:
+        for lines, shift in tiles(rows, first, count):
             data = edge_text(fmt, lines, shift).encode()
             if reduced.read(len(data)) != data:
                 raise NotCanonical

@@ -20,12 +20,14 @@ size before the blueprint.
 Cost: linear in |V'| + |E'|, in memory that follows |E'|, not a declared
 |V'|.  G''s sorted edges are compared in order with the model's
 (:func:`_pieces`); only when they differ is each differing edge placed by
-its ends, which names the failing checks (:func:`_faults`).
+its ends, which names the failing checks (:func:`_faults`).  The model's
+blocks come a tile at a time from :func:`~regmis.graph.tiles`, which only
+repeats the verifier's own blueprint from the model's first block.
 
-:func:`verify_canonical` needs no G' at all.  It regenerates the model's
-canonical text and compares it with the file as the file is read, taking
-the content hash in the same pass; memory is O(|G| + #gadgets +
-blueprint).  Its work is bounded by the file's length: a canonical G' is
+:func:`verify_canonical` needs no G' at all.  It renders the model's
+canonical text as ``Plan.write`` renders it and compares it with the file
+as the file is read, taking the content hash in the same pass; memory is
+O(|G| + #gadgets + blueprint).  Its work is bounded by the file's length: a canonical G' is
 d-regular and each edge line has a least length, so steps and a layout
 that claim more than the file can hold are refused before any of their
 rows are built.  It answers whenever the file is the model's text and
@@ -43,7 +45,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from heapq import merge
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -60,6 +62,7 @@ from .graph import (
     is_independent_set,
     sorted_rows,
     splice,
+    tiles,
     triangle_count,
 )
 from .io import edge_text, header
@@ -160,6 +163,10 @@ class _Model(NamedTuple):
     blueprint: Sequence[Row]
     size: int
     n: int
+
+    def block_tiles(self) -> Iterator[Tuple[EdgeLines, int]]:
+        """The blueprint's edges in each block of the layout, a tile at a time."""
+        return tiles(self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
 
 
 def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
@@ -586,8 +593,6 @@ def _report(
 # ---------------------------------------------------------------------------
 # verification by regeneration
 
-_BLOCKS_PER_RENDER = 64  # gadget blocks rendered, compared and hashed at a time
-
 
 def verify_canonical(
     g: SortedEdges,
@@ -646,23 +651,16 @@ def verify_canonical(
 
 def _canonical_text(fmt: str, model: _Model, m: int) -> Iterator[Tuple[str, str]]:
     """The model's canonical G' of ``m`` edges as (file text, content-hash
-    text) pieces: the header, then the model's edges in runs."""
+    text) pieces: the header, then the edges below the first block in runs,
+    then the blocks a tile at a time, each rendered as ``Plan.write`` renders it."""
     yield header(fmt, model.n, m), ""
-    for lines in chain.from_iterable(map(end_runs, _pieces(model))):
-        yield edge_text(fmt, lines), hash_text(lines)
+    for lines, shift in chain(zip(end_runs(model.ported), repeat(0)), model.block_tiles()):
+        yield edge_text(fmt, lines, shift), hash_text(lines, shift)
 
 
 def _pieces(model: _Model) -> Iterator[List[int]]:
     """The model's sorted edges as ends: the edges below the first block,
-    then the blueprint's at ``_BLOCKS_PER_RENDER`` blocks at a time."""
+    then each tile of blocks from :func:`tiles`, shifted into place."""
     yield model.ported
-    size = model.size
-    off = model.n - len(model.layout) * size
-    full, rest = divmod(len(model.layout), _BLOCKS_PER_RENDER)
-    for blocks, times in ((_BLOCKS_PER_RENDER, full), (rest, 1)):
-        if not blocks * times:
-            continue
-        tile = EdgeLines([tuple(b * size + x for x in row) for b in range(blocks) for row in model.blueprint]).ends
-        for _ in range(times):
-            yield [x + off for x in tile]
-            off += blocks * size
+    for lines, shift in model.block_tiles():
+        yield [x + shift for x in lines.ends]

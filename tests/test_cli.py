@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -1097,3 +1098,160 @@ def test_bytes_that_are_not_utf8_are_an_input_error(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {files[kind]}: not UTF-8 text") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the gadget tile size changes no output
+
+
+def with_deficiency(d, k):
+    """A graph of maximum degree ``d`` (odd) whose degrees fall short of
+    ``d`` by ``k`` in all: a K_{d+1}, one K_{d+2} less edges (short by 1)
+    when ``k`` is odd, then K_{d+1}s less a matching (short by 2 per edge)."""
+    edges, n = [], 0
+
+    def clique(size, removed):
+        nonlocal n
+        edges.extend((n + i, n + j) for i in range(size) for j in range(i + 1, size) if (i, j) not in removed)
+        n += size
+
+    clique(d + 1, ())
+    if k % 2:
+        clique(d + 2, {(0, 1), (0, 2)} | {(i, i + 1) for i in range(3, d + 2, 2)})
+        k -= 1
+    while k:
+        j = min(k // 2, (d + 1) // 2)
+        clique(d + 1, {(2 * i, 2 * i + 1) for i in range(j)})
+        k -= 2 * j
+    return Graph.from_edges(n, edges)
+
+
+def rehashed(cert_text, reduced_text, fmt):
+    """The certificate with its result hash that of ``reduced_text``."""
+    doc = json.loads(cert_text)
+    doc["result_hash"] = graph_io.parse_edges(reduced_text, fmt).digest
+    return json.dumps(doc)
+
+
+def tile_outputs(tmp_path, capsys, monkeypatch, g, flags):
+    """regularize's G' and certificate, verify's reports on canonical,
+    reversed and edited G' and with the oracle, and recover's output, each
+    with its exit code and stderr."""
+    src, red, cert = tmp_path / "g.col", tmp_path / "gp.col", tmp_path / "cert.json"
+    src.write_text(serialize_graph(g, "dimacs-col"))
+    outputs = [run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert), red.read_text(), cert.read_text()]
+    text, cert_text = outputs[1:]
+    head, *edges = text.splitlines(keepends=True)
+    reversed_text = head + "".join(reversed(edges))
+    # the last edge line lies inside the last block, so in the last tile
+    n, m = map(int, head.split()[2:])
+    edited = f"p edge {n} {m - 1}\n" + "".join(edges[:-1])
+    for reduced_text, cert_text in ((text, cert_text), (reversed_text, cert_text), (edited, rehashed(cert_text, edited, "dimacs-col"))):
+        paths = write_inputs(tmp_path, g, reduced_text, cert_text)
+        outputs.append(verify_files(capsys, paths))
+    oracle_graphs = []
+    real = verify.check_alpha_relation
+    monkeypatch.setattr(verify, "check_alpha_relation", lambda g, gp, *a: oracle_graphs.append(gp.content_hash()) or real(g, gp, *a))
+    paths = write_inputs(tmp_path, g, text, outputs[2])
+    outputs.append(verify_files(capsys, paths, "--with-oracle", "--budget-nodes", "1"))
+    assert oracle_graphs == [json.loads(outputs[2])["result_hash"]]  # the oracle solves G' itself
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v}\n" for v in greedy_independent(parse_graph(text, "dimacs-col"))))
+    outputs.append(run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol))
+    return outputs
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("flags", [("--degree", "3"), ("--planar",)], ids=["general", "planar"])
+def test_the_tile_size_changes_no_output(tmp_path, capsys, monkeypatch, flags, count):
+    g = with_deficiency(3 if flags[0] == "--degree" else 5, count)
+    expected = tile_outputs(tmp_path, capsys, monkeypatch, g, flags)
+    assert len(json.loads(expected[2])["gadgets"]) == count
+    assert [out[0] for out in expected[3:6]] == [0, 0, 1]
+    assert expected[-1][0] == 0
+    for blocks in (1, 2, 3, 7):
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "_BLOCKS_PER_TILE", blocks)
+            assert tile_outputs(tmp_path, capsys, patch, g, flags) == expected, blocks
+
+
+# ---------------------------------------------------------------------------
+# main builds one command's parser, with the full parser's texts
+
+PARSER_INPUTS = [
+    [], ["-h"], ["bogus"], ["--graph", "x"], ["solve", "--help"],
+    *[[command, "-h"] for command in cli._COMMANDS],
+    *[[command] for command in cli._COMMANDS],
+    ["regularize", "g.col"],
+    ["regularize", "g.col", "--degree", "5", "--planar"],
+    ["regularize", "g.col", "--degree", "x"],
+    ["regularize", "g.col", "--degree", "5", "--format", "bogus"],
+    ["regularize", "g.col", "--degree", "5", "--bogus"],
+    ["regularize", "g.col", "--deg", "5", "--out-f", "edge-list", "--str"],
+    ["regularize", "g.col", "--degree", "5", "--out", "x"],
+    ["solve", "g.col", "--method", "bogus"],
+    ["solve", "g.col", "--bogus", "1"],
+    ["solve", "g.col", "--meth", "bb", "--budget-n", "7", "--budget-s", "0.5"],
+    ["solve", "g.col", "--budget", "7"],
+    ["solve", "g.col", "extra"],
+    ["verify", "--graph", "g.col"],
+    ["verify", "--graph", "g.col", "--reduced", "gp.col", "--cert", "c.json", "--format", "bogus"],
+    ["verify", "--graph", "g.col", "--reduced", "gp.col", "--cert", "c.json", "--bogus"],
+    ["verify", "--grap", "g.col", "--red", "gp.col", "--ce", "c.json", "--with", "--budget-nodes=3"],
+    ["verify", "--graph", "g.col", "--reduced", "gp.col", "--cert", "c.json", "--budget-nodes", "x"],
+    ["recover", "--reduced", "gp.col", "--cert", "c.json"],
+    ["recover", "--reduced", "gp.col", "--cert", "c.json", "--solution", "s.txt", "--format", "bogus"],
+    ["recover", "--reduced", "gp.col", "--cert", "c.json", "--solution", "s.txt", "--bogus"],
+    ["recover", "--red", "gp.col", "--ce", "c.json", "--sol", "s.txt", "--form", "edge-list"],
+    ["recover", "--reduced", "gp.col", "--cert", "c.json", "--solution", "s.txt", "extra"],
+    ["gadget", "--delta"],
+    ["gadget", "--kind", "bogus"],
+    ["gadget", "--bogus"],
+    ["gadget", "--ki", "planar5", "--del", "5", "--rol", "r.json"],
+    ["stats", "g.col", "--format", "bogus"],
+    ["stats", "g.col", "--bogus"],
+    ["stats", "g.col", "--form", "edge-list"],
+    ["stats", "--", "g.col"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """What ``parse(argv)`` returns, or its exit code, and its stdout and stderr."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_INPUTS, ids=" ".join)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    """Every input reaches its command with the arguments of the full
+    parser, or stops with its usage, error and exit code."""
+    called = []
+    for command, (_, summary) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda args: called.append(vars(args)) or 0, summary))
+    expected = parse_outcome(capsys, lambda a: vars(cli.build_parser().parse_args(a)), argv)
+    assert parse_outcome(capsys, lambda a: main(a) or called.pop(), argv) == expected
+    assert called == []
+
+
+def test_a_command_builds_one_parser(tmp_path, capsys, monkeypatch):
+    g, gp, cert = DIFFERENTIAL_CASES["general"]()
+    _, red, cert_path = write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), cert.to_json())
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n")
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(k.get("prog")) or real(self, *a, **k))
+    code, out, err = run(capsys, "recover", "--reduced", red, "--cert", cert_path, "--solution", sol)
+    assert (code, err, built) == (0, "", ["regmis recover"])
+    assert json.loads(out)["recovered"] == [0]
+
+
+def test_id_lists_print_as_the_json_encoder_does(capsys):
+    for ids in ([], [0], [3, 17, 1000000]):
+        doc = {"before": 1, "ids": ids, "stats": {"ids": []}, "after": True}
+        cli._print_ids(doc, "ids")
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

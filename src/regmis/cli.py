@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
-from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
+from .graph import Graph, GraphError, InfeasibleError, SortedEdges, sorted_rows, triangle_count
 from .io import FORMATS, parse_edges, parse_graph, serialize_graph, sniff_format
 from .reduction import ReductionCertificate, plan_reduction, recover_canonical, recover_edges
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
@@ -183,16 +184,21 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
-    histogram: dict[int, int] = {}
-    for v in range(g.n):
-        histogram[g.degree(v)] = histogram.get(g.degree(v), 0) + 1
+    """G is read as its sorted edges, and only its vertices with edges make
+    a graph, for the triangles; nothing is built per isolated vertex."""
+    g = _read_edges(args.input, args.format)
+    degree = Counter(g.ends)
+    histogram = Counter(degree.values())
+    if g.n > len(degree):
+        histogram[0] = g.n - len(degree)
+    ids = {v: i for i, v in enumerate(sorted(degree))}  # in id order, so the edges stay sorted
+    core = Graph(len(ids), tuple(sorted_rows(len(ids), map(ids.__getitem__, g.ends))))
     doc = {
         "n": g.n,
-        "m": g.m,
-        "max_degree": g.max_degree(),
+        "m": len(g.ends) // 2,
+        "max_degree": max(degree.values(), default=0),
         "degree_histogram": {str(d): c for d, c in sorted(histogram.items())},
-        "triangles": triangle_count(g),
+        "triangles": triangle_count(core),
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

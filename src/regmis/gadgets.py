@@ -12,6 +12,8 @@ Two attachable gadget kinds exist:
 
 The builders construct only the graph, the roles, the port and a
 canonical port-free maximum independent set; they never run a solver.
+Which kinds attach at which target degree, and at what size, is decided
+once, by :func:`gadget_size`, before any blueprint is built.
 Each gadget's independence number is computed exactly by the solvers on
 first use and memoized per (kind, delta); the closed form quoted alongside the construction in the
 literature overcounts (see :func:`alpha_report`), so the solver value is
@@ -51,12 +53,14 @@ def _require_odd_delta(delta: int) -> None:
         raise GraphError(f"gadget target degree must be odd and >= 3, got {delta}")
 
 
-def general_gadget_size(delta: int) -> int:
-    _require_odd_delta(delta)
-    return (delta - 1) ** 2 + delta
-
-
-PLANAR_GADGET_SIZE = 25
+def gadget_size(kind: str, degree: int) -> int:
+    """The vertex count of the ``kind`` gadget attached at target degree
+    ``degree``, in closed form; raises where no such gadget attaches."""
+    if kind == PLANAR5:
+        return 25  # two icosahedron-minus-an-edge blocks and the port
+    if kind == GENERAL and degree >= 3 and degree % 2:
+        return (degree - 1) ** 2 + degree
+    raise GraphError(f"no closed-form gadget size for a {kind!r} gadget at degree {degree}")
 
 
 def build_general_gadget(delta: int) -> Tuple[Graph, GadgetLayout]:

@@ -3,14 +3,17 @@
 A parsed graph takes one form, :class:`SortedEdges` (see ``io``); its
 rows, and the library's reduced graph's, are appended straight from
 sorted edges (:func:`sorted_rows`).  The CLI's regularize, verify (but
-for the oracle) and recover build no graph of G or G'.
-:meth:`Graph.from_edges` is for the small named graphs, the padding
-components and the gadget blueprints.  The whole-graph queries below each
-make one pass over the adjacency.
+for the oracle) and recover build no graph of G or G', and stats one of
+G's vertices with edges only.  :meth:`Graph.from_edges` is for the small
+named graphs, the padding components and the gadget blueprints.  The
+whole-graph queries below each make one pass over the adjacency.
 
 Text built from rows, the file formats' edge lines (``io``) and the content
 hash's, comes from one emitter, :class:`EdgeLines`; gadget blocks repeat a
-blueprint's a tile at a time (:func:`tiles`).
+blueprint's a tile at a time (:func:`tiles`).  A reduced graph G' is its
+sorted edges below the first gadget block, then the blocks, and
+:func:`pieces` is its one description: the constructor writes and builds
+G' from it, and the verifier regenerates G' from its own edges and blueprint.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -126,10 +130,13 @@ class EdgeLines:
         lines.ends = ends
         return lines
 
+    def at(self, shift: int) -> List[int]:
+        """The ends, every id ``shift`` higher."""
+        return [x + shift for x in self.ends] if shift else self.ends
+
     def render(self, line: str, shift: int = 0) -> str:
         """``line % (u + shift, v + shift)`` for each edge, joined."""
-        ends = self.ends
-        return (line * (len(ends) // 2)) % tuple([x + shift for x in ends] if shift else ends)
+        return (line * (len(self.ends) // 2)) % tuple(self.at(shift))
 
 
 _RUN = 4096  # rows per run, so the text of a whole graph is built in pieces
@@ -157,6 +164,18 @@ def tiles(rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLin
     tile = [x + b * size for b in range(min(count, per)) for x in block]
     for b in range(0, count, per):
         yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
+
+
+def pieces(ends: List[int], rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
+    """The edges of a reduced graph in order, as (edges, shift) pieces: the
+    sorted ``ends`` below its first block a run at a time, then the
+    :func:`tiles` of ``count`` blocks of the blueprint ``rows`` from ``first``."""
+    return chain(zip(end_runs(ends), repeat(0)), tiles(rows, first, count))
+
+
+def piece_ends(parts: Iterable[Tuple[EdgeLines, int]]) -> Iterator[int]:
+    """The ends of the (edges, shift) ``parts``, each shifted into place, as one sequence."""
+    return chain.from_iterable(lines.at(shift) for lines, shift in parts)
 
 
 def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:

@@ -5,7 +5,7 @@ DIMACS .col: header ``p edge <n> <m>``, edges ``e <u> <v>`` 1-indexed,
 with an optional ``# n=<n>`` header so isolated vertices survive the round
 trip.  Serialization is byte-stable: edges are emitted in lexicographic
 order.  :func:`header` and :func:`edge_text` define each format's text;
-the serializer and the verifier's regeneration of G' both emit through them.
+the serializer, the constructor's writer of G' and :func:`match` emit through them.
 
 Every parse ends at one form: the vertex count and the sorted edges of
 :class:`SortedEdges`, which :func:`parse_edges` hashes and from which
@@ -18,6 +18,9 @@ split, ``int``, re-render with the format's line template and compare,
 then order and range checks that carry the last edge across chunks.  A
 binary file can be read so a part at a time: its header
 (:func:`canonical_header`), then its next edge lines (:func:`canonical_prefix`).
+Text known in advance, as (edges, shift) pieces (:func:`~regmis.graph.pieces`),
+is compared with the file unparsed (:func:`match`), and :func:`edge_capacity`
+bounds the edge lines a file can hold.
 
 At the first deviation the text goes to the line parser, which accepts
 comments, blank lines, any edge order and duplicates, and names the line
@@ -32,6 +35,7 @@ nothing on either path until :func:`parse_graph` builds its rows.
 
 from __future__ import annotations
 
+import os
 import warnings
 from array import array
 from itertools import chain, islice, repeat
@@ -135,6 +139,28 @@ def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[Edge
     them once they are iterated.  Raises :class:`NotCanonical` at the first
     deviation, and when the file has fewer lines."""
     return _canonical_runs(_first_lines(f, count), fmt, n, count)
+
+
+def match(f: BinaryIO, fmt: str, pieces: Iterable[Tuple[EdgeLines, int]]) -> Iterator[str]:
+    """The :func:`hash_text` of each (edges, shift) piece of ``pieces`` once
+    its :func:`edge_text` is the next bytes of the binary file ``f``.
+    Raises :class:`NotCanonical` at the first difference, and when bytes
+    remain after the last piece."""
+    for lines, shift in pieces:
+        data = edge_text(fmt, lines, shift).encode()
+        if f.read(len(data)) != data:
+            raise NotCanonical
+        yield hash_text(lines, shift)
+    if f.read(1):
+        raise NotCanonical
+
+
+def edge_capacity(f: BinaryIO, fmt: str) -> int:
+    """The most ``fmt`` edge lines the binary file ``f`` can hold, each at
+    least as long as the shortest; ``f`` is left at offset 0."""
+    size = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    return size // len(edge_text(fmt, EdgeLines.from_ends([0, 1])))
 
 
 def _counts(line: str, fmt: str) -> Tuple[int, Optional[int]]:

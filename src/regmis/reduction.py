@@ -6,15 +6,15 @@ maximum), then gadget attachment on every deficient vertex.  Original
 vertices always occupy ids 0..source_n-1 of the result, padding vertices
 come next, and gadget blocks are allocated in (owner id, gadget index)
 order, so results are reproducible byte for byte.  The pipeline reads G's
-sorted edges and ends at a :class:`Plan`, which G' is built or written from.
+sorted edges and ends at a :class:`Plan`, whose pieces of G'
+(:func:`~regmis.graph.pieces`) are both written and built from.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import and_
 from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, TextIO, Tuple
 
@@ -29,15 +29,16 @@ from .graph import (
     check_ids,
     complete_graph,
     content_digest,
-    end_runs,
     hash_text,
     is_independent_set,
+    piece_ends,
+    pieces,
     sorted_rows,
     splice,
     star_graph,
     tiles,
 )
-from .io import NotCanonical, canonical_header, canonical_prefix, edge_text, header
+from .io import NotCanonical, canonical_header, canonical_prefix, edge_capacity, edge_text, header, match
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
@@ -167,33 +168,32 @@ class Plan(NamedTuple):
     cert: ReductionCertificate
     blueprint: Graph
 
+    def pieces(self) -> Tuple[int, Iterator[Tuple[EdgeLines, int]]]:
+        """G''s vertex count, and its edges as :func:`~regmis.graph.pieces`."""
+        ends, cert, blueprint = self
+        count, first = len(cert.gadgets), cert.padded_n
+        return first + count * blueprint.n, pieces(ends, blueprint.adjacency, first, count)
+
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
-        n = self.cert.padded_n + len(self.cert.gadgets) * self.blueprint.n
-        rows = sorted_rows(n, self.ends)  # each port's row is its owner so far
-        *inner, port_row = self.blueprint.adjacency  # the port is the last id
-        for gi in self.cert.gadgets:
-            shift = gi.id_offset.__add__
-            rows[gi.id_offset : gi.port] = [tuple(map(shift, r)) for r in inner]
-            rows[gi.port] += tuple(map(shift, port_row))
-        result = Graph(n, tuple(rows))
-        return result, replace(self.cert, result_hash=result.content_hash())
+        n, parts = self.pieces()
+        parts = list(parts)
+        result = Graph(n, tuple(sorted_rows(n, piece_ends(parts))))
+        return result, replace(self.cert, result_hash=content_digest(n, [hash_text(*part) for part in parts]))
 
     def write(self, out: TextIO, fmt: str) -> ReductionCertificate:
         """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
-        certificate, never building G': each run of edges, then each tile of
-        blocks, is rendered once for ``out`` and once for the content hash."""
-        ends, cert, blueprint = self
-        count, first = len(cert.gadgets), cert.padded_n
-        n = first + count * blueprint.n
-        out.write(header(fmt, n, n * cert.target_degree // 2))  # G' is d-regular
+        certificate, never building G': each piece of edges is rendered
+        once for ``out`` and once for the content hash."""
+        n, parts = self.pieces()
+        out.write(header(fmt, n, n * self.cert.target_degree // 2))  # G' is d-regular
 
         def texts() -> Iterator[str]:
-            for lines, shift in chain(zip(end_runs(ends), repeat(0)), tiles(blueprint.adjacency, first, count)):
+            for lines, shift in parts:
                 out.write(edge_text(fmt, lines, shift))
                 yield hash_text(lines, shift)
 
-        return replace(cert, result_hash=content_digest(n, texts()))
+        return replace(self.cert, result_hash=content_digest(n, texts()))
 
 
 def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
@@ -344,88 +344,58 @@ def recover_canonical(
     """:func:`recover` on the G' whose canonical ``fmt`` text is the binary
     file ``reduced``, which is never built.  None, with nothing read, when
     the file cannot seek (a pipe), and None when it deviates from the
-    split below; the caller then parses it and calls :func:`recover_edges`,
-    which raises what this would.
+    split below, which need not be a deviation from canonical text; the
+    caller then parses it and calls :func:`recover_edges`, which raises
+    what this would.
 
-    The file is read as the certificate plans it (:func:`_read_by_plan`):
-    the edge lines below ``padded_n`` a chunk at a time, each chunk's edges
-    fed to the content hash and looked up in the set of members, then the
-    gadget blocks compared with their regeneration and hashed, unparsed.
-    The members in blocks are checked against the blueprint's rows.  Memory
-    is one chunk, and a byte per block vertex, beyond the set of members."""
+    The header gives |V'| and the edge count (in an edge list, the
+    d-regular one), ``cert`` the first block, the target degree and the
+    gadget kind.  The ``k`` edge lines below the blocks, the edge count
+    less the blocks' edges, go through the canonical reader a chunk at a
+    time, each chunk hashed and looked up in the set of members; the rest
+    is the blueprint's tiles from the first block, matched with the file
+    unparsed (:func:`match`).  The members in blocks are checked against
+    the blueprint's rows.  Memory is one chunk, and a byte per block
+    vertex, beyond the set of members."""
     if not reduced.seekable():
         return None
     s = set(members)
     clash = []  # [True] once an edge joins two members
-
-    def texts(runs: Iterable[EdgeLines]) -> Iterator[str]:
-        for lines in runs:
-            if s and not clash and _joins(s, lines.ends):
-                clash.append(True)
-            yield hash_text(lines)
-
-    try:
-        n, digest, first, rows = _read_by_plan(reduced, fmt, cert, texts)
-    except NotCanonical:
-        return None
-    return _restrict(s, cert, digest, n, lambda: not clash and _independent_in_blocks(s, first, n, rows))
-
-
-def _read_by_plan(
-    reduced: BinaryIO, fmt: str, cert: ReductionCertificate, texts: Callable[[Iterable[EdgeLines]], Iterator[str]]
-) -> Tuple[int, str, int, Sequence[Row]]:
-    """The vertex count and content hash of the canonical text in the
-    seekable file ``reduced``, read as the header and ``cert`` split it,
-    then where its gadget blocks start and the blueprint's rows, which each
-    block repeats (none when G' has no blocks).
-
-    The ``k`` edge lines below the blocks go through the canonical reader
-    and ``texts``, where ``k`` is the header's (or the d-regular) edge
-    count less the blocks' edges.  The rest is compared with the plan's
-    rendering of the blocks (:func:`tiles`) and must end the file.  Raises
-    :class:`NotCanonical` at the first deviation from that split, which
-    need not be a deviation from canonical text."""
-    # each line is at least as long as the shortest one, so the file's length bounds its edges
-    edges = reduced.seek(0, os.SEEK_END) // len(edge_text(fmt, EdgeLines.from_ends([0, 1])))
-    reduced.seek(0)
-    n, m = canonical_header(reduced, fmt)
+    edges = edge_capacity(reduced, fmt)
     first, d, kind = cert.padded_n, cert.target_degree, cert.gadget_kind
+    try:
+        n, m = canonical_header(reduced, fmt)
+        size = gadgets.gadget_size(kind, d) if n > first else 0
+    except (NotCanonical, GraphError):  # no canonical header, or no such gadget at that degree
+        return None
     k = n * d // 2 if m is None else m
+    rows, count = (), 0
     if first < 0 or n < first:
-        raise NotCanonical
-    rows: Sequence[Row] = ()
-    count = 0
-    if n > first:
-        if kind not in (gadgets.GENERAL, gadgets.PLANAR5):
-            raise NotCanonical
-        if kind == gadgets.GENERAL and not (d >= 3 and d % 2 and gadgets.general_gadget_size(d) * d <= 2 * edges + 1):
-            raise NotCanonical  # no blueprint, or one with more edges than the file has lines
+        return None
+    if size:
+        count, rest = divmod(n - first, size)
+        if rest or size * d > 2 * edges + 1:
+            return None  # blocks that do not tile, or a blueprint with more edges than the file has lines
         blueprint = gadgets.build_gadget(kind, d if kind == gadgets.GENERAL else None)[0]
-        count, rest = divmod(n - first, blueprint.n)
-        if rest:
-            raise NotCanonical
         k -= count * blueprint.m
         rows = blueprint.adjacency
     if k < 0:
-        raise NotCanonical
+        return None
 
-    def prefix() -> Iterator[EdgeLines]:
+    def prefix() -> Iterator[str]:
         lines = None
         for lines in canonical_prefix(reduced, fmt, n, k):
-            yield lines
+            if s and not clash and _joins(s, lines.ends):
+                clash.append(True)
+            yield hash_text(lines)
         if lines is not None and lines.ends[-2] >= first:  # the blocks' edges must sort after it
             raise NotCanonical
 
-    def blocks() -> Iterator[str]:
-        for lines, shift in tiles(rows, first, count):
-            data = edge_text(fmt, lines, shift).encode()
-            if reduced.read(len(data)) != data:
-                raise NotCanonical
-            yield hash_text(lines, shift)
-        if reduced.read(1):
-            raise NotCanonical
-
-    return n, content_digest(n, chain(texts(prefix()), blocks())), first, rows
+    try:
+        digest = content_digest(n, chain(prefix(), match(reduced, fmt, tiles(rows, first, count))))
+    except NotCanonical:
+        return None
+    return _restrict(s, cert, digest, n, lambda: not clash and _independent_in_blocks(s, first, n, rows))
 
 
 def _independent_in_blocks(s: Set[int], first: int, n: int, rows: Sequence[Row]) -> bool:

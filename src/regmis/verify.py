@@ -11,28 +11,26 @@ One model of G' serves every check (:func:`_model`).  G's sorted edges,
 the steps, the target degree and the gadget kind fix it: the padded edges,
 one gadget per unit of deficiency in the canonical layout (owners
 ascending, ``index`` 1..deficiency, blocks contiguous from ``padded_n``,
-the port last) and the one blueprint.  The certificate's gadget list is
-compared with that layout whole, so only the canonical layout is accepted;
-every regmis certificate lists it.  Untrusted fields are bounded against
-G' first: a step's end and edge count before its rows, and the layout's
-size before the blueprint.
+the port last), the gadget size (:func:`~regmis.gadgets.gadget_size`)
+and the one blueprint.  The certificate's gadget list is compared with
+that layout whole, so only the canonical layout is accepted; every regmis
+certificate lists it.  Untrusted fields are bounded against G' first: a
+step's end and edge count before its rows, and the layout's size before
+the blueprint.
 
-Cost: linear in |V'| + |E'|, in memory that follows |E'|, not a declared
-|V'|.  G''s sorted edges are compared in order with the model's
-(:func:`_pieces`); only when they differ is each differing edge placed by
-its ends, which names the failing checks (:func:`_faults`).  The model's
-blocks come a tile at a time from :func:`~regmis.graph.tiles`, which only
-repeats the verifier's own blueprint from the model's first block.
-
-:func:`verify_canonical` needs no G' at all.  It renders the model's
-canonical text as ``Plan.write`` renders it and compares it with the file
-as the file is read, taking the content hash in the same pass; memory is
-O(|G| + #gadgets + blueprint).  Its work is bounded by the file's length: a canonical G' is
-d-regular and each edge line has a least length, so steps and a layout
-that claim more than the file can hold are refused before any of their
-rows are built.  It answers whenever the file is the model's text and
-both hashes match, whatever the certificate's gadget list says; any
-other file goes to :func:`verify_edges` on G''s sorted edges.
+The model's edges are :func:`~regmis.graph.pieces` of its own ported
+edges, blueprint, first block and block count; the pieces repeat the
+blueprint and place no port.  :func:`verify_canonical` matches their text
+with the file (:func:`~regmis.io.match`) and hashes it in the same pass,
+so it builds no G' and its memory is O(|G| + #gadgets + blueprint); the
+file's length (:func:`~regmis.io.edge_capacity`) bounds the steps and
+the layout before any of their rows are built.  It answers whenever the
+file is the model's text and both hashes match, whatever the
+certificate's gadget list says; any other file goes to
+:func:`verify_edges`, which compares G''s sorted edges with the pieces in
+order and only when they differ places each differing edge by its ends,
+which names the failing checks (:func:`_faults`).  Either way the cost is
+linear in |V'| + |E'|, in memory that follows |E'|, not a declared |V'|.
 
 The triangle and planarity checks are derived from that structural result
 and walk neither G nor G' again.
@@ -41,11 +39,10 @@ and walk neither G nor G' again.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from heapq import merge
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,15 +54,14 @@ from .graph import (
     EdgeLines,
     SortedEdges,
     content_digest,
-    end_runs,
-    hash_text,
     is_independent_set,
+    piece_ends,
+    pieces,
     sorted_rows,
     splice,
-    tiles,
     triangle_count,
 )
-from .io import edge_text, header
+from .io import NotCanonical, canonical_header, edge_capacity, match
 from .reduction import PARITY_FIX, STAR_PAD, ReductionCertificate, forward_map
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 
@@ -164,9 +160,10 @@ class _Model(NamedTuple):
     size: int
     n: int
 
-    def block_tiles(self) -> Iterator[Tuple[EdgeLines, int]]:
-        """The blueprint's edges in each block of the layout, a tile at a time."""
-        return tiles(self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
+    def pieces(self) -> Iterator[Tuple[EdgeLines, int]]:
+        """The model's edges as :func:`~regmis.graph.pieces`, from its own
+        ported edges, blueprint, first block and block count."""
+        return pieces(self.ported, self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
 
 
 def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
@@ -176,12 +173,7 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
     each.  The layout is bounded by ``n`` and ``m`` before the blueprint is
     built; raises :class:`GraphError` when there is no such model."""
     d, kind, delta = cert.target_degree, cert.gadget_kind, _gadget_delta(cert)
-    if kind == gadgets.PLANAR5:
-        size = gadgets.PLANAR_GADGET_SIZE
-    elif kind == gadgets.GENERAL and d >= 3 and d % 2:
-        size = gadgets.general_gadget_size(d)
-    else:
-        raise GraphError(f"no closed-form gadget size for a {kind!r} gadget at degree {d}")
+    size = gadgets.gadget_size(kind, d)
     count, ends = padded
     degree = [0] * count
     for x in ends:
@@ -219,7 +211,7 @@ def _faults(
     count, reference = base
     origin, padding, block, attachment = n < source_n, n < count, -1, -1
     if model is None or not _is_model(ends, model):
-        reference = reference if model is None else list(chain.from_iterable(_pieces(model)))
+        reference = reference if model is None else list(piece_ends(model.pieces()))
         edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
         for u, v in edges[0] ^ edges[1]:
             if v < count:
@@ -236,7 +228,8 @@ def _faults(
 def _is_model(ends: List[int], model: _Model) -> bool:
     """``ends`` are the model's sorted edges, compared a piece at a time."""
     at = 0
-    for piece in _pieces(model):
+    for lines, shift in model.pieces():
+        piece = lines.at(shift)
         if ends[at : at + len(piece)] != piece:
             return False
         at += len(piece)
@@ -607,19 +600,15 @@ def verify_canonical(
     ``fmt`` text of the model's G' and both hashes match; None for any other
     file, which the caller then parses and hands to :func:`verify_edges`.
 
-    The file is never parsed.  Its text is regenerated a piece at a time
-    and compared as it is read, stopping at the first difference, and the
-    content hash of the same edges is taken in that pass.  Every edge and
-    row comparison of :func:`check_certificate` then holds by construction,
-    and the rest of the report comes from G, the certificate and the model."""
+    Past its header the file is never parsed: the model's pieces are
+    matched with it as it is read, stopping at the first difference, and
+    hashed in that pass.  Every edge and row comparison of
+    :func:`check_certificate` then holds by construction, and the rest of
+    the report comes from G, the certificate and the model."""
     d = cert.target_degree
     if d < 1 or cert.source_n != g.n or cert.source_hash != g.digest:
         return None
-    # a canonical G' is d-regular and each of its edge lines is at least as
-    # long as the shortest one, so the file's length bounds |E'| and |V'|
-    reduced.seek(0, os.SEEK_END)
-    edges = reduced.tell() // len(edge_text(fmt, EdgeLines(((1,), (0,)))))
-    reduced.seek(0)
+    edges = edge_capacity(reduced, fmt)  # a canonical G' is d-regular, so this bounds |V'| too
     try:
         padded = _padded_edges(g, cert, 2 * edges // d, edges)
         model = _model(padded, cert, 2 * edges // d, edges)
@@ -629,38 +618,17 @@ def verify_canonical(
         return None  # the blocks would not be d-regular
     n = model.n
     m = n * d // 2
-    matched: List[bool] = []
-
-    def compared() -> Iterator[str]:
-        for text, hashed in _canonical_text(fmt, model, m):
-            data = text.encode()
-            if reduced.read(len(data)) != data:
-                return
-            yield hashed
-        matched.append(not reduced.read(1))
-
-    if content_digest(n, compared()) != cert.result_hash or matched != [True]:
+    try:
+        if canonical_header(reduced, fmt) not in ((n, m), (n, None)):  # an edge list's header has no m
+            return None
+        digest = content_digest(n, match(reduced, fmt, model.pieces()))
+    except NotCanonical:
+        return None
+    if digest != cert.result_hash:
         return None
 
     def graphs() -> Tuple[Graph, Graph]:
-        return g.graph(), Graph(n, tuple(sorted_rows(n, chain.from_iterable(_pieces(model)))))
+        return g.graph(), Graph(n, tuple(sorted_rows(n, piece_ends(model.pieces()))))
 
     structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
     return _report(cert, structure, n, m, graphs, with_oracle, limits)
-
-
-def _canonical_text(fmt: str, model: _Model, m: int) -> Iterator[Tuple[str, str]]:
-    """The model's canonical G' of ``m`` edges as (file text, content-hash
-    text) pieces: the header, then the edges below the first block in runs,
-    then the blocks a tile at a time, each rendered as ``Plan.write`` renders it."""
-    yield header(fmt, model.n, m), ""
-    for lines, shift in chain(zip(end_runs(model.ported), repeat(0)), model.block_tiles()):
-        yield edge_text(fmt, lines, shift), hash_text(lines, shift)
-
-
-def _pieces(model: _Model) -> Iterator[List[int]]:
-    """The model's sorted edges as ends: the edges below the first block,
-    then each tile of blocks from :func:`tiles`, shifted into place."""
-    yield model.ported
-    for lines, shift in model.block_tiles():
-        yield [x + shift for x in lines.ends]

@@ -486,6 +486,38 @@ class TestVerifyAndRecover:
         assert err.startswith("error: ") and "result hash" in err and "Traceback" not in err
 
 
+# file name, text, `regmis stats` output and warnings
+STATS_CORPUS = {
+    "dimacs": (
+        "g.col", "c a comment\np edge 9 7\ne 1 2\ne 2 3\nc another\ne 3 1\ne 2 1\ne 5 6\ne 6 8\ne 8 5\n",
+        {"n": 9, "m": 6, "max_degree": 2, "degree_histogram": {"0": 3, "2": 6}, "triangles": 2},
+        ["line 7: duplicate edge (0, 1), ignoring"],
+    ),
+    "dimacs-isolated": (
+        "g.col", "p edge 3 0\n", {"n": 3, "m": 0, "max_degree": 0, "degree_histogram": {"0": 3}, "triangles": 0}, [],
+    ),
+    "dimacs-empty": (
+        "g.col", "p edge 0 0\n", {"n": 0, "m": 0, "max_degree": 0, "degree_histogram": {}, "triangles": 0}, [],
+    ),
+    "dimacs-k5": (
+        "g.col", "p edge 6 10\n" + "".join(f"e {u} {v}\n" for u in range(2, 7) for v in range(u + 1, 7)),
+        {"n": 6, "m": 10, "max_degree": 4, "degree_histogram": {"0": 1, "4": 5}, "triangles": 10}, [],
+    ),
+    "edge-list": (
+        "g.txt", "# a comment\n0 1\n1 2\n\n2 0\n1 0\n4 5\n5 7\n7 4\n7 8\n# n=10\n",
+        {"n": 10, "m": 7, "max_degree": 3, "degree_histogram": {"0": 3, "1": 1, "2": 5, "3": 1}, "triangles": 2},
+        ["line 6: duplicate edge (0, 1), ignoring"],
+    ),
+    "edge-list-no-header": (
+        "g.txt", "3 1\n1 2\n", {"n": 4, "m": 2, "max_degree": 2, "degree_histogram": {"0": 1, "1": 2, "2": 1}, "triangles": 0},
+        [],
+    ),
+    "edge-list-isolated": (
+        "g.txt", "# n=4\n", {"n": 4, "m": 0, "max_degree": 0, "degree_histogram": {"0": 4}, "triangles": 0}, [],
+    ),
+}
+
+
 class TestGadgetAndStats:
     def test_gadget_dump(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -515,6 +547,19 @@ class TestGadgetAndStats:
             "degree_histogram": {"2": 2, "3": 2},
             "triangles": 2,
         }
+
+    @pytest.mark.parametrize("name", sorted(STATS_CORPUS))
+    def test_stats_output_is_pinned(self, tmp_path, capsys, name):
+        """Comment lines, isolated vertices (between and after the others),
+        triangles and a duplicate edge, in both formats."""
+        filename, text, doc, warned = STATS_CORPUS[name]
+        path = tmp_path / filename
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(capsys, "stats", path) == (0, json.dumps(doc, indent=2) + "\n", "")
+        assert [str(w.message) for w in caught] == warned
+
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +868,28 @@ def test_a_g_prime_in_another_order_is_read_as_edges_and_never_built(
     assert parsed == [line_parser, line_parser] and gp.n not in built
 
 
+def refuse_per_vertex(monkeypatch):
+    """Fail any graph or rows of 1000 or more vertices."""
+    real_init, real_rows = Graph.__post_init__, graph.sorted_rows
+
+    def small(n):
+        assert n < 1000, f"a graph or rows of {n} vertices were built"
+
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: small(self.n) or real_init(self))
+    for module in (graph, graph_io, verify, reduction, cli):
+        if hasattr(module, "sorted_rows"):
+            monkeypatch.setattr(module, "sorted_rows", lambda n, ends: small(n) or real_rows(n, ends))
+
+
+def traced_peak(call):
+    """What ``call()`` returns, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt, text", [("dimacs-col", "p edge 10000000 0\n"), ("edge-list", "# n=10000000\n")])
 def test_a_declared_vertex_count_costs_nothing(tmp_path, capsys, monkeypatch, fmt, text):
     """A G' of 10^7 vertices and no edges, with a certificate whose hash
@@ -834,22 +901,10 @@ def test_a_declared_vertex_count_costs_nothing(tmp_path, capsys, monkeypatch, fm
     paths = write_inputs(tmp_path, g, text, forged.to_json(), "gp.col" if fmt == "dimacs-col" else "gp.txt")
     sol = tmp_path / "sol.txt"
     sol.write_text("0\n")
-    real_init, real_rows = Graph.__post_init__, graph.sorted_rows
-
-    def small(n):
-        assert n < 1000, f"a graph or rows of {n} vertices were built"
-
-    monkeypatch.setattr(Graph, "__post_init__", lambda self: small(self.n) or real_init(self))
-    for module in (graph, graph_io, verify, reduction):
-        if hasattr(module, "sorted_rows"):
-            monkeypatch.setattr(module, "sorted_rows", lambda n, ends: small(n) or real_rows(n, ends))
-    tracemalloc.start()
-    try:
-        verified = verify_files(capsys, paths)
-        recovered = recover_files(capsys, paths[1], paths[2], sol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refuse_per_vertex(monkeypatch)
+    (verified, recovered), peak = traced_peak(
+        lambda: (verify_files(capsys, paths), recover_files(capsys, paths[1], paths[2], sol))
+    )
     code, out, err = verified
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert (code, err, checks["size-bound"]["status"]) == (1, "", "fail")
@@ -857,6 +912,24 @@ def test_a_declared_vertex_count_costs_nothing(tmp_path, capsys, monkeypatch, fm
     code, out, err, caught = recovered
     assert (code, json.loads(out)["recovered"], err, caught) == (0, [0], "", [])
     assert peak < 16 * 2**20  # an entry per vertex would take 80 MB
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("g.col", "p edge 10000000 1\ne 9999999 10000000\n"), ("g.txt", "# n=10000000\n9999998 9999999\n")],
+    ids=FORMATS,
+)
+def test_stats_costs_nothing_per_declared_vertex(tmp_path, capsys, monkeypatch, name, text):
+    """stats on 10^7 declared vertices, two of them joined, builds no rows
+    or graph of them, nor anything else with an entry per vertex."""
+    path = tmp_path / name
+    path.write_text(text)
+    refuse_per_vertex(monkeypatch)
+    (code, out, err), peak = traced_peak(lambda: run(capsys, "stats", path))
+    assert (code, err) == (0, "")
+    histogram = {"0": 10**7 - 2, "1": 2}
+    assert json.loads(out) == {"n": 10**7, "m": 1, "max_degree": 1, "degree_histogram": histogram, "triangles": 0}
+    assert peak < 16 * 2**20
 
 
 SOLUTIONS = {
@@ -1136,7 +1209,8 @@ def rehashed(cert_text, reduced_text, fmt):
 def tile_outputs(tmp_path, capsys, monkeypatch, g, flags):
     """regularize's G' and certificate, verify's reports on canonical,
     reversed and edited G' and with the oracle, and recover's output, each
-    with its exit code and stderr."""
+    with its exit code and stderr; then the library's G' (its rows) and
+    certificate from the same source."""
     src, red, cert = tmp_path / "g.col", tmp_path / "gp.col", tmp_path / "cert.json"
     src.write_text(serialize_graph(g, "dimacs-col"))
     outputs = [run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert), red.read_text(), cert.read_text()]
@@ -1158,6 +1232,8 @@ def tile_outputs(tmp_path, capsys, monkeypatch, g, flags):
     sol = tmp_path / "sol.txt"
     sol.write_text("".join(f"{v}\n" for v in greedy_independent(parse_graph(text, "dimacs-col"))))
     outputs.append(run(capsys, "recover", "--reduced", red, "--cert", cert, "--solution", sol))
+    library = reduce_to_regular(g, int(flags[1])) if flags[0] == "--degree" else regularize_planar(g)
+    outputs.append((library[0].adjacency, library[1]))
     return outputs
 
 
@@ -1168,7 +1244,9 @@ def test_the_tile_size_changes_no_output(tmp_path, capsys, monkeypatch, flags, c
     expected = tile_outputs(tmp_path, capsys, monkeypatch, g, flags)
     assert len(json.loads(expected[2])["gadgets"]) == count
     assert [out[0] for out in expected[3:6]] == [0, 0, 1]
-    assert expected[-1][0] == 0
+    assert expected[-2][0] == 0
+    rows, library_cert = expected[-1]  # the library's G' and certificate are the CLI's
+    assert (serialize_graph(Graph(len(rows), rows), "dimacs-col"), library_cert.to_json()) == (expected[1], expected[2])
     for blocks in (1, 2, 3, 7):
         with monkeypatch.context() as patch:
             patch.setattr(graph, "_BLOCKS_PER_TILE", blocks)

@@ -11,7 +11,7 @@ from regmis.gadgets import (
     build_icosa_gadget,
     build_planar_gadget,
     gadget_alpha,
-    general_gadget_size,
+    gadget_size,
     planar_gadget_alpha,
     stated_alpha_formula,
 )
@@ -40,7 +40,7 @@ class TestGeneralGadget:
     @pytest.mark.parametrize("delta", [3, 5, 7, 9])
     def test_degree_profile(self, delta):
         g, layout = build_general_gadget(delta)
-        assert g.n == general_gadget_size(delta) == (delta - 1) ** 2 + delta
+        assert g.n == gadget_size(GENERAL, delta) == (delta - 1) ** 2 + delta
         deficient = [v for v in range(g.n) if g.degree(v) != delta]
         assert deficient == [layout.port]
         assert g.degree(layout.port) == delta - 1
@@ -184,3 +184,18 @@ def test_build_gadget_dispatch():
         build_gadget("hexagon")
     with pytest.raises(GraphError):
         build_gadget(GENERAL)
+
+
+@pytest.mark.parametrize(
+    "kind, degree, size",
+    [(PLANAR5, 3, 25), (PLANAR5, 5, 25), (PLANAR5, 7, 25), (GENERAL, 3, 7), (GENERAL, 5, 21), (GENERAL, 9, 73)],
+)
+def test_gadget_size_is_the_blueprints(kind, degree, size):
+    assert gadget_size(kind, degree) == size == build_gadget(kind, degree if kind == GENERAL else None)[0].n
+
+
+@pytest.mark.parametrize("kind, degree", [(GENERAL, 4), (GENERAL, 2), (GENERAL, 1), (ICOSA, 5), ("hexagon", 3)])
+def test_gadget_size_refuses_what_does_not_attach(kind, degree):
+    with pytest.raises(GraphError) as raised:
+        gadget_size(kind, degree)
+    assert str(raised.value) == f"no closed-form gadget size for a {kind!r} gadget at degree {degree}"

@@ -7,9 +7,10 @@ from io import BytesIO
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from regmis import io
+from regmis import graph, io
 from regmis.graph import Graph, GraphError, SortedEdges, complete_graph
 from regmis.io import parse_graph, serialize_graph
+from regmis.reduction import plan_reduction
 
 from conftest import TEXT_EDITS, edit_canonical, path_graph, random_graph
 
@@ -379,3 +380,54 @@ def test_canonical_ids_in_other_lines_go_to_the_line_parser(fmt, text):
     assert outcome(lambda t: parse_graph(t, fmt), text) == outcome(LINE_PARSERS[fmt], text)
     with pytest.raises(io.NotCanonical):
         list(io.canonical_edges(io.text_chunks(text), fmt)[1])
+
+
+def planned_pieces():
+    """The (edges, shift) pieces of a 4-vertex path reduced to degree 3
+    (a parity clique and six gadgets): the edges below the first block,
+    then the tiles of blocks."""
+    return list(plan_reduction(SortedEdges.of(path_graph(4)), 3).pieces()[1])
+
+
+@pytest.mark.parametrize("fmt", io.FORMATS)
+def test_match_yields_each_pieces_hash_text(monkeypatch, fmt):
+    monkeypatch.setattr(graph, "_BLOCKS_PER_TILE", 4)
+    parts = planned_pieces()
+    assert [shift for _, shift in parts] == [0, 8, 36]  # a run, a tile of four blocks, one of two
+    f = BytesIO(b"head\n" + "".join(io.edge_text(fmt, *part) for part in parts).encode())
+    f.readline()
+    assert list(io.match(f, fmt, parts)) == [graph.hash_text(*part) for part in parts]
+
+
+@pytest.mark.parametrize("fmt", io.FORMATS)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[:-2] + str((int(text[-2]) + 1) % 10) + "\n",  # one byte changed in the last piece
+        lambda text: text[:-1],
+        lambda text: text + "\n",
+    ],
+    ids=["changed", "short", "long"],
+)
+def test_match_raises_at_a_difference(fmt, edit):
+    parts = planned_pieces()
+    text = "".join(io.edge_text(fmt, *part) for part in parts)
+    with pytest.raises(io.NotCanonical):
+        list(io.match(BytesIO(edit(text).encode()), fmt, parts))
+
+
+def test_match_of_no_pieces_needs_an_empty_file():
+    assert list(io.match(BytesIO(b""), "edge-list", [])) == []
+    with pytest.raises(io.NotCanonical):
+        list(io.match(BytesIO(b"\n"), "edge-list", []))
+
+
+@pytest.mark.parametrize(
+    "fmt, size, edges",
+    [("dimacs-col", 0, 0), ("dimacs-col", 5, 0), ("dimacs-col", 6, 1), ("dimacs-col", 12, 2), ("edge-list", 3, 0), ("edge-list", 4, 1)],
+)
+def test_edge_capacity_counts_the_shortest_lines(fmt, size, edges):
+    f = BytesIO(b"x" * size)
+    f.seek(size)
+    assert io.edge_capacity(f, fmt) == edges
+    assert f.tell() == 0

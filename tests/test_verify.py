@@ -413,7 +413,7 @@ def refuse_degree(fn, delta):
 
 def with_degree(cert, delta):
     """The certificate with every gadget, and the target, set to ``delta``."""
-    size = gadgets.general_gadget_size(delta)
+    size = gadgets.gadget_size(gadgets.GENERAL, delta)
     return dataclasses.replace(
         cert,
         target_degree=delta,
@@ -467,7 +467,7 @@ class TestUntrustedCertificate:
         forged = dataclasses.replace(
             rehash(cert, g_prime=sparse),
             target_degree=7,
-            gadgets=(dataclasses.replace(gi, delta=7, size=gadgets.general_gadget_size(7)),),
+            gadgets=(dataclasses.replace(gi, delta=7, size=gadgets.gadget_size(gadgets.GENERAL, 7)),),
         )
         monkeypatch.setattr(gadgets, "build_gadget", refuse_degree(gadgets.build_gadget, 7))
         by_name = {c.name: c for c in check_certificate(g, sparse, forged).checks}
@@ -572,7 +572,7 @@ class TestLinearWork:
         # each graph is walked once, by its content hash
         assert sorted(map(len, text_walks)) == sorted([g.n, gp.n])
         assert all(rows is g.adjacency or rows is gp.adjacency for rows in text_walks)
-        assert all(w.n <= gadgets.general_gadget_size(5) for w in walks)
+        assert all(w.n <= gadgets.gadget_size(gadgets.GENERAL, 5) for w in walks)
         assert not any(t is g or t is gp for t in enumerated)
 
     @pytest.mark.parametrize(

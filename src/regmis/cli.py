@@ -26,6 +26,7 @@ from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_canonical, verify_edges
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
+_SOLUTION_CHUNK = 1 << 16  # least characters of whole lines a solution file is read in
 
 
 def _read_text(path: str) -> str:
@@ -49,15 +50,20 @@ def _format(path: str, fmt: str) -> str:
 
 
 def _read_solution(path: str) -> list[int]:
-    """One vertex id per non-blank line, read in one pass; the line of a
-    fault is looked for only once that pass fails."""
-    lines = _read_text(path).splitlines()
+    """One vertex id per non-blank line, read in one pass over the text a
+    chunk of lines at a time, so no list of every line is held; the line
+    of a fault is looked for only once that pass fails."""
+    text, ids, start = _read_text(path), [], 0
     try:
-        return list(map(int, filter(str.strip, lines)))
+        while start < len(text):
+            end = text.find("\n", start + _SOLUTION_CHUNK) + 1 or len(text)  # chunks end where lines do
+            ids += map(int, filter(str.strip, text[start:end].splitlines()))
+            start = end
+        return ids
     except ValueError:
         pass
     ids = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
                 ids.append(int(line))

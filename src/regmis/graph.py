@@ -9,20 +9,24 @@ named graphs, the padding components and the gadget blueprints.  The
 whole-graph queries below each make one pass over the adjacency.
 
 Text built from rows, the file formats' edge lines (``io``) and the content
-hash's, comes from one emitter, :class:`EdgeLines`; gadget blocks repeat a
-blueprint's a tile at a time (:func:`tiles`).  A reduced graph G' is its
-sorted edges below the first gadget block, then the blocks, and
-:func:`pieces` is its one description: the constructor writes and builds
-G' from it, and the verifier regenerates G' from its own edges and blueprint.
+hash's, comes from one emitter, :class:`EdgeLines`.  A reduced graph G' is
+its sorted edges below the first gadget block, then the blocks, and
+:class:`Pieces` is its one description: the constructor writes and builds
+G' from it, and the verifier regenerates G' from its own edges and
+blueprint.  The blocks' text comes a window of ids at a time, most windows
+a template of their phase in the block pattern with the id prefixes filled
+in (:func:`block_texts`); :func:`tiles` builds the blocks' integer ends
+only, for a :class:`Graph` of G' and for comparing edges.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import gcd
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -153,7 +157,7 @@ def end_runs(ends: List[int]) -> Iterator[EdgeLines]:
     return (EdgeLines.from_ends(ends[first : first + 2 * _RUN]) for first in range(0, len(ends), 2 * _RUN))
 
 
-_BLOCKS_PER_TILE = 64  # gadget blocks rendered, compared and hashed at a time
+_BLOCKS_PER_TILE = 64  # gadget blocks built as integer ends at a time (:func:`tiles`)
 
 
 def tiles(rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
@@ -166,16 +170,123 @@ def tiles(rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLin
         yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
 
 
-def pieces(ends: List[int], rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
-    """The edges of a reduced graph in order, as (edges, shift) pieces: the
-    sorted ``ends`` below its first block a run at a time, then the
-    :func:`tiles` of ``count`` blocks of the blueprint ``rows`` from ``first``."""
-    return chain(zip(end_runs(ends), repeat(0)), tiles(rows, first, count))
+Line = Tuple[str, int]  # an edge line's template and the id of vertex 0 in it
+HASH_LINE: Line = ("%d %d\n", 0)  # the content encoding's
+
+_WINDOW = 100  # ids per window of block text; a power of ten, so an id is a prefix and its last digits
+_MARKS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"  # a template's prefixes, characters no edge line has
 
 
-def piece_ends(parts: Iterable[Tuple[EdgeLines, int]]) -> Iterator[int]:
-    """The ends of the (edges, shift) ``parts``, each shifted into place, as one sequence."""
-    return chain.from_iterable(lines.at(shift) for lines, shift in parts)
+def block_texts(rows: Sequence[Row], first: int, count: int, lines: Sequence[Line]) -> Iterator[Tuple[str, ...]]:
+    """The edges inside ``count`` consecutive blocks of the blueprint
+    ``rows`` from id ``first``, as :meth:`EdgeLines.render` gives them in
+    each (line, base) of ``lines``, a piece of about ``_RUN`` ids at a time.
+
+    Windows of ``_WINDOW`` ids at its multiples cut the blocks.  From the
+    second window on, an id renders as a prefix, the window's number or
+    one of the next few, and its last digits, and the edges whose lower end
+    lies in a window depend only on its phase, where it starts in a block.
+    So the first window of a phase that recurs renders a template with a
+    marker for each prefix, and each window of that phase is the template
+    with its markers replaced.  The other windows, the partial ones at both
+    ends, the first, and every window when one reaches more prefixes than
+    ``_MARKS`` has, are rendered from their ends."""
+    if not count:
+        return
+    size, width = len(rows), _WINDOW
+    end, block = first + count * size, EdgeLines(rows).ends
+    starts = block[::2]
+    low, high = max(1, -(-first // width)), end // width  # the whole windows from the second, by number
+    period = size // gcd(size, width)  # windows from one of a phase to the next
+    reach = width + size + max(base for _, base in lines)  # past the highest offset from a window's start
+    prefixes = -(-reach // width)
+    if prefixes > len(_MARKS):
+        period = high  # more prefixes than markers: no phase recurs
+    step = width * max(1, _RUN // width)
+    made = {}  # per phase, each line's template and the markers in it
+    digits = len(str(width)) - 1
+    tokens = [_MARKS[x // width] + "%0*d" % (digits, x % width) for x in range(reach)] if high - low > period else []
+
+    def span(lo: int, hi: int) -> List[int]:
+        """The ends of the edges whose lower end is in ``lo..hi-1``."""
+        last = (hi - 1 - first) // size
+        ends = [x + at for at in range(first + (lo - first) // size * size, hi, size) for x in block]
+        below = bisect_left(starts, (lo - first) % size)
+        above = len(starts) - bisect_left(starts, hi - first - last * size)
+        return ends[2 * below : len(ends) - 2 * above]
+
+    def plain(lo: int, hi: int) -> Iterator[Tuple[int, Tuple[str, ...]]]:
+        for at in range(lo, hi, step):
+            edges = EdgeLines.from_ends(span(at, min(at + step, hi)))
+            yield min(step, hi - at), tuple(edges.render(line, base) for line, base in lines)
+
+    def window(k: int) -> Tuple[str, ...]:
+        at = k * width
+        phase = (at - first) % size
+        if phase not in made:
+            offsets = [x - at for x in span(at, at + width)]
+            made[phase] = []
+            for line, base in lines:
+                text = line.replace("%d", "%s") * (len(offsets) // 2) % tuple(map(tokens[base:].__getitem__, offsets))
+                made[phase].append((text, [j for j in range(prefixes) if _MARKS[j] in text]))
+        return tuple(_fill(text, marks, k) for text, marks in made[phase])
+
+    def units() -> Iterator[Tuple[int, Tuple[str, ...]]]:
+        at = first
+        for k in range(low, high):
+            if k + period < high or k - period >= low:  # its phase recurs
+                yield from plain(at, k * width)
+                yield width, window(k)
+                at = (k + 1) * width
+        yield from plain(at, end)
+
+    held, texts = 0, []
+    for ids, unit in units():
+        held += ids
+        texts.append(unit)
+        if held >= step:
+            yield tuple(map("".join, zip(*texts)))
+            held, texts = 0, []
+    if texts:
+        yield tuple(map("".join, zip(*texts)))
+
+
+def _fill(template: str, marks: List[int], k: int) -> str:
+    """A window's text: ``template`` with each marker j of ``marks`` replaced by the prefix ``k + j``."""
+    for j in marks:
+        template = template.replace(_MARKS[j], str(k + j))
+    return template
+
+
+class Pieces(NamedTuple):
+    """A reduced graph G' in its one description: its sorted ``ends``
+    below its first gadget block, then ``count`` blocks of the blueprint
+    ``rows`` from the id ``first``.  The edges come a piece at a time, as
+    integer ends or as text."""
+
+    ends: List[int]
+    rows: Sequence[Row]
+    first: int
+    count: int
+
+    @property
+    def n(self) -> int:
+        return self.first + self.count * len(self.rows)
+
+    def parts(self) -> Iterator[Tuple[EdgeLines, int]]:
+        """The edges in order as (edges, shift) pieces: the ends a run at a time, then the blocks' :func:`tiles`."""
+        return chain(zip(end_runs(self.ends), repeat(0)), tiles(self.rows, self.first, self.count))
+
+    def all_ends(self) -> Iterator[int]:
+        """The ends of every edge, in order, as one sequence."""
+        return chain.from_iterable(lines.at(shift) for lines, shift in self.parts())
+
+    def texts(self, *lines: Line) -> Iterator[Tuple[str, ...]]:
+        """The text of the edges in order in each (line, base) of ``lines``:
+        the ends a run at a time, then the blocks' :func:`block_texts`."""
+        for run in end_runs(self.ends):
+            yield tuple(run.render(line, base) for line, base in lines)
+        yield from block_texts(self.rows, self.first, self.count, lines)
 
 
 def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:
@@ -222,7 +333,7 @@ class SortedEdges(NamedTuple):
 
 def hash_text(lines: EdgeLines, shift: int = 0) -> str:
     """The content encoding's text of ``lines``: ``u v`` per edge, 0-based."""
-    return lines.render("%d %d\n", shift)
+    return lines.render(HASH_LINE[0], shift)
 
 
 def content_digest(n: int, texts: Iterable[str]) -> str:

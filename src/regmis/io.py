@@ -18,9 +18,9 @@ split, ``int``, re-render with the format's line template and compare,
 then order and range checks that carry the last edge across chunks.  A
 binary file can be read so a part at a time: its header
 (:func:`canonical_header`), then its next edge lines (:func:`canonical_prefix`).
-Text known in advance, as (edges, shift) pieces (:func:`~regmis.graph.pieces`),
-is compared with the file unparsed (:func:`match`), and :func:`edge_capacity`
-bounds the edge lines a file can hold.
+Text known in advance, a reduced graph's :class:`~regmis.graph.Pieces`
+rendered by :func:`texts`, is compared with the file unparsed
+(:func:`match`), and :func:`edge_capacity` bounds the edge lines a file can hold.
 
 At the first deviation the text goes to the line parser, which accepts
 comments, blank lines, any edge order and duplicates, and names the line
@@ -43,7 +43,7 @@ from operator import add, eq, lt, mul
 from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
-    EdgeLines, Graph, GraphError, SortedEdges, content_digest, edge_runs, end_runs, hash_text, sorted_rows
+    HASH_LINE, EdgeLines, Graph, GraphError, Pieces, SortedEdges, content_digest, edge_runs, end_runs, hash_text, sorted_rows
 )
 
 FORMATS = ("dimacs-col", "edge-list")
@@ -141,16 +141,27 @@ def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[Edge
     return _canonical_runs(_first_lines(f, count), fmt, n, count)
 
 
-def match(f: BinaryIO, fmt: str, pieces: Iterable[Tuple[EdgeLines, int]]) -> Iterator[str]:
-    """The :func:`hash_text` of each (edges, shift) piece of ``pieces`` once
-    its :func:`edge_text` is the next bytes of the binary file ``f``.
-    Raises :class:`NotCanonical` at the first difference, and when bytes
-    remain after the last piece."""
-    for lines, shift in pieces:
-        data = edge_text(fmt, lines, shift).encode()
+def texts(fmt: str, pieces: Pieces) -> Iterator[Tuple[str, str]]:
+    """The :func:`edge_text` and :func:`~regmis.graph.hash_text` of
+    ``pieces``, a piece at a time (:meth:`~regmis.graph.Pieces.texts`);
+    where the format's edge line is the content encoding's, one text is both."""
+    if fmt not in _LINES:
+        raise GraphError(f"unknown graph format {fmt!r}")
+    if _LINES[fmt] == HASH_LINE:
+        return ((text, text) for text, in pieces.texts(HASH_LINE))
+    return pieces.texts(_LINES[fmt], HASH_LINE)
+
+
+def match(f: BinaryIO, fmt: str, pieces: Pieces) -> Iterator[str]:
+    """The :func:`~regmis.graph.hash_text` of each piece of ``pieces``
+    once its :func:`edge_text` is the next bytes of the binary file ``f``
+    (:func:`texts`).  Raises :class:`NotCanonical` at the first difference,
+    and when bytes remain after the last piece."""
+    for text, hashed in texts(fmt, pieces):
+        data = text.encode()
         if f.read(len(data)) != data:
             raise NotCanonical
-        yield hash_text(lines, shift)
+        yield hashed
     if f.read(1):
         raise NotCanonical
 

@@ -6,8 +6,8 @@ maximum), then gadget attachment on every deficient vertex.  Original
 vertices always occupy ids 0..source_n-1 of the result, padding vertices
 come next, and gadget blocks are allocated in (owner id, gadget index)
 order, so results are reproducible byte for byte.  The pipeline reads G's
-sorted edges and ends at a :class:`Plan`, whose pieces of G'
-(:func:`~regmis.graph.pieces`) are both written and built from.
+sorted edges and ends at a :class:`Plan`, whose description of G'
+(:class:`~regmis.graph.Pieces`) is both written and built from.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, Name
 
 from . import gadgets
 from .graph import (
+    HASH_LINE,
     EdgeLines,
     Graph,
     GraphError,
     InfeasibleError,
+    Pieces,
     Row,
     SortedEdges,
     check_ids,
@@ -31,14 +33,11 @@ from .graph import (
     content_digest,
     hash_text,
     is_independent_set,
-    piece_ends,
-    pieces,
     sorted_rows,
     splice,
     star_graph,
-    tiles,
 )
-from .io import NotCanonical, canonical_header, canonical_prefix, edge_capacity, edge_text, header, match
+from .io import NotCanonical, canonical_header, canonical_prefix, edge_capacity, header, match, texts
 
 PARITY_FIX = "parity-clique"
 STAR_PAD = "star-pad"
@@ -168,32 +167,33 @@ class Plan(NamedTuple):
     cert: ReductionCertificate
     blueprint: Graph
 
-    def pieces(self) -> Tuple[int, Iterator[Tuple[EdgeLines, int]]]:
-        """G''s vertex count, and its edges as :func:`~regmis.graph.pieces`."""
+    def pieces(self) -> Pieces:
+        """G''s edges in their one description."""
         ends, cert, blueprint = self
-        count, first = len(cert.gadgets), cert.padded_n
-        return first + count * blueprint.n, pieces(ends, blueprint.adjacency, first, count)
+        return Pieces(ends, blueprint.adjacency, cert.padded_n, len(cert.gadgets))
 
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
-        n, parts = self.pieces()
-        parts = list(parts)
-        result = Graph(n, tuple(sorted_rows(n, piece_ends(parts))))
-        return result, replace(self.cert, result_hash=content_digest(n, [hash_text(*part) for part in parts]))
+        pieces = self.pieces()
+        n = pieces.n
+        result = Graph(n, tuple(sorted_rows(n, pieces.all_ends())))
+        hashed = (text for text, in pieces.texts(HASH_LINE))
+        return result, replace(self.cert, result_hash=content_digest(n, hashed))
 
     def write(self, out: TextIO, fmt: str) -> ReductionCertificate:
         """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
-        certificate, never building G': each piece of edges is rendered
-        once for ``out`` and once for the content hash."""
-        n, parts = self.pieces()
+        certificate, never building G': each piece of G''s text
+        (:func:`~regmis.io.texts`) is written and hashed as it is rendered."""
+        pieces = self.pieces()
+        n = pieces.n
         out.write(header(fmt, n, n * self.cert.target_degree // 2))  # G' is d-regular
 
-        def texts() -> Iterator[str]:
-            for lines, shift in parts:
-                out.write(edge_text(fmt, lines, shift))
-                yield hash_text(lines, shift)
+        def hash_texts() -> Iterator[str]:
+            for text, hashed in texts(fmt, pieces):
+                out.write(text)
+                yield hashed
 
-        return replace(self.cert, result_hash=content_digest(n, texts()))
+        return replace(self.cert, result_hash=content_digest(n, hash_texts()))
 
 
 def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
@@ -353,9 +353,9 @@ def recover_canonical(
     gadget kind.  The ``k`` edge lines below the blocks, the edge count
     less the blocks' edges, go through the canonical reader a chunk at a
     time, each chunk hashed and looked up in the set of members; the rest
-    is the blueprint's tiles from the first block, matched with the file
-    unparsed (:func:`match`).  The members in blocks are checked against
-    the blueprint's rows.  Memory is one chunk, and a byte per block
+    is the blocks' text, rendered from the blueprint and matched with the
+    file unparsed (:func:`match`).  The members in blocks are checked
+    against the blueprint's rows.  Memory is one chunk, and a byte per block
     vertex, beyond the set of members."""
     if not reduced.seekable():
         return None
@@ -392,7 +392,7 @@ def recover_canonical(
             raise NotCanonical
 
     try:
-        digest = content_digest(n, chain(prefix(), match(reduced, fmt, tiles(rows, first, count))))
+        digest = content_digest(n, chain(prefix(), match(reduced, fmt, Pieces([], rows, first, count))))
     except NotCanonical:
         return None
     return _restrict(s, cert, digest, n, lambda: not clash and _independent_in_blocks(s, first, n, rows))

@@ -18,13 +18,13 @@ certificate lists it.  Untrusted fields are bounded against G' first: a
 step's end and edge count before its rows, and the layout's size before
 the blueprint.
 
-The model's edges are :func:`~regmis.graph.pieces` of its own ported
-edges, blueprint, first block and block count; the pieces repeat the
-blueprint and place no port.  :func:`verify_canonical` matches their text
-with the file (:func:`~regmis.io.match`) and hashes it in the same pass,
-so it builds no G' and its memory is O(|G| + #gadgets + blueprint); the
-file's length (:func:`~regmis.io.edge_capacity`) bounds the steps and
-the layout before any of their rows are built.  It answers whenever the
+The model's edges are G''s one description, :class:`~regmis.graph.Pieces`,
+of its own ported edges, blueprint, first block and block count; the
+blocks repeat the blueprint and place no port.  :func:`verify_canonical`
+matches their text with the file (:func:`~regmis.io.match`) and hashes
+it in the same pass, so it builds no G' and its memory is O(|G| +
+#gadgets + blueprint); the file's length (:func:`~regmis.io.edge_capacity`)
+bounds the steps and the layout before any of their rows are built.  It answers whenever the
 file is the model's text and both hashes match, whatever the
 certificate's gadget list says; any other file goes to
 :func:`verify_edges`, which compares G''s sorted edges with the pieces in
@@ -44,19 +44,18 @@ from dataclasses import asdict, dataclass
 from heapq import merge
 from itertools import compress, islice
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gadgets
 from .graph import (
+    EdgeLines,
     Graph,
     GraphError,
+    Pieces,
     Row,
-    EdgeLines,
     SortedEdges,
     content_digest,
     is_independent_set,
-    piece_ends,
-    pieces,
     sorted_rows,
     splice,
     triangle_count,
@@ -160,10 +159,10 @@ class _Model(NamedTuple):
     size: int
     n: int
 
-    def pieces(self) -> Iterator[Tuple[EdgeLines, int]]:
-        """The model's edges as :func:`~regmis.graph.pieces`, from its own
-        ported edges, blueprint, first block and block count."""
-        return pieces(self.ported, self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
+    def pieces(self) -> Pieces:
+        """The model's edges in G''s one description, from its own ported
+        edges, blueprint, first block and block count."""
+        return Pieces(self.ported, self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
 
 
 def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
@@ -211,7 +210,7 @@ def _faults(
     count, reference = base
     origin, padding, block, attachment = n < source_n, n < count, -1, -1
     if model is None or not _is_model(ends, model):
-        reference = reference if model is None else list(piece_ends(model.pieces()))
+        reference = reference if model is None else list(model.pieces().all_ends())
         edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
         for u, v in edges[0] ^ edges[1]:
             if v < count:
@@ -228,7 +227,7 @@ def _faults(
 def _is_model(ends: List[int], model: _Model) -> bool:
     """``ends`` are the model's sorted edges, compared a piece at a time."""
     at = 0
-    for lines, shift in model.pieces():
+    for lines, shift in model.pieces().parts():
         piece = lines.at(shift)
         if ends[at : at + len(piece)] != piece:
             return False
@@ -628,7 +627,7 @@ def verify_canonical(
         return None
 
     def graphs() -> Tuple[Graph, Graph]:
-        return g.graph(), Graph(n, tuple(sorted_rows(n, piece_ends(model.pieces()))))
+        return g.graph(), Graph(n, tuple(sorted_rows(n, model.pieces().all_ends())))
 
     structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
     return _report(cert, structure, n, m, graphs, with_oracle, limits)

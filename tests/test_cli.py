@@ -453,6 +453,34 @@ class TestVerifyAndRecover:
         code, stdout, err = run(capsys, "recover", "--reduced", out, "--cert", cert, "--solution", sol)
         assert (code, stdout, err) == (2, "", f"error: line 4: expected one vertex id, got {bad!r}\n")
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\n\n 2 \n3\n",
+            "0\r\n2\r\n\r\n3",
+            "0\r2\x0c3\x1c\n+4\n 5\t\n",
+            "0\n1\n2 3\n4\n",
+            "0\n1\n2\nx\n",
+            "0\n1\n2\x1f3\n",
+            "0" + " " * 9 + "1\n",
+        ],
+    )
+    def test_a_solution_is_read_as_its_lines_whatever_the_chunk(self, tmp_path, monkeypatch, chunk, text):
+        """Chunks end at a newline, so the ids and the line of a fault are
+        those of the whole text's lines."""
+        sol = tmp_path / "sol.txt"
+        sol.write_bytes(text.encode())
+        lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+        bad = next(((i, line) for i, line in lines if not line.strip().lstrip("+").isdigit()), None)
+        monkeypatch.setattr(cli, "_SOLUTION_CHUNK", chunk)
+        if bad is None:
+            assert cli._read_solution(str(sol)) == [int(line) for _, line in lines]
+        else:
+            with pytest.raises(GraphError) as exc:
+                cli._read_solution(str(sol))
+            assert str(exc.value) == f"line {bad[0]}: expected one vertex id, got {bad[1]!r}"
+
     def test_recover(self, tmp_path, k4e_file, reduced, capsys):
         out, cert = reduced
         code, stdout, _ = run(capsys, "solve", out, "--method", "brute")
@@ -1247,10 +1275,11 @@ def test_the_tile_size_changes_no_output(tmp_path, capsys, monkeypatch, flags, c
     assert expected[-2][0] == 0
     rows, library_cert = expected[-1]  # the library's G' and certificate are the CLI's
     assert (serialize_graph(Graph(len(rows), rows), "dimacs-col"), library_cert.to_json()) == (expected[1], expected[2])
-    for blocks in (1, 2, 3, 7):
-        with monkeypatch.context() as patch:
-            patch.setattr(graph, "_BLOCKS_PER_TILE", blocks)
-            assert tile_outputs(tmp_path, capsys, patch, g, flags) == expected, blocks
+    for name, sizes in (("_BLOCKS_PER_TILE", (1, 2, 3, 7)), ("_WINDOW", (10, 1000))):
+        for value in sizes:
+            with monkeypatch.context() as patch:
+                patch.setattr(graph, name, value)
+                assert tile_outputs(tmp_path, capsys, patch, g, flags) == expected, (name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 import random
+from io import StringIO
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from regmis import graph, io
+from regmis.gadgets import GENERAL, PLANAR5, build_gadget
 from regmis.graph import (
+    EdgeLines,
     Graph,
     GraphError,
+    Pieces,
+    SortedEdges,
     complete_graph,
     is_independent_set,
     star_graph,
     triangle_count,
 )
+from regmis.reduction import plan_reduction
 
 from conftest import cycle_graph, disjoint_union, empty_graph, path_graph, random_graph
 
@@ -134,3 +142,106 @@ class TestMisc:
         assert a.content_hash() == b.content_hash()
         c = Graph.from_edges(3, [(0, 1)])
         assert a.content_hash() != c.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# the text of gadget blocks, a window at a time
+
+BLOCK_GADGETS = [(GENERAL, d) for d in (3, 5, 7, 9, 11, 13)] + [(PLANAR5, None)]
+
+
+def block_rows(kind, d):
+    return build_gadget(kind, d)[0].adjacency
+
+
+def block_texts(fmt, rows, first, count):
+    """io.texts of ``count`` blocks from ``first``, joined: the file's and the content encoding's."""
+    parts = list(io.texts(fmt, Pieces([], rows, first, count)))
+    return "".join(text for text, _ in parts), "".join(hashed for _, hashed in parts)
+
+
+def rendered_blocks(fmt, rows, first, count):
+    """The same two texts, rendered block by block from the blueprint's edges."""
+    block, size = EdgeLines(rows), len(rows)
+    return (
+        "".join(io.edge_text(fmt, block, first + b * size) for b in range(count)),
+        "".join(graph.hash_text(block, first + b * size) for b in range(count)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    gadget=st.sampled_from(BLOCK_GADGETS),
+    fmt=st.sampled_from(io.FORMATS),
+    top=st.sampled_from([100, 1000, 10_000, 100_000]),
+    below=st.integers(1, 200),
+    width=st.sampled_from([10, 100, 1000]),
+    data=st.data(),
+)
+def test_block_texts_are_the_blocks_rendered_one_by_one(gadget, fmt, top, below, width, data):
+    """First ids just below 100, 1,000, 10,000 and 100,000, from none to
+    two full phase periods of blocks at the default width, both gadget
+    kinds and formats, at three window widths."""
+    rows = block_rows(*gadget)
+    count = data.draw(st.integers(0, 2 * 100 // gcd(len(rows), 100)), label="count")
+    first = max(0, top - below)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_WINDOW", width)
+        assert block_texts(fmt, rows, first, count) == rendered_blocks(fmt, rows, first, count)
+
+
+def count_fills(monkeypatch):
+    """The templates the block renderer fills, as a list that grows."""
+    filled, real = [], graph._fill
+    monkeypatch.setattr(graph, "_fill", lambda *args: filled.append(args[2]) or real(*args))
+    return filled
+
+
+@pytest.mark.parametrize("gadget", BLOCK_GADGETS)
+@pytest.mark.parametrize("fmt", io.FORMATS)
+def test_block_texts_fill_a_template_per_window_of_a_recurring_phase(monkeypatch, gadget, fmt):
+    rows = block_rows(*gadget)
+    size = len(rows)
+    period = 100 // gcd(size, 100) * size  # ids from one window of a phase to the next
+    filled = count_fills(monkeypatch)
+    # at 999, every whole window from 1000 on has a later one of its phase or an earlier one
+    count = (2 * period + 250) // size
+    assert block_texts(fmt, rows, 999, count) == rendered_blocks(fmt, rows, 999, count)
+    windows = range(10, (999 + count * size) // 100)
+    assert sorted(set(filled)) == list(windows)
+    assert len(filled) == (2 if fmt == "dimacs-col" else 1) * len(windows)
+
+
+@pytest.mark.parametrize("gadget", BLOCK_GADGETS)
+def test_block_texts_without_a_recurring_phase_fill_no_template(monkeypatch, gadget):
+    rows = block_rows(*gadget)
+    size = len(rows)
+    count = (100 // gcd(size, 100) * size + 99) // size  # one period of whole windows, and not two
+    filled = count_fills(monkeypatch)
+    for first in (0, 50, 100):
+        assert block_texts("dimacs-col", rows, first, count) == rendered_blocks("dimacs-col", rows, first, count)
+    assert filled == []
+
+
+def test_block_texts_with_more_prefixes_than_markers_fill_no_template(monkeypatch):
+    rows = block_rows(GENERAL, 17)  # 273 ids: a window of 10 reaches 29 prefixes
+    monkeypatch.setattr(graph, "_WINDOW", 10)
+    filled = count_fills(monkeypatch)
+    assert block_texts("dimacs-col", rows, 95, 30) == rendered_blocks("dimacs-col", rows, 95, 30)
+    assert filled == []
+
+
+def test_an_edge_list_write_renders_each_piece_once(monkeypatch):
+    """The edge list's edge line is the content encoding's, so each piece of
+    G' is rendered once where DIMACS renders it for the file and the hash."""
+    plan = plan_reduction(SortedEdges.of(path_graph(40)), 5)  # 150 blocks: some windows filled, some rendered
+    renders, real = [], EdgeLines.render
+    monkeypatch.setattr(EdgeLines, "render", lambda self, *args: renders.append(args) or real(self, *args))
+    filled = count_fills(monkeypatch)
+    counts = {}
+    for fmt in io.FORMATS:
+        del renders[:], filled[:]
+        plan.write(StringIO(), fmt)
+        counts[fmt] = (len(renders), len(filled))
+    assert counts["edge-list"][0] and counts["edge-list"][1]
+    assert counts["dimacs-col"] == tuple(2 * k for k in counts["edge-list"])

@@ -383,20 +383,32 @@ def test_canonical_ids_in_other_lines_go_to_the_line_parser(fmt, text):
 
 
 def planned_pieces():
-    """The (edges, shift) pieces of a 4-vertex path reduced to degree 3
-    (a parity clique and six gadgets): the edges below the first block,
-    then the tiles of blocks."""
-    return list(plan_reduction(SortedEdges.of(path_graph(4)), 3).pieces()[1])
+    """G''s description for a 40-vertex path reduced to degree 5: the
+    edges below the first block, then 150 blocks of 21 ids, whose windows'
+    phases recur."""
+    return plan_reduction(SortedEdges.of(path_graph(40)), 5).pieces()
+
+
+@pytest.mark.parametrize("fmt", io.FORMATS)
+def test_texts_are_the_edge_lines_and_the_content_encoding(monkeypatch, fmt):
+    monkeypatch.setattr(graph, "_RUN", 1000)
+    pieces = planned_pieces()
+    parts = list(io.texts(fmt, pieces))
+    assert len(parts) == 5  # a run below the blocks, then 3,150 block ids 1,000 at a time
+    g = Graph(pieces.n, tuple(graph.sorted_rows(pieces.n, pieces.all_ends())))
+    assert "".join(text for text, _ in parts) == serialize_graph(g, fmt).split("\n", 1)[1]
+    assert "".join(hashed for _, hashed in parts) == serialize_graph(g, "edge-list").split("\n", 1)[1]
+    assert graph.content_digest(g.n, [hashed for _, hashed in parts]) == g.content_hash()
 
 
 @pytest.mark.parametrize("fmt", io.FORMATS)
 def test_match_yields_each_pieces_hash_text(monkeypatch, fmt):
-    monkeypatch.setattr(graph, "_BLOCKS_PER_TILE", 4)
-    parts = planned_pieces()
-    assert [shift for _, shift in parts] == [0, 8, 36]  # a run, a tile of four blocks, one of two
-    f = BytesIO(b"head\n" + "".join(io.edge_text(fmt, *part) for part in parts).encode())
+    monkeypatch.setattr(graph, "_RUN", 1000)
+    pieces = planned_pieces()
+    parts = list(io.texts(fmt, pieces))
+    f = BytesIO(b"head\n" + "".join(text for text, _ in parts).encode())
     f.readline()
-    assert list(io.match(f, fmt, parts)) == [graph.hash_text(*part) for part in parts]
+    assert list(io.match(f, fmt, pieces)) == [hashed for _, hashed in parts]
 
 
 @pytest.mark.parametrize("fmt", io.FORMATS)
@@ -410,16 +422,17 @@ def test_match_yields_each_pieces_hash_text(monkeypatch, fmt):
     ids=["changed", "short", "long"],
 )
 def test_match_raises_at_a_difference(fmt, edit):
-    parts = planned_pieces()
-    text = "".join(io.edge_text(fmt, *part) for part in parts)
+    pieces = planned_pieces()
+    text = "".join(text for text, _ in io.texts(fmt, pieces))
     with pytest.raises(io.NotCanonical):
-        list(io.match(BytesIO(edit(text).encode()), fmt, parts))
+        list(io.match(BytesIO(edit(text).encode()), fmt, pieces))
 
 
 def test_match_of_no_pieces_needs_an_empty_file():
-    assert list(io.match(BytesIO(b""), "edge-list", [])) == []
+    empty = graph.Pieces([], (), 0, 0)
+    assert list(io.match(BytesIO(b""), "edge-list", empty)) == []
     with pytest.raises(io.NotCanonical):
-        list(io.match(BytesIO(b"\n"), "edge-list", []))
+        list(io.match(BytesIO(b"\n"), "edge-list", empty))
 
 
 @pytest.mark.parametrize(

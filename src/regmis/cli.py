@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
-from .graph import Graph, GraphError, InfeasibleError, SortedEdges, sorted_rows, triangle_count
-from .io import FORMATS, parse_edges, parse_graph, serialize_graph, sniff_format
+from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
+from .io import FORMATS, int_parser, parse_edges, parse_graph, serialize_graph, sniff_format
 from .reduction import ReductionCertificate, plan_reduction, recover_canonical, recover_edges
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_canonical, verify_edges
@@ -50,14 +50,15 @@ def _format(path: str, fmt: str) -> str:
 
 
 def _read_solution(path: str) -> list[int]:
-    """One vertex id per non-blank line, read in one pass over the text a
-    chunk of lines at a time, so no list of every line is held; the line
-    of a fault is looked for only once that pass fails."""
+    """One ASCII decimal vertex id per non-blank line, read in one pass over
+    the text a chunk of lines at a time, so no list of every line is held;
+    the line of a fault is looked for only once that pass fails."""
     text, ids, start = _read_text(path), [], 0
+    to_int = int_parser(text)
     try:
         while start < len(text):
             end = text.find("\n", start + _SOLUTION_CHUNK) + 1 or len(text)  # chunks end where lines do
-            ids += map(int, filter(str.strip, text[start:end].splitlines()))
+            ids += map(to_int, filter(str.strip, text[start:end].splitlines()))
             start = end
         return ids
     except ValueError:
@@ -66,7 +67,7 @@ def _read_solution(path: str) -> list[int]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
-                ids.append(int(line))
+                ids.append(to_int(line))
             except ValueError as exc:
                 raise GraphError(f"line {lineno}: expected one vertex id, got {line!r}") from exc
     return ids
@@ -183,7 +184,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         "port": layout.port,
         "internal_alpha": layout.internal_alpha,
         "roles": {str(v): r for v, r in enumerate(layout.roles)},
-        "alpha_report": gadgets.alpha_report(args.kind, delta),
+        "alpha_report": gadgets.alpha_report(layout.kind, layout.delta),
     }
     _write(args.roles, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
@@ -198,7 +199,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if g.n > len(degree):
         histogram[0] = g.n - len(degree)
     ids = {v: i for i, v in enumerate(sorted(degree))}  # in id order, so the edges stay sorted
-    core = Graph(len(ids), tuple(sorted_rows(len(ids), map(ids.__getitem__, g.ends))))
+    core = Graph.from_sorted(len(ids), map(ids.__getitem__, g.ends))
     doc = {
         "n": g.n,
         "m": len(g.ends) // 2,

@@ -1,22 +1,24 @@
 """Immutable undirected simple graph with dense 0-based vertex ids.
 
-A parsed graph takes one form, :class:`SortedEdges` (see ``io``); its
-rows, and the library's reduced graph's, are appended straight from
-sorted edges (:func:`sorted_rows`).  The CLI's regularize, verify (but
-for the oracle) and recover build no graph of G or G', and stats one of
-G's vertices with edges only.  :meth:`Graph.from_edges` is for the small
-named graphs, the padding components and the gadget blueprints.  The
-whole-graph queries below each make one pass over the adjacency.
+An edge sequence has one form: a flat list of sorted ``ends``,
+``[u0, v0, u1, v1, ...]``, each edge (u, v) with u < v once, in (u, v)
+order (:func:`ends_of` takes it from rows).  A parsed graph is
+:class:`SortedEdges` (see ``io``), and :meth:`Graph.from_sorted` is the one
+builder of rows from sorted ends; :meth:`Graph.from_edges` is for the small
+named graphs, the padding components and the gadget blueprints.  The CLI's
+regularize, verify (but for the oracle) and recover build no graph of G or
+G', and stats one of G's vertices with edges only.  The whole-graph queries
+below each make one pass over the adjacency.
 
-Text built from rows, the file formats' edge lines (``io``) and the content
-hash's, comes from one emitter, :class:`EdgeLines`.  A reduced graph G' is
-its sorted edges below the first gadget block, then the blocks, and
-:class:`Pieces` is its one description: the constructor writes and builds
-G' from it, and the verifier regenerates G' from its own edges and
-blueprint.  The blocks' text comes a window of ids at a time, most windows
-a template of their phase in the block pattern with the id prefixes filled
-in (:func:`block_texts`); :func:`tiles` builds the blocks' integer ends
-only, for a :class:`Graph` of G' and for comparing edges.
+A reduced graph G' is its sorted ends below the first gadget block, then
+the blocks, and :class:`Pieces` is its one description: the constructor
+writes and builds G' from it, and the verifier regenerates G' from its own
+edges and blueprint.  A plain graph is a :class:`Pieces` with no blocks, so
+every graph's text and content hash come from :meth:`Pieces.texts`: ends
+through the one emitter, :func:`render`, and blocks a window of ids at a
+time, most windows a template of their phase in the block pattern with the
+id prefixes filled in (:func:`block_texts`).  :meth:`Pieces.all_ends` gives
+the integer ends, for a :class:`Graph` of G' and for comparing edges.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -72,6 +73,19 @@ class Graph:
             adj[v].add(u)
         return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
+    @staticmethod
+    def from_sorted(n: int, ends: Iterable[int]) -> "Graph":
+        """The graph on ``n`` vertices with the sorted edges ``ends``, its rows built by appending."""
+        adj = defaultdict(list)
+        ends = iter(ends)
+        for u, v in zip(ends, ends):
+            adj[u].append(v)
+            adj[v].append(u)
+        rows: List[Row] = [()] * n
+        for v, row in adj.items():
+            rows[v] = tuple(row)
+        return Graph(n, tuple(rows))
+
     # -- queries ---------------------------------------------------------
 
     def degree(self, v: int) -> int:
@@ -107,67 +121,30 @@ class Graph:
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical (n, sorted edge list) encoding."""
-        return content_digest(self.n, map(hash_text, edge_runs(self.adjacency)))
+        return SortedEdges.of(self).digest
 
 
-# -- text of rows ---------------------------------------------------------
+# -- edges as sorted ends, and their text -----------------------------------
 
 Row = Tuple[int, ...]
 
 
-class EdgeLines:
-    """The edges of a run of rows, each edge (u, v) with u < v once, in row
-    order, row i of ``rows`` being vertex ``first + i``.  The endpoints are
-    collected once, so one run renders in several line formats and at many
-    shifts (a gadget blueprint at each of its blocks).  ``ends`` is
-    ``[u0, v0, u1, v1, ...]``."""
-
-    __slots__ = ("ends",)
-
-    def __init__(self, rows: Sequence[Row], first: int = 0) -> None:
-        self.ends = [x for u, row in enumerate(rows, first) for v in row if v > u for x in (u, v)]
-
-    @classmethod
-    def from_ends(cls, ends: List[int]) -> "EdgeLines":
-        """The edges (ends[0], ends[1]), (ends[2], ends[3]), ... in that order."""
-        lines = cls.__new__(cls)
-        lines.ends = ends
-        return lines
-
-    def at(self, shift: int) -> List[int]:
-        """The ends, every id ``shift`` higher."""
-        return [x + shift for x in self.ends] if shift else self.ends
-
-    def render(self, line: str, shift: int = 0) -> str:
-        """``line % (u + shift, v + shift)`` for each edge, joined."""
-        return (line * (len(self.ends) // 2)) % tuple(self.at(shift))
+def ends_of(rows: Sequence[Row], first: int = 0) -> List[int]:
+    """The sorted ends of the edges of ``rows``, row i being vertex ``first + i``."""
+    return [x for u, row in enumerate(rows, first) for v in row if v > u for x in (u, v)]
 
 
-_RUN = 4096  # rows per run, so the text of a whole graph is built in pieces
+def render(ends: List[int], line: str, shift: int) -> str:
+    """``line % (u + shift, v + shift)`` for each edge (u, v) of ``ends``, joined."""
+    return (line * (len(ends) // 2)) % tuple([x + shift for x in ends] if shift else ends)
 
 
-def edge_runs(rows: Sequence[Row]) -> Iterator[EdgeLines]:
-    """The edges of ``rows`` (row i is vertex i), a run of rows at a time."""
-    for first in range(0, len(rows), _RUN):
-        yield EdgeLines(rows[first : first + _RUN], first)
+_RUN = 4096  # edges, or block ids, per piece, so the text and ends of a whole graph come in pieces
 
 
-def end_runs(ends: List[int]) -> Iterator[EdgeLines]:
-    """The edges of ``ends``, a run of ``_RUN`` edges at a time."""
-    return (EdgeLines.from_ends(ends[first : first + 2 * _RUN]) for first in range(0, len(ends), 2 * _RUN))
-
-
-_BLOCKS_PER_TILE = 64  # gadget blocks built as integer ends at a time (:func:`tiles`)
-
-
-def tiles(rows: Sequence[Row], first: int, count: int) -> Iterator[Tuple[EdgeLines, int]]:
-    """The edges inside ``count`` consecutive blocks of the blueprint
-    ``rows`` from id ``first``, as (edges, shift) tiles of up to
-    ``_BLOCKS_PER_TILE`` blocks, the last tile cut to the blocks that remain."""
-    size, block, per = len(rows), EdgeLines(rows).ends, _BLOCKS_PER_TILE
-    tile = [x + b * size for b in range(min(count, per)) for x in block]
-    for b in range(0, count, per):
-        yield EdgeLines.from_ends(tile[: len(block) * (count - b)]), first + b * size
+def end_runs(ends: List[int]) -> Iterator[List[int]]:
+    """``ends`` a run of ``_RUN`` edges at a time."""
+    return (ends[first : first + 2 * _RUN] for first in range(0, len(ends), 2 * _RUN))
 
 
 Line = Tuple[str, int]  # an edge line's template and the id of vertex 0 in it
@@ -179,7 +156,7 @@ _MARKS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"  # a template's prefixes, characters no ed
 
 def block_texts(rows: Sequence[Row], first: int, count: int, lines: Sequence[Line]) -> Iterator[Tuple[str, ...]]:
     """The edges inside ``count`` consecutive blocks of the blueprint
-    ``rows`` from id ``first``, as :meth:`EdgeLines.render` gives them in
+    ``rows`` from id ``first``, as :func:`render` gives them in
     each (line, base) of ``lines``, a piece of about ``_RUN`` ids at a time.
 
     Windows of ``_WINDOW`` ids at its multiples cut the blocks.  From the
@@ -194,7 +171,7 @@ def block_texts(rows: Sequence[Row], first: int, count: int, lines: Sequence[Lin
     if not count:
         return
     size, width = len(rows), _WINDOW
-    end, block = first + count * size, EdgeLines(rows).ends
+    end, block = first + count * size, ends_of(rows)
     starts = block[::2]
     low, high = max(1, -(-first // width)), end // width  # the whole windows from the second, by number
     period = size // gcd(size, width)  # windows from one of a phase to the next
@@ -217,8 +194,8 @@ def block_texts(rows: Sequence[Row], first: int, count: int, lines: Sequence[Lin
 
     def plain(lo: int, hi: int) -> Iterator[Tuple[int, Tuple[str, ...]]]:
         for at in range(lo, hi, step):
-            edges = EdgeLines.from_ends(span(at, min(at + step, hi)))
-            yield min(step, hi - at), tuple(edges.render(line, base) for line, base in lines)
+            ends = span(at, min(at + step, hi))
+            yield min(step, hi - at), tuple(render(ends, line, base) for line, base in lines)
 
     def window(k: int) -> Tuple[str, ...]:
         at = k * width
@@ -273,20 +250,28 @@ class Pieces(NamedTuple):
     def n(self) -> int:
         return self.first + self.count * len(self.rows)
 
-    def parts(self) -> Iterator[Tuple[EdgeLines, int]]:
-        """The edges in order as (edges, shift) pieces: the ends a run at a time, then the blocks' :func:`tiles`."""
-        return chain(zip(end_runs(self.ends), repeat(0)), tiles(self.rows, self.first, self.count))
-
-    def all_ends(self) -> Iterator[int]:
-        """The ends of every edge, in order, as one sequence."""
-        return chain.from_iterable(lines.at(shift) for lines, shift in self.parts())
+    def all_ends(self) -> Iterator[List[int]]:
+        """The ends of every edge in order, a piece at a time: the ends a run
+        at a time, then the blocks a tile of about ``_RUN`` ids at a time,
+        each tile the first one shifted."""
+        yield from end_runs(self.ends)
+        size, count = len(self.rows), self.count
+        per, block = max(1, _RUN // max(1, size)), ends_of(self.rows)
+        tile = [x + b * size for b in range(min(count, per)) for x in block]
+        for b in range(0, count, per):
+            shift = self.first + b * size
+            yield [x + shift for x in tile[: len(block) * (count - b)]]
 
     def texts(self, *lines: Line) -> Iterator[Tuple[str, ...]]:
         """The text of the edges in order in each (line, base) of ``lines``:
         the ends a run at a time, then the blocks' :func:`block_texts`."""
         for run in end_runs(self.ends):
-            yield tuple(run.render(line, base) for line, base in lines)
+            yield tuple(render(run, line, base) for line, base in lines)
         yield from block_texts(self.rows, self.first, self.count, lines)
+
+    def digest(self) -> str:
+        """:func:`content_digest` of these edges."""
+        return content_digest(self.n, (text for text, in self.texts(HASH_LINE)))
 
 
 def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:
@@ -302,43 +287,30 @@ def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[
     return out
 
 
-def sorted_rows(n: int, ends: Iterable[int]) -> List[Row]:
-    """The rows of the graph on ``n`` vertices with the sorted edges ``ends``, built by appending."""
-    adj = defaultdict(list)
-    ends = iter(ends)
-    for u, v in zip(ends, ends):
-        adj[u].append(v)
-        adj[v].append(u)
-    rows: List[Row] = [()] * n
-    for v, row in adj.items():
-        rows[v] = tuple(row)
-    return rows
-
-
 class SortedEdges(NamedTuple):
-    """A graph as its vertex count, its edges as the sorted ``ends`` of
-    :class:`EdgeLines` and its :meth:`Graph.content_hash`."""
+    """A graph as its vertex count, its sorted ``ends`` and its
+    :meth:`Graph.content_hash`, taken from the text of its :class:`Pieces`."""
 
     n: int
     ends: List[int]
     digest: str
 
     @classmethod
+    def hashed(cls, n: int, ends: List[int]) -> "SortedEdges":
+        """The graph on ``n`` vertices with the sorted ``ends``: a :class:`Pieces` with no blocks."""
+        return cls(n, ends, Pieces(ends, (), n, 0).digest())
+
+    @classmethod
     def of(cls, g: Graph) -> "SortedEdges":
-        return cls(g.n, EdgeLines(g.adjacency).ends, g.content_hash())
+        return cls.hashed(g.n, ends_of(g.adjacency))
 
     def graph(self) -> Graph:
-        return Graph(self.n, tuple(sorted_rows(self.n, self.ends)))
-
-
-def hash_text(lines: EdgeLines, shift: int = 0) -> str:
-    """The content encoding's text of ``lines``: ``u v`` per edge, 0-based."""
-    return lines.render(HASH_LINE[0], shift)
+        return Graph.from_sorted(self.n, self.ends)
 
 
 def content_digest(n: int, texts: Iterable[str]) -> str:
     """SHA-256 of the content encoding of a graph on ``n`` vertices:
-    ``n=<n>``, then ``texts``, the :func:`hash_text` of its rows in id order."""
+    ``n=<n>``, then ``texts``, its edges as :data:`HASH_LINE` renders them, in order."""
     sha = hashlib.sha256(f"n={n}\n".encode())
     for text in texts:
         sha.update(text.encode())

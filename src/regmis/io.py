@@ -4,12 +4,15 @@ DIMACS .col: header ``p edge <n> <m>``, edges ``e <u> <v>`` 1-indexed,
 ``c`` comment lines ignored.  Edge list: one ``u v`` per line, 0-indexed,
 with an optional ``# n=<n>`` header so isolated vertices survive the round
 trip.  Serialization is byte-stable: edges are emitted in lexicographic
-order.  :func:`header` and :func:`edge_text` define each format's text;
-the serializer, the constructor's writer of G' and :func:`match` emit through them.
+order.  :func:`header` and each format's edge line define its text.  A
+graph's edge lines, serialized, written as G' by the constructor or
+compared with a file by :func:`match`, are its :class:`~regmis.graph.Pieces`
+rendered (:meth:`~regmis.graph.Pieces.texts`); a plain graph has no blocks.
 
-Every parse ends at one form: the vertex count and the sorted edges of
+Every parse ends at one form: the vertex count and the sorted ends of
 :class:`SortedEdges`, which :func:`parse_edges` hashes and from which
-:func:`parse_graph` builds rows.  *Canonical text* is exactly what
+:func:`parse_graph` builds rows (:meth:`Graph.from_sorted`).  Ids and
+counts are ASCII decimal integers in both readers.  *Canonical text* is exactly what
 :func:`serialize_graph` emits: the header, then one edge line per edge
 with ``u < v``, strictly increasing, every id in range, and in DIMACS a
 header ``m`` equal to the number of edge lines.  It is read a chunk of
@@ -40,11 +43,9 @@ import warnings
 from array import array
 from itertools import chain, islice, repeat
 from operator import add, eq, lt, mul
-from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import (
-    HASH_LINE, EdgeLines, Graph, GraphError, Pieces, SortedEdges, content_digest, edge_runs, end_runs, hash_text, sorted_rows
-)
+from .graph import HASH_LINE, Graph, GraphError, Line, Pieces, SortedEdges, ends_of, render
 
 FORMATS = ("dimacs-col", "edge-list")
 # per format: an edge line's template and the id of vertex 0 in it
@@ -54,21 +55,19 @@ _CHUNK = 1 << 16  # most characters of whole lines the canonical reader checks a
 
 def parse_graph(text: str, fmt: str) -> Graph:
     """The graph of ``text``, read as :func:`parse_edges` reads it, in rows."""
-    n, ends = _read(text, fmt)
-    return Graph(n, tuple(sorted_rows(n, ends)))
+    return Graph.from_sorted(*_read(text, fmt))
 
 
 def parse_edges(text: str, fmt: str) -> SortedEdges:
     """The graph of ``text`` as :class:`SortedEdges`; no graph is built."""
-    n, ends = _read(text, fmt)
-    return SortedEdges(n, ends, content_digest(n, map(hash_text, end_runs(ends))))
+    return SortedEdges.hashed(*_read(text, fmt))
 
 
 def _read(text: str, fmt: str) -> Tuple[int, List[int]]:
     """The vertex count of ``text`` and its sorted edges, read as canonical text or else by the line parser."""
     try:
         n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
-        return n, list(chain.from_iterable(lines.ends for lines in runs))
+        return n, list(chain.from_iterable(runs))
     except NotCanonical:
         return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
 
@@ -82,16 +81,17 @@ def header(fmt: str, n: int, m: int) -> str:
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
-def edge_text(fmt: str, lines: EdgeLines, shift: int = 0) -> str:
-    """The ``fmt`` edge lines of ``lines``, every id ``shift`` higher."""
+def _line(fmt: str) -> Line:
+    """The edge line of ``fmt``: its template and the id of vertex 0 in it."""
     if fmt not in _LINES:
         raise GraphError(f"unknown graph format {fmt!r}")
-    line, base = _LINES[fmt]
-    return lines.render(line, shift + base)
+    return _LINES[fmt]
 
 
 def serialize_graph(g: Graph, fmt: str) -> str:
-    return "".join([header(fmt, g.n, g.m), *(edge_text(fmt, lines) for lines in edge_runs(g.adjacency))])
+    ends = ends_of(g.adjacency)
+    texts = Pieces(ends, (), g.n, 0).texts(_line(fmt))
+    return "".join([header(fmt, g.n, len(ends) // 2), *(text for text, in texts)])
 
 
 def sniff_format(path: str) -> str:
@@ -105,7 +105,7 @@ class NotCanonical(Exception):
     """Raised by the canonical reader at the first deviation from canonical text."""
 
 
-def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[EdgeLines]]:
+def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[List[int]]]:
     """The vertex count of the canonical ``fmt`` text that ``chunks`` join
     to, and its edges, 0-based, a chunk at a time.  ``chunks`` must split
     the text after a newline (:func:`text_chunks`, :func:`file_chunks`);
@@ -113,8 +113,7 @@ def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[Edge
     :class:`NotCanonical` at the first deviation, from this call (the
     header) or while the edges are iterated; the edges seen by then are
     not those of any canonical text."""
-    if fmt not in _LINES:
-        raise GraphError(f"unknown graph format {fmt!r}")
+    _line(fmt)  # raises on an unknown format
     chunks = iter(chunks)
     first = next(chunks, "")
     cut = first.find("\n") + 1
@@ -127,12 +126,11 @@ def canonical_header(f: BinaryIO, fmt: str) -> Tuple[int, Optional[int]]:
     ``fmt`` header that the binary file ``f`` starts with, read as
     :func:`canonical_edges` reads it; ``f`` is left at the line after it.
     Raises :class:`NotCanonical` on any other first line."""
-    if fmt not in _LINES:
-        raise GraphError(f"unknown graph format {fmt!r}")
+    _line(fmt)  # raises on an unknown format
     return _counts(_ascii(f.readline(_CHUNK)), fmt)
 
 
-def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[EdgeLines]:
+def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[List[int]]:
     """The next ``count`` edge lines of the binary file ``f``, read as the
     canonical ``fmt`` edges of a graph on ``n`` vertices a chunk at a time,
     as :func:`canonical_edges` reads them; ``f`` is left at the line after
@@ -142,19 +140,19 @@ def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[Edge
 
 
 def texts(fmt: str, pieces: Pieces) -> Iterator[Tuple[str, str]]:
-    """The :func:`edge_text` and :func:`~regmis.graph.hash_text` of
-    ``pieces``, a piece at a time (:meth:`~regmis.graph.Pieces.texts`);
-    where the format's edge line is the content encoding's, one text is both."""
-    if fmt not in _LINES:
-        raise GraphError(f"unknown graph format {fmt!r}")
-    if _LINES[fmt] == HASH_LINE:
+    """The ``fmt`` edge lines and the content encoding's text
+    (:data:`~regmis.graph.HASH_LINE`) of ``pieces``, a piece at a time
+    (:meth:`~regmis.graph.Pieces.texts`); where the format's edge line is
+    the content encoding's, one text is both."""
+    line = _line(fmt)
+    if line == HASH_LINE:
         return ((text, text) for text, in pieces.texts(HASH_LINE))
-    return pieces.texts(_LINES[fmt], HASH_LINE)
+    return pieces.texts(line, HASH_LINE)
 
 
 def match(f: BinaryIO, fmt: str, pieces: Pieces) -> Iterator[str]:
-    """The :func:`~regmis.graph.hash_text` of each piece of ``pieces``
-    once its :func:`edge_text` is the next bytes of the binary file ``f``
+    """The content encoding's text of each piece of ``pieces`` once its
+    ``fmt`` edge lines are the next bytes of the binary file ``f``
     (:func:`texts`).  Raises :class:`NotCanonical` at the first difference,
     and when bytes remain after the last piece."""
     for text, hashed in texts(fmt, pieces):
@@ -171,7 +169,7 @@ def edge_capacity(f: BinaryIO, fmt: str) -> int:
     least as long as the shortest; ``f`` is left at offset 0."""
     size = f.seek(0, os.SEEK_END)
     f.seek(0)
-    return size // len(edge_text(fmt, EdgeLines.from_ends([0, 1])))
+    return size // len(render([0, 1], *_line(fmt)))
 
 
 def _counts(line: str, fmt: str) -> Tuple[int, Optional[int]]:
@@ -189,7 +187,7 @@ def _counts(line: str, fmt: str) -> Tuple[int, Optional[int]]:
     return n, m
 
 
-def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -> Iterator[EdgeLines]:
+def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -> Iterator[List[int]]:
     line, base = _LINES[fmt]
     last, count = -1, 0  # the key of the edge before the chunk, and the edges so far
     for chunk in chunks:
@@ -214,7 +212,7 @@ def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -
         if not (last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))):
             raise NotCanonical
         last, count = keys[-1], count + k
-        yield EdgeLines.from_ends(ends)
+        yield ends
     if m is not None and count != m:
         raise NotCanonical
 
@@ -273,6 +271,19 @@ def _ascii(piece: bytes) -> str:
 # -- the line parser ----------------------------------------------------------
 
 
+def int_parser(text: str) -> Callable[[str], int]:
+    """The ``int`` that reads only ASCII decimal integers in ``text``: ``int``
+    itself when ``text`` is ASCII without a ``_``, else one that also
+    raises ValueError on ``_`` separators and on other digits."""
+    return int if text.isascii() and "_" not in text else _ascii_int
+
+
+def _ascii_int(word: str) -> int:
+    if "_" in word or not word.strip().isascii():
+        raise ValueError(f"not an ASCII decimal integer: {word!r}")
+    return int(word)
+
+
 def _check_edge(n: int, u: int, v: int, lineno: int) -> None:
     """Raise on a self-loop or an out-of-range edge read on line ``lineno``."""
     if u == v:
@@ -283,7 +294,7 @@ def _check_edge(n: int, u: int, v: int, lineno: int) -> None:
 
 def _sorted_ends(n: int, keys: List[int], lines: Sequence[int]) -> List[int]:
     """The distinct edges of ``keys`` (u * n + v, u < v, for an edge read on
-    line ``lines[i]``), sorted as :class:`EdgeLines` ends; only when two keys
+    line ``lines[i]``), as sorted ends; only when two keys
     are equal are the repeated lines looked for and warned of, in line order."""
     ordered = sorted(keys)
     if any(map(eq, ordered, islice(ordered, 1, None))):
@@ -298,6 +309,7 @@ def _sorted_ends(n: int, keys: List[int], lines: Sequence[int]) -> List[int]:
 
 def _parse_dimacs(text: str) -> Tuple[int, List[int]]:
     n, problem = 0, None  # the problem line's number and edge count
+    to_int = int_parser(text)
     keys, lines = [], array("q")  # each edge line's key and its number
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,7 +321,7 @@ def _parse_dimacs(text: str) -> Tuple[int, List[int]]:
                 if problem is None:
                     raise GraphError(f"line {lineno}: edge before problem line")
                 try:
-                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    u, v = to_int(parts[1]) - 1, to_int(parts[2]) - 1
                 except (IndexError, ValueError) as exc:
                     raise GraphError(f"line {lineno}: malformed edge line {raw.strip()!r}") from exc
                 if u == v or not (0 <= u < n and 0 <= v < n):
@@ -324,7 +336,7 @@ def _parse_dimacs(text: str) -> Tuple[int, List[int]]:
                 if len(parts) != 4 or parts[1] not in ("edge", "col"):
                     raise GraphError(f"line {lineno}: malformed problem line {raw.strip()!r}")
                 try:
-                    n = int(parts[2])
+                    n = to_int(parts[2])
                 except ValueError as exc:
                     raise GraphError(f"line {lineno}: bad vertex count") from exc
                 if n < 0:
@@ -348,7 +360,7 @@ def _check_edge_count(problem: Tuple[int, str], edge_lines: int, distinct: int) 
     some files count each edge in both directions."""
     lineno, declared = problem
     try:
-        m: Optional[int] = int(declared)
+        m: Optional[int] = int_parser(declared)(declared)
     except ValueError:
         m = None
     if m not in (edge_lines, distinct):
@@ -363,7 +375,7 @@ def _parse_edge_list(text: str) -> Tuple[int, List[int]]:
     """Two passes: the vertex count is known only once every line is read
     (the ``# n=`` header may come last, and without one it is the largest
     id + 1), and every syntax error outranks a range error."""
-    declared_n = None
+    declared_n, to_int = None, int_parser(text)
     ends, lines = [], array("q")  # each edge line's ids and its number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -374,14 +386,14 @@ def _parse_edge_list(text: str) -> Tuple[int, List[int]]:
             body = line.lstrip("#").strip()
             if body.startswith("n="):
                 try:
-                    declared_n = int(body[2:])
+                    declared_n = to_int(body[2:])
                 except ValueError as exc:
                     raise GraphError(f"line {lineno}: bad vertex count in {line!r}") from exc
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = to_int(parts[0]), to_int(parts[1])
         except ValueError as exc:
             raise GraphError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}") from exc
         if u < 0 or v < 0:

@@ -21,7 +21,6 @@ from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, Name
 from . import gadgets
 from .graph import (
     HASH_LINE,
-    EdgeLines,
     Graph,
     GraphError,
     InfeasibleError,
@@ -31,9 +30,9 @@ from .graph import (
     check_ids,
     complete_graph,
     content_digest,
-    hash_text,
+    ends_of,
     is_independent_set,
-    sorted_rows,
+    render,
     splice,
     star_graph,
 )
@@ -175,10 +174,8 @@ class Plan(NamedTuple):
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
         pieces = self.pieces()
-        n = pieces.n
-        result = Graph(n, tuple(sorted_rows(n, pieces.all_ends())))
-        hashed = (text for text, in pieces.texts(HASH_LINE))
-        return result, replace(self.cert, result_hash=content_digest(n, hashed))
+        result = Graph.from_sorted(pieces.n, chain.from_iterable(pieces.all_ends()))
+        return result, replace(self.cert, result_hash=pieces.digest())
 
     def write(self, out: TextIO, fmt: str) -> ReductionCertificate:
         """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
@@ -188,12 +185,12 @@ class Plan(NamedTuple):
         n = pieces.n
         out.write(header(fmt, n, n * self.cert.target_degree // 2))  # G' is d-regular
 
-        def hash_texts() -> Iterator[str]:
+        def written() -> Iterator[str]:
             for text, hashed in texts(fmt, pieces):
                 out.write(text)
                 yield hashed
 
-        return replace(self.cert, result_hash=content_digest(n, hash_texts()))
+        return replace(self.cert, result_hash=content_digest(n, written()))
 
 
 def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, strict: bool = False) -> Plan:
@@ -226,7 +223,7 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
         for step_kind, component, alpha_offset in pads:  # each component's ids follow the ids before it
             start = steps[-1].end if steps else source.n
             steps.append(ReductionStep(step_kind, start, start + component.n, alpha_offset))
-            padding += [x + start for x in EdgeLines(component.adjacency).ends]
+            padding += [x + start for x in ends_of(component.adjacency)]
     nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
     degree += [0] * (nid - source.n)
     for x in padding:
@@ -334,7 +331,7 @@ def recover_edges(g_prime: SortedEdges, members: Iterable[int], cert: ReductionC
 
 
 def _joins(s: Set[int], ends: Sequence[int]) -> bool:
-    """True iff an edge of ``ends`` (as :class:`EdgeLines` holds them) joins two of ``s``."""
+    """True iff an edge of the sorted ``ends`` joins two of ``s``."""
     return any(map(and_, map(s.__contains__, ends[::2]), map(s.__contains__, ends[1::2])))
 
 
@@ -383,12 +380,12 @@ def recover_canonical(
         return None
 
     def prefix() -> Iterator[str]:
-        lines = None
-        for lines in canonical_prefix(reduced, fmt, n, k):
-            if s and not clash and _joins(s, lines.ends):
+        ends = None
+        for ends in canonical_prefix(reduced, fmt, n, k):
+            if s and not clash and _joins(s, ends):
                 clash.append(True)
-            yield hash_text(lines)
-        if lines is not None and lines.ends[-2] >= first:  # the blocks' edges must sort after it
+            yield render(ends, *HASH_LINE)
+        if ends is not None and ends[-2] >= first:  # the blocks' edges must sort after it
             raise NotCanonical
 
     try:

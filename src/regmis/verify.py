@@ -42,21 +42,20 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from heapq import merge
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gadgets
 from .graph import (
-    EdgeLines,
     Graph,
     GraphError,
     Pieces,
     Row,
     SortedEdges,
     content_digest,
+    ends_of,
     is_independent_set,
-    sorted_rows,
     splice,
     triangle_count,
 )
@@ -135,7 +134,7 @@ def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) ->
         edges += k * (k - 1) // 2 if step.kind == PARITY_FIX else k - 1
         if edges > m:
             raise GraphError(f"padding steps need {edges} edges, more than |E'|={m}")
-        padding += EdgeLines(_step_rows(step.kind, step.start, k), step.start).ends
+        padding += ends_of(_step_rows(step.kind, step.start, k), step.start)
         count = step.end
     return count, g.ends + padding if padding else g.ends  # G's own list unless a step follows it
 
@@ -210,7 +209,7 @@ def _faults(
     count, reference = base
     origin, padding, block, attachment = n < source_n, n < count, -1, -1
     if model is None or not _is_model(ends, model):
-        reference = reference if model is None else list(model.pieces().all_ends())
+        reference = reference if model is None else list(chain.from_iterable(model.pieces().all_ends()))
         edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
         for u, v in edges[0] ^ edges[1]:
             if v < count:
@@ -227,8 +226,7 @@ def _faults(
 def _is_model(ends: List[int], model: _Model) -> bool:
     """``ends`` are the model's sorted edges, compared a piece at a time."""
     at = 0
-    for lines, shift in model.pieces().parts():
-        piece = lines.at(shift)
+    for piece in model.pieces().all_ends():
         if ends[at : at + len(piece)] != piece:
             return False
         at += len(piece)
@@ -595,9 +593,10 @@ def verify_canonical(
     limits: Optional[SolverLimits] = None,
 ) -> Optional[VerificationReport]:
     """:func:`verify_all`'s report on G (its sorted edges) and the G' in the
-    seekable file ``reduced``, when that file is byte for byte the canonical
+    file ``reduced``, when that file is byte for byte the canonical
     ``fmt`` text of the model's G' and both hashes match; None for any other
-    file, which the caller then parses and hands to :func:`verify_edges`.
+    file, which the caller then parses and hands to :func:`verify_edges`;
+    a file that cannot seek (a pipe) gets None with nothing read.
 
     Past its header the file is never parsed: the model's pieces are
     matched with it as it is read, stopping at the first difference, and
@@ -605,7 +604,7 @@ def verify_canonical(
     :func:`check_certificate` then holds by construction, and the rest of
     the report comes from G, the certificate and the model."""
     d = cert.target_degree
-    if d < 1 or cert.source_n != g.n or cert.source_hash != g.digest:
+    if not reduced.seekable() or d < 1 or cert.source_n != g.n or cert.source_hash != g.digest:
         return None
     edges = edge_capacity(reduced, fmt)  # a canonical G' is d-regular, so this bounds |V'| too
     try:
@@ -627,7 +626,7 @@ def verify_canonical(
         return None
 
     def graphs() -> Tuple[Graph, Graph]:
-        return g.graph(), Graph(n, tuple(sorted_rows(n, model.pieces().all_ends())))
+        return g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces().all_ends()))
 
     structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
     return _report(cert, structure, n, m, graphs, with_oracle, limits)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -464,15 +465,18 @@ class TestVerifyAndRecover:
             "0\n1\n2\nx\n",
             "0\n1\n2\x1f3\n",
             "0" + " " * 9 + "1\n",
+            "0\n1_0\n2\n",
+            "0\n٣\n",
         ],
     )
     def test_a_solution_is_read_as_its_lines_whatever_the_chunk(self, tmp_path, monkeypatch, chunk, text):
         """Chunks end at a newline, so the ids and the line of a fault are
-        those of the whole text's lines."""
+        those of the whole text's lines; an id is ASCII decimal."""
         sol = tmp_path / "sol.txt"
         sol.write_bytes(text.encode())
         lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
-        bad = next(((i, line) for i, line in lines if not line.strip().lstrip("+").isdigit()), None)
+        digits = lambda line: line.strip().lstrip("+")  # noqa: E731
+        bad = next(((i, line) for i, line in lines if not (digits(line).isascii() and digits(line).isdigit())), None)
         monkeypatch.setattr(cli, "_SOLUTION_CHUNK", chunk)
         if bad is None:
             assert cli._read_solution(str(sol)) == [int(line) for _, line in lines]
@@ -563,6 +567,14 @@ class TestGadgetAndStats:
     def test_gadget_needs_delta(self, capsys):
         code, _, _ = run(capsys, "gadget", "--kind", "general-odd")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", [gadgets.PLANAR5, gadgets.ICOSA])
+    def test_a_gadget_without_a_degree_reports_none_for_delta(self, tmp_path, capsys, kind):
+        """--delta is ignored by these kinds, so neither place echoes it."""
+        roles = tmp_path / "roles.json"
+        code, _, _ = run(capsys, "gadget", "--kind", kind, "--delta", "7", "--output", tmp_path / "g.txt", "--roles", roles)
+        doc = json.loads(roles.read_text())
+        assert (code, doc["delta"], doc["alpha_report"]["delta"]) == (0, None, None)
 
     def test_stats(self, k4e_file, capsys):
         code, out, _ = run(capsys, "stats", k4e_file)
@@ -898,15 +910,13 @@ def test_a_g_prime_in_another_order_is_read_as_edges_and_never_built(
 
 def refuse_per_vertex(monkeypatch):
     """Fail any graph or rows of 1000 or more vertices."""
-    real_init, real_rows = Graph.__post_init__, graph.sorted_rows
+    real_init, real_rows = Graph.__post_init__, Graph.from_sorted
 
     def small(n):
         assert n < 1000, f"a graph or rows of {n} vertices were built"
 
     monkeypatch.setattr(Graph, "__post_init__", lambda self: small(self.n) or real_init(self))
-    for module in (graph, graph_io, verify, reduction, cli):
-        if hasattr(module, "sorted_rows"):
-            monkeypatch.setattr(module, "sorted_rows", lambda n, ends: small(n) or real_rows(n, ends))
+    monkeypatch.setattr(Graph, "from_sorted", staticmethod(lambda n, ends: small(n) or real_rows(n, ends)))
 
 
 def traced_peak(call):
@@ -1025,7 +1035,7 @@ def test_recover_on_canonical_input_parses_only_the_edges_below_the_blocks(
 
     def runs(*args):
         for lines in real(*args):
-            parsed.append(len(lines.ends) // 2)
+            parsed.append(len(lines) // 2)
             yield lines
 
     monkeypatch.setattr(graph_io, "_canonical_runs", runs)
@@ -1128,7 +1138,7 @@ def test_recover_on_canonical_input_with_no_blocks_reads_it_canonically(
 
     def runs(*args):
         for lines in real(*args):
-            edges.append(len(lines.ends) // 2)
+            edges.append(len(lines) // 2)
             yield lines
 
     monkeypatch.setattr(graph_io, "_canonical_runs", runs)
@@ -1164,6 +1174,68 @@ def test_recover_reads_g_prime_from_a_pipe(tmp_path, capsys, name):
     finally:
         os.close(read_end)
     assert got == expected and expected[0] == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_verify_reads_g_prime_from_a_pipe(tmp_path, capsys, name):
+    """``verify --reduced`` may name a pipe as ``recover --reduced`` may:
+    it is parsed, with the report of the same G' read from a file."""
+    g, gp, cert = DIFFERENTIAL_CASES[name]()
+    text = serialize_graph(gp, "dimacs-col")
+    src, red, cert_path = write_inputs(tmp_path, g, text, cert.to_json())
+    expected = verify_files(capsys, (src, red, cert_path))
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as w:
+            w.write(text.encode())  # within one pipe buffer, so no writer thread is needed
+        got = verify_files(capsys, (src, f"/dev/fd/{read_end}", cert_path), "--format", "dimacs-col")
+    finally:
+        os.close(read_end)
+    assert got == expected and expected[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# hostile input to stats and regularize
+
+FUZZ_TOKENS = ["p", "edge", "col", "e", "c", "#", "n=", "# n=", "0", "1", "2", "3", "-1", "+2", "1_0", "٣", "x", "999", "\t"]
+
+
+@st.composite
+def edited_sources(draw):
+    """A small graph's canonical text in either format with one line edited (:func:`mutate_line`)."""
+    n = draw(st.integers(2, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), min_size=1))
+    fmt = draw(st.sampled_from(FORMATS))
+    text = serialize_graph(Graph.from_edges(n, edges), fmt)
+    edited = mutate_line(text, draw(st.integers(0, 10**6)), draw(st.sampled_from(["header-n", "endpoint", "drop", "self-loop"])))
+    return "g.col" if fmt == "dimacs-col" else "g.txt", edited
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["stats", "regularize"]),
+    arbitrary=st.tuples(
+        st.sampled_from(["g.col", "g.txt"]),
+        st.one_of(st.text(max_size=300), st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join), max_size=12).map("\n".join)),
+    ),
+    edited=edited_sources(),
+)
+def test_stats_and_regularize_on_hostile_input_exit_with_their_codes(tmp_path, capsys, command, arbitrary, edited):
+    """stats on arbitrary text, and regularize --degree 5 on an edited
+    canonical text: exit 0, 1 or 2 and no exception; exit 1 only for a
+    maximum degree above the target."""
+    name, text = arbitrary if command == "stats" else edited
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    argv = ["stats", path] if command == "stats" else ["regularize", path, "--degree", "5", "--output", tmp_path / "out", "--cert", tmp_path / "cert"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate edges and edge counts warn
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.startswith("error: ")
+    if code == 1:
+        assert re.fullmatch(r"error: maximum degree \d+ exceeds target degree 5\n", err)
 
 
 # ---------------------------------------------------------------------------
@@ -1275,7 +1347,8 @@ def test_the_tile_size_changes_no_output(tmp_path, capsys, monkeypatch, flags, c
     assert expected[-2][0] == 0
     rows, library_cert = expected[-1]  # the library's G' and certificate are the CLI's
     assert (serialize_graph(Graph(len(rows), rows), "dimacs-col"), library_cert.to_json()) == (expected[1], expected[2])
-    for name, sizes in (("_BLOCKS_PER_TILE", (1, 2, 3, 7)), ("_WINDOW", (10, 1000))):
+    size = gadgets.gadget_size(gadgets.GENERAL, 3) if flags[0] == "--degree" else gadgets.gadget_size(gadgets.PLANAR5, 5)
+    for name, sizes in (("_RUN", [k * size for k in (1, 2, 3, 7)]), ("_WINDOW", (10, 1000))):  # _RUN: k blocks per tile
         for value in sizes:
             with monkeypatch.context() as patch:
                 patch.setattr(graph, name, value)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from regmis import graph, io
 from regmis.gadgets import GENERAL, PLANAR5, build_gadget
 from regmis.graph import (
-    EdgeLines,
     Graph,
     GraphError,
     Pieces,
@@ -162,10 +161,10 @@ def block_texts(fmt, rows, first, count):
 
 def rendered_blocks(fmt, rows, first, count):
     """The same two texts, rendered block by block from the blueprint's edges."""
-    block, size = EdgeLines(rows), len(rows)
+    block, size, (line, base) = graph.ends_of(rows), len(rows), io._LINES[fmt]
     return (
-        "".join(io.edge_text(fmt, block, first + b * size) for b in range(count)),
-        "".join(graph.hash_text(block, first + b * size) for b in range(count)),
+        "".join(graph.render(block, line, base + first + b * size) for b in range(count)),
+        "".join(graph.render(block, graph.HASH_LINE[0], first + b * size) for b in range(count)),
     )
 
 
@@ -235,8 +234,8 @@ def test_an_edge_list_write_renders_each_piece_once(monkeypatch):
     """The edge list's edge line is the content encoding's, so each piece of
     G' is rendered once where DIMACS renders it for the file and the hash."""
     plan = plan_reduction(SortedEdges.of(path_graph(40)), 5)  # 150 blocks: some windows filled, some rendered
-    renders, real = [], EdgeLines.render
-    monkeypatch.setattr(EdgeLines, "render", lambda self, *args: renders.append(args) or real(self, *args))
+    renders, real = [], graph.render
+    monkeypatch.setattr(graph, "render", lambda ends, *args: renders.append(args) or real(ends, *args))
     filled = count_fills(monkeypatch)
     counts = {}
     for fmt in io.FORMATS:

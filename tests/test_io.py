@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import warnings
 from io import BytesIO
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -142,6 +143,9 @@ MALFORMED = [
     ("dimacs-col", "p edge 3\n", "line 1: malformed problem line 'p edge 3'"),
     ("dimacs-col", "  p col 2 1  \n\n x 1 2 \n", "line 3: unrecognized line 'x 1 2'"),
     ("dimacs-col", "c only a comment\n", "missing 'p edge <n> <m>' header"),
+    # ids are ASCII decimal: int() alone would read 1_0 as 10 and ١٠ as 10
+    ("dimacs-col", "p edge 20 1\ne 1_0 2\n", "line 2: malformed edge line 'e 1_0 2'"),
+    ("dimacs-col", "p edge ١٠ 0\n", "line 1: bad vertex count"),
     ("edge-list", "# n=abc\n0 1\n", "line 1: bad vertex count in '# n=abc'"),
     ("edge-list", "0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
     ("edge-list", "1 1\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
@@ -151,6 +155,8 @@ MALFORMED = [
     ("edge-list", "# n=5\n0 1\n# n=1\n", "line 2: edge (0, 1) out of range for n=1"),
     ("edge-list", "# n=-1\n", "negative vertex count -1"),
     ("edge-list", "# n=-1\n0 1\n", "negative vertex count -1"),
+    ("edge-list", "0 ٣\n", "line 1: non-integer vertex id in '0 ٣'"),
+    ("edge-list", "# n=1_0\n0 1\n", "line 1: bad vertex count in '# n=1_0'"),
 ]
 
 
@@ -238,6 +244,7 @@ def test_dimacs_edge_count_warning_counts_lines_and_distinct_edges():
         ("p edge 2 5\ne 1 2\n", "line 1: problem line declares 5 edges, but the file has 1 edge lines and 1 distinct edges"),
         ("c first\np edge 3 x\ne 1 2\n", "line 2: problem line declares x edges, but the file has 1 edge lines and 1 distinct edges"),
         ("p edge 3 0\ne 1 2\ne 2 3\n", "line 1: problem line declares 0 edges, but the file has 2 edge lines and 2 distinct edges"),
+        ("p edge 3 ٢\ne 1 2\ne 2 3\n", "line 1: problem line declares ٢ edges, but the file has 2 edge lines and 2 distinct edges"),
     ],
 )
 def test_dimacs_edge_count_off_warns(text, message):
@@ -337,7 +344,7 @@ def test_a_canonical_file_reads_in_parts(monkeypatch, fmt, chunk):
     for count in range(g.m + 1):
         f = BytesIO(text.encode())
         assert io.canonical_header(f, fmt) == (g.n, g.m if fmt == "dimacs-col" else None)
-        read = [x for run in io.canonical_prefix(f, fmt, g.n, count) for x in run.ends]
+        read = [x for run in io.canonical_prefix(f, fmt, g.n, count) for x in run]
         assert read == edges[: 2 * count]
         assert f.tell() == len("".join(lines[: count + 1]))
     f = BytesIO(text.encode())
@@ -395,7 +402,7 @@ def test_texts_are_the_edge_lines_and_the_content_encoding(monkeypatch, fmt):
     pieces = planned_pieces()
     parts = list(io.texts(fmt, pieces))
     assert len(parts) == 5  # a run below the blocks, then 3,150 block ids 1,000 at a time
-    g = Graph(pieces.n, tuple(graph.sorted_rows(pieces.n, pieces.all_ends())))
+    g = Graph.from_sorted(pieces.n, chain.from_iterable(pieces.all_ends()))
     assert "".join(text for text, _ in parts) == serialize_graph(g, fmt).split("\n", 1)[1]
     assert "".join(hashed for _, hashed in parts) == serialize_graph(g, "edge-list").split("\n", 1)[1]
     assert graph.content_digest(g.n, [hashed for _, hashed in parts]) == g.content_hash()

@@ -541,11 +541,13 @@ class TestLinearWork:
         gp, cert = regularize(g, 3)
         assert len(cert.gadgets) == n
         edge_walks = self.count_calls(monkeypatch, Graph, "edges")
-        text_walks = self.count_calls(monkeypatch, graph, "edge_runs")
+        row_walks = self.count_calls(monkeypatch, graph, "ends_of")
         builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
         assert check_certificate(g, gp, cert).overall == PASS
         assert edge_walks == []
-        assert len(text_walks) == 2  # the two content hashes
+        text_walks = [rows for rows in row_walks if rows is g.adjacency or rows is gp.adjacency]
+        assert len(text_walks) == 2  # the two content hashes, one rows walk per graph
+        assert all(len(rows) == gadgets.gadget_size(gadgets.GENERAL, 3) for rows in row_walks if rows not in text_walks)
         assert len(builds) == 1
 
     def test_certificate_builds_no_padded_graph(self, monkeypatch):
@@ -566,12 +568,13 @@ class TestLinearWork:
         g = complete_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         walks = self.count_calls(monkeypatch, Graph, "edges")
-        text_walks = self.count_calls(monkeypatch, graph, "edge_runs")
+        row_walks = self.count_calls(monkeypatch, graph, "ends_of")
         enumerated = self.count_calls(monkeypatch, graph, "triangles")
         assert check_triangle_preservation(g, gp, cert).status == PASS
-        # each graph is walked once, by its content hash
+        # each graph is walked once, by its content hash; the other rows walked are the blueprint's
+        text_walks = [rows for rows in row_walks if rows is g.adjacency or rows is gp.adjacency]
         assert sorted(map(len, text_walks)) == sorted([g.n, gp.n])
-        assert all(rows is g.adjacency or rows is gp.adjacency for rows in text_walks)
+        assert all(len(rows) == gadgets.gadget_size(gadgets.GENERAL, 5) for rows in row_walks if rows not in text_walks)
         assert all(w.n <= gadgets.gadget_size(gadgets.GENERAL, 5) for w in walks)
         assert not any(t is g or t is gp for t in enumerated)
 

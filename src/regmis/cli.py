@@ -51,25 +51,24 @@ def _format(path: str, fmt: str) -> str:
 
 def _read_solution(path: str) -> list[int]:
     """One ASCII decimal vertex id per non-blank line, read in one pass over
-    the text a chunk of lines at a time, so no list of every line is held;
-    the line of a fault is looked for only once that pass fails."""
-    text, ids, start = _read_text(path), [], 0
+    the text a chunk of lines at a time, so no list of every line is held.
+    A fault is looked for only in its chunk, whose lines follow the
+    ``before`` lines of the chunks ahead of it."""
+    text, ids, start, before = _read_text(path), [], 0, 0
     to_int = int_parser(text)
-    try:
-        while start < len(text):
-            end = text.find("\n", start + _SOLUTION_CHUNK) + 1 or len(text)  # chunks end where lines do
-            ids += map(to_int, filter(str.strip, text[start:end].splitlines()))
-            start = end
-        return ids
-    except ValueError:
-        pass
-    ids = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                ids.append(to_int(line))
-            except ValueError as exc:
-                raise GraphError(f"line {lineno}: expected one vertex id, got {line!r}") from exc
+    while start < len(text):
+        end = text.find("\n", start + _SOLUTION_CHUNK) + 1 or len(text)  # chunks end where lines do
+        lines = text[start:end].splitlines()
+        try:
+            ids += map(to_int, filter(str.strip, lines))
+        except ValueError:
+            for lineno, line in enumerate(lines, before + 1):
+                try:
+                    if line.strip():
+                        to_int(line)
+                except ValueError as exc:
+                    raise GraphError(f"line {lineno}: expected one vertex id, got {line!r}") from exc
+        before, start = before + len(lines), end
     return ids
 
 

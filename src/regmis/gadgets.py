@@ -15,15 +15,16 @@ canonical port-free maximum independent set; they never run a solver.
 Which kinds attach at which target degree, and at what size, is decided
 once, by :func:`gadget_size`, before any blueprint is built.
 Each gadget's independence number is computed exactly by the solvers on
-first use and memoized per (kind, delta); the closed form quoted alongside the construction in the
-literature overcounts (see :func:`alpha_report`), so the solver value is
-authoritative everywhere.
+first use and cached per gadget shape, the kind and the delta its builder
+records (:func:`_exact_alpha`); the closed form quoted alongside the
+construction in the literature overcounts (see :func:`alpha_report`), so
+the solver value is authoritative everywhere.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .graph import Graph, GraphError
@@ -44,8 +45,8 @@ class GadgetLayout:
 
     @property
     def internal_alpha(self) -> int:
-        """Exact independence number, solved on first use and memoized."""
-        return _memoized_alpha(self.kind, self.delta)
+        """Exact independence number, solved on first use and cached."""
+        return _exact_alpha(self.kind, self.delta)
 
 
 def _require_odd_delta(delta: int) -> None:
@@ -173,6 +174,8 @@ def build_planar_gadget() -> Tuple[Graph, GadgetLayout]:
 
 
 def build_gadget(kind: str, delta: Optional[int] = None) -> Tuple[Graph, GadgetLayout]:
+    """The ``kind`` gadget for target degree ``delta``, which kinds without
+    one ignore; the layout's ``delta`` is what the builder used."""
     if kind == GENERAL:
         if delta is None:
             raise GraphError("general gadget needs a target degree")
@@ -185,31 +188,23 @@ def build_gadget(kind: str, delta: Optional[int] = None) -> Tuple[Graph, GadgetL
 
 
 # ---------------------------------------------------------------------------
-# independence constants (exact, memoized)
-
-_alpha_memo: Dict[Tuple[str, Optional[int]], int] = {}
-_alpha_lock = threading.Lock()
+# independence constants (exact, cached)
 
 
-def _memoized_alpha(kind: str, delta: Optional[int]) -> int:
-    key = (kind, delta)
-    with _alpha_lock:
-        if key in _alpha_memo:
-            return _alpha_memo[key]
-    value = mis_branch_bound(build_gadget(kind, delta)[0], SolverLimits()).alpha
-    with _alpha_lock:
-        _alpha_memo[key] = value
-    return value
+@cache
+def _exact_alpha(kind: str, delta: Optional[int]) -> int:
+    """The exact independence number of the ``kind`` gadget with the
+    builder's ``delta`` (a layout's), solved once per gadget shape."""
+    return mis_branch_bound(build_gadget(kind, delta)[0], SolverLimits()).alpha
 
 
 def gadget_alpha(delta: int) -> int:
     """Exact independence number of the general gadget for odd ``delta``."""
-    _require_odd_delta(delta)
-    return _memoized_alpha(GENERAL, delta)
+    return _exact_alpha(GENERAL, delta)
 
 
 def planar_gadget_alpha() -> int:
-    return _memoized_alpha(PLANAR5, None)
+    return _exact_alpha(PLANAR5, None)
 
 
 def stated_alpha_formula(delta: int) -> int:
@@ -222,19 +217,11 @@ def stated_alpha_formula(delta: int) -> int:
 
 
 def alpha_report(kind: str, delta: Optional[int] = None) -> Dict[str, object]:
-    """Exact alpha next to the published claim, flagging any mismatch."""
-    if kind == GENERAL:
-        assert delta is not None
-        exact = gadget_alpha(delta)
-        claimed = stated_alpha_formula(delta)
-    elif kind == PLANAR5:
-        exact = planar_gadget_alpha()
-        claimed = 4  # published offset counts 4 per gadget, one block's worth
-    elif kind == ICOSA:
-        exact = _memoized_alpha(ICOSA, None)
-        claimed = 4
-    else:
-        raise GraphError(f"unknown gadget kind {kind!r}")
+    """Exact alpha next to the published claim, flagging any mismatch; the
+    published offset counts 4 per gadget of another kind, one icosahedron
+    block's worth."""
+    exact = _exact_alpha(kind, delta)
+    claimed = stated_alpha_formula(delta) if kind == GENERAL else 4
     return {
         "kind": kind,
         "delta": delta,

@@ -99,11 +99,6 @@ class Graph:
         self._check_vertex(v)
         return self.adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self.adjacency[u]
-
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

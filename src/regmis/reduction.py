@@ -139,7 +139,7 @@ class ReductionCertificate:
                 result_hash=doc["result_hash"],
             )
             ports = [_int(g["port"]) for g in doc["gadgets"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per nesting level
             raise GraphError(f"malformed certificate: {exc}") from exc
         if ports != [gi.port for gi in cert.gadgets]:
             raise GraphError("certificate gadget port disagrees with its id range")
@@ -230,14 +230,13 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
         degree[x] += 1
     ends = source.ends + padding if padding else source.ends  # G's own list, copied only to append padding
 
-    gadget_delta = delta if kind == gadgets.GENERAL else None
-    blueprint, layout = gadgets.build_gadget(kind, gadget_delta)
+    blueprint, layout = gadgets.build_gadget(kind, delta)
     size = blueprint.n
     deficiency = [delta - k for k in degree]
     instances, ports = [], []
     for v, k in compress(enumerate(deficiency), deficiency):
         ports.append((v, range(nid + size - 1, nid + k * size, size)))
-        instances += [GadgetInstance(v, j, kind, gadget_delta, nid + (j - 1) * size, size) for j in range(1, k + 1)]
+        instances += [GadgetInstance(v, j, kind, layout.delta, nid + (j - 1) * size, size) for j in range(1, k + 1)]
         nid += k * size
 
     per_gadget_alpha = layout.internal_alpha
@@ -373,7 +372,7 @@ def recover_canonical(
         count, rest = divmod(n - first, size)
         if rest or size * d > 2 * edges + 1:
             return None  # blocks that do not tile, or a blueprint with more edges than the file has lines
-        blueprint = gadgets.build_gadget(kind, d if kind == gadgets.GENERAL else None)[0]
+        blueprint = gadgets.build_gadget(kind, d)[0]
         k -= count * blueprint.m
         rows = blueprint.adjacency
     if k < 0:

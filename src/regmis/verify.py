@@ -1,11 +1,12 @@
 """Independent re-verification of reduction outputs against certificates.
 
-Gadget blueprints are rebuilt from (kind, delta) and compared edge by
-edge, rather than trusting anything embedded in the certificate, so a
-buggy or forged construction cannot vouch for itself.  Structural checks
-never run a solver on the reduced graph; only the alpha-relation and
-port-exclusion checks do.  The gadget-alpha check reads the memoized exact
-alpha of the one gadget blueprint, and only once the blocks have matched it.
+Gadget blueprints are rebuilt from the kind and the target degree and
+compared edge by edge, rather than trusting anything embedded in the
+certificate, so a buggy or forged construction cannot vouch for itself.
+Structural checks never run a solver on the reduced graph; only the
+alpha-relation and port-exclusion checks do.  The gadget-alpha check reads
+the cached exact alpha of the one gadget blueprint, and only once the
+blocks have matched it.
 
 One model of G' serves every check (:func:`_model`).  G's sorted edges,
 the steps, the target degree and the gadget kind fix it: the padded edges,
@@ -90,18 +91,6 @@ def _check(name: str, ok: bool, detail: str) -> Check:
     return Check(name, PASS if ok else FAIL, detail)
 
 
-def _regular(n: int, d: int, bad: Sequence[int]) -> Check:
-    return _check(
-        "regular",
-        not bad,
-        f"all {n} degrees equal {d}" if not bad else f"vertices {bad[:5]} deviate from degree {d}",
-    )
-
-
-def check_regular(g: Graph, d: int) -> Check:
-    return _regular(g.n, d, [v for v, a in enumerate(g.adjacency) if len(a) != d])
-
-
 # ---------------------------------------------------------------------------
 # the edges and rows G' must have
 
@@ -142,19 +131,17 @@ def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) ->
 _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
 
 
-def _gadget_delta(cert: ReductionCertificate) -> Optional[int]:
-    return cert.target_degree if cert.gadget_kind == gadgets.GENERAL else None
-
-
 class _Model(NamedTuple):
     """The G' that the padded edges, the target degree and the gadget kind
     fix: its sorted edges below the first block (``ported``), the canonical
-    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint (empty without
-    gadgets), the closed-form gadget size and the vertex count."""
+    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint's rows and
+    layout (empty and None without gadgets), the closed-form gadget size
+    and the vertex count."""
 
     ported: List[int]
     layout: List[Tuple[int, int, str, Optional[int], int, int]]
     blueprint: Sequence[Row]
+    gadget: Optional[gadgets.GadgetLayout]
     size: int
     n: int
 
@@ -170,7 +157,7 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
     1..deficiency, blocks contiguous from the padded ids, the port last in
     each.  The layout is bounded by ``n`` and ``m`` before the blueprint is
     built; raises :class:`GraphError` when there is no such model."""
-    d, kind, delta = cert.target_degree, cert.gadget_kind, _gadget_delta(cert)
+    d, kind = cert.target_degree, cert.gadget_kind
     size = gadgets.gadget_size(kind, d)
     count, ends = padded
     degree = [0] * count
@@ -184,14 +171,14 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
         raise GraphError(f"a gadget of {size} vertices needs more edges than the reduced graph has")
     if count + total * size > n:
         raise GraphError(f"{total} gadgets of {size} vertices do not fit in |V'|={n}")
+    blueprint, gadget = gadgets.build_gadget(kind, d) if total else (Graph(0, ()), None)
     layout, ports, off = [], [], count
     for v, k in compress(enumerate(deficiency), deficiency):
         ports.append((v, range(off + size - 1, off + k * size, size)))
         for j in range(1, k + 1):
-            layout.append((v, j, kind, delta, off, size))
+            layout.append((v, j, kind, gadget.delta, off, size))
             off += size
-    blueprint = gadgets.build_gadget(kind, delta)[0].adjacency if layout else ()
-    return _Model(splice(ends, ports), layout, blueprint, size, off)
+    return _Model(splice(ends, ports), layout, blueprint.adjacency, gadget, size, off)
 
 
 def _faults(
@@ -258,22 +245,21 @@ def _check_gadget_list(cert: ReductionCertificate, layout: List[tuple]) -> Check
     )
 
 
-def _check_gadget_alpha(cert: ReductionCertificate, attached: Optional[int]) -> Check:
-    """``per_gadget_alpha`` equals the exact alpha of the certificate's
-    gadget kind at its target degree.  ``attached`` is the model's gadget
-    count, None unless G''s blocks passed their check: the memoized solver
-    runs only on a blueprint that the model bounded and the blocks matched."""
-    if attached is None:
+def _check_gadget_alpha(cert: ReductionCertificate, model: Optional[_Model]) -> Check:
+    """``per_gadget_alpha`` equals the exact alpha of the model's gadget.
+    ``model`` is None unless G''s blocks passed their check: the cached
+    solver runs only on a blueprint that the model bounded and the blocks matched."""
+    if model is None:
         return Check("gadget-alpha", SKIP, "gadget blocks did not pass their blueprint check")
-    if not attached:
+    gadget = model.gadget
+    if gadget is None:
         return Check("gadget-alpha", PASS, "no gadgets attached")
-    kind, delta = cert.gadget_kind, _gadget_delta(cert)
-    exact = gadgets.gadget_alpha(delta) if kind == gadgets.GENERAL else gadgets.planar_gadget_alpha()
+    exact = gadget.internal_alpha
     return _check(
         "gadget-alpha",
         cert.per_gadget_alpha == exact,
-        f"per_gadget_alpha {cert.per_gadget_alpha} vs exact {exact} for {kind}"
-        + (f" at degree {delta}" if delta is not None else ""),
+        f"per_gadget_alpha {cert.per_gadget_alpha} vs exact {exact} for {gadget.kind}"
+        + (f" at degree {gadget.delta}" if gadget.delta is not None else ""),
     )
 
 
@@ -309,7 +295,8 @@ def _structure(
     (each None when it could not be built, and ``error`` why)."""
     d = cert.target_degree
     irregular, origin, padding, block, attachment = faults
-    checks: List[Check] = [_regular(n, d, irregular)]
+    detail = f"all {n} degrees equal {d}" if not irregular else f"vertices {irregular} deviate from degree {d}"
+    checks = [_check("regular", not irregular, detail)]
 
     # originals induce exactly the source graph
     if cert.source_n != g.n:
@@ -337,14 +324,14 @@ def _structure(
     checks.append(_check("padding-steps", pad_ok, pad_detail))
 
     # G''s gadget blocks, the certificate's gadget list and |V'| against the model
-    attached: Optional[int] = None
+    matched: Optional[_Model] = None
     if model is None:  # skipped without padded rows; else the blueprints and |V'| fail
         status, why = (SKIP, "padded graph unavailable") if padded is None else (FAIL, error)
         checks += [Check("gadget-blueprints", status, why), Check("port-attachment", SKIP, why)]
         checks += [Check("gadget-counts", SKIP, why), Check("size-bound", status, why)]
     else:
         blocks = _block_checks(block, attachment, model)
-        attached = len(model.layout) if blocks[0].status == PASS else None
+        matched = model if blocks[0].status == PASS else None
         # vertex count: closed form and the cubic-in-degree blowup bound
         bound = padded[0] * (1 + d * model.size)
         size_ok = n == model.n and n <= bound
@@ -357,7 +344,7 @@ def _structure(
     gadget_count = len(cert.gadgets if model is None else model.layout)
     expected = sum(s.alpha_offset for s in cert.steps) + gadget_count * cert.per_gadget_alpha
     detail = f"total_offset {cert.total_offset} vs recomputed {expected}"
-    checks += [_check("offset-arithmetic", cert.total_offset == expected, detail), _check_gadget_alpha(cert, attached)]
+    checks += [_check("offset-arithmetic", cert.total_offset == expected, detail), _check_gadget_alpha(cert, matched)]
     return tuple(checks)
 
 
@@ -513,25 +500,11 @@ def _derived_planarity(
     )
 
 
-def check_planarity_necessary(g_prime: Graph, cert: ReductionCertificate) -> Check:
-    """Euler necessary condition plus the cut-edge attachment structure that
-    preserves planarity of a planar input, from the gadget-block checks
-    against the model over G''s own edges below ``padded_n``; a hash
-    mismatch fails the check."""
-
-    def structure() -> List[Check]:
-        gp = SortedEdges.of(g_prime)
-        if cert.result_hash != gp.digest:
-            raise GraphError("certificate result hash does not match the reduced graph")
-        lo, ends = max(cert.padded_n, 0), gp.ends
-        padded = (min(lo, gp.n), [x for u, v in zip(ends[::2], ends[1::2]) if v < lo for x in (u, v)])
-        try:
-            model = _model(padded, cert, gp.n, g_prime.m)
-        except GraphError:
-            return []
-        return _block_checks(*_faults(gp, cert.target_degree, 0, padded, model)[3:], model)
-
-    return _derived_planarity(g_prime.n, g_prime.m, cert, structure)
+def check_planarity_necessary(g: Graph, g_prime: Graph, cert: ReductionCertificate) -> Check:
+    """Euler's necessary condition plus the cut-edge attachment structure
+    that preserves planarity of a planar input.  Derived from
+    :func:`check_certificate`; a hash mismatch fails the check."""
+    return _derived_planarity(g_prime.n, g_prime.m, cert, lambda: check_certificate(g, g_prime, cert).checks)
 
 
 def verify_all(
@@ -574,7 +547,7 @@ def _report(
         if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
             checks.append(Check("port-exclusion", SKIP, "the gadget blocks or the gadget list failed their check"))
         elif cert.gadgets:
-            checks.append(check_port_exclusion(cert.gadget_kind, _gadget_delta(cert), limits))
+            checks.append(check_port_exclusion(cert.gadget_kind, cert.target_degree, limits))
     else:
         checks.append(Check("alpha-relation", SKIP, "oracle checks disabled"))
     return VerificationReport(tuple(checks))

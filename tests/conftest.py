@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import random
 import re
 from itertools import combinations
 
+from regmis import gadgets
 from regmis.graph import Graph, GraphError, is_independent_set
 from regmis.solvers import SolveResult
 
@@ -26,6 +28,12 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; ``g2``'s vertex ids are shifted up by ``g1.n``."""
     shifted = tuple(tuple(w + g1.n for w in a) for a in g2.adjacency)
     return Graph(g1.n + g2.n, g1.adjacency + shifted)
+
+
+def fresh_alpha_cache(monkeypatch) -> None:
+    """An empty gadget-alpha cache for one test, so that no value solved on
+    a patched builder outlives it, or is read from before it."""
+    monkeypatch.setattr(gadgets, "_exact_alpha", functools.cache(gadgets._exact_alpha.__wrapped__))
 
 
 def check_result(g: Graph, result: SolveResult) -> None:

@@ -454,6 +454,15 @@ class TestVerifyAndRecover:
         code, stdout, err = run(capsys, "recover", "--reduced", out, "--cert", cert, "--solution", sol)
         assert (code, stdout, err) == (2, "", f"error: line 4: expected one vertex id, got {bad!r}\n")
 
+    def test_a_deeply_nested_certificate_is_an_input_error(self, tmp_path, reduced, capsys):
+        out, _ = reduced
+        cert, sol = tmp_path / "deep.json", tmp_path / "sol.txt"
+        cert.write_text("[" * 100_000 + "]" * 100_000)
+        sol.write_text("0\n")
+        code, stdout, err = run(capsys, "recover", "--reduced", out, "--cert", cert, "--solution", sol)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: malformed certificate: ")
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
     @pytest.mark.parametrize(
         "text",
@@ -718,7 +727,7 @@ class TestVerifyByRegeneration:
         g, gp, cert = REPORT_INPUTS["honest-general"]()
         forged = with_degree(cert, 10001)
         paths = write_inputs(tmp_path, g, serialize_graph(gp, "dimacs-col"), forged.to_json())
-        for name in ("build_gadget", "gadget_alpha"):
+        for name in ("build_gadget", "_exact_alpha"):
             monkeypatch.setattr(gadgets, name, refuse_degree(getattr(gadgets, name), 10001))
         code, out, err = verify_files(capsys, paths)
         assert (code, err) == (1, "")
@@ -740,9 +749,10 @@ class TestVerifyByRegeneration:
             ("p edge 2 1\ne 1 1\n", "{", [], "line 2: self-loop"),
             ("p edge 2 1\ne 1 1\n", None, ["--budget-secs", "-1"], "line 2: self-loop"),
             (None, "{", [], "malformed certificate"),
+            (None, "[" * 100_000 + "]" * 100_000, [], "malformed certificate"),
             (None, None, ["--budget-nodes", "0"], "node_budget must be positive"),
         ],
-        ids=["graph-then-cert", "graph-then-budget", "cert", "budget"],
+        ids=["graph-then-cert", "graph-then-budget", "cert", "deeply-nested-cert", "budget"],
     )
     def test_input_faults_keep_their_order(self, tmp_path, capsys, reduced_text, cert_text, flags, expected):
         g, gp, cert = REPORT_INPUTS["honest-general"]()
@@ -1196,7 +1206,7 @@ def test_verify_reads_g_prime_from_a_pipe(tmp_path, capsys, name):
 
 
 # ---------------------------------------------------------------------------
-# hostile input to stats and regularize
+# hostile input to stats, regularize, solve and gadget
 
 FUZZ_TOKENS = ["p", "edge", "col", "e", "c", "#", "n=", "# n=", "0", "1", "2", "3", "-1", "+2", "1_0", "٣", "x", "999", "\t"]
 
@@ -1212,30 +1222,78 @@ def edited_sources(draw):
     return "g.col" if fmt == "dimacs-col" else "g.txt", edited
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    command=st.sampled_from(["stats", "regularize"]),
-    arbitrary=st.tuples(
-        st.sampled_from(["g.col", "g.txt"]),
-        st.one_of(st.text(max_size=300), st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join), max_size=12).map("\n".join)),
-    ),
-    edited=edited_sources(),
+# a file name, and arbitrary text or lines of the formats' tokens
+ARBITRARY_SOURCES = st.tuples(
+    st.sampled_from(["g.col", "g.txt"]),
+    st.one_of(st.text(max_size=300), st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join), max_size=12).map("\n".join)),
 )
+
+
+def run_hostile(tmp_path, capsys, source, command, *options):
+    """``regmis <command> <file> <options>`` on the file named and holding
+    ``source``'s (name, text); a non-zero exit must print an ``error:`` line."""
+    name, text = source
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate edges and edge counts warn
+        code, out, err = run(capsys, command, path, *options)
+    assert code == 0 or err.startswith("error: ")
+    return code, out, err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["stats", "regularize"]), arbitrary=ARBITRARY_SOURCES, edited=edited_sources())
 def test_stats_and_regularize_on_hostile_input_exit_with_their_codes(tmp_path, capsys, command, arbitrary, edited):
     """stats on arbitrary text, and regularize --degree 5 on an edited
     canonical text: exit 0, 1 or 2 and no exception; exit 1 only for a
     maximum degree above the target."""
-    name, text = arbitrary if command == "stats" else edited
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8", errors="surrogatepass")
-    argv = ["stats", path] if command == "stats" else ["regularize", path, "--degree", "5", "--output", tmp_path / "out", "--cert", tmp_path / "cert"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate edges and edge counts warn
-        code, _, err = run(capsys, *argv)
+    if command == "stats":
+        code, _, err = run_hostile(tmp_path, capsys, arbitrary, "stats")
+    else:
+        code, _, err = run_hostile(tmp_path, capsys, edited, "regularize", "--degree", "5", "--output", tmp_path / "out", "--cert", tmp_path / "cert")
     assert code in (0, 1, 2)
-    assert code == 0 or err.startswith("error: ")
     if code == 1:
         assert re.fullmatch(r"error: maximum degree \d+ exceeds target degree 5\n", err)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    source=st.one_of(ARBITRARY_SOURCES, edited_sources()),
+    method=st.sampled_from(["auto", "brute", "bb"]),
+    budget=st.one_of(
+        st.just(()),
+        st.tuples(st.just("--budget-nodes"), st.sampled_from(["0", "-1", "1", "1000"])),
+        st.tuples(st.just("--budget-secs"), st.sampled_from(["0", "-1", "nan", "1e-9", "inf", "10"])),
+    ),
+)
+def test_solve_on_hostile_input_exits_with_its_codes(tmp_path, capsys, source, method, budget):
+    """solve on arbitrary or edited text, with any method and budget: exit
+    0, 2 or 3 and no exception; exit 0 with a witness of the reported size."""
+    code, out, _ = run_hostile(tmp_path, capsys, source, "solve", "--method", method, *budget)
+    assert code in (0, 2, 3)
+    if code == 0:
+        doc = json.loads(out)
+        assert len(doc["witness"]) == doc["alpha"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from([gadgets.GENERAL, gadgets.PLANAR5, gadgets.ICOSA]),
+    delta=st.one_of(st.just(()), st.integers(-15, 15).map(lambda d: ("--delta", str(d)))),
+    fmt=st.sampled_from(FORMATS),
+)
+def test_gadget_on_any_kind_and_delta_exits_with_its_codes(tmp_path, capsys, kind, delta, fmt):
+    """gadget for each kind, with no --delta or one of at most 15 either
+    way, in either format: exit 0 or 2 and no exception; exit 0 with the
+    builder's delta in the role map."""
+    argv = ["gadget", "--kind", kind, *delta, "--out-format", fmt, "--output", tmp_path / "g", "--roles", tmp_path / "roles"]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ")
+    if code == 0:
+        doc = json.loads((tmp_path / "roles").read_text())
+        assert doc["delta"] == (int(delta[1]) if kind == gadgets.GENERAL else None)
 
 
 # ---------------------------------------------------------------------------

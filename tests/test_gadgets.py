@@ -61,11 +61,11 @@ class TestGeneralGadget:
         for i in (1, 2):
             a_ids = [v for v, r in enumerate(layout.roles) if r.startswith(f"part_a:{i}:")]
             b_ids = [v for v, r in enumerate(layout.roles) if r.startswith(f"part_b:{i}:")]
-            assert all(g.has_edge(u, v) for u in a_ids for v in b_ids)
-            assert all(g.has_edge(by_role[f"hub_a:{i}"], v) for v in a_ids)
-            assert all(g.has_edge(by_role[f"hub_b:{i}"], v) for v in b_ids)
-            assert g.has_edge(layout.port, by_role[f"hub_a:{i}"])
-            assert g.has_edge(layout.port, by_role[f"hub_b:{i}"])
+            assert all(v in g.neighbors(u) for u in a_ids for v in b_ids)
+            assert all(v in g.neighbors(by_role[f"hub_a:{i}"]) for v in a_ids)
+            assert all(v in g.neighbors(by_role[f"hub_b:{i}"]) for v in b_ids)
+            assert by_role[f"hub_a:{i}"] in g.neighbors(layout.port)
+            assert by_role[f"hub_b:{i}"] in g.neighbors(layout.port)
 
 
 class TestGadgetAlpha:

@@ -124,7 +124,7 @@ class TestTriangles:
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
                 for w in range(v + 1, g.n)
-                if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+                if v in g.neighbors(u) and w in g.neighbors(v) and w in g.neighbors(u)
             )
             assert triangle_count(g) == naive
 

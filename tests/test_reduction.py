@@ -38,7 +38,7 @@ from regmis.reduction import (
 from regmis.solvers import mis_branch_bound, mis_bruteforce
 from regmis.verify import PASS, verify_all
 
-from conftest import cycle_graph, grid_with_diagonals, path_graph, random_graph_max_degree
+from conftest import cycle_graph, fresh_alpha_cache, grid_with_diagonals, path_graph, random_graph_max_degree
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -322,7 +322,7 @@ class TestSolutionMaps:
 
 class TestNoSolverOutsideTheAlphaMemo:
     """Building gadgets and mapping solutions never solves a gadget; only
-    reading ``internal_alpha`` does, once per (kind, delta)."""
+    reading ``internal_alpha`` does, once per gadget shape."""
 
     def test_builders_and_solution_maps_run_no_solver(self, monkeypatch):
         g = cycle_graph(4)
@@ -333,7 +333,7 @@ class TestNoSolverOutsideTheAlphaMemo:
         def refuse(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        fresh_alpha_cache(monkeypatch)
         for owner in (gadgets, solvers):
             monkeypatch.setattr(owner, "mis_branch_bound", refuse)
         monkeypatch.setattr(solvers, "mis_bruteforce", refuse)

@@ -256,7 +256,7 @@ class TestCliques:
                 if found:
                     assert len(witness) == k
                     assert all(
-                        g.has_edge(u, v)
+                        v in g.neighbors(u)
                         for i, u in enumerate(witness)
                         for v in witness[i + 1:]
                     )

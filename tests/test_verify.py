@@ -19,6 +19,7 @@ from regmis.reduction import (
     STAR_PAD,
     ReductionStep,
     forward_map,
+    plan_reduction,
     reduce_to_regular,
     regularize,
     regularize_planar,
@@ -32,15 +33,14 @@ from regmis.verify import (
     check_certificate,
     check_planarity_necessary,
     check_port_exclusion,
-    check_regular,
     check_sandwich,
     check_triangle_preservation,
     verify_all,
     verify_canonical,
 )
-from regmis.io import serialize_graph
+from regmis.io import parse_graph, serialize_graph
 
-from conftest import cycle_graph, disjoint_union, empty_graph, path_graph
+from conftest import cycle_graph, disjoint_union, empty_graph, fresh_alpha_cache, path_graph
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -95,14 +95,25 @@ def planar_pipeline():
     return g, gp, cert
 
 
-class TestCheckRegular:
+class TestRegularEntry:
+    """The report's ``regular`` entry: every vertex of G' has the target degree."""
+
+    @staticmethod
+    def regular(g, gp, cert):
+        return next(c for c in check_certificate(g, gp, cert).checks if c.name == "regular")
+
     def test_examples(self):
-        assert check_regular(complete_graph(4), 3).status == PASS
-        assert check_regular(path_graph(3), 2).status == FAIL
+        g = complete_graph(4)
+        assert self.regular(g, *regularize(g, 3)) == verify.Check("regular", PASS, "all 4 degrees equal 3")
+        g = path_graph(3)
+        gp, cert = regularize(g, 3)
+        gi = cert.gadgets[0]
+        mutated = drop_edge(gp, gi.port, gi.owner)
+        check = self.regular(g, mutated, rehash(cert, g_prime=mutated))
+        assert check == verify.Check("regular", FAIL, f"vertices {sorted([gi.owner, gi.port])} deviate from degree 3")
 
     def test_pipeline_output(self, pipeline):
-        _, gp, _ = pipeline
-        assert check_regular(gp, 3).status == PASS
+        assert self.regular(*pipeline).status == PASS
 
 
 class TestCheckCertificate:
@@ -179,7 +190,7 @@ class TestMutationDetection:
         g1, g2 = cert.gadgets[0], cert.gadgets[1]
         mutated = add_edge(gp, g1.id_offset, g2.id_offset)
         forged = rehash(cert, g_prime=mutated)
-        assert check_planarity_necessary(mutated, forged).status == FAIL
+        assert check_planarity_necessary(g, mutated, forged).status == FAIL
 
     def test_overlapping_ranges_kill_gadget_counts(self, pipeline):
         g, gp, cert = pipeline
@@ -395,7 +406,7 @@ class TestSoundnessSweepByRegeneration:
             return Graph.from_edges(blueprint.n, list(blueprint.edges()) + [(0, 1)]), layout
 
         monkeypatch.setattr(gadgets, "build_gadget", chorded)
-        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        fresh_alpha_cache(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         assert regenerated(g, gp, cert) is None  # its blocks are not 5-regular
@@ -451,7 +462,7 @@ class TestUntrustedCertificate:
         g, gp, cert = pipeline
         huge = 10001
         forged = with_degree(cert, huge)
-        for name in ("build_gadget", "gadget_alpha"):
+        for name in ("build_gadget", "_exact_alpha"):
             monkeypatch.setattr(gadgets, name, refuse_degree(getattr(gadgets, name), huge))
         report = verify_all(g, gp, forged, with_oracle=True)
         by_name = {c.name: c.status for c in report.checks}
@@ -682,11 +693,14 @@ class TestTrianglePreservation:
         assert check.status == FAIL and "source hash" in check.detail
 
     def test_skip_does_no_structural_work(self, pipeline, planar_pipeline, monkeypatch):
-        monkeypatch.setattr(Graph, "content_hash", None)  # any structural check would hash first
+        def refuse(*args):
+            raise AssertionError("a graph was read as its sorted edges")
+
+        monkeypatch.setattr(SortedEdges, "of", refuse)  # every structural check reads both graphs so first
         g, gp, cert = planar_pipeline
         assert check_triangle_preservation(g, gp, cert).status == SKIP
-        _, gp, cert = pipeline
-        assert check_planarity_necessary(gp, cert).status == SKIP
+        g, gp, cert = pipeline
+        assert check_planarity_necessary(g, gp, cert).status == SKIP
 
     def test_reads_the_blueprint(self, monkeypatch):
         """A general gadget with a chord between two vertices of one side
@@ -701,7 +715,7 @@ class TestTrianglePreservation:
             return blueprint, layout
 
         monkeypatch.setattr(gadgets, "build_gadget", chorded)
-        monkeypatch.setattr(gadgets, "_alpha_memo", {})
+        fresh_alpha_cache(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         by_name = {c.name: c for c in verify_all(g, gp, cert).checks}
@@ -709,6 +723,24 @@ class TestTrianglePreservation:
         assert by_name["port-attachment"].status == PASS
         assert by_name["triangle-preservation"].status == FAIL
         assert "blueprint" in by_name["triangle-preservation"].detail
+
+
+class TestOneSolvePerGadgetShape:
+    def test_regularize_verify_and_verify_all_share_each_solve(self, monkeypatch):
+        """The constructor's ``per_gadget_alpha`` and the verifier's
+        gadget-alpha check read one cached solve per gadget shape, keyed by
+        the delta its builder records (None for the planar gadget), not by
+        the target degree, whichever path reads it."""
+        fresh_alpha_cache(monkeypatch)
+        real, solved = gadgets.mis_branch_bound, []
+        monkeypatch.setattr(gadgets, "mis_branch_bound", lambda g, limits: solved.append(g.n) or real(g, limits))
+        for g, planar in ((complete_graph(4), True), (cycle_graph(4), False)):
+            edges, out = SortedEdges.of(g), io.StringIO()
+            cert = plan_reduction(edges, 5, planar).write(out, "dimacs-col")
+            text = out.getvalue()
+            assert verify_canonical(edges, io.BytesIO(text.encode()), "dimacs-col", cert).overall == PASS
+            assert verify_all(g, parse_graph(text, "dimacs-col"), cert).overall == PASS
+        assert sorted(solved) == [gadgets.gadget_size(GENERAL, 5), gadgets.gadget_size(PLANAR5, 5)]
 
 
 class TestPortExclusion:
@@ -733,24 +765,24 @@ class TestPortExclusion:
 class TestPlanarityNecessary:
     def test_planar_k4(self, planar_pipeline):
         g, gp, cert = planar_pipeline
-        check = check_planarity_necessary(gp, cert)
+        check = check_planarity_necessary(g, gp, cert)
         assert check.status == PASS
         assert "510" in check.detail and "606" in check.detail
 
     def test_pass_does_not_claim_source_planarity(self, planar_pipeline):
         g, gp, cert = planar_pipeline
-        assert "source planarity: not certified" in check_planarity_necessary(gp, cert).detail
+        assert "source planarity: not certified" in check_planarity_necessary(g, gp, cert).detail
         planarity = [c for c in verify_all(g, gp, cert).checks if c.name == "planarity-necessary"]
         assert planarity[0].status == PASS and "not certified" in planarity[0].detail
 
     def test_hash_mismatch_fails(self, planar_pipeline):
-        _, gp, cert = planar_pipeline
-        check = check_planarity_necessary(gp, rehash(cert, g_prime=complete_graph(4)))
+        g, gp, cert = planar_pipeline
+        check = check_planarity_necessary(g, gp, rehash(cert, g_prime=complete_graph(4)))
         assert check.status == FAIL and "result hash" in check.detail
 
     def test_general_pipeline_skipped(self, pipeline):
         g, gp, cert = pipeline
-        assert check_planarity_necessary(gp, cert).status == SKIP
+        assert check_planarity_necessary(g, gp, cert).status == SKIP
 
 
 class TestVerifyAll:

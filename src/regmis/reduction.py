@@ -8,6 +8,10 @@ come next, and gadget blocks are allocated in (owner id, gadget index)
 order, so results are reproducible byte for byte.  The pipeline reads G's
 sorted edges and ends at a :class:`Plan`, whose description of G'
 (:class:`~regmis.graph.Pieces`) is both written and built from.
+
+Every block copies one blueprint, so the solution maps find blocks by
+geometry (:func:`_blocks`), never by the certificate's gadget entries:
+block i is the ``size`` ids from ``padded_n + i * size``, its port last.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 from operator import and_
-from typing import BinaryIO, Callable, Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, TextIO, Tuple
+from typing import BinaryIO, Callable, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Set, TextIO, Tuple
 
 from . import gadgets
 from .graph import (
@@ -75,9 +79,6 @@ class GadgetInstance:
     @property
     def port(self) -> int:
         return self.id_offset + self.size - 1  # port is always the last id
-
-    def vertex_range(self) -> range:
-        return range(self.id_offset, self.id_offset + self.size)
 
 
 @dataclass(frozen=True)
@@ -287,32 +288,37 @@ def reduce_to_regular(
 # solution maps
 
 
-def _gadget_witness(
-    gi: GadgetInstance, canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]]
-) -> Set[int]:
-    """The gadget's canonical port-free maximum independent set, shifted to
-    its block.  ``canonical`` holds it per (kind, delta) for one call, so
-    each gadget shape is built once."""
-    key = (gi.kind, gi.delta)
-    if key not in canonical:
-        canonical[key] = gadgets.build_gadget(gi.kind, gi.delta)[1].canonical_mis
-    return {gi.id_offset + v for v in canonical[key]}
+def _blocks(cert: ReductionCertificate, n: int, edges: int) -> Tuple[int, Graph, Optional[gadgets.GadgetLayout]]:
+    """The gadget blocks of a G' of ``n`` vertices and at most ``edges``
+    edges: their count, the blueprint each repeats and its layout (an empty
+    graph and None without blocks).  Raises :class:`GraphError`, having built
+    nothing, unless blocks of the closed-form size tile ``padded_n..n``."""
+    first, d, kind = cert.padded_n, cert.target_degree, cert.gadget_kind
+    if n == first >= 0:
+        return 0, Graph(0, ()), None
+    size = gadgets.gadget_size(kind, d)
+    count, rest = divmod(n - first, size)
+    if not 0 <= first < n or rest or size * d > 2 * edges + 1:  # or a blueprint with more edges than G'
+        raise GraphError(f"gadgets of {size} vertices at degree {d} do not tile ids {first}..{n} of G'")
+    return (count, *gadgets.build_gadget(kind, d))
 
 
 def forward_map(g: Graph, members: Iterable[int], cert: ReductionCertificate) -> FrozenSet[int]:
     """Lift an independent set of the source graph to one of the reduced
-    graph; the result gains exactly ``cert.total_offset`` vertices."""
+    graph; the result gains exactly ``cert.total_offset`` vertices.  Raises
+    :class:`GraphError` if ``cert`` was not issued for ``g``."""
+    if cert.source_hash != g.content_hash():
+        raise GraphError("certificate source hash does not match the source graph")
     s = set(members)
     if any(v >= cert.source_n or v < 0 for v in s):
         raise GraphError("vertex id outside the source graph")
     if not is_independent_set(g, s):
         raise GraphError("input set is not independent in the source graph")
-    out = set(s)
-    for step in cert.steps:
-        out |= step.witness()
-    canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]] = {}
-    for gi in cert.gadgets:
-        out |= _gadget_witness(gi, canonical)
+    out = s.union(*(step.witness() for step in cert.steps))
+    first, d = cert.padded_n, cert.target_degree
+    n = first + (len(cert.gadgets) * gadgets.gadget_size(cert.gadget_kind, d) if cert.gadgets else 0)
+    count, blueprint, layout = _blocks(cert, n, n * d // 2)  # G' is d-regular
+    out.update(first + i * blueprint.n + v for i in range(count) for v in layout.canonical_mis)
     return frozenset(out)
 
 
@@ -358,23 +364,14 @@ def recover_canonical(
     s = set(members)
     clash = []  # [True] once an edge joins two members
     edges = edge_capacity(reduced, fmt)
-    first, d, kind = cert.padded_n, cert.target_degree, cert.gadget_kind
+    first = cert.padded_n
     try:
         n, m = canonical_header(reduced, fmt)
-        size = gadgets.gadget_size(kind, d) if n > first else 0
-    except (NotCanonical, GraphError):  # no canonical header, or no such gadget at that degree
+        count, blueprint, _ = _blocks(cert, n, edges)
+    except (NotCanonical, GraphError):  # no canonical header, or no blocks that fit the file
         return None
-    k = n * d // 2 if m is None else m
-    rows, count = (), 0
-    if first < 0 or n < first:
-        return None
-    if size:
-        count, rest = divmod(n - first, size)
-        if rest or size * d > 2 * edges + 1:
-            return None  # blocks that do not tile, or a blueprint with more edges than the file has lines
-        blueprint = gadgets.build_gadget(kind, d)[0]
-        k -= count * blueprint.m
-        rows = blueprint.adjacency
+    k = (n * cert.target_degree // 2 if m is None else m) - count * blueprint.m
+    rows = blueprint.adjacency
     if k < 0:
         return None
 
@@ -420,23 +417,24 @@ def _restrict(
     return frozenset(v for v in s if v < cert.source_n)
 
 
-def normalize(
-    g_prime: Graph, members: Iterable[int], cert: ReductionCertificate
-) -> FrozenSet[int]:
+def normalize(g_prime: Graph, members: Iterable[int], cert: ReductionCertificate) -> FrozenSet[int]:
     """Rewrite an independent set of the reduced graph so no gadget port is
-    used, never losing cardinality.
-
-    Any selection inside a gadget that touches the port is replaced by the
-    gadget's canonical port-free maximum independent set; that set has no
-    edges leaving the gadget, so the swap is always safe.
-    """
+    used, never losing cardinality: in each block whose port is a member,
+    the members are replaced by the gadget's canonical port-free maximum
+    independent set.  The swap is checked, not assumed safe; raises
+    :class:`GraphError` if ``cert`` was not issued for ``g_prime`` or the
+    result is not independent in it."""
+    if cert.result_hash != g_prime.content_hash():
+        raise GraphError("certificate result hash does not match the reduced graph")
     s = set(members)
     if not is_independent_set(g_prime, s):
         raise GraphError("input set is not independent in the reduced graph")
-    out = set(s)
-    canonical: Dict[Tuple[str, Optional[int]], FrozenSet[int]] = {}
-    for gi in cert.gadgets:
-        if gi.port in out:
-            out -= set(gi.vertex_range())
-            out |= _gadget_witness(gi, canonical)
+    _, blueprint, layout = _blocks(cert, g_prime.n, g_prime.m)
+    first, size, out = cert.padded_n, blueprint.n, set(s)
+    for port in [v for v in s if v >= first and (v - first) % size == layout.port]:  # none without blocks
+        start = port - layout.port
+        out.difference_update(range(start, start + size))
+        out.update(start + v for v in layout.canonical_mis)
+    if not is_independent_set(g_prime, out):
+        raise GraphError("normalized set is not independent in the reduced graph")
     return frozenset(out)

@@ -41,7 +41,7 @@ class SolverLimits:
             raise GraphError("max_brute_n must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise GraphError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise GraphError("time_budget must be positive")
 
 

@@ -34,7 +34,7 @@ which names the failing checks (:func:`_faults`).  Either way the cost is
 linear in |V'| + |E'|, in memory that follows |E'|, not a declared |V'|.
 
 The triangle and planarity checks are derived from that structural result
-and walk neither G nor G' again.
+and the model's one blueprint, and walk neither G nor G' again.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 from heapq import merge
 from itertools import chain, compress, islice
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import gadgets
 from .graph import (
@@ -134,13 +134,13 @@ _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "siz
 class _Model(NamedTuple):
     """The G' that the padded edges, the target degree and the gadget kind
     fix: its sorted edges below the first block (``ported``), the canonical
-    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint's rows and
+    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint and its
     layout (empty and None without gadgets), the closed-form gadget size
     and the vertex count."""
 
     ported: List[int]
     layout: List[Tuple[int, int, str, Optional[int], int, int]]
-    blueprint: Sequence[Row]
+    blueprint: Graph
     gadget: Optional[gadgets.GadgetLayout]
     size: int
     n: int
@@ -148,7 +148,7 @@ class _Model(NamedTuple):
     def pieces(self) -> Pieces:
         """The model's edges in G''s one description, from its own ported
         edges, blueprint, first block and block count."""
-        return Pieces(self.ported, self.blueprint, self.n - len(self.layout) * self.size, len(self.layout))
+        return Pieces(self.ported, self.blueprint.adjacency, self.n - len(self.layout) * self.size, len(self.layout))
 
 
 def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
@@ -178,7 +178,7 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
         for j in range(1, k + 1):
             layout.append((v, j, kind, gadget.delta, off, size))
             off += size
-    return _Model(splice(ends, ports), layout, blueprint.adjacency, gadget, size, off)
+    return _Model(splice(ends, ports), layout, blueprint, gadget, size, off)
 
 
 def _faults(
@@ -263,13 +263,16 @@ def _check_gadget_alpha(cert: ReductionCertificate, model: Optional[_Model]) -> 
     )
 
 
+_Verdict = Tuple[Tuple[Check, ...], Optional[_Model]]
+
+
 def check_certificate(g: Graph, g_prime: Graph, cert: ReductionCertificate) -> VerificationReport:
     """Pure-structure verification; no solver runs on either graph."""
-    return VerificationReport(_checks(SortedEdges.of(g), SortedEdges.of(g_prime), cert))
+    return VerificationReport(_checks(SortedEdges.of(g), SortedEdges.of(g_prime), cert)[0])
 
 
-def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> Tuple[Check, ...]:
-    """check_certificate's checks on G and G' given as their sorted edges."""
+def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> _Verdict:
+    """check_certificate's checks on G and G' as their sorted edges, and their model (None without one)."""
     if cert.source_hash != g.digest:
         raise GraphError("certificate source hash does not match the source graph")
     if cert.result_hash != gp.digest:
@@ -283,7 +286,7 @@ def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> Tupl
     except GraphError as exc:
         error = str(exc)
     faults = _faults(gp, cert.target_degree, g.n, (g.n, g.ends) if padded is None else padded, model)
-    return _structure(g, cert, n, faults, padded, model, error)
+    return _structure(g, cert, n, faults, padded, model, error), model
 
 
 def _structure(
@@ -407,22 +410,23 @@ def check_sandwich(
     )
 
 
-def _derived_triangles(cert: ReductionCertificate, n: int, structure: Callable[[], Iterable[Check]]) -> Check:
-    """Triangle preservation for a G' of ``n`` vertices from the structural
-    checks ``structure`` returns, called only when the check applies.  Once
-    G' is the model, it has the triangles of G, C(k, 3) per parity clique of
-    k vertices and the blueprint's per gadget (a port-owner bridge closes
-    none), so the claim holds iff ``n`` is ``padded_n`` or the blueprint is
-    triangle-free."""
+def _derived_triangles(cert: ReductionCertificate, structure: Callable[[], _Verdict]) -> Check:
+    """Triangle preservation from the structural checks and the model that
+    ``structure`` returns, called only when the check applies.  Once G' is
+    the model, it has the triangles of G, C(k, 3) per parity clique of k
+    vertices and the model's blueprint's per gadget (a port-owner bridge
+    closes none), so the claim holds iff that blueprint, empty without
+    gadgets, is triangle-free."""
     if cert.gadgets and cert.gadget_kind != gadgets.GENERAL:
         return Check("triangle-preservation", SKIP, f"applies to {gadgets.GENERAL} gadgets only")
     try:
-        passed = {c.name for c in structure() if c.status == PASS}
+        checks, model = structure()
     except GraphError as exc:  # a hash mismatch
         return Check("triangle-preservation", FAIL, str(exc))
+    passed = {c.name for c in checks if c.status == PASS}
     if not passed >= {"padding-steps", "gadget-blueprints", "port-attachment", "size-bound"}:
         return Check("triangle-preservation", FAIL, "not derivable: structural checks failed")
-    inside = triangle_count(gadgets.build_gadget(gadgets.GENERAL, cert.target_degree)[0]) if n > cert.padded_n else 0
+    inside = triangle_count(model.blueprint)  # the blueprint checks passed, so there is a model
     cliques = sum(s.size * (s.size - 1) * (s.size - 2) // 6 for s in cert.steps if s.kind == PARITY_FIX)
     return _check(
         "triangle-preservation",
@@ -439,7 +443,7 @@ def check_triangle_preservation(
     """General gadgets are triangle-free and attachment edges close no
     triangle, so the only new triangles come from parity cliques.  Derived
     from :func:`check_certificate`; a hash mismatch fails the check."""
-    return _derived_triangles(cert, g_prime.n, lambda: check_certificate(g, g_prime, cert).checks)
+    return _derived_triangles(cert, lambda: _checks(SortedEdges.of(g), SortedEdges.of(g_prime), cert))
 
 
 def check_port_exclusion(
@@ -476,9 +480,7 @@ def check_port_exclusion(
     )
 
 
-def _derived_planarity(
-    n: int, m: int, cert: ReductionCertificate, structure: Callable[[], Iterable[Check]]
-) -> Check:
+def _derived_planarity(n: int, m: int, cert: ReductionCertificate, structure: Callable[[], _Verdict]) -> Check:
     """Euler's bound on a G' of ``n`` vertices and ``m`` edges, and one cut
     edge per gadget as the gadget-blueprints and port-attachment checks
     ``structure`` returns establish.  Necessary conditions only: the source
@@ -488,7 +490,7 @@ def _derived_planarity(
     if n >= 3 and m > 3 * n - 6:
         return Check("planarity-necessary", FAIL, f"m={m} exceeds 3n-6={3 * n - 6}")
     try:
-        passed = {c.name for c in structure() if c.status == PASS}
+        passed = {c.name for c in structure()[0] if c.status == PASS}
     except GraphError as exc:  # a hash mismatch
         return Check("planarity-necessary", FAIL, str(exc))
     if not passed >= {"gadget-blueprints", "port-attachment"}:
@@ -504,7 +506,8 @@ def check_planarity_necessary(g: Graph, g_prime: Graph, cert: ReductionCertifica
     """Euler's necessary condition plus the cut-edge attachment structure
     that preserves planarity of a planar input.  Derived from
     :func:`check_certificate`; a hash mismatch fails the check."""
-    return _derived_planarity(g_prime.n, g_prime.m, cert, lambda: check_certificate(g, g_prime, cert).checks)
+    structure = lambda: _checks(SortedEdges.of(g), SortedEdges.of(g_prime), cert)  # noqa: E731
+    return _derived_planarity(g_prime.n, g_prime.m, cert, structure)
 
 
 def verify_all(
@@ -521,27 +524,26 @@ def verify_edges(
 ) -> VerificationReport:
     """:func:`verify_all` on G and G' as their sorted edges; their graphs
     are built only for the oracle."""
-    structure = _checks(g, g_prime, cert)
     graphs = lambda: (g.graph(), g_prime.graph())  # noqa: E731
-    return _report(cert, structure, g_prime.n, len(g_prime.ends) // 2, graphs, with_oracle, limits)
+    return _report(cert, _checks(g, g_prime, cert), g_prime.n, len(g_prime.ends) // 2, graphs, with_oracle, limits)
 
 
 def _report(
     cert: ReductionCertificate,
-    structure: Tuple[Check, ...],
+    verdict: _Verdict,
     n: int,
     m: int,
     graphs: Callable[[], Tuple[Graph, Graph]],
     with_oracle: bool,
     limits: Optional[SolverLimits],
 ) -> VerificationReport:
-    """The structural checks, then the derived and the solver-backed ones,
-    for a G' of ``n`` vertices and ``m`` edges; ``graphs`` gives G and G'
-    themselves, called only for the oracle."""
-    checks = list(structure)
+    """The structural checks and their model (``verdict``), then the derived
+    and the solver-backed checks, for a G' of ``n`` vertices and ``m``
+    edges; ``graphs`` gives G and G' themselves, called only for the oracle."""
+    checks = list(verdict[0])
     passed = {c.name for c in checks if c.status == PASS}
-    checks.append(_derived_triangles(cert, n, lambda: structure))
-    checks.append(_derived_planarity(n, m, cert, lambda: structure))
+    checks.append(_derived_triangles(cert, lambda: verdict))
+    checks.append(_derived_planarity(n, m, cert, lambda: verdict))
     if with_oracle:
         checks.append(check_alpha_relation(*graphs(), cert, limits))
         if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
@@ -585,7 +587,7 @@ def verify_canonical(
         model = _model(padded, cert, 2 * edges // d, edges)
     except GraphError:
         return None
-    if model.layout and [len(r) for r in model.blueprint] != [d] * (model.size - 1) + [d - 1]:
+    if model.layout and [len(r) for r in model.blueprint.adjacency] != [d] * (model.size - 1) + [d - 1]:
         return None  # the blocks would not be d-regular
     n = model.n
     m = n * d // 2
@@ -602,4 +604,4 @@ def verify_canonical(
         return g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces().all_ends()))
 
     structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
-    return _report(cert, structure, n, m, graphs, with_oracle, limits)
+    return _report(cert, (structure, model), n, m, graphs, with_oracle, limits)

@@ -339,6 +339,15 @@ class TestSolve:
         assert code == 3
         assert "lower bound" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+    def test_time_budget_that_is_not_positive_is_an_input_error(self, tmp_path, capsys, budget):
+        """NaN compares false with everything, so it is refused as not positive, not run as no limit."""
+        path = tmp_path / "g.col"
+        path.write_text(serialize_graph(cycle_graph(5), "dimacs-col"))
+        code, out, err = run(capsys, "solve", path, "--budget-secs", budget)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: time_budget must be positive")
+
     def test_empty_graph(self, tmp_path, capsys):
         path = tmp_path / "e.txt"
         path.write_text("")
@@ -751,8 +760,9 @@ class TestVerifyByRegeneration:
             (None, "{", [], "malformed certificate"),
             (None, "[" * 100_000 + "]" * 100_000, [], "malformed certificate"),
             (None, None, ["--budget-nodes", "0"], "node_budget must be positive"),
+            (None, None, ["--with-oracle", "--budget-secs", "nan"], "time_budget must be positive"),
         ],
-        ids=["graph-then-cert", "graph-then-budget", "cert", "deeply-nested-cert", "budget"],
+        ids=["graph-then-cert", "graph-then-budget", "cert", "deeply-nested-cert", "budget", "nan-budget"],
     )
     def test_input_faults_keep_their_order(self, tmp_path, capsys, reduced_text, cert_text, flags, expected):
         g, gp, cert = REPORT_INPUTS["honest-general"]()
@@ -1269,9 +1279,12 @@ def test_stats_and_regularize_on_hostile_input_exit_with_their_codes(tmp_path, c
 )
 def test_solve_on_hostile_input_exits_with_its_codes(tmp_path, capsys, source, method, budget):
     """solve on arbitrary or edited text, with any method and budget: exit
-    0, 2 or 3 and no exception; exit 0 with a witness of the reported size."""
+    0, 2 or 3 and no exception; exit 2 for a budget that is not positive,
+    NaN included; exit 0 with a witness of the reported size."""
     code, out, _ = run_hostile(tmp_path, capsys, source, "solve", "--method", method, *budget)
     assert code in (0, 2, 3)
+    if budget[1:] and budget[1] in ("0", "-1", "nan"):
+        assert code == 2
     if code == 0:
         doc = json.loads(out)
         assert len(doc["witness"]) == doc["alpha"]

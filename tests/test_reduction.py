@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import random
 
@@ -299,7 +301,7 @@ class TestSolutionMaps:
         inner = mis_bruteforce(residual).witness
         with_port = {gi.id_offset + keep[i] for i in inner} | {gi.port}
         for other in cert.gadgets[1:]:
-            with_port |= forward_map(g, set(), cert) & set(other.vertex_range())
+            with_port |= forward_map(g, set(), cert) & set(range(other.id_offset, other.id_offset + other.size))
         assert is_independent_set(gp, with_port)
         normalized = normalize(gp, with_port, cert)
         assert len(normalized) == len(with_port) + 1
@@ -318,6 +320,72 @@ class TestSolutionMaps:
         assert len(builds) == 2  # one per call, not one per gadget
         assert len(lifted) == cert.total_offset
         assert len(normalized) == cert.total_offset and not ports & normalized
+
+    def test_normalize_rejects_a_foreign_certificate(self):
+        """C5 at degree 3 (|V'| = 44) with the certificate of C7: bound to G' by the result hash."""
+        gp, cert = reduce_to_regular(cycle_graph(5), 3)
+        foreign = reduce_to_regular(cycle_graph(7), 3)[1]
+        assert gp.n == 44
+        with pytest.raises(GraphError, match="certificate result hash does not match the reduced graph"):
+            normalize(gp, {gi.port for gi in cert.gadgets}, foreign)
+
+    def test_forward_map_rejects_a_foreign_certificate(self):
+        """C5 with the certificate of C7: bound to G by the source hash."""
+        foreign = reduce_to_regular(cycle_graph(7), 3)[1]
+        with pytest.raises(GraphError, match="certificate source hash does not match the source graph"):
+            forward_map(cycle_graph(5), {0}, foreign)
+
+    @staticmethod
+    def spy_builds(monkeypatch):
+        builds, real = [], gadgets.build_gadget
+
+        def spy(kind, delta=None):
+            builds.append((kind, delta))
+            assert delta != 301, "a gadget of degree 301 was built"
+            return real(kind, delta)
+
+        monkeypatch.setattr(gadgets, "build_gadget", spy)
+        return builds
+
+    def test_normalize_ignores_a_forged_gadget_delta(self, monkeypatch):
+        """Blocks are found by the certificate's geometry, so an entry's
+        delta is never built: the output is the honest one."""
+        gp, cert = reduce_to_regular(cycle_graph(5), 3)
+        ports = {gi.port for gi in cert.gadgets}
+        honest = normalize(gp, ports, cert)
+        forged = dataclasses.replace(cert, gadgets=(dataclasses.replace(cert.gadgets[0], delta=301),) + cert.gadgets[1:])
+        builds = self.spy_builds(monkeypatch)
+        assert normalize(gp, ports, forged) == honest
+        assert builds == [(GENERAL, 3)]
+
+    @pytest.mark.parametrize(
+        "source, degree, forged, error, built",
+        [
+            (5, 3, 301, "do not tile", []),  # blocks of 90,301 vertices: neither the tiling nor the edge bound holds
+            (5, 3, 5, "do not tile", []),  # blocks of 21 within the edge bound cannot tile C5's 35 block vertices
+            (4, 5, 3, "not independent", [(GENERAL, 3)]),  # blocks of 7 tile C4's blocks of 21, but the swap is wrong
+        ],
+        ids=["too-large", "no-tiling", "wrong-swap"],
+    )
+    def test_normalize_rejects_a_forged_target_degree(self, monkeypatch, source, degree, forged, error, built):
+        gp, cert = reduce_to_regular(cycle_graph(source), degree)
+        builds = self.spy_builds(monkeypatch)
+        with pytest.raises(GraphError, match=error):
+            normalize(gp, {gi.port for gi in cert.gadgets}, dataclasses.replace(cert, target_degree=forged))
+        assert builds == built
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_recover_canonical_builds_no_blueprint_with_more_edges_than_the_file(self, monkeypatch, fmt):
+        """A header whose |V'| one degree-301 block would tile, over a file
+        far shorter than that block's edges: None, with no build."""
+        gp, cert = reduce_to_regular(cycle_graph(5), 3)
+        n = cert.padded_n + gadgets.gadget_size(GENERAL, 301)
+        head = f"p edge {n} {gp.m}\n" if fmt == "dimacs-col" else f"# n={n}\n"
+        text = head + serialize_graph(gp, fmt).split("\n", 1)[1]
+        builds = self.spy_builds(monkeypatch)
+        forged = dataclasses.replace(cert, target_degree=301)
+        assert reduction.recover_canonical(io.BytesIO(text.encode()), fmt, {0}, forged) is None
+        assert builds == []
 
 
 class TestNoSolverOutsideTheAlphaMemo:
@@ -436,7 +504,7 @@ class TestCertificateSerialization:
         assert cert.total_offset == sum(
             s.alpha_offset for s in cert.steps
         ) + len(cert.gadgets) * cert.per_gadget_alpha
-        ranges = [set(gi.vertex_range()) for gi in cert.gadgets]
+        ranges = [set(range(gi.id_offset, gi.id_offset + gi.size)) for gi in cert.gadgets]
         ranges.append(set(range(cert.padded_n)))
         for i, r1 in enumerate(ranges):
             for r2 in ranges[i + 1:]:

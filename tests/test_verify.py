@@ -561,6 +561,20 @@ class TestLinearWork:
         assert all(len(rows) == gadgets.gadget_size(gadgets.GENERAL, 3) for rows in row_walks if rows not in text_walks)
         assert len(builds) == 1
 
+    def test_one_blueprint_per_verify(self, monkeypatch):
+        """verify_all and verify_canonical build the gadget blueprint once:
+        the derived triangle check reads the model's."""
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        text = serialize_graph(gp, "dimacs-col")
+        gadgets.gadget_alpha(5)  # the cached solve builds its own gadget once per process
+        builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
+        assert verify_all(g, gp, cert).overall == PASS
+        assert builds == [GENERAL]
+        report = verify_canonical(SortedEdges.of(g), io.BytesIO(text.encode()), "dimacs-col", cert)
+        assert report.overall == PASS
+        assert builds == [GENERAL, GENERAL]
+
     def test_certificate_builds_no_padded_graph(self, monkeypatch):
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)

@@ -20,13 +20,12 @@ from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
 from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
-from .io import FORMATS, int_parser, parse_edges, parse_graph, serialize_graph, sniff_format
+from .io import FORMATS, int_parser, parse_edges, parse_graph, serialize_graph, sniff_format, text_chunks
 from .reduction import ReductionCertificate, plan_reduction, recover_canonical, recover_edges
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_canonical, verify_edges
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
-_SOLUTION_CHUNK = 1 << 16  # least characters of whole lines a solution file is read in
 
 
 def _read_text(path: str) -> str:
@@ -54,11 +53,10 @@ def _read_solution(path: str) -> list[int]:
     the text a chunk of lines at a time, so no list of every line is held.
     A fault is looked for only in its chunk, whose lines follow the
     ``before`` lines of the chunks ahead of it."""
-    text, ids, start, before = _read_text(path), [], 0, 0
+    text, ids, before = _read_text(path), [], 0
     to_int = int_parser(text)
-    while start < len(text):
-        end = text.find("\n", start + _SOLUTION_CHUNK) + 1 or len(text)  # chunks end where lines do
-        lines = text[start:end].splitlines()
+    for chunk in text_chunks(text):  # chunks end where lines do
+        lines = chunk.splitlines()
         try:
             ids += map(to_int, filter(str.strip, lines))
         except ValueError:
@@ -68,7 +66,7 @@ def _read_solution(path: str) -> list[int]:
                         to_int(line)
                 except ValueError as exc:
                     raise GraphError(f"line {lineno}: expected one vertex id, got {line!r}") from exc
-        before, start = before + len(lines), end
+        before += len(lines)
     return ids
 
 

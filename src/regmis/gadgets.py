@@ -6,9 +6,11 @@ Two attachable gadget kinds exist:
   bipartite blocks K_{Δ-1,Δ-1}, one hub per block side, and a single port
   vertex joined to every hub.  Every vertex has degree Δ except the port
   (degree Δ-1); the port carries the attachment edge.
-* ``planar5``: two copies of the icosahedron-minus-an-edge block plus a
-  port joined to the two degree-4 vertices of each copy.  Planar, and
-  every vertex has degree 5 except the port (degree 4).
+* ``planar5``: two copies of the ``icosa-block`` gadget, the
+  icosahedron minus an edge, plus a port joined to the two degree-4
+  vertices of each copy.  Planar, and every vertex has degree 5 except the
+  port (degree 4).  It is built from :func:`build_icosa_gadget`, the one
+  place the block's labels become ids.
 
 The builders construct only the graph, the roles, the port and a
 canonical port-free maximum independent set; they never run a solver.
@@ -128,15 +130,10 @@ ICOSA_EDGES_BY_LABEL = (
 ICOSA_MIS_LABELS = frozenset("abkf")
 
 
-def _icosa_edges(offset: int = 0) -> list[Tuple[int, int]]:
-    idx = {c: i + offset for i, c in enumerate(ICOSA_LABELS)}
-    return [(idx[e[0]], idx[e[1]]) for e in ICOSA_EDGES_BY_LABEL]
-
-
 def build_icosa_gadget() -> Tuple[Graph, GadgetLayout]:
     """The 12-vertex planar block: icosahedron minus one edge."""
-    g = Graph.from_edges(12, _icosa_edges())
     idx = {c: i for i, c in enumerate(ICOSA_LABELS)}
+    g = Graph.from_edges(12, [(idx[u], idx[v]) for u, v in ICOSA_EDGES_BY_LABEL])
     layout = GadgetLayout(
         kind=ICOSA,
         delta=None,
@@ -148,29 +145,22 @@ def build_icosa_gadget() -> Tuple[Graph, GadgetLayout]:
 
 
 def build_planar_gadget() -> Tuple[Graph, GadgetLayout]:
-    """Planar degree-5 gadget: two icosahedron-minus-edge blocks plus a
-    port adjacent to the a/b vertices of each block (ids 24 is the port)."""
-    edges = _icosa_edges(0) + _icosa_edges(12)
-    port = 24
-    idx = {c: i for i, c in enumerate(ICOSA_LABELS)}
-    # port attaches to the degree-4 vertices a, b of both copies
-    edges += [(port, idx["a"]), (port, idx["b"]),
-              (port, 12 + idx["a"]), (port, 12 + idx["b"])]
-    g = Graph.from_edges(25, edges)
-    roles = tuple(f"icosa1:{c}" for c in ICOSA_LABELS) + tuple(
-        f"icosa2:{c}" for c in ICOSA_LABELS
-    ) + ("port",)
-    canonical = frozenset(idx[c] for c in ICOSA_MIS_LABELS) | frozenset(
-        12 + idx[c] for c in ICOSA_MIS_LABELS
-    )
+    """Planar degree-5 gadget: two icosa blocks, on ids 0..11 and 12..23,
+    and the port, id 24, joined to the degree-4 vertices a and b of each."""
+    block, icosa = build_icosa_gadget()
+    shifts, port = (0, block.n), 2 * block.n
+    ab = [icosa.roles.index(f"icosa:{c}") for c in "ab"]
+    edges = [(u + s, v + s) for s in shifts for u, v in block.edges()]
+    edges += [(port, x + s) for s in shifts for x in ab]
+    roles = tuple(r.replace("icosa:", f"icosa{i}:") for i in (1, 2) for r in icosa.roles)
     layout = GadgetLayout(
         kind=PLANAR5,
         delta=None,
-        roles=roles,
+        roles=roles + ("port",),
         port=port,
-        canonical_mis=canonical,
+        canonical_mis=frozenset(v + s for s in shifts for v in icosa.canonical_mis),
     )
-    return g, layout
+    return Graph.from_edges(port + 1, edges), layout
 
 
 def build_gadget(kind: str, delta: Optional[int] = None) -> Tuple[Graph, GadgetLayout]:

@@ -50,7 +50,7 @@ from .graph import HASH_LINE, Graph, GraphError, Line, Pieces, SortedEdges, ends
 FORMATS = ("dimacs-col", "edge-list")
 # per format: an edge line's template and the id of vertex 0 in it
 _LINES = {"dimacs-col": ("e %d %d\n", 1), "edge-list": ("%d %d\n", 0)}
-_CHUNK = 1 << 16  # most characters of whole lines the canonical reader checks at a time
+_CHUNK = 1 << 16  # a text is read in pieces at least this long (text_chunks), a file at most (file_chunks)
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
@@ -218,19 +218,20 @@ def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -
 
 
 def text_chunks(text: str) -> Iterator[str]:
-    """``text`` in pieces of whole lines of at most ``_CHUNK`` characters;
-    a piece without a final newline is the rest of a longer line or of
-    the text."""
+    """``text`` in pieces that each run to the first newline at least
+    ``_CHUNK`` characters in, so pieces end where lines do; only the last
+    may lack a final newline."""
     start = 0
     while start < len(text):
-        end = text.rfind("\n", start, start + _CHUNK) + 1 or start + _CHUNK
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
         yield text[start:end]
         start = end
 
 
 def file_chunks(f: BinaryIO) -> Iterator[str]:
-    """The binary file ``f`` in pieces as :func:`text_chunks` gives them,
-    each decoded as ASCII; raises :class:`NotCanonical` on any other byte."""
+    """The binary file ``f`` in pieces of whole lines of at most ``_CHUNK``
+    bytes, or of part of a longer line, each decoded as ASCII; raises
+    :class:`NotCanonical` on any other byte."""
     rest = b""
     while True:
         block = f.read(_CHUNK - len(rest))

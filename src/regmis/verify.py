@@ -449,35 +449,33 @@ def check_triangle_preservation(
 def check_port_exclusion(
     kind: str, delta: Optional[int] = None, limits: Optional[SolverLimits] = None
 ) -> Check:
-    """The best independent set through a gadget's port never beats the
-    port-free optimum (strictly worse for all but the smallest gadget)."""
-    limits = limits or SolverLimits()
-    graph, layout = gadgets.build_gadget(kind, delta)
-    if layout.port is None:
-        return Check("port-exclusion", SKIP, f"gadget kind {kind} has no port")
+    """The best independent set through a gadget's port, m2 = 1 + α(H −
+    N[port]), never beats the port-free optimum m1 = α(H − port), so some
+    maximum independent set of the gadget H avoids its port; m1 equals
+    α(H) whenever the check passes (strictly worse for all but the
+    smallest gadget)."""
+    return _port_exclusion(*gadgets.build_gadget(kind, delta), limits)
+
+
+def _port_exclusion(graph: Graph, layout: gadgets.GadgetLayout, limits: Optional[SolverLimits]) -> Check:
+    """:func:`check_port_exclusion` on the gadget ``graph`` with ``layout``."""
+    port = layout.port
+    if port is None:
+        return Check("port-exclusion", SKIP, f"gadget kind {layout.kind} has no port")
     try:
-        m1 = solve_mis(graph, limits, "bb").alpha
-        closed = set(graph.neighbors(layout.port)) | {layout.port}
-        keep = [v for v in range(graph.n) if v not in closed]
-        relabel = {v: i for i, v in enumerate(keep)}
-        residual = Graph.from_edges(
-            len(keep),
-            [
-                (relabel[u], relabel[v])
-                for u, v in graph.edges()
-                if u in relabel and v in relabel
-            ],
-        )
-        m2 = 1 + solve_mis(residual, limits, "bb").alpha
+        m1 = solve_mis(_without(graph, {port}), limits, "bb").alpha
+        m2 = 1 + solve_mis(_without(graph, {port, *graph.neighbors(port)}), limits, "bb").alpha
     except ResourceLimitError as exc:
         return Check("port-exclusion", SKIP, f"solver budget exhausted: {exc}")
-    ok = m2 <= m1
-    strictness = "strict" if m2 < m1 else "tie"
-    return _check(
-        "port-exclusion",
-        ok,
-        f"alpha={m1}, best-with-port={m2} ({strictness})",
-    )
+    if m2 > m1:
+        return Check("port-exclusion", FAIL, f"port-free alpha={m1}, best-with-port={m2}: the port is in every maximum set")
+    return Check("port-exclusion", PASS, f"alpha={m1}, best-with-port={m2} ({'strict' if m2 < m1 else 'tie'})")
+
+
+def _without(graph: Graph, drop: set[int]) -> Graph:
+    """``graph`` less the vertices ``drop``, the rest renumbered in order."""
+    keep = {v: i for i, v in enumerate(v for v in range(graph.n) if v not in drop)}
+    return Graph.from_edges(len(keep), ((keep[u], keep[v]) for u, v in graph.edges() if u in keep and v in keep))
 
 
 def _derived_planarity(n: int, m: int, cert: ReductionCertificate, structure: Callable[[], _Verdict]) -> Check:
@@ -548,8 +546,9 @@ def _report(
         checks.append(check_alpha_relation(*graphs(), cert, limits))
         if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
             checks.append(Check("port-exclusion", SKIP, "the gadget blocks or the gadget list failed their check"))
-        elif cert.gadgets:
-            checks.append(check_port_exclusion(cert.gadget_kind, cert.target_degree, limits))
+        elif cert.gadgets:  # the blocks are the model's blueprint
+            model = verdict[1]
+            checks.append(_port_exclusion(model.blueprint, model.gadget, limits))
     else:
         checks.append(Check("alpha-relation", SKIP, "oracle checks disabled"))
     return VerificationReport(tuple(checks))

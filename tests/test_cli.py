@@ -495,7 +495,7 @@ class TestVerifyAndRecover:
         lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
         digits = lambda line: line.strip().lstrip("+")  # noqa: E731
         bad = next(((i, line) for i, line in lines if not (digits(line).isascii() and digits(line).isdigit())), None)
-        monkeypatch.setattr(cli, "_SOLUTION_CHUNK", chunk)
+        monkeypatch.setattr(graph_io, "_CHUNK", chunk)
         if bad is None:
             assert cli._read_solution(str(sol)) == [int(line) for _, line in lines]
         else:

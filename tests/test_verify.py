@@ -575,6 +575,21 @@ class TestLinearWork:
         assert report.overall == PASS
         assert builds == [GENERAL, GENERAL]
 
+    def test_one_blueprint_per_oracle_verify(self, monkeypatch):
+        """With the oracle too, verify_all and verify_canonical build the
+        blueprint once: port exclusion runs on the model's."""
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        text = serialize_graph(gp, "dimacs-col")
+        gadgets.gadget_alpha(5)  # the cached solve builds its own gadget once per process
+        builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
+        report = verify_all(g, gp, cert, with_oracle=True)
+        assert report.overall == PASS and "port-exclusion" in {c.name for c in report.checks}
+        assert builds == [GENERAL]
+        report = verify_canonical(SortedEdges.of(g), io.BytesIO(text.encode()), "dimacs-col", cert, with_oracle=True)
+        assert report.overall == PASS and "port-exclusion" in {c.name for c in report.checks}
+        assert builds == [GENERAL, GENERAL]
+
     def test_certificate_builds_no_padded_graph(self, monkeypatch):
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
@@ -774,6 +789,21 @@ class TestPortExclusion:
 
     def test_portless_kind_skipped(self):
         assert check_port_exclusion(ICOSA).status == SKIP
+
+    @pytest.mark.parametrize(
+        "edges, n, port",
+        [
+            ([(0, 1)], 3, 2),  # an edge and an isolated port
+            ([(0, 1), (1, 2)], 3, 0),  # a path with the port at one end
+        ],
+    )
+    def test_a_port_in_every_maximum_set_fails(self, monkeypatch, edges, n, port):
+        """alpha(H - port) = 1 < 2 = alpha(H): every maximum set holds the port."""
+        layout = gadgets.GadgetLayout(GENERAL, 3, ("x",) * n, port, frozenset())
+        monkeypatch.setattr(gadgets, "build_gadget", lambda kind, delta=None: (Graph.from_edges(n, edges), layout))
+        check = check_port_exclusion(GENERAL, 3)
+        assert check.status == FAIL and "tie" not in check.detail
+        assert "best-with-port=2" in check.detail
 
 
 class TestPlanarityNecessary:

@@ -20,7 +20,7 @@ from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import gadgets
 from .graph import Graph, GraphError, InfeasibleError, SortedEdges, triangle_count
-from .io import FORMATS, int_parser, parse_edges, parse_graph, serialize_graph, sniff_format, text_chunks
+from .io import FORMATS, int_parser, parse_edges, parse_graph, serialize_graph, sniff_format, sorted_ends, text_chunks
 from .reduction import ReductionCertificate, plan_reduction, recover_canonical, recover_edges
 from .solvers import ResourceLimitError, SolverLimits, solve_mis
 from .verify import verify_canonical, verify_edges
@@ -41,7 +41,13 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _read_edges(path: str, fmt: str) -> SortedEdges:
+    """G, kept with its text for G' to copy."""
     return parse_edges(_read_text(path), _format(path, fmt))
+
+
+def _read_reduced(path: str, fmt: str) -> SortedEdges:
+    """G', hashed a run at a time, and no text kept."""
+    return SortedEdges.hashed(*sorted_ends(_read_text(path), _format(path, fmt)))
 
 
 def _format(path: str, fmt: str) -> str:
@@ -134,11 +140,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             cert = ReductionCertificate.from_json(_read_text(args.cert))
             limits = _limits(args)
         except (GraphError, OSError, ValueError):
-            _read_edges(args.reduced, args.format)  # a fault of G' comes first
+            _read_reduced(args.reduced, args.format)  # a fault of G' comes first
             raise
         report = verify_canonical(g, reduced, _format(args.reduced, args.format), cert, args.with_oracle, limits)
     if report is None:
-        report = verify_edges(g, _read_edges(args.reduced, args.format), cert, args.with_oracle, limits)
+        report = verify_edges(g, _read_reduced(args.reduced, args.format), cert, args.with_oracle, limits)
     print(report.to_json(), end="")
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 
@@ -152,11 +158,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             cert = ReductionCertificate.from_json(_read_text(args.cert))
             ids = _read_solution(args.solution)
         except (GraphError, OSError, ValueError):
-            _read_edges(args.reduced, args.format)  # a fault of G' comes first
+            _read_reduced(args.reduced, args.format)  # a fault of G' comes first
             raise
         recovered = recover_canonical(reduced, _format(args.reduced, args.format), ids, cert)
     if recovered is None:
-        recovered = recover_edges(_read_edges(args.reduced, args.format), ids, cert)
+        recovered = recover_edges(_read_reduced(args.reduced, args.format), ids, cert)
     input_size = len(set(ids))
     doc = {
         "recovered": sorted(recovered),
@@ -188,18 +194,19 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """G is read as its sorted edges, and only its vertices with edges make
-    a graph, for the triangles; nothing is built per isolated vertex."""
-    g = _read_edges(args.input, args.format)
-    degree = Counter(g.ends)
+    """G is read as its sorted edges, which are not hashed, and only its
+    vertices with edges make a graph, for the triangles; nothing is built
+    per isolated vertex."""
+    n, ends = sorted_ends(_read_text(args.input), _format(args.input, args.format))
+    degree = Counter(ends)
     histogram = Counter(degree.values())
-    if g.n > len(degree):
-        histogram[0] = g.n - len(degree)
+    if n > len(degree):
+        histogram[0] = n - len(degree)
     ids = {v: i for i, v in enumerate(sorted(degree))}  # in id order, so the edges stay sorted
-    core = Graph.from_sorted(len(ids), map(ids.__getitem__, g.ends))
+    core = Graph.from_sorted(len(ids), map(ids.__getitem__, ends))
     doc = {
-        "n": g.n,
-        "m": len(g.ends) // 2,
+        "n": n,
+        "m": len(ends) // 2,
         "max_degree": max(degree.values(), default=0),
         "degree_histogram": {str(d): c for d, c in sorted(histogram.items())},
         "triangles": triangle_count(core),

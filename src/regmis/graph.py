@@ -17,8 +17,13 @@ edges and blueprint.  A plain graph is a :class:`Pieces` with no blocks, so
 every graph's text and content hash come from :meth:`Pieces.texts`: ends
 through the one emitter, :func:`render`, and blocks a window of ids at a
 time, most windows a template of their phase in the block pattern with the
-id prefixes filled in (:func:`block_texts`).  :meth:`Pieces.all_ends` gives
-the integer ends, for a :class:`Graph` of G' and for comparing edges.
+id prefixes filled in (:func:`block_texts`).  G keeps its canonical text,
+when it was read from one, and the text it was hashed from
+(:class:`SortedEdges`), and each long run of its edges in G' between two
+port insertions (:func:`splice`) is sliced from them, so with few ports a
+command renders each edge of G once, for its content hash, or not at all.
+:meth:`Pieces.all_ends` gives the integer ends, for a :class:`Graph` of G'
+and for comparing edges.
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import gcd
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from operator import le, sub
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -137,9 +145,10 @@ def render(ends: List[int], line: str, shift: int) -> str:
 _RUN = 4096  # edges, or block ids, per piece, so the text and ends of a whole graph come in pieces
 
 
-def end_runs(ends: List[int]) -> Iterator[List[int]]:
-    """``ends`` a run of ``_RUN`` edges at a time."""
-    return (ends[first : first + 2 * _RUN] for first in range(0, len(ends), 2 * _RUN))
+def end_runs(ends: List[int], start: int = 0, stop: Optional[int] = None) -> Iterator[List[int]]:
+    """``ends[start:stop]`` a run of ``_RUN`` edges at a time."""
+    stop = len(ends) if stop is None else stop
+    return (ends[first : min(first + 2 * _RUN, stop)] for first in range(start, stop, 2 * _RUN))
 
 
 Line = Tuple[str, int]  # an edge line's template and the id of vertex 0 in it
@@ -230,16 +239,45 @@ def _fill(template: str, marks: List[int], k: int) -> str:
     return template
 
 
+_COPY = 32  # G's edges in a run between two port insertions, at least, for Pieces.texts to copy their text, not render it
+
+
+def _slicer(text: str, line: Line, ends: List[int]) -> Callable[[int, int], str]:
+    """``cut(a, b)``, the part of ``text``, the sorted ``ends`` rendered in
+    ``line``, that holds ``ends[a:b]``, for calls with ascending ``a`` and
+    ``b``.  Each edge is located by its own line, preceded by the newline
+    that ends the one before, searched for from the last edge located."""
+    template, base = line
+    last = [0, 0]  # the last edge located, as an index into ``ends``, and its offset in ``text``
+
+    def offset(x: int) -> int:
+        if x == len(ends):
+            return len(text)
+        if x != last[0]:
+            last[:] = x, text.index("\n" + template % (ends[x] + base, ends[x + 1] + base), last[1]) + 1
+        return last[1]
+
+    return lambda a, b: text[offset(a) : offset(b)]
+
+
 class Pieces(NamedTuple):
     """A reduced graph G' in its one description: its sorted ``ends``
     below its first gadget block, then ``count`` blocks of the blueprint
     ``rows`` from the id ``first``.  The edges come a piece at a time, as
-    integer ends or as text."""
+    integer ends or as text.
+
+    ``source``, when given, is G, whose edges lead the list that
+    :func:`splice` made ``ends`` from, and ``cuts`` that splice's record of
+    where each run of that list between two insertions went.  Then the
+    text of a run of at least ``_COPY`` of G's edges is copied from G's
+    own text in each line G has one for (:attr:`SortedEdges.texts`)."""
 
     ends: List[int]
     rows: Sequence[Row]
     first: int
     count: int
+    source: Optional["SortedEdges"] = None
+    cuts: Sequence[int] = (0, 0)
 
     @property
     def n(self) -> int:
@@ -258,42 +296,86 @@ class Pieces(NamedTuple):
             yield [x + shift for x in tile[: len(block) * (count - b)]]
 
     def texts(self, *lines: Line) -> Iterator[Tuple[str, ...]]:
-        """The text of the edges in order in each (line, base) of ``lines``:
-        the ends a run at a time, then the blocks' :func:`block_texts`."""
-        for run in end_runs(self.ends):
+        """The text of the edges in order in each (line, base) of ``lines``,
+        a piece at a time, then the blocks' :func:`block_texts`.  The ends
+        are rendered a run at a time, but for the runs of G's edges that
+        :meth:`_copied` picks, which come a run at a time from G's text in
+        each line that G has one for."""
+        ends, done = self.ends, 0
+        copied = self._copied(lines)
+        if copied:
+            source = self.source
+            slicers = [_slicer(source.texts[line], line, source.ends) if line in source.texts else None for line in lines]
+        for first, stop, at in copied:
+            for run in end_runs(ends, done, at):
+                yield tuple(render(run, line, base) for line, base in lines)
+            for a in range(first, stop, 2 * _RUN):
+                b = min(a + 2 * _RUN, stop)
+                yield tuple(cut(a, b) if cut else render(source.ends[a:b], *line) for cut, line in zip(slicers, lines))
+            done = at + stop - first
+        for run in end_runs(ends, done):
             yield tuple(render(run, line, base) for line, base in lines)
         yield from block_texts(self.rows, self.first, self.count, lines)
+
+    def _copied(self, lines: Sequence[Line]) -> List[Tuple[int, int, int]]:
+        """The runs of G's edges in ``ends`` between two insertions that are
+        at least ``_COPY`` edges long, as (first, stop, at): G's ends
+        first..stop-1 are those of ``ends`` from ``at``.  None without a
+        text of G in one of ``lines``."""
+        source, cuts = self.source, self.cuts
+        if source is None or not any(line in source.texts for line in lines):
+            return []
+        firsts, m = cuts[::2], len(source.ends)
+        stops = firsts[1 : bisect_left(firsts, m)] + [m]  # the runs that start among G's ends, each cut at their end
+        return list(compress(zip(firsts, stops, cuts[1::2]), map(le, repeat(2 * _COPY), map(sub, stops, firsts))))
 
     def digest(self) -> str:
         """:func:`content_digest` of these edges."""
         return content_digest(self.n, (text for text, in self.texts(HASH_LINE)))
 
 
-def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> List[int]:
+def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> Tuple[List[int], List[int]]:
     """The sorted ``ends`` with each edge (u, w), w in ``ws``, after its last
-    (x, y) with x <= u, per ``(u, ws)`` of ``ports``: u and w ascending, w above ``ends``."""
-    us, out, done = ends[::2], [], 0
+    (x, y) with x <= u, per ``(u, ws)`` of ``ports``: u and w ascending, w
+    above ``ends``.  With it, where each run of ``ends`` between two
+    insertions went, as the flat pairs ``[0, 0, j1, i1, j2, i2, ...]``: the
+    run from ``ends[j]`` is in the result from its index ``i``."""
+    us, out, done, cuts = ends[::2], [], 0, [0, 0]
     for u, ws in ports:
         at = 2 * bisect_right(us, u, done // 2)
         out += ends[done:at]  # in place: a concatenation would copy ``out`` again
         out += [x for w in ws for x in (u, w)]
+        cuts += at, len(out)
         done = at
     out += ends[done:]
-    return out
+    return out, cuts
 
 
 class SortedEdges(NamedTuple):
-    """A graph as its vertex count, its sorted ``ends`` and its
-    :meth:`Graph.content_hash`, taken from the text of its :class:`Pieces`."""
+    """A graph as its vertex count, its sorted ``ends``, its
+    :meth:`Graph.content_hash`, and ``texts``: per edge line, the text that
+    the ends render to in it, kept for a G' of this G to copy its lines
+    from (:class:`Pieces`), the content encoding's (:data:`HASH_LINE`)
+    among them if any are kept."""
 
     n: int
     ends: List[int]
     digest: str
+    texts: Mapping[Line, str] = MappingProxyType({})
 
     @classmethod
-    def hashed(cls, n: int, ends: List[int]) -> "SortedEdges":
-        """The graph on ``n`` vertices with the sorted ``ends``: a :class:`Pieces` with no blocks."""
-        return cls(n, ends, Pieces(ends, (), n, 0).digest())
+    def hashed(cls, n: int, ends: List[int], texts: Optional[Mapping[Line, str]] = None) -> "SortedEdges":
+        """The graph on ``n`` vertices with the sorted ``ends``, hashed as a
+        :class:`Pieces` with no blocks.  Given ``texts``, its text in some
+        lines (maybe none), it keeps them and its text in the content
+        encoding's line, rendered unless given, which it hashes; without,
+        it hashes the text a run at a time and keeps none."""
+        if texts is None:
+            return cls(n, ends, Pieces(ends, (), n, 0).digest())
+        texts = dict(texts)
+        if HASH_LINE not in texts:
+            texts[HASH_LINE] = "".join(text for text, in Pieces(ends, (), n, 0).texts(HASH_LINE))
+        return cls(n, ends, content_digest(n, (texts[HASH_LINE],)), texts)
 
     @classmethod
     def of(cls, g: Graph) -> "SortedEdges":

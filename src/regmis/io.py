@@ -7,11 +7,14 @@ trip.  Serialization is byte-stable: edges are emitted in lexicographic
 order.  :func:`header` and each format's edge line define its text.  A
 graph's edge lines, serialized, written as G' by the constructor or
 compared with a file by :func:`match`, are its :class:`~regmis.graph.Pieces`
-rendered (:meth:`~regmis.graph.Pieces.texts`); a plain graph has no blocks.
+rendered (:meth:`~regmis.graph.Pieces.texts`); a plain graph has no blocks,
+and G''s runs of G's edges are copied from the text that
+:func:`parse_edges` kept with G.
 
-Every parse ends at one form: the vertex count and the sorted ends of
-:class:`SortedEdges`, which :func:`parse_edges` hashes and from which
-:func:`parse_graph` builds rows (:meth:`Graph.from_sorted`).  Ids and
+Every parse ends at one form: the vertex count and the sorted ends
+(:func:`sorted_ends`), which :func:`parse_edges` hashes and keeps with
+their text as :class:`SortedEdges` and from which :func:`parse_graph`
+builds rows (:meth:`Graph.from_sorted`).  Ids and
 counts are ASCII decimal integers in both readers.  *Canonical text* is exactly what
 :func:`serialize_graph` emits: the header, then one edge line per edge
 with ``u < v``, strictly increasing, every id in range, and in DIMACS a
@@ -55,21 +58,32 @@ _CHUNK = 1 << 16  # a text is read in pieces at least this long (text_chunks), a
 
 def parse_graph(text: str, fmt: str) -> Graph:
     """The graph of ``text``, read as :func:`parse_edges` reads it, in rows."""
-    return Graph.from_sorted(*_read(text, fmt))
+    return Graph.from_sorted(*sorted_ends(text, fmt))
 
 
 def parse_edges(text: str, fmt: str) -> SortedEdges:
-    """The graph of ``text`` as :class:`SortedEdges`; no graph is built."""
-    return SortedEdges.hashed(*_read(text, fmt))
+    """The graph of ``text`` as :class:`SortedEdges`, kept with its text for
+    a G' of it to copy; no graph is built.  The edge lines of canonical
+    text are its text in the format's edge line, which in an edge list is
+    the content encoding's, and that one is rendered otherwise."""
+    n, ends, canonical = _read(text, fmt)
+    return SortedEdges.hashed(n, ends, {_LINES[fmt]: text[text.index("\n") + 1 :]} if canonical else {})
 
 
-def _read(text: str, fmt: str) -> Tuple[int, List[int]]:
-    """The vertex count of ``text`` and its sorted edges, read as canonical text or else by the line parser."""
+def sorted_ends(text: str, fmt: str) -> Tuple[int, List[int]]:
+    """The vertex count of ``text`` and its sorted edges, read as
+    :func:`parse_edges` reads them, but neither hashed nor kept with text."""
+    return _read(text, fmt)[:2]
+
+
+def _read(text: str, fmt: str) -> Tuple[int, List[int], bool]:
+    """The vertex count of ``text``, its sorted edges, and whether it is
+    canonical text: read as canonical text or else by the line parser."""
     try:
         n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
-        return n, list(chain.from_iterable(runs))
+        return n, list(chain.from_iterable(runs)), True
     except NotCanonical:
-        return _parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)
+        return (*(_parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)), False)
 
 
 def header(fmt: str, n: int, m: int) -> str:

@@ -161,16 +161,20 @@ def _int(value: object) -> int:
 class Plan(NamedTuple):
     """A reduction before G' exists: the sorted edges of G' below its first
     block (the padded edges and the ports'), the certificate with an empty
-    ``result_hash``, and the gadget blueprint, which each block repeats."""
+    ``result_hash``, the gadget blueprint, which each block repeats, and G
+    with :func:`~regmis.graph.splice`'s record of where the ports went in,
+    so that G''s text copies G's between the ports (:class:`~regmis.graph.Pieces`)."""
 
     ends: list[int]
     cert: ReductionCertificate
     blueprint: Graph
+    source: SortedEdges
+    cuts: list[int]
 
     def pieces(self) -> Pieces:
         """G''s edges in their one description."""
-        ends, cert, blueprint = self
-        return Pieces(ends, blueprint.adjacency, cert.padded_n, len(cert.gadgets))
+        ends, cert, blueprint, source, cuts = self
+        return Pieces(ends, blueprint.adjacency, cert.padded_n, len(cert.gadgets), source, cuts)
 
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
@@ -241,7 +245,8 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
         nid += k * size
 
     per_gadget_alpha = layout.internal_alpha
-    return Plan(splice(ends, ports), ReductionCertificate(
+    ported, cuts = splice(ends, ports)
+    return Plan(ported, ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
         steps=tuple(steps),
@@ -250,7 +255,7 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
         total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
         source_hash=source.digest,
         result_hash="",
-    ), blueprint)
+    ), blueprint, source, cuts)
 
 
 def plan_reduction(source: SortedEdges, delta: Optional[int], planar: bool = False, strict: bool = False) -> Plan:

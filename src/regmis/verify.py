@@ -24,7 +24,10 @@ of its own ported edges, blueprint, first block and block count; the
 blocks repeat the blueprint and place no port.  :func:`verify_canonical`
 matches their text with the file (:func:`~regmis.io.match`) and hashes
 it in the same pass, so it builds no G' and its memory is O(|G| +
-#gadgets + blueprint); the file's length (:func:`~regmis.io.edge_capacity`)
+#gadgets + blueprint).  That text copies each long run of G's edges
+between the model's own ports from G's text, canonical or hashed, which
+is G's ends rendered, so G's edges are rendered once, for G's content
+hash, or not at all; the file's length (:func:`~regmis.io.edge_capacity`)
 bounds the steps and the layout before any of their rows are built.  It answers whenever the
 file is the model's text and both hashes match, whatever the
 certificate's gadget list says; any other file goes to
@@ -132,31 +135,36 @@ _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "siz
 
 
 class _Model(NamedTuple):
-    """The G' that the padded edges, the target degree and the gadget kind
-    fix: its sorted edges below the first block (``ported``), the canonical
-    gadget layout as ``_GADGET_FIELDS`` tuples, the blueprint and its
-    layout (empty and None without gadgets), the closed-form gadget size
-    and the vertex count."""
+    """The G' that G, the padded edges, the target degree and the gadget
+    kind fix: its sorted edges below the first block (``ported``) and
+    :func:`~regmis.graph.splice`'s record of where their ports went in
+    (``cuts``), the canonical gadget layout as ``_GADGET_FIELDS`` tuples,
+    the blueprint and its layout (empty and None without gadgets), the
+    closed-form gadget size, the vertex count and G."""
 
     ported: List[int]
+    cuts: List[int]
     layout: List[Tuple[int, int, str, Optional[int], int, int]]
     blueprint: Graph
     gadget: Optional[gadgets.GadgetLayout]
     size: int
     n: int
+    source: SortedEdges
 
     def pieces(self) -> Pieces:
         """The model's edges in G''s one description, from its own ported
-        edges, blueprint, first block and block count."""
-        return Pieces(self.ported, self.blueprint.adjacency, self.n - len(self.layout) * self.size, len(self.layout))
+        edges, blueprint, first block and block count; G's text is copied
+        between its own ports."""
+        count = len(self.layout)
+        return Pieces(self.ported, self.blueprint.adjacency, self.n - count * self.size, count, self.source, self.cuts)
 
 
-def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
-    """The model of a G' of ``n`` vertices and ``m`` edges over ``padded``:
-    one gadget per unit of deficiency, owners ascending, ``index``
-    1..deficiency, blocks contiguous from the padded ids, the port last in
-    each.  The layout is bounded by ``n`` and ``m`` before the blueprint is
-    built; raises :class:`GraphError` when there is no such model."""
+def _model(g: SortedEdges, padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
+    """The model of a G' of ``n`` vertices and ``m`` edges over G and its
+    ``padded`` edges: one gadget per unit of deficiency, owners ascending,
+    ``index`` 1..deficiency, blocks contiguous from the padded ids, the port
+    last in each.  The layout is bounded by ``n`` and ``m`` before the
+    blueprint is built; raises :class:`GraphError` when there is no such model."""
     d, kind = cert.target_degree, cert.gadget_kind
     size = gadgets.gadget_size(kind, d)
     count, ends = padded
@@ -178,7 +186,7 @@ def _model(padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m:
         for j in range(1, k + 1):
             layout.append((v, j, kind, gadget.delta, off, size))
             off += size
-    return _Model(splice(ends, ports), layout, blueprint, gadget, size, off)
+    return _Model(*splice(ends, ports), layout, blueprint, gadget, size, off, g)
 
 
 def _faults(
@@ -282,7 +290,7 @@ def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> _Ver
     model: Optional[_Model] = None
     try:
         padded = _padded_edges(g, cert, n, m)
-        model, error = _model(padded, cert, n, m), ""
+        model, error = _model(g, padded, cert, n, m), ""
     except GraphError as exc:
         error = str(exc)
     faults = _faults(gp, cert.target_degree, g.n, (g.n, g.ends) if padded is None else padded, model)
@@ -583,7 +591,7 @@ def verify_canonical(
     edges = edge_capacity(reduced, fmt)  # a canonical G' is d-regular, so this bounds |V'| too
     try:
         padded = _padded_edges(g, cert, 2 * edges // d, edges)
-        model = _model(padded, cert, 2 * edges // d, edges)
+        model = _model(g, padded, cert, 2 * edges // d, edges)
     except GraphError:
         return None
     if model.layout and [len(r) for r in model.blueprint.adjacency] != [d] * (model.size - 1) + [d - 1]:

@@ -1,4 +1,5 @@
 import argparse
+import bisect
 import dataclasses
 import io
 import json
@@ -19,7 +20,7 @@ from regmis.io import FORMATS, parse_graph, serialize_graph
 from regmis.reduction import ReductionCertificate, reduce_to_regular, regularize, regularize_planar
 from regmis.verify import verify_all
 
-from conftest import TEXT_EDITS, cycle_graph, edit_canonical, empty_graph, grid_with_diagonals, path_graph
+from conftest import TEXT_EDITS, cycle_graph, disjoint_union, edit_canonical, empty_graph, grid_with_diagonals, path_graph
 from test_golden import CASES as GOLDEN_CASES, GRID_12, MAX_DEGREE_4, MEDIUM_MAX_DEGREE_4
 from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, with_layout
 
@@ -285,6 +286,87 @@ def test_regularize_and_verify_read_the_source_as_edges(tmp_path, capsys, monkey
             assert run(capsys, "regularize", src, *flags, "--output", red, "--cert", cert) == (0, "", "")
             code, out, err = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert)
         assert (code, json.loads(out)["overall"], err) == (0, "pass", "")
+
+
+def circulant(n, less=()):
+    """The 5-regular circulant on ``n`` (even) vertices, each joined to the
+    next two and the opposite one, less the edges ``less``."""
+    edges = {tuple(sorted((u, (u + k) % n))) for u in range(n) for k in (1, 2, n // 2)}
+    assert edges >= set(less)
+    return Graph.from_edges(n, edges - set(less))
+
+
+# sources for G''s text copied from G's: few ports (long runs of G's edges
+# between them), dense ports, each padding step, isolated vertices, and
+# ports after G's first and last vertex
+COPY_SOURCES = {
+    "few-ports": (circulant(1000, [(100, 101), (200, 700), (400, 402)]), 5),
+    "dense-ports": (path_graph(40), 5),
+    "parity-clique": (Graph.from_edges(60, [(u, (u + k) % 60) for u in range(60) for k in (1, 2)]), 5),
+    "star-pad": (circulant(60, [(20, 21)]), 7),
+    "isolated": (disjoint_union(circulant(60, [(5, 6)]), empty_graph(4)), 5),
+    "first-and-last-deficient": (circulant(100, [(0, 1), (98, 99)]), 5),
+    "empty": (empty_graph(0), 3),
+}
+
+
+def reading(g, how):
+    """G's file name and text: canonical DIMACS or edge list, or with a
+    comment line and its edge lines reversed, which is not canonical text."""
+    fmt = "dimacs-col" if how.startswith("dimacs") else "edge-list"
+    head, *edges = serialize_graph(g, fmt).splitlines(keepends=True)
+    if how.endswith("edited"):
+        edges = ["c a comment\n" if fmt == "dimacs-col" else "# a comment\n", *reversed(edges)]
+    return ("g.col" if fmt == "dimacs-col" else "g.txt"), head + "".join(edges)
+
+
+@pytest.mark.parametrize("copy", ["every-run", "no-run"])
+@pytest.mark.parametrize("out_fmt", FORMATS)
+@pytest.mark.parametrize("how", ["dimacs", "edge-list", "dimacs-edited", "edge-list-edited"])
+@pytest.mark.parametrize("name", sorted(COPY_SOURCES))
+def test_g_prime_copied_from_g_is_the_library_bytes(tmp_path, capsys, monkeypatch, name, how, out_fmt, copy):
+    """However G is read and whichever runs of its edges are copied from
+    its text, regularize writes the library's G' and certificate, which
+    render every edge, and verify prints the library's report; with every
+    run copied, G's text is sliced whenever G has an edge, and with none, never."""
+    g, d = COPY_SOURCES[name]
+    monkeypatch.setattr(graph, "_COPY", 1 if copy == "every-run" else g.m + 1)
+    real_slicer, slicers = graph._slicer, []
+    monkeypatch.setattr(graph, "_slicer", lambda *args: slicers.append(args[1]) or real_slicer(*args))
+    gp, cert = reduce_to_regular(g, d)
+    filename, text = reading(g, how)
+    src, red, cert_path = tmp_path / filename, tmp_path / ("gp.col" if out_fmt == "dimacs-col" else "gp.txt"), tmp_path / "c.json"
+    src.write_text(text)
+    code = run(capsys, "regularize", src, "--degree", d, "--out-format", out_fmt, "--output", red, "--cert", cert_path)
+    assert code == (0, "", "")
+    assert red.read_bytes() == serialize_graph(gp, out_fmt).encode()
+    assert cert_path.read_bytes() == cert.to_json().encode()
+    code, out, err = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert_path)
+    assert (code, out, err) == (0, verify_all(g, gp, cert).to_json(), "")
+    assert bool(slicers) == (copy == "every-run" and g.m > 0)
+
+
+def test_g_prime_renders_the_edges_of_g_once(tmp_path, capsys, monkeypatch):
+    """regularize and verify on a few-port G in DIMACS render G's edges once,
+    for its content hash: what else passes through ``render`` is G''s
+    DIMACS and content texts of the edges outside the copied runs, the
+    runs of fewer than ``_COPY`` of G's edges between two ports."""
+    g = COPY_SOURCES["few-ports"][0]
+    gp, cert = reduce_to_regular(g, 5)
+    ends = graph.ends_of(g.adjacency)
+    cuts = [bisect.bisect_right(ends[::2], v) for v in sorted({v for v in range(g.n) if g.degree(v) < 5})]
+    runs = [b - a for a, b in zip([0, *cuts], [*cuts, g.m])]
+    outside = gp.m - g.m + sum(k for k in runs if k < graph._COPY)
+    src, red, cert_path = tmp_path / "g.col", tmp_path / "gp.col", tmp_path / "c.json"
+    src.write_text(serialize_graph(g, "dimacs-col"))
+    rendered = []
+    monkeypatch.setattr(graph, "render", lambda ends, *line, real=graph.render: rendered.append(len(ends) // 2) or real(ends, *line))
+    for argv in (["regularize", src, "--degree", 5, "--output", red, "--cert", cert_path],
+                 ["verify", "--graph", src, "--reduced", red, "--cert", cert_path]):
+        rendered.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert g.m < sum(rendered) <= g.m + 2 * outside, argv[0]
+    assert red.read_bytes() == serialize_graph(gp, "dimacs-col").encode()
 
 
 @pytest.mark.parametrize("command", ["regularize --output", "regularize input", "verify --reduced"])
@@ -618,6 +700,18 @@ class TestGadgetAndStats:
             assert run(capsys, "stats", path) == (0, json.dumps(doc, indent=2) + "\n", "")
         assert [str(w.message) for w in caught] == warned
 
+    @pytest.mark.parametrize("name", sorted(STATS_CORPUS))
+    def test_stats_hashes_nothing(self, tmp_path, capsys, monkeypatch, name):
+        """stats never reads G's content hash, so it computes none, on
+        canonical text and through the line parser alike."""
+        filename, text, doc, _ = STATS_CORPUS[name]
+        path = tmp_path / filename
+        path.write_text(text)
+        monkeypatch.setattr(graph, "content_digest", lambda *args: pytest.fail("content_digest called"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate edges warn
+            assert run(capsys, "stats", path) == (0, json.dumps(doc, indent=2) + "\n", "")
+
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +782,8 @@ class TestVerifyByRegeneration:
         gp, cert = reduce(g)
         paths = write_inputs(tmp_path, g, serialize_graph(gp, fmt), cert.to_json(), reduced_name)
         parsed, built = [], []
-        real_read, real_init = cli.parse_edges, Graph.__post_init__
-        monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(text) or real_read(text, f))
+        real_read, real_init = graph_io._read, Graph.__post_init__
+        monkeypatch.setattr(graph_io, "_read", lambda text, f: parsed.append(text) or real_read(text, f))
         monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
         code, out, _ = verify_files(capsys, paths)
         assert code == 0 and json.loads(out)["overall"] == "pass"
@@ -893,8 +987,8 @@ def test_recover_on_canonical_input_builds_no_reduced_graph(tmp_path, capsys, mo
     sol = tmp_path / "sol.txt"
     sol.write_text("".join(f"{v}\n" for v in solution))
     parsed, built = [], []
-    real_read, real_init = cli.parse_edges, Graph.__post_init__
-    monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(f) or real_read(text, f))
+    real_read, real_init = graph_io._read, Graph.__post_init__
+    monkeypatch.setattr(graph_io, "_read", lambda text, f: parsed.append(f) or real_read(text, f))
     monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self.n) or real_init(self))
     code, out, err, caught = recover_files(capsys, red, cert_path, sol)
     assert (code, err, caught) == (0, "", [])
@@ -1162,7 +1256,7 @@ def test_recover_on_canonical_input_with_no_blocks_reads_it_canonically(
             yield lines
 
     monkeypatch.setattr(graph_io, "_canonical_runs", runs)
-    monkeypatch.setattr(cli, "parse_edges", lambda text, f: parsed.append(f))
+    monkeypatch.setattr(graph_io, "_read", lambda text, f: parsed.append(f))
     code, out, err, _ = recover_files(capsys, red, cert_path, sol)
     assert parsed == [] and sum(edges) == gp.m
     if solution == "independent":
@@ -1221,15 +1315,26 @@ def test_verify_reads_g_prime_from_a_pipe(tmp_path, capsys, name):
 FUZZ_TOKENS = ["p", "edge", "col", "e", "c", "#", "n=", "# n=", "0", "1", "2", "3", "-1", "+2", "1_0", "٣", "x", "999", "\t"]
 
 
+LINE_EDITS = ("header-n", "endpoint", "drop", "self-loop")  # mutate_line's
+
+
 @st.composite
-def edited_sources(draw):
-    """A small graph's canonical text in either format with one line edited (:func:`mutate_line`)."""
+def source_edits(draw, edits=LINE_EDITS):
+    """A small graph in either format: its file name, its canonical text,
+    and that text with one of ``edits``, by :func:`mutate_line` or else
+    :func:`~conftest.edit_canonical`."""
     n = draw(st.integers(2, 12))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), min_size=1))
     fmt = draw(st.sampled_from(FORMATS))
     text = serialize_graph(Graph.from_edges(n, edges), fmt)
-    edited = mutate_line(text, draw(st.integers(0, 10**6)), draw(st.sampled_from(["header-n", "endpoint", "drop", "self-loop"])))
-    return "g.col" if fmt == "dimacs-col" else "g.txt", edited
+    edit, index = draw(st.sampled_from(edits)), draw(st.integers(0, 10**6))
+    edited = mutate_line(text, index, edit) if edit in LINE_EDITS else edit_canonical(text, fmt, edit, index)
+    return "g.col" if fmt == "dimacs-col" else "g.txt", text, edited
+
+
+def edited_sources():
+    """A small graph's canonical text in either format with one line edited (:func:`mutate_line`)."""
+    return source_edits().map(lambda source: (source[0], source[2]))
 
 
 # a file name, and arbitrary text or lines of the formats' tokens
@@ -1265,6 +1370,35 @@ def test_stats_and_regularize_on_hostile_input_exit_with_their_codes(tmp_path, c
     assert code in (0, 1, 2)
     if code == 1:
         assert re.fullmatch(r"error: maximum degree \d+ exceeds target degree 5\n", err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=source_edits(LINE_EDITS + ("reverse", "swap", "crlf", "comment")), reduced_fmt=st.sampled_from(FORMATS))
+def test_verify_on_an_edited_source_passes_only_for_the_same_graph(tmp_path, capsys, source, reduced_fmt):
+    """verify of the honest G' and certificate of a G whose text was
+    edited: exit 0 exactly when the edited text is a graph with G's content
+    hash, with G's own report, and otherwise exit 2 with an error line."""
+    name, text, edited = source
+    fmt = graph_io.sniff_format(name)
+    g = parse_graph(text, fmt)
+    d = max(3, g.max_degree() | 1)  # odd, and at least the degree of a parity clique
+    gp, cert = reduce_to_regular(g, d)
+    red, cert_path = tmp_path / ("gp.col" if reduced_fmt == "dimacs-col" else "gp.txt"), tmp_path / "c.json"
+    red.write_text(serialize_graph(gp, reduced_fmt))
+    cert_path.write_text(cert.to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate edges and edge counts warn
+        try:
+            same = parse_graph(edited, fmt).content_hash() == cert.source_hash
+        except GraphError:
+            same = False
+        src = tmp_path / name
+        src.write_text(edited, newline="")  # CRLF stays CRLF
+        code, out, err = run(capsys, "verify", "--graph", src, "--reduced", red, "--cert", cert_path)
+    if same:
+        assert (code, out, err) == (0, verify_all(g, gp, cert).to_json(), "")
+    else:
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,19 +5,28 @@ Both MIS solvers are exact.  When a budget runs out they raise
 :class:`ResourceLimitError` carrying the best lower bound found so far;
 they never return an inexact value labeled exact.
 
+Branch and bound reduces each node's kernel in two tiers: the cheap
+degree-0, -1 and -2 rules until they fire nothing, then one sweep that
+adds the twin and dominance tests, repeated until such a sweep fires
+nothing.  A merged vertex keeps its original vertices as nested tuples,
+joined into a witness only at a leaf that beats the best.  A disconnected
+root kernel is searched one component at a time.
+
 ``SolveResult.stats`` holds the branch-and-bound search counters (the
 brute-force solver leaves it empty): ``bound_prunes``, the nodes cut by
 the clique-cover bound; ``max_depth``, the deepest node (the root is 0);
-``root_kernel``, the vertices left after the root's reductions; and
+``root_kernel``, the vertices left after the root's reductions;
+``full_sweeps``, the sweeps that ran the twin and dominance tests; and
 ``fired``, firings per reduction rule keyed by the names in ``RULES``.
-They are counted when a rule fires or a node is pruned, never per check.
+They are counted when a sweep runs, a rule fires or a node is pruned,
+never per check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import Graph, GraphError
 
@@ -101,11 +110,15 @@ def mis_bruteforce(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResu
 # branch and bound on a weighted kernel
 #
 # Reduction rules (twin collapse, degree-2 folding) merge vertices, so the
-# kernel is a weighted graph where each surviving vertex carries the set of
+# kernel is a weighted graph where each surviving vertex carries the
 # original vertices to include when it is chosen ("inset") and when it is
 # rejected ("outset").
 
 RULES = ("isolated", "degree1", "degree2", "fold", "twin", "dominance")
+
+# A nested tuple of original vertices: (v,) for v itself, else a tuple of
+# nests.  Merges nest their parts instead of joining them.
+_Nest = Tuple[Any, ...]
 
 
 @dataclass(slots=True)
@@ -114,24 +127,24 @@ class _Kernel:
 
     ``adj`` lists the vertices in ascending id order: ids are never reused,
     and a folded vertex takes the next unused id.  ``sets[v]`` is v's
-    (inset, outset)."""
+    (inset, outset).  ``taken`` lists the insets of the vertices taken and
+    the outsets of those rejected; ``_members`` joins them into one set."""
 
     adj: Dict[int, Set[int]]
     weight: Dict[int, int]
-    sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]]
+    sets: Dict[int, Tuple[_Nest, _Nest]]
     base: int
-    taken: Set[int]
+    taken: List[_Nest]
     next_id: int
 
     @staticmethod
     def from_graph(g: Graph) -> "_Kernel":
-        empty: FrozenSet[int] = frozenset()
         return _Kernel(
             {v: set(g.adjacency[v]) for v in range(g.n)},
             dict.fromkeys(range(g.n), 1),
-            {v: (frozenset((v,)), empty) for v in range(g.n)},
+            {v: ((v,), ()) for v in range(g.n)},
             0,
-            set(),
+            [],
             g.n,
         )
 
@@ -141,19 +154,33 @@ class _Kernel:
             self.weight.copy(),
             self.sets.copy(),
             self.base,
-            set(self.taken),
+            self.taken.copy(),
             self.next_id,
         )
 
 
+def _members(taken: List[_Nest]) -> Set[int]:
+    """The original vertices in ``taken``.  A stack, not recursion, walks
+    the nests: a chain of folds nests as deep as it is long."""
+    members: Set[int] = set()
+    stack = list(taken)
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            members.add(item)
+        else:
+            stack.extend(item)
+    return members
+
+
 def _take(k: _Kernel, v: int) -> None:
     """Include v, rejecting N(v)."""
-    adj, weight, sets = k.adj, k.weight, k.sets
+    adj, weight, sets, taken = k.adj, k.weight, k.sets, k.taken
     nv = adj.pop(v)
     k.base += weight.pop(v)
-    k.taken |= sets.pop(v)[0]
+    taken.append(sets.pop(v)[0])
     for u in nv:
-        k.taken |= sets.pop(u)[1]
+        taken.append(sets.pop(u)[1])
         del weight[u]
         for x in adj.pop(u):
             if x != v and x not in nv:
@@ -162,7 +189,7 @@ def _take(k: _Kernel, v: int) -> None:
 
 def _reject(k: _Kernel, v: int) -> None:
     adj = k.adj
-    k.taken |= k.sets.pop(v)[1]
+    k.taken.append(k.sets.pop(v)[1])
     del k.weight[v]
     for x in adj.pop(v):
         adj[x].discard(v)
@@ -191,7 +218,7 @@ def _fold(k: _Kernel, v: int, u: int, w: int) -> None:
     k.base += wv
     weight[fid] = weight.pop(u) + weight.pop(w) - wv
     (vi, vo), (ui, uo), (wi, wo) = sets.pop(v), sets.pop(u), sets.pop(w)
-    sets[fid] = (ui | wi | vo, uo | wo | vi)
+    sets[fid] = ((ui, wi, vo), (uo, wo, vi))
 
 
 def _merge_twin(k: _Kernel, v: int, u: int) -> None:
@@ -199,93 +226,145 @@ def _merge_twin(k: _Kernel, v: int, u: int) -> None:
     adj, weight, sets = k.adj, k.weight, k.sets
     weight[u] += weight.pop(v)
     (vi, vo), (ui, uo) = sets.pop(v), sets[u]
-    sets[u] = (ui | vi, uo | vo)
+    sets[u] = ((ui, vi), (uo, vo))
     for x in adj.pop(v):
         adj[x].discard(v)
 
 
-def _exhaust(k: _Kernel, fired: Dict[str, int]) -> None:
+def _low_degree(k: _Kernel, v: int, nv: Set[int], fired: Dict[str, int]) -> bool:
+    """The rules for a vertex v of degree at most 2, ``nv`` its neighbors:
+    take v if isolated; take a pendant v at least as heavy as its neighbor;
+    take a degree-2 v if its neighbors are adjacent and v is at least as
+    heavy as each, or if v outweighs both together, and else fold it if it
+    is at least as heavy as each.  True if a rule fired."""
+    weight = k.weight
+    wv = weight[v]
+    deg = len(nv)
+    if deg == 0:
+        _take(k, v)
+        fired["isolated"] += 1
+        return True
+    if deg == 1:
+        for u in nv:
+            break
+        if wv >= weight[u]:
+            _take(k, v)
+            fired["degree1"] += 1
+            return True
+        return False
+    u, w = nv
+    if u > w:
+        u, w = w, u
+    wu, ww = weight[u], weight[w]
+    if w in k.adj[u]:
+        # N[v] is a triangle: taking v is never worse
+        if wv >= wu and wv >= ww:
+            _take(k, v)
+            fired["degree2"] += 1
+            return True
+    elif wv >= wu + ww:
+        _take(k, v)
+        fired["degree2"] += 1
+        return True
+    elif wv >= wu and wv >= ww:
+        _fold(k, v, u, w)
+        fired["fold"] += 1
+        return True
+    return False
+
+
+def _twin_or_dominated(k: _Kernel, v: int, nv: Set[int], fired: Dict[str, int]) -> bool:
+    """Merge v into the smallest lower-id twin; else reject v if a neighbor
+    u at least as heavy has N[u] ⊆ N[v].  True if a rule fired."""
+    adj, weight = k.adj, k.weight
+    # every twin of v lies in the row of any neighbor of v
+    for x in nv:
+        break
+    twin = v
+    for u in adj[x]:
+        if u < twin and adj[u] == nv:
+            twin = u
+    if twin != v:
+        _merge_twin(k, v, twin)
+        fired["twin"] += 1
+        return True
+
+    # u is in N(v), so N[u] ⊆ N[v] is adj[u] ⊆ N[v]: u is a pendant or
+    # shares a neighbor with v
+    wv, deg = weight[v], len(nv)
+    closed = None
+    for u in nv:
+        nu = adj[u]
+        if weight[u] >= wv and len(nu) <= deg and (len(nu) == 1 or not nu.isdisjoint(nv)):
+            if closed is None:
+                closed = nv | {v}
+            if nu <= closed:
+                _reject(k, v)
+                fired["dominance"] += 1
+                return True
+    return False
+
+
+def _exhaust(k: _Kernel, fired: Dict[str, int]) -> int:
     """Apply the reduction rules to exhaustion, in sweeps over the vertices
     in ascending id order; a rule that fires ends that vertex's turn.
+    Returns the number of full sweeps; ``fired`` counts firings per rule.
 
-    Per vertex v, in this order: take v if isolated; take a pendant v at
-    least as heavy as its neighbor; take a degree-2 v if its neighbors are
-    adjacent and v is at least as heavy as each, or if v outweighs both
-    together, and else fold it if it is at least as heavy as each; merge v
-    into the smallest lower-id twin; reject v if a neighbor u at least as
-    heavy has N[u] ⊆ N[v].  ``fired`` counts firings per rule.
+    Two tiers: sweeps with the rules of ``_low_degree`` alone until one
+    fires nothing, then one full sweep, which tries per vertex those rules
+    and, if none fired, the twin and dominance rules of
+    ``_twin_or_dominated``.  A full sweep that fired goes back to the first
+    tier; one that fired nothing ends the call, so every rule is exhausted.
     """
-    adj, weight = k.adj, k.weight
-    changed = True
-    while changed:
-        changed = False
+    adj = k.adj
+    full_sweeps = 0
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            for v in list(adj):
+                nv = adj.get(v)
+                if nv is not None and len(nv) <= 2 and _low_degree(k, v, nv, fired):
+                    changed = True
+        full_sweeps += 1
         for v in list(adj):
-            if v not in adj:
+            nv = adj.get(v)
+            if nv is None:
                 continue
-            nv = adj[v]
-            deg = len(nv)
-            wv = weight[v]
-
-            if deg == 0:
-                _take(k, v)
-                fired["isolated"] += 1
+            if len(nv) <= 2 and _low_degree(k, v, nv, fired):
                 changed = True
-                continue
-            if deg == 1:
-                for u in nv:
-                    break
-                if wv >= weight[u]:
-                    _take(k, v)
-                    fired["degree1"] += 1
-                    changed = True
-                    continue
-            elif deg == 2:
-                u, w = nv
-                if u > w:
-                    u, w = w, u
-                wu, ww = weight[u], weight[w]
-                if w in adj[u]:
-                    # N[v] is a triangle: taking v is never worse
-                    if wv >= wu and wv >= ww:
-                        _take(k, v)
-                        fired["degree2"] += 1
-                        changed = True
-                        continue
-                elif wv >= wu + ww:
-                    _take(k, v)
-                    fired["degree2"] += 1
-                    changed = True
-                    continue
-                elif wv >= wu and wv >= ww:
-                    _fold(k, v, u, w)
-                    fired["fold"] += 1
-                    changed = True
-                    continue
-
-            # every twin of v lies in the row of any neighbor of v
-            for x in nv:
-                break
-            twin = v
-            for u in adj[x]:
-                if u < twin and adj[u] == nv:
-                    twin = u
-            if twin != v:
-                _merge_twin(k, v, twin)
-                fired["twin"] += 1
+            elif _twin_or_dominated(k, v, nv, fired):
                 changed = True
-                continue
+        if not changed:
+            return full_sweeps
 
-            # u is in N(v), so N[u] ⊆ N[v] is adj[u] ⊆ N[v]
-            closed = None
-            for u in nv:
-                if weight[u] >= wv and len(adj[u]) <= deg:
-                    if closed is None:
-                        closed = nv | {v}
-                    if adj[u] <= closed:
-                        _reject(k, v)
-                        fired["dominance"] += 1
-                        changed = True
-                        break
+
+def _split(k: _Kernel) -> List[_Kernel]:
+    """The kernels of k's connected components, ordered by their smallest
+    vertex, each with k's vertices in their order and nothing taken; empty
+    if k has fewer than two components."""
+    adj = k.adj
+    comp: Dict[int, int] = {}
+    count = 0
+    for s in adj:
+        if s not in comp:
+            comp[s] = count
+            stack = [s]
+            while stack:
+                for x in adj[stack.pop()]:
+                    if x not in comp:
+                        comp[x] = count
+                        stack.append(x)
+            count += 1
+    if count < 2:
+        return []
+    parts = [_Kernel({}, {}, {}, 0, [], k.next_id) for _ in range(count)]
+    for v, nv in adj.items():
+        part = parts[comp[v]]
+        part.adj[v] = nv
+        part.weight[v] = k.weight[v]
+        part.sets[v] = k.sets[v]
+    return parts
 
 
 def _clique_cover_bound(k: _Kernel) -> int:
@@ -325,9 +404,12 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     """Exact MIS by branch and bound with kernelization.
 
     Rules applied to exhaustion at every node (see ``_exhaust``): isolated
-    take, pendant take, degree-2 take and folding, twin collapse,
-    neighborhood dominance.  Branches on a maximum-degree vertex (smallest
-    id on ties) with a greedy clique-cover upper bound.  The result's
+    take, pendant take, degree-2 take and folding first, then twin
+    collapse and neighborhood dominance.  A root kernel of several
+    components is searched one component at a time, and their values
+    summed.  Branches on a maximum-degree vertex (smallest id on ties) with
+    a greedy clique-cover upper bound.  The witness is joined from the
+    kernel's nests only at a leaf that beats the best.  The result's
     ``stats`` are described in the module docstring; in ``fired``,
     ``degree2`` counts degree-2 vertices taken and ``fold`` those folded.
     """
@@ -339,27 +421,41 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     prunes = 0
     max_depth = 0
     root_kernel = 0
+    full_sweeps = 0
     fired = dict.fromkeys(RULES, 0)
+    # the value fixed outside the kernel being searched: the root's takes
+    # and the root components already solved
+    secured = 0
     best_value = -1
     best_witness: Set[int] = set()
 
     def visit(k: _Kernel, depth: int) -> None:
-        nonlocal nodes, prunes, max_depth, root_kernel, best_value, best_witness
+        nonlocal nodes, prunes, max_depth, root_kernel, full_sweeps, secured, best_value, best_witness
         nodes += 1
         if limits.node_budget is not None and nodes > limits.node_budget:
-            raise ResourceLimitError("node budget exhausted", max(best_value, 0))
+            raise ResourceLimitError("node budget exhausted", secured + max(best_value, 0))
         if deadline is not None and time.monotonic() > deadline:
-            raise ResourceLimitError("time budget exhausted", max(best_value, 0))
+            raise ResourceLimitError("time budget exhausted", secured + max(best_value, 0))
         if depth > max_depth:
             max_depth = depth
 
-        _exhaust(k, fired)
+        full_sweeps += _exhaust(k, fired)
         adj = k.adj
         if depth == 0:
             root_kernel = len(adj)
+            parts = _split(k)
+            if parts:
+                secured, witness = k.base, _members(k.taken)
+                for part in parts:
+                    best_value = -1
+                    visit(part, 1)
+                    secured += best_value
+                    witness |= best_witness
+                best_value, best_witness = secured, witness
+                return
         if not adj:
             if k.base > best_value:
-                best_value, best_witness = k.base, set(k.taken)
+                best_value, best_witness = k.base, _members(k.taken)
             return
         if k.base + _clique_cover_bound(k) <= best_value:
             prunes += 1
@@ -377,6 +473,7 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
         "bound_prunes": prunes,
         "max_depth": max_depth,
         "root_kernel": root_kernel,
+        "full_sweeps": full_sweeps,
         "fired": fired,
     }
     return SolveResult(best_value, frozenset(best_witness), nodes, "branch-bound", stats)

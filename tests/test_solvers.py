@@ -4,18 +4,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regmis.gadgets import build_general_gadget, build_icosa_gadget
+from regmis.gadgets import build_general_gadget, build_icosa_gadget, build_planar_gadget
 from regmis.graph import (
     Graph,
     GraphError,
     complete_graph,
     is_independent_set,
 )
-from regmis.reduction import reduce_to_regular
+from regmis.reduction import reduce_to_regular, regularize_planar
 from regmis.solvers import (
     RULES,
     ResourceLimitError,
     SolverLimits,
+    _exhaust,
+    _Kernel,
+    _reject,
+    _take,
+    _twin_or_dominated,
     has_clique_k,
     min_vertex_cover,
     mis_branch_bound,
@@ -23,7 +28,15 @@ from regmis.solvers import (
     solve_mis,
 )
 
-from conftest import alpha_by_enumeration, check_result, cycle_graph, path_graph, random_cubic_graph, random_graph
+from conftest import (
+    alpha_by_enumeration,
+    check_result,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    random_cubic_graph,
+    random_graph,
+)
 
 PETERSEN = Graph.from_edges(
     10,
@@ -101,6 +114,28 @@ class TestBranchBound:
             mis_branch_bound(g, SolverLimits(node_budget=2))
         assert info.value.best_so_far >= 0
 
+    def test_witness_of_a_long_fold_chain(self):
+        # the cycle folds into one vertex whose inset is nested 1,499 folds
+        # deep, deeper than the interpreter's recursion limit
+        g = cycle_graph(3001)
+        result = mis_branch_bound(g)
+        check_result(g, result)
+        assert result.alpha == 1500 and result.stats["fired"]["fold"] == 1499
+
+    def test_components_are_searched_apart(self):
+        # 50 Petersen graphs and a path the root's reductions solve: a
+        # search of 3 nodes per Petersen graph, not one of 2^51 - 1 nodes
+        g = path_graph(3)
+        for _ in range(50):
+            g = disjoint_union(g, PETERSEN)
+        result = mis_branch_bound(g)
+        check_result(g, result)
+        assert result.alpha == 202 and result.nodes_explored <= 200
+        # the root, then 25 components solved: the path's 2 and 25 times 4
+        with pytest.raises(ResourceLimitError) as info:
+            mis_branch_bound(g, SolverLimits(node_budget=76))
+        assert info.value.best_so_far == 102
+
     def test_twin_collapse_shrinks_gadget(self):
         # the gadgets are solved at the root, by twin merges among others
         for delta in (5, 7, 9):
@@ -112,10 +147,11 @@ class TestBranchBound:
     def test_stats(self):
         g = random_cubic_graph(random.Random(8), 100)
         stats = mis_branch_bound(g).stats
-        assert set(stats) == {"bound_prunes", "max_depth", "root_kernel", "fired"}
+        assert set(stats) == {"bound_prunes", "max_depth", "root_kernel", "full_sweeps", "fired"}
         assert tuple(stats["fired"]) == RULES
         assert stats["root_kernel"] == 100  # no rule applies at this graph's root
         assert 0 < stats["bound_prunes"] and 0 < stats["max_depth"]
+        assert stats["full_sweeps"] == 181  # of 153 nodes, each ends on a quiet one
         assert mis_bruteforce(PETERSEN).stats == {}
 
 
@@ -125,7 +161,10 @@ def _witness_digest(witness) -> str:
 
 # (id, graph, alpha, nodes_explored, SHA-256 of the sorted witness): the search
 # tree of a fixed graph is part of the solver's contract; a faster node must
-# not change the rules, their order, the branching vertex or the bound.
+# not change the rules, their order, the branching vertex or the bound.  The
+# order: the degree-0, -1 and -2 rules to a fixpoint, then a sweep with
+# every rule per vertex, repeated until that sweep fires nothing.  The
+# planar entries are solved by dominance.
 PINNED_TREES = [
     ("cubic-40-seed1", lambda: random_cubic_graph(random.Random(1), 40), 17, 13,
      "42a1f60ec3f4f8550c8c63e13c3c0167165519f30ed4db6d71c7fe2f0681b92e"),
@@ -133,7 +172,7 @@ PINNED_TREES = [
      "40c001d102590dd31622c1de5adce6f347df0ea61d978190f2bdf004a083f7a0"),
     ("cubic-60-seed3", lambda: random_cubic_graph(random.Random(3), 60), 26, 25,
      "8a8f4b66e98849d1048f482e99986b62e7efb7b3fdf0fb4fa67b942510d1b3db"),
-    ("cubic-70-seed4", lambda: random_cubic_graph(random.Random(4), 70), 31, 45,
+    ("cubic-70-seed4", lambda: random_cubic_graph(random.Random(4), 70), 31, 41,
      "60dfc1d237741c5ef1faaa268432357cd6fa669151d082b90051be49359d1d4d"),
     ("cubic-80-seed5", lambda: random_cubic_graph(random.Random(5), 80), 35, 85,
      "5a2b586ee02b9f6e685588ba29f31163517585317bb569fedf9678d3177c8571"),
@@ -142,7 +181,7 @@ PINNED_TREES = [
     ("cubic-100-seed7", lambda: random_cubic_graph(random.Random(7), 100), 45, 105,
      "447358c245b3e6e7e1514159f51712556cc14f76a556cf723bc8775fe7d5a6bf"),
     ("cubic-100-seed8", lambda: random_cubic_graph(random.Random(8), 100), 44, 153,
-     "7f0cbc15f0df9069e52e886fe789e20bd6ccc79f0d704ea882f455733fa4163a"),
+     "66edda519b88fee020f8e5c0641024b97865c8f4b9b9b357a21e05919bb451dc"),
     ("petersen", lambda: PETERSEN, 4, 3,
      "65beb880c01c1e7dcdecd361888ffdb563e41120135231bf6f750121b77c18fa"),
     ("general-5", lambda: build_general_gadget(5)[0], 10, 1,
@@ -151,6 +190,10 @@ PINNED_TREES = [
      "a8798898e7ca69152238ba628dd4ea1c4b0b030f94ad45f2dfef19be1fd99cf1"),
     ("general-9", lambda: build_general_gadget(9)[0], 36, 1,
      "e5281d607a1315338bb48bb9f9f3cbc864ddf83db730f10e93f59824dba5fcdd"),
+    ("planar-gadget", lambda: build_planar_gadget()[0], 8, 11,
+     "6465d6488fc70993a40dfc9894a6adf4c1b2ef907fce63a55fc2976f25855d2a"),
+    ("planar-reduction-1", lambda: regularize_planar(Graph.from_edges(1, []))[0], 41, 1381,
+     "130aeed33899649a50d27cad958badd01b370d381323895c2c91c6c235118593"),
 ]
 
 
@@ -217,6 +260,56 @@ class TestWeightedKernel:
                 for rule, count in result.stats["fired"].items():
                     fired[rule] += count
         assert fired["fold"] > 0 and fired["twin"] > 0
+
+
+def _applicable(k: _Kernel) -> list:
+    """Every (rule, vertex) of kernel ``k`` that a reduction rule would
+    fire on, read from the rules' conditions, not from the solver's code."""
+    adj, weight = k.adj, k.weight
+    found = []
+    for v, nv in adj.items():
+        wv = weight[v]
+        if not nv:
+            found.append(("isolated", v))
+        elif len(nv) <= 2 and all(wv >= weight[u] for u in nv):
+            found.append(("degree1" if len(nv) == 1 else "degree2 or fold", v))
+        if nv and any(u != v and nu == nv for u, nu in adj.items()):
+            found.append(("twin", v))
+        if any(weight[u] >= wv and adj[u] <= nv | {v} for u in nv):
+            found.append(("dominance", v))
+    return found
+
+
+def test_exhaust_reaches_a_fixpoint_of_every_rule():
+    """Down one path of the search (the maximum-degree vertex taken and
+    rejected in turn), each kernel ``_exhaust`` leaves is one that no rule
+    applies to."""
+    rng = random.Random(10)
+    graphs = [random_cubic_graph(rng, n) for n in (20, 40, 60)]
+    graphs += [subdivided_graph(rng, rng.randint(4, 9), 0.5) for _ in range(10)]
+    graphs += [planted_k2k_graph(rng, rng.randint(8, 20), rng.randint(3, 5)) for _ in range(10)]
+    graphs += [build_general_gadget(delta)[0] for delta in (5, 7, 9)] + [build_planar_gadget()[0]]
+    fired = dict.fromkeys(RULES, 0)
+    kernels = 0
+    for g in graphs:
+        k = _Kernel.from_graph(g)
+        for depth in range(8):
+            _exhaust(k, fired)
+            assert _applicable(k) == []
+            kernels += 1
+            if not k.adj:
+                break
+            v = max(k.adj, key=lambda x: len(k.adj[x]))
+            (_take if depth % 2 else _reject)(k, v)
+    assert kernels > len(graphs) and fired["twin"] > 0 and fired["dominance"] > 0
+
+
+def test_a_pendant_neighbor_dominates():
+    # N[0] = {0, 1} ⊆ N[1], though 0 shares no neighbor with 1
+    k = _Kernel.from_graph(path_graph(3))
+    fired = dict.fromkeys(RULES, 0)
+    assert _twin_or_dominated(k, 1, k.adj[1], fired)
+    assert fired["dominance"] == 1 and list(k.adj) == [0, 2]
 
 
 class TestVertexCover:

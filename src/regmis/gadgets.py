@@ -16,6 +16,8 @@ The builders construct only the graph, the roles, the port and a
 canonical port-free maximum independent set; they never run a solver.
 Which kinds attach at which target degree, and at what size, is decided
 once, by :func:`gadget_size`, before any blueprint is built.
+:func:`build_gadget` builds each blueprint once per process, and every
+caller shares that immutable build.
 Each gadget's independence number is computed exactly by the solvers on
 first use and cached per gadget shape, the kind and the delta its builder
 records (:func:`_exact_alpha`); the closed form quoted alongside the
@@ -165,16 +167,22 @@ def build_planar_gadget() -> Tuple[Graph, GadgetLayout]:
 
 def build_gadget(kind: str, delta: Optional[int] = None) -> Tuple[Graph, GadgetLayout]:
     """The ``kind`` gadget for target degree ``delta``, which kinds without
-    one ignore; the layout's ``delta`` is what the builder used."""
+    one ignore; the layout's ``delta`` is what the builder used.  Built
+    once per process for each kind and the builder's delta, so
+    ``build_gadget(PLANAR5, 5) is build_gadget(PLANAR5)``."""
+    if kind not in (GENERAL, PLANAR5, ICOSA):
+        raise GraphError(f"unknown gadget kind {kind!r}")
+    if kind == GENERAL and delta is None:
+        raise GraphError("general gadget needs a target degree")
+    return _built(kind, delta if kind == GENERAL else None)
+
+
+@cache
+def _built(kind: str, delta: Optional[int]) -> Tuple[Graph, GadgetLayout]:
+    """:func:`build_gadget`'s one build of each (kind, builder's delta)."""
     if kind == GENERAL:
-        if delta is None:
-            raise GraphError("general gadget needs a target degree")
         return build_general_gadget(delta)
-    if kind == PLANAR5:
-        return build_planar_gadget()
-    if kind == ICOSA:
-        return build_icosa_gadget()
-    raise GraphError(f"unknown gadget kind {kind!r}")
+    return build_planar_gadget() if kind == PLANAR5 else build_icosa_gadget()
 
 
 # ---------------------------------------------------------------------------

@@ -120,26 +120,26 @@ class ReductionCertificate:
         try:
             doc = json.loads(text)
             cert = ReductionCertificate(
-                target_degree=_int(doc["target_degree"]),
-                source_n=_int(doc["source_n"]),
+                target_degree=_of(int, doc["target_degree"]),
+                source_n=_of(int, doc["source_n"]),
                 steps=tuple(
-                    ReductionStep(s["kind"], _int(s["start"]), _int(s["end"]), _int(s["alpha_offset"]))
-                    for s in doc["steps"]
+                    ReductionStep(_of(str, s["kind"]), _of(int, s["start"]), _of(int, s["end"]), _of(int, s["alpha_offset"]))
+                    for s in _of(list, doc["steps"])
                 ),
                 gadgets=tuple(
                     GadgetInstance(
-                        _int(g["owner"]), _int(g["index"]), g["kind"],
-                        None if g["delta"] is None else _int(g["delta"]),
-                        _int(g["id_offset"]), _int(g["size"]),
+                        _of(int, g["owner"]), _of(int, g["index"]), _of(str, g["kind"]),
+                        None if g["delta"] is None else _of(int, g["delta"]),
+                        _of(int, g["id_offset"]), _of(int, g["size"]),
                     )
-                    for g in doc["gadgets"]
+                    for g in _of(list, doc["gadgets"])
                 ),
-                per_gadget_alpha=_int(doc["per_gadget_alpha"]),
-                total_offset=_int(doc["total_offset"]),
-                source_hash=doc["source_hash"],
-                result_hash=doc["result_hash"],
+                per_gadget_alpha=_of(int, doc["per_gadget_alpha"]),
+                total_offset=_of(int, doc["total_offset"]),
+                source_hash=_of(str, doc["source_hash"]),
+                result_hash=_of(str, doc["result_hash"]),
             )
-            ports = [_int(g["port"]) for g in doc["gadgets"]]
+            ports = [_of(int, g["port"]) for g in doc["gadgets"]]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:  # json.loads recurses per nesting level
             raise GraphError(f"malformed certificate: {exc}") from exc
         if ports != [gi.port for gi in cert.gadgets]:
@@ -147,10 +147,14 @@ class ReductionCertificate:
         return cert
 
 
-def _int(value: object) -> int:
-    """``value`` if it is a JSON integer (not a bool); raises TypeError otherwise."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _of(kind: type, value: object):
+    """``value`` if its type is exactly ``kind``, one of ``_JSON_TYPES`` (so
+    a bool is no integer); raises TypeError otherwise."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -159,26 +163,16 @@ def _int(value: object) -> int:
 
 
 class Plan(NamedTuple):
-    """A reduction before G' exists: the sorted edges of G' below its first
-    block (the padded edges and the ports'), the certificate with an empty
-    ``result_hash``, the gadget blueprint, which each block repeats, and G
-    with :func:`~regmis.graph.splice`'s record of where the ports went in,
-    so that G''s text copies G's between the ports (:class:`~regmis.graph.Pieces`)."""
+    """A reduction before G' exists: G''s edges in their one description
+    (:class:`~regmis.graph.Pieces`), which copies G's text between the
+    ports, and the certificate with an empty ``result_hash``."""
 
-    ends: list[int]
+    pieces: Pieces
     cert: ReductionCertificate
-    blueprint: Graph
-    source: SortedEdges
-    cuts: list[int]
-
-    def pieces(self) -> Pieces:
-        """G''s edges in their one description."""
-        ends, cert, blueprint, source, cuts = self
-        return Pieces(ends, blueprint.adjacency, cert.padded_n, len(cert.gadgets), source, cuts)
 
     def build(self) -> Tuple[Graph, ReductionCertificate]:
         """G' as a :class:`Graph`, and its certificate."""
-        pieces = self.pieces()
+        pieces = self.pieces
         result = Graph.from_sorted(pieces.n, chain.from_iterable(pieces.all_ends()))
         return result, replace(self.cert, result_hash=pieces.digest())
 
@@ -186,7 +180,7 @@ class Plan(NamedTuple):
         """Write ``serialize_graph(G', fmt)`` to ``out`` and return the
         certificate, never building G': each piece of G''s text
         (:func:`~regmis.io.texts`) is written and hashed as it is rendered."""
-        pieces = self.pieces()
+        pieces = self.pieces
         n = pieces.n
         out.write(header(fmt, n, n * self.cert.target_degree // 2))  # G' is d-regular
 
@@ -229,7 +223,7 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
             start = steps[-1].end if steps else source.n
             steps.append(ReductionStep(step_kind, start, start + component.n, alpha_offset))
             padding += [x + start for x in ends_of(component.adjacency)]
-    nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
+    first = nid = steps[-1].end if steps else source.n  # a padded vertex's ports are ascending and above every padded id
     degree += [0] * (nid - source.n)
     for x in padding:
         degree[x] += 1
@@ -246,7 +240,7 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
 
     per_gadget_alpha = layout.internal_alpha
     ported, cuts = splice(ends, ports)
-    return Plan(ported, ReductionCertificate(
+    return Plan(Pieces(ported, blueprint.adjacency, first, len(instances), source, cuts), ReductionCertificate(
         target_degree=delta,
         source_n=source.n,
         steps=tuple(steps),
@@ -255,7 +249,7 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
         total_offset=sum(s.alpha_offset for s in steps) + len(instances) * per_gadget_alpha,
         source_hash=source.digest,
         result_hash="",
-    ), blueprint, source, cuts)
+    ))
 
 
 def plan_reduction(source: SortedEdges, delta: Optional[int], planar: bool = False, strict: bool = False) -> Plan:

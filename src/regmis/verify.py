@@ -16,8 +16,9 @@ the port last), the gadget size (:func:`~regmis.gadgets.gadget_size`)
 and the one blueprint.  The certificate's gadget list is compared with
 that layout whole, so only the canonical layout is accepted; every regmis
 certificate lists it.  Untrusted fields are bounded against G' first: a
-step's end and edge count before its rows, and the layout's size before
-the blueprint.
+step's end and edge count before its rows, and the deficiencies' sum,
+with it the blocks' vertices and edges, before any list per padded
+vertex or the blueprint.
 
 The model's edges are G''s one description, :class:`~regmis.graph.Pieces`,
 of its own ported edges, blueprint, first block and block count; the
@@ -136,49 +137,45 @@ _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "siz
 
 class _Model(NamedTuple):
     """The G' that G, the padded edges, the target degree and the gadget
-    kind fix: its sorted edges below the first block (``ported``) and
-    :func:`~regmis.graph.splice`'s record of where their ports went in
-    (``cuts``), the canonical gadget layout as ``_GADGET_FIELDS`` tuples,
-    the blueprint and its layout (empty and None without gadgets), the
-    closed-form gadget size, the vertex count and G."""
+    kind fix: its edges in G''s one description (``pieces``, which copies
+    G's text between the model's own ports), the canonical gadget layout
+    as ``_GADGET_FIELDS`` tuples, the blueprint and its layout (empty and
+    None without gadgets), and the closed-form gadget size."""
 
-    ported: List[int]
-    cuts: List[int]
+    pieces: Pieces
     layout: List[Tuple[int, int, str, Optional[int], int, int]]
     blueprint: Graph
     gadget: Optional[gadgets.GadgetLayout]
     size: int
-    n: int
-    source: SortedEdges
-
-    def pieces(self) -> Pieces:
-        """The model's edges in G''s one description, from its own ported
-        edges, blueprint, first block and block count; G's text is copied
-        between its own ports."""
-        count = len(self.layout)
-        return Pieces(self.ported, self.blueprint.adjacency, self.n - count * self.size, count, self.source, self.cuts)
 
 
 def _model(g: SortedEdges, padded: Tuple[int, List[int]], cert: ReductionCertificate, n: int, m: int) -> _Model:
     """The model of a G' of ``n`` vertices and ``m`` edges over G and its
     ``padded`` edges: one gadget per unit of deficiency, owners ascending,
     ``index`` 1..deficiency, blocks contiguous from the padded ids, the port
-    last in each.  The layout is bounded by ``n`` and ``m`` before the
-    blueprint is built; raises :class:`GraphError` when there is no such model."""
+    last in each.  The deficiencies' sum, and with it the blocks' vertices
+    and their internal edges, is bounded by ``n`` and ``m`` before any list
+    per padded vertex or the blueprint is built, so a declared vertex count
+    costs nothing; raises :class:`GraphError` when there is no such model."""
     d, kind = cert.target_degree, cert.gadget_kind
     size = gadgets.gadget_size(kind, d)
     count, ends = padded
+    above, error = f"a padded vertex has degree above {d}", ""
+    total = d * count - len(ends)  # the deficiencies' sum, unless a degree is above d
+    if total and size * d > 2 * m:
+        error = f"a gadget of {size} vertices needs more edges than the reduced graph has"
+    elif count + total * size > n:
+        error = f"{total} gadgets of {size} vertices do not fit in |V'|={n}"
+    elif total * (size * d - 1) > 2 * m:
+        error = f"{total} gadgets of {size} vertices need more edges than |E'|={m}"
+    if error:  # a degree above d is named first, as the list below would
+        raise GraphError(above if max(Counter(ends).values(), default=0) > d else error)
     degree = [0] * count
     for x in ends:
         degree[x] += 1
     deficiency = [d - k for k in degree]
     if min(deficiency, default=0) < 0:
-        raise GraphError(f"a padded vertex has degree above {d}")
-    total = sum(deficiency)
-    if total and size * d > 2 * m:
-        raise GraphError(f"a gadget of {size} vertices needs more edges than the reduced graph has")
-    if count + total * size > n:
-        raise GraphError(f"{total} gadgets of {size} vertices do not fit in |V'|={n}")
+        raise GraphError(above)
     blueprint, gadget = gadgets.build_gadget(kind, d) if total else (Graph(0, ()), None)
     layout, ports, off = [], [], count
     for v, k in compress(enumerate(deficiency), deficiency):
@@ -186,7 +183,8 @@ def _model(g: SortedEdges, padded: Tuple[int, List[int]], cert: ReductionCertifi
         for j in range(1, k + 1):
             layout.append((v, j, kind, gadget.delta, off, size))
             off += size
-    return _Model(*splice(ends, ports), layout, blueprint, gadget, size, off, g)
+    ported, cuts = splice(ends, ports)
+    return _Model(Pieces(ported, blueprint.adjacency, count, len(layout), g, cuts), layout, blueprint, gadget, size)
 
 
 def _faults(
@@ -204,13 +202,13 @@ def _faults(
     count, reference = base
     origin, padding, block, attachment = n < source_n, n < count, -1, -1
     if model is None or not _is_model(ends, model):
-        reference = reference if model is None else list(chain.from_iterable(model.pieces().all_ends()))
+        reference = reference if model is None else list(chain.from_iterable(model.pieces.all_ends()))
         edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
         for u, v in edges[0] ^ edges[1]:
             if v < count:
                 origin, padding = origin or v < source_n, True
             elif model is not None:
-                i, j = ((x - count) // model.size if count <= x < model.n else -1 for x in (u, v))
+                i, j = ((x - count) // model.size if count <= x < model.pieces.n else -1 for x in (u, v))
                 if i == j:
                     block = max(block, i)
                 else:
@@ -221,7 +219,7 @@ def _faults(
 def _is_model(ends: List[int], model: _Model) -> bool:
     """``ends`` are the model's sorted edges, compared a piece at a time."""
     at = 0
-    for piece in model.pieces().all_ends():
+    for piece in model.pieces.all_ends():
         if ends[at : at + len(piece)] != piece:
             return False
         at += len(piece)
@@ -344,11 +342,11 @@ def _structure(
         blocks = _block_checks(block, attachment, model)
         matched = model if blocks[0].status == PASS else None
         # vertex count: closed form and the cubic-in-degree blowup bound
-        bound = padded[0] * (1 + d * model.size)
-        size_ok = n == model.n and n <= bound
-        detail = f"|V'|={n}, closed form {model.n}, bound {bound}"
+        bound, closed = padded[0] * (1 + d * model.size), model.pieces.n
+        size_ok = n == closed and n <= bound
+        detail = f"|V'|={n}, closed form {closed}, bound {bound}"
         if size_ok:
-            detail = f"|V'|={n} equals closed form {model.n}, within bound {bound}"
+            detail = f"|V'|={n} equals closed form {closed}, within bound {bound}"
         checks += blocks + [_check_gadget_list(cert, model.layout), _check("size-bound", size_ok, detail)]
 
     # offset arithmetic, over the model's gadgets whenever there is a model
@@ -461,12 +459,9 @@ def check_port_exclusion(
     N[port]), never beats the port-free optimum m1 = α(H − port), so some
     maximum independent set of the gadget H avoids its port; m1 equals
     α(H) whenever the check passes (strictly worse for all but the
-    smallest gadget)."""
-    return _port_exclusion(*gadgets.build_gadget(kind, delta), limits)
-
-
-def _port_exclusion(graph: Graph, layout: gadgets.GadgetLayout, limits: Optional[SolverLimits]) -> Check:
-    """:func:`check_port_exclusion` on the gadget ``graph`` with ``layout``."""
+    smallest gadget).  H is :func:`~regmis.gadgets.build_gadget`'s one
+    build, so in a report it is the model's blueprint."""
+    graph, layout = gadgets.build_gadget(kind, delta)
     port = layout.port
     if port is None:
         return Check("port-exclusion", SKIP, f"gadget kind {layout.kind} has no port")
@@ -554,9 +549,8 @@ def _report(
         checks.append(check_alpha_relation(*graphs(), cert, limits))
         if cert.gadgets and not passed >= {"gadget-blueprints", "gadget-counts"}:
             checks.append(Check("port-exclusion", SKIP, "the gadget blocks or the gadget list failed their check"))
-        elif cert.gadgets:  # the blocks are the model's blueprint
-            model = verdict[1]
-            checks.append(_port_exclusion(model.blueprint, model.gadget, limits))
+        elif cert.gadgets:  # the blocks copy the model's blueprint, the one build_gadget returns
+            checks.append(check_port_exclusion(cert.gadget_kind, cert.target_degree, limits))
     else:
         checks.append(Check("alpha-relation", SKIP, "oracle checks disabled"))
     return VerificationReport(tuple(checks))
@@ -596,19 +590,19 @@ def verify_canonical(
         return None
     if model.layout and [len(r) for r in model.blueprint.adjacency] != [d] * (model.size - 1) + [d - 1]:
         return None  # the blocks would not be d-regular
-    n = model.n
+    n = model.pieces.n
     m = n * d // 2
     try:
         if canonical_header(reduced, fmt) not in ((n, m), (n, None)):  # an edge list's header has no m
             return None
-        digest = content_digest(n, match(reduced, fmt, model.pieces()))
+        digest = content_digest(n, match(reduced, fmt, model.pieces))
     except NotCanonical:
         return None
     if digest != cert.result_hash:
         return None
 
     def graphs() -> Tuple[Graph, Graph]:
-        return g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces().all_ends()))
+        return g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces.all_ends()))
 
     structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
     return _report(cert, (structure, model), n, m, graphs, with_oracle, limits)

@@ -31,9 +31,11 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def fresh_alpha_cache(monkeypatch) -> None:
-    """An empty gadget-alpha cache for one test, so that no value solved on
-    a patched builder outlives it, or is read from before it."""
-    monkeypatch.setattr(gadgets, "_exact_alpha", functools.cache(gadgets._exact_alpha.__wrapped__))
+    """Empty gadget-alpha and gadget-build caches for one test, so that no
+    value solved or built on a patched builder outlives it, or is read from
+    before it."""
+    for name in ("_exact_alpha", "_built"):
+        monkeypatch.setattr(gadgets, name, functools.cache(getattr(gadgets, name).__wrapped__))
 
 
 def check_result(g: Graph, result: SolveResult) -> None:

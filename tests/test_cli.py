@@ -438,10 +438,18 @@ class TestSolve:
 
 
 # Malformed untrusted input, each a change to one file of the K4-e reduction.
+# A certificate change applies to the parsed document; ``verify`` and
+# ``recover`` both reject it.
 MALFORMED = {
-    "cert-gadget-without-port": ("cert", lambda gadget: gadget.pop("port")),
-    "cert-owner-not-integer": ("cert", lambda gadget: gadget.update(owner="x")),
-    "cert-id-offset-string": ("cert", lambda gadget: gadget.update(id_offset="7")),
+    "cert-gadget-without-port": ("cert", lambda doc: doc["gadgets"][0].pop("port")),
+    "cert-owner-not-integer": ("cert", lambda doc: doc["gadgets"][0].update(owner="x")),
+    "cert-id-offset-string": ("cert", lambda doc: doc["gadgets"][0].update(id_offset="7")),
+    "cert-gadget-kind-list": ("cert", lambda doc: doc["gadgets"][0].update(kind=[])),
+    "cert-step-kind-number": ("cert", lambda doc: doc["steps"].append(dict(kind=1, start=0, end=1, alpha_offset=1))),
+    "cert-steps-object": ("cert", lambda doc: doc.update(steps={})),
+    "cert-gadgets-object": ("cert", lambda doc: doc.update(gadgets={})),
+    "cert-source-hash-list": ("cert", lambda doc: doc.update(source_hash=[])),
+    "cert-result-hash-number": ("cert", lambda doc: doc.update(result_hash=0)),
     "solution-two-ids-on-a-line": ("solution", "0 1\n"),
     "solution-not-a-number": ("solution", "abc\n"),
     "edge-list-bad-vertex-count": ("graph", "# n=abc\n0 1\n"),
@@ -522,8 +530,13 @@ class TestVerifyAndRecover:
         what, change = MALFORMED[case]
         if what == "cert":
             doc = json.loads(cert.read_text())
-            change(doc["gadgets"][0])
+            change(doc)
             cert.write_text(json.dumps(doc))
+            sol = tmp_path / "sol.txt"
+            sol.write_text("0\n")
+            code, stdout, err = run(capsys, "recover", "--reduced", out, "--cert", cert, "--solution", sol)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: malformed certificate") and "Traceback" not in err
             argv = ["verify", "--graph", k4e_file, "--reduced", out, "--cert", cert]
         elif what == "solution":
             sol = tmp_path / "sol.txt"
@@ -535,7 +548,7 @@ class TestVerifyAndRecover:
             argv = ["regularize", graph, "--degree", "3", "--output", tmp_path / "o.col"]
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: malformed certificate" if what == "cert" else "error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["0 1", "abc", "1.0"])
     def test_a_bad_solution_line_is_named(self, tmp_path, reduced, capsys, bad):

@@ -184,6 +184,16 @@ def test_build_gadget_dispatch():
         build_gadget("hexagon")
     with pytest.raises(GraphError):
         build_gadget(GENERAL)
+    with pytest.raises(GraphError, match="unknown gadget kind"):
+        build_gadget([])  # an unhashable kind is refused before the build cache
+
+
+def test_one_build_per_kind_and_builders_delta():
+    """Kinds without a target degree ignore the one asked for: one build
+    serves every delta, and a general gadget one build per delta."""
+    assert build_gadget(PLANAR5, 5) is build_gadget(PLANAR5) is build_gadget(PLANAR5, 7)
+    assert build_gadget(ICOSA, 5) is build_gadget(ICOSA)
+    assert build_gadget(GENERAL, 5) is build_gadget(GENERAL, 5) is not build_gadget(GENERAL, 7)
 
 
 @pytest.mark.parametrize(

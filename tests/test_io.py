@@ -393,7 +393,7 @@ def planned_pieces():
     """G''s description for a 40-vertex path reduced to degree 5: the
     edges below the first block, then 150 blocks of 21 ids, whose windows'
     phases recur."""
-    return plan_reduction(SortedEdges.of(path_graph(40)), 5).pieces()
+    return plan_reduction(SortedEdges.of(path_graph(40)), 5).pieces
 
 
 @pytest.mark.parametrize("fmt", io.FORMATS)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from regmis.graph import (
 from regmis.reduction import (
     PARITY_FIX,
     STAR_PAD,
+    ReductionCertificate,
     ReductionStep,
     forward_map,
     plan_reduction,
@@ -432,6 +434,56 @@ def with_degree(cert, delta):
     )
 
 
+def empty_certificate(g, gp_digest, d=5):
+    """A certificate that G, with no steps, reduces to degree ``d`` with
+    no gadgets listed, and hashes ``g.digest`` and ``gp_digest``."""
+    return ReductionCertificate(d, g.n, (), (), 10, 0, g.digest, gp_digest)
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeclaredCounts:
+    """A vertex count that G or G' only declares costs nothing before the
+    model's bounds: the layout, the blocks' internal edges and every list
+    per padded vertex wait for them."""
+
+    def test_many_declared_vertices_over_few_edges(self):
+        """G declares 500 vertices and no edge; G' declares room for their
+        2,500 gadgets of 21 vertices but has 60 edges, far fewer than
+        those blocks' 130,000."""
+        n = 500
+        g = SortedEdges.hashed(n, [])
+        gp = SortedEdges.hashed(n + 5 * n * 21 + 10, [x for i in range(60) for x in (i, i + 1)])
+        report, peak = traced_peak(lambda: verify.verify_edges(g, gp, empty_certificate(g, gp.digest)))
+        assert peak < 1 << 20
+        detail = {c.name: c.detail for c in report.checks}["gadget-blueprints"]
+        assert (report.overall, detail) == (FAIL, "2500 gadgets of 21 vertices need more edges than |E'|=60")
+
+    def test_many_declared_vertices_over_a_small_canonical_file(self):
+        """G declares 10**6 vertices and no edge; G' is a K6, 15 edge lines."""
+        g = SortedEdges.hashed(10**6, [])
+        k6 = complete_graph(6)
+        text = serialize_graph(k6, "dimacs-col").encode()
+        cert = empty_certificate(g, SortedEdges.of(k6).digest)
+        answer, peak = traced_peak(lambda: verify_canonical(g, io.BytesIO(text), "dimacs-col", cert))
+        assert answer is None and peak < 1 << 20
+
+    @pytest.mark.parametrize("spare", [0, 10**4], ids=["bounds-fail", "bounds-hold"])
+    def test_a_degree_above_the_target_is_named_first(self, spare):
+        """K_{1,7} at degree 5, whether or not G' has room for its gadgets."""
+        g = SortedEdges.of(star_graph(7))
+        gp = SortedEdges.hashed(8 + spare, g.ends + [x for v in range(8, 8 + spare - 1) for x in (v, v + 1)])
+        report = verify.verify_edges(g, gp, empty_certificate(g, gp.digest))
+        assert {c.name: c.detail for c in report.checks}["gadget-blueprints"] == "a padded vertex has degree above 5"
+
+
 class TestEdgesPlacedByTheirEnds:
     """Each edge of G' that differs from the model fails the check that
     its ends belong to, as the comparison of rows did."""
@@ -561,34 +613,51 @@ class TestLinearWork:
         assert all(len(rows) == gadgets.gadget_size(gadgets.GENERAL, 3) for rows in row_walks if rows not in text_walks)
         assert len(builds) == 1
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The builds of each gadget, counted at its builder, in an empty build cache."""
+        fresh_alpha_cache(monkeypatch)
+        return {kind: TestLinearWork.count_calls(monkeypatch, gadgets, name) for kind, name in (
+            (GENERAL, "build_general_gadget"), (PLANAR5, "build_planar_gadget"),
+        )}
+
     def test_one_blueprint_per_verify(self, monkeypatch):
-        """verify_all and verify_canonical build the gadget blueprint once:
-        the derived triangle check reads the model's."""
+        """A reduction, verify_all and verify_canonical build the gadget
+        blueprint once in all: the plan, the cached solve, the model and
+        the derived triangle check share one build."""
+        builds = self.count_builds(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         text = serialize_graph(gp, "dimacs-col")
-        gadgets.gadget_alpha(5)  # the cached solve builds its own gadget once per process
-        builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
         assert verify_all(g, gp, cert).overall == PASS
-        assert builds == [GENERAL]
         report = verify_canonical(SortedEdges.of(g), io.BytesIO(text.encode()), "dimacs-col", cert)
         assert report.overall == PASS
-        assert builds == [GENERAL, GENERAL]
+        assert builds == {GENERAL: [5], PLANAR5: []}
+
+    def test_one_blueprint_per_planar_verify(self, monkeypatch):
+        """The plan asks for the planar gadget at degree 5 and its solve for
+        the builder's delta, None: one build serves both, and the model."""
+        builds = self.count_builds(monkeypatch)
+        g = cycle_graph(4)
+        gp, cert = regularize_planar(g)
+        assert verify_all(g, gp, cert).overall == PASS
+        assert builds == {GENERAL: [], PLANAR5: [None]}
 
     def test_one_blueprint_per_oracle_verify(self, monkeypatch):
-        """With the oracle too, verify_all and verify_canonical build the
-        blueprint once: port exclusion runs on the model's."""
+        """With the oracle too, a reduction, verify_all and verify_canonical
+        build the blueprint once in all: port exclusion runs on the model's."""
+        builds = self.count_builds(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         text = serialize_graph(gp, "dimacs-col")
-        gadgets.gadget_alpha(5)  # the cached solve builds its own gadget once per process
-        builds = self.count_calls(monkeypatch, gadgets, "build_gadget")
+        blueprint = verify._checks(SortedEdges.of(g), SortedEdges.of(gp), cert)[1].blueprint
+        excluded = self.count_calls(monkeypatch, verify, "_without")  # port exclusion's two solves
         report = verify_all(g, gp, cert, with_oracle=True)
         assert report.overall == PASS and "port-exclusion" in {c.name for c in report.checks}
-        assert builds == [GENERAL]
         report = verify_canonical(SortedEdges.of(g), io.BytesIO(text.encode()), "dimacs-col", cert, with_oracle=True)
         assert report.overall == PASS and "port-exclusion" in {c.name for c in report.checks}
-        assert builds == [GENERAL, GENERAL]
+        assert len(excluded) == 4 and all(h is blueprint for h in excluded)
+        assert builds == {GENERAL: [5], PLANAR5: []}
 
     def test_certificate_builds_no_padded_graph(self, monkeypatch):
         g = cycle_graph(4)

@@ -243,16 +243,12 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--out-format", choices=FORMATS, default="dimacs-col")
     elif command == "solve":
         p.add_argument("--method", choices=("auto", "brute", "bb"), default="auto")
-        p.add_argument("--budget-nodes", type=int)
-        p.add_argument("--budget-secs", type=float)
     elif command == "verify":
         p.add_argument("--graph", required=True)
         p.add_argument("--reduced", required=True)
         p.add_argument("--cert", required=True)
         p.add_argument("--format", choices=("auto",) + FORMATS, default="auto")
         p.add_argument("--with-oracle", action="store_true")
-        p.add_argument("--budget-nodes", type=int)
-        p.add_argument("--budget-secs", type=float)
     elif command == "recover":
         p.add_argument("--reduced", required=True)
         p.add_argument("--cert", required=True)
@@ -264,6 +260,9 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--out-format", choices=FORMATS, default="edge-list")
         p.add_argument("--output", help="graph output path (default stdout)")
         p.add_argument("--roles", help="role map JSON output path (default stdout)")
+    if command in ("solve", "verify"):  # brute force's one limit is its 26-vertex cap
+        p.add_argument("--budget-nodes", type=int, help="search nodes for branch and bound; brute force ignores it")
+        p.add_argument("--budget-secs", type=float, help="seconds for branch and bound; brute force ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,8 @@ Two attachable gadget kinds exist:
 * ``planar5``: two copies of the ``icosa-block`` gadget, the
   icosahedron minus an edge, plus a port joined to the two degree-4
   vertices of each copy.  Planar, and every vertex has degree 5 except the
-  port (degree 4).  It is built from :func:`build_icosa_gadget`, the one
-  place the block's labels become ids.
+  port (degree 4), so it attaches at target degree 5 only.  It is built
+  from :func:`build_icosa_gadget`, the one place the block's labels become ids.
 
 The builders construct only the graph, the roles, the port and a
 canonical port-free maximum independent set; they never run a solver.
@@ -60,8 +60,9 @@ def _require_odd_delta(delta: int) -> None:
 
 def gadget_size(kind: str, degree: int) -> int:
     """The vertex count of the ``kind`` gadget attached at target degree
-    ``degree``, in closed form; raises where no such gadget attaches."""
-    if kind == PLANAR5:
+    ``degree``, in closed form; raises where no such gadget attaches:
+    ``planar5`` at any degree but 5, ``general-odd`` at an even one or below 3."""
+    if kind == PLANAR5 and degree == 5:
         return 25  # two icosahedron-minus-an-edge blocks and the port
     if kind == GENERAL and degree >= 3 and degree % 2:
         return (degree - 1) ** 2 + degree

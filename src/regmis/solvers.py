@@ -3,7 +3,8 @@ rules, minimum vertex cover via complementation, and small-clique search.
 
 Both MIS solvers are exact.  When a budget runs out they raise
 :class:`ResourceLimitError` carrying the best lower bound found so far;
-they never return an inexact value labeled exact.
+they never return an inexact value labeled exact.  ``node_budget`` and
+``time_budget`` bound branch and bound; brute force has only its vertex cap.
 
 Branch and bound reduces each node's kernel in two tiers: the cheap
 degree-0, -1 and -2 rules until they fire nothing, then one sweep that

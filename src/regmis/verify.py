@@ -9,16 +9,17 @@ the cached exact alpha of the one gadget blueprint, and only once the
 blocks have matched it.
 
 One model of G' serves every check (:func:`_model`).  G's sorted edges,
-the steps, the target degree and the gadget kind fix it: the padded edges,
-one gadget per unit of deficiency in the canonical layout (owners
+the steps, the target degree d and the gadget kind fix it: the padded
+edges, one gadget per unit of deficiency in the canonical layout (owners
 ascending, ``index`` 1..deficiency, blocks contiguous from ``padded_n``,
-the port last), the gadget size (:func:`~regmis.gadgets.gadget_size`)
-and the one blueprint.  The certificate's gadget list is compared with
-that layout whole, so only the canonical layout is accepted; every regmis
-certificate lists it.  Untrusted fields are bounded against G' first: a
-step's end and edge count before its rows, and the deficiencies' sum,
-with it the blocks' vertices and edges, before any list per padded
-vertex or the blueprint.
+the port last), the gadget size and the one blueprint; there is none
+unless :func:`~regmis.gadgets.gadget_size` attaches the kind at d
+(``planar5`` at 5 only), so every model is d-regular.  The gadget list
+is compared with that layout whole: only the canonical layout, which
+every regmis certificate lists, is accepted.  Untrusted fields are
+bounded against G' first: a step's end and edge count before its rows,
+and the deficiencies' sum, with it the blocks' vertices and edges,
+before any list per padded vertex or the blueprint.
 
 The model's edges are G''s one description, :class:`~regmis.graph.Pieces`,
 of its own ported edges, blueprint, first block and block count; the
@@ -26,16 +27,17 @@ blocks repeat the blueprint and place no port.  :func:`verify_canonical`
 matches their text with the file (:func:`~regmis.io.match`) and hashes
 it in the same pass, so it builds no G' and its memory is O(|G| +
 #gadgets + blueprint).  That text copies each long run of G's edges
-between the model's own ports from G's text, canonical or hashed, which
-is G's ends rendered, so G's edges are rendered once, for G's content
-hash, or not at all; the file's length (:func:`~regmis.io.edge_capacity`)
-bounds the steps and the layout before any of their rows are built.  It answers whenever the
-file is the model's text and both hashes match, whatever the
-certificate's gadget list says; any other file goes to
-:func:`verify_edges`, which compares G''s sorted edges with the pieces in
-order and only when they differ places each differing edge by its ends,
-which names the failing checks (:func:`_faults`).  Either way the cost is
-linear in |V'| + |E'|, in memory that follows |E'|, not a declared |V'|.
+between the model's own ports from G's text, so G's edges are rendered
+once, for G's content hash, or not at all; the file's length
+(:func:`~regmis.io.edge_capacity`) bounds the steps and the layout
+before any of their rows are built.  It answers whenever the file is the
+model's text and both hashes match, whatever the certificate's gadget
+list says; any other file goes to :func:`verify_edges`.  A G' with the
+model's vertex count and edges needs no degree count on either path;
+any other has its degrees counted and each edge that differs from the
+pieces placed by its ends, naming the failing checks (:func:`_faults`).
+The cost is linear in |V'| + |E'|, in memory that follows |E'|, not a
+declared |V'|.
 
 The triangle and planarity checks are derived from that structural result
 and the model's one blueprint, and walk neither G nor G' again.
@@ -133,6 +135,7 @@ def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) ->
 
 
 _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
+_NO_FAULTS = ([], False, False, -1, -1)  # G' is the model: d-regular, as gadget_size admits no other gadget
 
 
 class _Model(NamedTuple):
@@ -190,29 +193,28 @@ def _model(g: SortedEdges, padded: Tuple[int, List[int]], cert: ReductionCertifi
 def _faults(
     gp: SortedEdges, d: int, source_n: int, base: Tuple[int, List[int]], model: Optional[_Model]
 ) -> Tuple[List[int], bool, bool, int, int]:
-    """Where G' deviates from the model (or, without one, from ``base``, the
-    padded count and edges): the first vertices off degree ``d``, whether
-    an edge differs below ``source_n`` and below the padded count, and the
-    last block (by layout place, else -1) with a differing edge inside it
-    and one leaving it.  Edges are placed only once the in-order comparison fails."""
+    """Where a G' other than the model, d-regular with ``planar5`` at 5
+    only, deviates from it (or from ``base``, the padded count and edges,
+    without one): the first vertices off degree ``d``, whether an edge
+    differs below ``source_n`` and below the padded count, and the last
+    block (by layout place, else -1) with a differing edge in it and one leaving it."""
     ends, n = gp.ends, gp.n
     degree = Counter(ends)
     missing = (v for v in range(n) if v not in degree) if d else ()
     irregular = list(islice(merge(sorted(v for v, k in degree.items() if k != d), missing), 5))
     count, reference = base
     origin, padding, block, attachment = n < source_n, n < count, -1, -1
-    if model is None or not _is_model(ends, model):
-        reference = reference if model is None else list(chain.from_iterable(model.pieces.all_ends()))
-        edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
-        for u, v in edges[0] ^ edges[1]:
-            if v < count:
-                origin, padding = origin or v < source_n, True
-            elif model is not None:
-                i, j = ((x - count) // model.size if count <= x < model.pieces.n else -1 for x in (u, v))
-                if i == j:
-                    block = max(block, i)
-                else:
-                    attachment = max(attachment, i, j)
+    reference = reference if model is None else list(chain.from_iterable(model.pieces.all_ends()))
+    edges = [set(zip(e[::2], e[1::2])) for e in (ends, reference)]
+    for u, v in edges[0] ^ edges[1]:
+        if v < count:
+            origin, padding = origin or v < source_n, True
+        elif model is not None:
+            i, j = ((x - count) // model.size if count <= x < model.pieces.n else -1 for x in (u, v))
+            if i == j:
+                block = max(block, i)
+            else:
+                attachment = max(attachment, i, j)
     return irregular, origin, padding, block, attachment
 
 
@@ -291,7 +293,8 @@ def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> _Ver
         model, error = _model(g, padded, cert, n, m), ""
     except GraphError as exc:
         error = str(exc)
-    faults = _faults(gp, cert.target_degree, g.n, (g.n, g.ends) if padded is None else padded, model)
+    same = model is not None and n == model.pieces.n and _is_model(gp.ends, model)
+    faults = _NO_FAULTS if same else _faults(gp, cert.target_degree, g.n, padded or (g.n, g.ends), model)
     return _structure(g, cert, n, faults, padded, model, error), model
 
 
@@ -580,7 +583,7 @@ def verify_canonical(
     :func:`check_certificate` then holds by construction, and the rest of
     the report comes from G, the certificate and the model."""
     d = cert.target_degree
-    if not reduced.seekable() or d < 1 or cert.source_n != g.n or cert.source_hash != g.digest:
+    if not reduced.seekable() or d < 1 or cert.source_hash != g.digest:
         return None
     edges = edge_capacity(reduced, fmt)  # a canonical G' is d-regular, so this bounds |V'| too
     try:
@@ -588,8 +591,6 @@ def verify_canonical(
         model = _model(g, padded, cert, 2 * edges // d, edges)
     except GraphError:
         return None
-    if model.layout and [len(r) for r in model.blueprint.adjacency] != [d] * (model.size - 1) + [d - 1]:
-        return None  # the blocks would not be d-regular
     n = model.pieces.n
     m = n * d // 2
     try:
@@ -601,8 +602,6 @@ def verify_canonical(
     if digest != cert.result_hash:
         return None
 
-    def graphs() -> Tuple[Graph, Graph]:
-        return g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces.all_ends()))
-
-    structure = _structure(g, cert, n, ([], False, False, -1, -1), padded, model, "")  # no faults: G' is the model
+    graphs = lambda: (g.graph(), Graph.from_sorted(n, chain.from_iterable(model.pieces.all_ends())))  # noqa: E731
+    structure = _structure(g, cert, n, _NO_FAULTS, padded, model, "")
     return _report(cert, (structure, model), n, m, graphs, with_oracle, limits)

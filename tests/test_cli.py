@@ -22,7 +22,7 @@ from regmis.verify import verify_all
 
 from conftest import TEXT_EDITS, cycle_graph, disjoint_union, edit_canonical, empty_graph, grid_with_diagonals, path_graph
 from test_golden import CASES as GOLDEN_CASES, GRID_12, MAX_DEGREE_4, MEDIUM_MAX_DEGREE_4
-from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, with_layout
+from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, hang, with_layout
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -969,6 +969,67 @@ def test_mutated_canonical_input_fails_as_on_the_parse_path(
         expected = parse_path(g, reduced_text, fmt, cert_text)
     assert code in (1, 2) and "Traceback" not in err
     assert (code, out) == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+@pytest.mark.parametrize("field", ["source_n", "target_degree"])
+@pytest.mark.parametrize("delta", [-4, -2, -1, 1, 2, 4, 7])
+def test_edited_source_n_or_target_degree_fails_as_on_the_parse_path(tmp_path, capsys, fmt, case, field, delta):
+    """Every such edit fails with the parse path's report; the regeneration
+    path itself answers each edit of ``source_n``, which only the
+    origin-induced check reads."""
+    g, gp, cert = DIFFERENTIAL_CASES[case]()
+    doc = json.loads(cert.to_json())
+    doc[field] += delta
+    reduced_text, cert_text = serialize_graph(gp, fmt), json.dumps(doc)
+    paths = write_inputs(tmp_path, g, reduced_text, cert_text, "gp.col" if fmt == "dimacs-col" else "gp.txt")
+    code, out, err = verify_files(capsys, paths)
+    assert code == 1 and (code, out) == parse_path(g, reduced_text, fmt, cert_text)
+    if field == "source_n":
+        with open(paths[1], "rb") as reduced:
+            report = verify.verify_canonical(SortedEdges.of(g), reduced, fmt, ReductionCertificate.from_json(cert_text))
+        assert report is not None and report.to_json() == out
+
+
+def planar5_blocks_at_degree_3():
+    """P3, a G' of planar5 blocks laid out as a degree-3 model would be (two
+    on each end of the path, one in the middle, each hanging off its owner
+    by its port) and regularize_planar's certificate forged to match it:
+    target degree 3, those blocks, their offset and G''s hash.  Only the
+    degrees give it away: the blocks' vertices have degree 5."""
+    g = path_graph(3)
+    _, cert = regularize_planar(g)
+    gp, listed = hang(g, gadgets.PLANAR5, 3)
+    offset = len(listed) * cert.per_gadget_alpha
+    forged = dataclasses.replace(cert, target_degree=3, gadgets=listed, total_offset=offset)
+    return g, gp, dataclasses.replace(forged, result_hash=gp.content_hash())
+
+
+def test_planar5_blocks_at_degree_3_fail_in_every_layout(tmp_path, capsys):
+    """planar5 gadgets attach at degree 5 only, so the forgery has no model:
+    verify fails it on its canonical text, with the header ``p edge 128
+    192`` of a 3-regular G', in either format and with its lines reversed,
+    with one report, whose blueprint and size checks name the rule."""
+    g, gp, cert = planar5_blocks_at_degree_3()
+    assert (gp.n, gp.m) == (128, 317)
+    reports = set()
+    for name, text in LAYOUTS.values():
+        paths = write_inputs(tmp_path, g, text(gp).replace("p edge 128 317\n", "p edge 128 192\n"), cert.to_json(), name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the parser warns of the header's edge count
+            code, out, err = verify_files(capsys, paths)
+        assert (code, err) == (1, "")
+        reports.add(out)
+    (report,) = reports
+    failed = {c["name"]: c["detail"] for c in json.loads(report)["checks"] if c["status"] == "fail"}
+    rule = "no closed-form gadget size for a 'planar5' gadget at degree 3"
+    assert failed.pop("regular") == "vertices [3, 4, 5, 6, 7] deviate from degree 3"
+    assert failed == {
+        "gadget-blueprints": rule,
+        "size-bound": rule,
+        "planarity-necessary": "gadgets are not blueprint blocks on single cut edges",
+    }
 
 
 # ---------------------------------------------------------------------------

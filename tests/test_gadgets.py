@@ -196,16 +196,25 @@ def test_one_build_per_kind_and_builders_delta():
     assert build_gadget(GENERAL, 5) is build_gadget(GENERAL, 5) is not build_gadget(GENERAL, 7)
 
 
-@pytest.mark.parametrize(
-    "kind, degree, size",
-    [(PLANAR5, 3, 25), (PLANAR5, 5, 25), (PLANAR5, 7, 25), (GENERAL, 3, 7), (GENERAL, 5, 21), (GENERAL, 9, 73)],
-)
+@pytest.mark.parametrize("kind, degree, size", [(PLANAR5, 5, 25), (GENERAL, 3, 7), (GENERAL, 5, 21), (GENERAL, 9, 73)])
 def test_gadget_size_is_the_blueprints(kind, degree, size):
     assert gadget_size(kind, degree) == size == build_gadget(kind, degree if kind == GENERAL else None)[0].n
 
 
-@pytest.mark.parametrize("kind, degree", [(GENERAL, 4), (GENERAL, 2), (GENERAL, 1), (ICOSA, 5), ("hexagon", 3)])
+@pytest.mark.parametrize(
+    "kind, degree", [(PLANAR5, 3), (PLANAR5, 7), (GENERAL, 4), (GENERAL, 2), (GENERAL, 1), (ICOSA, 5), ("hexagon", 3)]
+)
 def test_gadget_size_refuses_what_does_not_attach(kind, degree):
     with pytest.raises(GraphError) as raised:
         gadget_size(kind, degree)
     assert str(raised.value) == f"no closed-form gadget size for a {kind!r} gadget at degree {degree}"
+
+
+@pytest.mark.parametrize("kind, degree", [(GENERAL, d) for d in range(3, 22, 2)] + [(PLANAR5, 5)])
+def test_every_gadget_that_attaches_is_regular_but_for_its_port(kind, degree):
+    """Where gadget_size admits a gadget, its blueprint has degree ``degree``
+    at every vertex but the port, the last id, which has one less: the
+    verifier reads a G' equal to its model as regular on this alone."""
+    blueprint, layout = build_gadget(kind, degree)
+    assert layout.port == blueprint.n - 1 == gadget_size(kind, degree) - 1
+    assert [blueprint.degree(v) for v in range(blueprint.n)] == [degree] * (blueprint.n - 1) + [degree - 1]

@@ -54,6 +54,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "n, adjacency, error",
+        [(-1, (), "negative vertex count -1"), (2, ((),), "adjacency length does not match vertex count")],
+    )
+    def test_rejects_rows_that_are_not_a_graph(self, n, adjacency, error):
+        with pytest.raises(GraphError) as raised:
+            Graph(n, adjacency)
+        assert str(raised.value) == error
+
     @given(edge_lists())
     def test_invariants_hold(self, case):
         n, edges = case

@@ -353,6 +353,10 @@ def test_a_canonical_file_reads_in_parts(monkeypatch, fmt, chunk):
         list(io.canonical_prefix(f, fmt, g.n, g.m + 1))
 
 
+def test_a_file_chunk_ends_with_a_last_line_that_has_no_newline():
+    assert list(io.file_chunks(BytesIO(b"e 1 2\ne 2"))) == ["e 1 2\n", "e 2"]
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     fmt=st.sampled_from(["dimacs-col", "edge-list"]),

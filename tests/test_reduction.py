@@ -329,6 +329,12 @@ class TestSolutionMaps:
         with pytest.raises(GraphError, match="certificate result hash does not match the reduced graph"):
             normalize(gp, {gi.port for gi in cert.gadgets}, foreign)
 
+    def test_normalize_rejects_a_dependent_input(self):
+        gp, cert = reduce_to_regular(cycle_graph(5), 3)
+        with pytest.raises(GraphError) as raised:
+            normalize(gp, {0, 1}, cert)
+        assert str(raised.value) == "input set is not independent in the reduced graph"
+
     def test_forward_map_rejects_a_foreign_certificate(self):
         """C5 with the certificate of C7: bound to G by the source hash."""
         foreign = reduce_to_regular(cycle_graph(7), 3)[1]
@@ -386,6 +392,17 @@ class TestSolutionMaps:
         forged = dataclasses.replace(cert, target_degree=301)
         assert reduction.recover_canonical(io.BytesIO(text.encode()), fmt, {0}, forged) is None
         assert builds == []
+
+    def test_recover_canonical_reads_no_edge_line_under_a_header_short_of_the_blocks_edges(self, monkeypatch):
+        """A DIMACS header whose edge count is below the gadget blocks' own
+        edges: None, with no edge line read."""
+        gp, cert = reduce_to_regular(cycle_graph(5), 3)
+        text = serialize_graph(gp, "dimacs-col").replace(f"p edge {gp.n} {gp.m}\n", f"p edge {gp.n} 1\n")
+        reads = []
+        real = reduction.canonical_prefix
+        monkeypatch.setattr(reduction, "canonical_prefix", lambda *args: reads.append(args) or real(*args))
+        assert reduction.recover_canonical(io.BytesIO(text.encode()), "dimacs-col", {0}, cert) is None
+        assert reads == []
 
 
 class TestNoSolverOutsideTheAlphaMemo:

@@ -62,6 +62,10 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             mis_bruteforce(complete_graph(8), SolverLimits(max_brute_n=7))
 
+    def test_a_vertex_cap_that_is_not_positive_is_refused(self):
+        with pytest.raises(GraphError, match="^max_brute_n must be positive$"):
+            SolverLimits(max_brute_n=0)
+
     def test_matches_enumeration(self):
         rng = random.Random(1)
         for _ in range(30):
@@ -78,6 +82,10 @@ class TestBranchBound:
     def test_gadget_21_vertices(self):
         g, _ = build_general_gadget(5)
         assert mis_branch_bound(g).alpha == 10
+
+    def test_time_budget(self):
+        with pytest.raises(ResourceLimitError, match="^time budget exhausted$"):
+            mis_branch_bound(PETERSEN, SolverLimits(time_budget=1e-9))
 
     def test_witness_always_valid(self):
         rng = random.Random(2)

@@ -117,6 +117,30 @@ class TestRegularEntry:
     def test_pipeline_output(self, pipeline):
         assert self.regular(*pipeline).status == PASS
 
+    @pytest.mark.parametrize(
+        "reduce",
+        [lambda g: regularize(g, 3), lambda g: reduce_to_regular(g, 5), regularize_planar],
+        ids=["general", "padded", "planar"],
+    )
+    def test_a_g_prime_that_is_its_model_is_not_counted(self, reduce, monkeypatch):
+        """Every model is regular by construction, so a parsed G' equal to
+        its model passes with no degree count (_faults never runs)."""
+
+        def refuse(*args):
+            raise AssertionError("G' was compared with its model edge by edge")
+
+        monkeypatch.setattr(verify, "_faults", refuse)
+        g = cycle_graph(4)
+        assert verify_all(g, *reduce(g)).overall == PASS
+
+    def test_the_models_edges_and_an_isolated_vertex_are_counted(self, pipeline):
+        """The model's edges on one vertex more are not the model: the
+        extra vertex is counted, and named."""
+        g, gp, cert = pipeline
+        mutated = Graph.from_edges(gp.n + 1, gp.edges())
+        check = self.regular(g, mutated, rehash(cert, g_prime=mutated))
+        assert check == verify.Check("regular", FAIL, f"vertices [{gp.n}] deviate from degree 3")
+
 
 class TestCheckCertificate:
     def test_honest_pipeline_passes(self, pipeline):
@@ -411,7 +435,7 @@ class TestSoundnessSweepByRegeneration:
         fresh_alpha_cache(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
-        assert regenerated(g, gp, cert) is None  # its blocks are not 5-regular
+        assert regenerated(g, gp, cert) is None  # its blocks are not 5-regular: the header's m is not 5|V'|/2
 
 
 def refuse_degree(fn, delta):
@@ -581,6 +605,68 @@ class TestUntrustedCertificate:
         assert failed_checks(report) == {"gadget-counts": first_difference(forged, cert, 1)}
         # G' itself is the model, so its planarity conditions hold
         assert {c.name: c.status for c in report.checks}["planarity-necessary"] == PASS
+
+
+class TestSoundnessChecksEachFailTheirForgery:
+    """A forgery per check that, were the check deleted, would pass every
+    other check and still be unsound or wrongly reported."""
+
+    def test_a_step_over_a_source_vertex_fails_padding_steps(self):
+        """C4's degree-5 certificate with its parity clique moved onto ids
+        3..6, over G's vertex 3, and G' the model of those steps: padded_n
+        still adds up and the star stays at 8..13, but alpha(G') is 409,
+        not alpha(G) + total_offset = 408."""
+        g = cycle_graph(4)
+        _, cert = reduce_to_regular(g, 5)
+        clique, star = [(u, v) for u in range(3, 7) for v in range(u + 1, 7)], [(8, v) for v in range(9, 14)]
+        gp, listed = hang(Graph.from_edges(14, list(g.edges()) + clique + star), GENERAL, 5)
+        steps = (ReductionStep(PARITY_FIX, 3, 7, 1), cert.steps[1])
+        forged = rehash(dataclasses.replace(cert, steps=steps, gadgets=listed), g_prime=gp)
+        assert (forged.padded_n, forged.total_offset, mis_branch_bound(gp).alpha) == (14, 406, 409)
+        failed = failed_checks(verify_all(g, gp, forged))
+        assert failed == {
+            "padding-steps": "certificate step ranges are not contiguous",
+            "triangle-preservation": "not derivable: structural checks failed",
+        }
+
+    def test_a_step_of_an_unknown_kind_fails_padding_steps(self):
+        g = cycle_graph(4)
+        gp, cert = reduce_to_regular(g, 5)
+        forged = dataclasses.replace(cert, steps=(cert.steps[0], dataclasses.replace(cert.steps[1], kind="foo")))
+        assert failed_checks(verify_all(g, gp, forged)) == {
+            "padding-steps": "unknown reduction step kind 'foo'",
+            "triangle-preservation": "not derivable: structural checks failed",
+        }
+
+    def test_more_edges_than_eulers_bound_fail_planarity(self, planar_pipeline):
+        g, _, cert = planar_pipeline
+        k30 = complete_graph(30)
+        check = check_planarity_necessary(g, k30, rehash(cert, g_prime=k30))
+        assert check == verify.Check("planarity-necessary", FAIL, "m=435 exceeds 3n-6=84")
+
+    @pytest.mark.parametrize("wrong", ["dependent", "short"])
+    def test_a_wrong_canonical_witness_fails_the_sandwich(self, pipeline, monkeypatch, wrong):
+        """The lifting reads each gadget's canonical witness, which the
+        structural checks do not see: one joined to a neighbour inside its
+        gadget is not independent, one a vertex short is too small."""
+        real = gadgets.build_gadget
+
+        def witness(kind, delta=None):
+            blueprint, layout = real(kind, delta)
+            members = layout.canonical_mis
+            first = min(members)
+            members = members - {first} if wrong == "short" else members | {blueprint.neighbors(first)[0]}
+            return blueprint, dataclasses.replace(layout, canonical_mis=members)
+
+        monkeypatch.setattr(gadgets, "build_gadget", witness)
+        fresh_alpha_cache(monkeypatch)
+        g, gp, cert = pipeline
+        certified = 2 + cert.total_offset
+        detail = {
+            "dependent": "lifted set is not independent in the reduced graph",
+            "short": f"lifted set has {certified - len(cert.gadgets)} vertices, expected {certified}",
+        }[wrong]
+        assert check_sandwich(g, gp, cert, {2, 3}) == verify.Check("sandwich", FAIL, detail)
 
 
 class TestLinearWork:
@@ -1138,19 +1224,28 @@ def test_certificate_only_forgery_gets_the_parse_paths_report(name, fmt):
         assert report.overall == FAIL
 
 
-def with_layout(g, d, entries):
-    """``g`` with a general gadget block for degree ``d`` per (owner, index)
-    of ``entries``, the blocks in that order from ``g.n`` and each hanging
-    off its owner by its port, and regularize's certificate listing them so."""
-    blueprint = gadgets.build_gadget(GENERAL, d)[0]
+def hang(g, kind, d, entries=None):
+    """``g`` with a ``kind`` gadget block for degree ``d`` per (owner, index)
+    of ``entries`` (by default each vertex's deficiency below ``d`` many),
+    the blocks in that order from ``g.n`` and each hanging off its owner by
+    its port, and the gadget list naming them so."""
+    blueprint, layout = gadgets.build_gadget(kind, d)
+    if entries is None:
+        entries = [(v, j) for v in range(g.n) for j in range(1, d - g.degree(v) + 1)]
     size, edges, listed = blueprint.n, list(g.edges()), []
     for j, (owner, index) in enumerate(entries):
         off = g.n + j * size
-        edges += [(off + u, off + v) for u, v in blueprint.edges()] + [(owner, off + size - 1)]
-        listed.append(reduction.GadgetInstance(owner, index, GENERAL, d, off, size))
-    gp = Graph.from_edges(g.n + len(entries) * size, edges)
+        edges += [(off + u, off + v) for u, v in blueprint.edges()] + [(owner, off + layout.port)]
+        listed.append(reduction.GadgetInstance(owner, index, kind, layout.delta, off, size))
+    return Graph.from_edges(g.n + len(entries) * size, edges), tuple(listed)
+
+
+def with_layout(g, d, entries):
+    """``g`` with general gadget blocks for degree ``d`` as :func:`hang`
+    places them, and regularize's certificate listing them so."""
+    gp, listed = hang(g, GENERAL, d, entries)
     _, cert = regularize(g, d)
-    return g, gp, rehash(dataclasses.replace(cert, gadgets=tuple(listed)), g_prime=gp)
+    return g, gp, rehash(dataclasses.replace(cert, gadgets=listed), g_prime=gp)
 
 
 # P3 at degree 3: deficiencies 2, 1, 2

@@ -13,14 +13,25 @@ nothing.  A merged vertex keeps its original vertices as nested tuples,
 joined into a witness only at a leaf that beats the best.  A disconnected
 root kernel is searched one component at a time.
 
+A node is pruned when its value plus a clique-cover bound cannot beat the
+best.  An independent set takes at most one vertex per clique of a greedy
+cover.  Unit propagation from each single-vertex clique {s} lowers the sum
+of their heaviest weights: take s, let each taken vertex drop its
+neighbors from their cliques, and take a vertex left alone in its clique.
+When a clique empties, a set meeting every clique touched would hold s and
+every vertex taken, so not that clique: it misses a touched clique, and
+their least heaviest weight is subtracted.  The touched cliques are then
+spent, skipped by later propagations, so the subtractions add up.
+
 ``SolveResult.stats`` holds the branch-and-bound search counters (the
 brute-force solver leaves it empty): ``bound_prunes``, the nodes cut by
-the clique-cover bound; ``max_depth``, the deepest node (the root is 0);
-``root_kernel``, the vertices left after the root's reductions;
-``full_sweeps``, the sweeps that ran the twin and dominance tests; and
-``fired``, firings per reduction rule keyed by the names in ``RULES``.
-They are counted when a sweep runs, a rule fires or a node is pruned,
-never per check.
+the bound; ``bound_conflicts``, the sets of cliques that propagation
+proved cannot all contribute, summed over the search; ``max_depth``, the
+deepest node (the root is 0); ``root_kernel``, the vertices left after
+the root's reductions; ``full_sweeps``, the sweeps that ran the twin and
+dominance tests; and ``fired``, firings per reduction rule keyed by the
+names in ``RULES``.  They are counted when a sweep runs, a rule fires, a
+conflict is found or a node is pruned, never per check.
 """
 
 from __future__ import annotations
@@ -368,37 +379,79 @@ def _split(k: _Kernel) -> List[_Kernel]:
     return parts
 
 
-def _clique_cover_bound(k: _Kernel) -> int:
-    """Greedy clique cover: the solution can take at most the heaviest
-    vertex of each clique.  Vertices are placed by decreasing degree, ties
-    in id order, each into the first clique (in creation order) that lies
+_Cover = Tuple[Dict[int, int], List[List[int]], List[int]]
+
+
+def _greedy_cover(k: _Kernel) -> _Cover:
+    """Greedy clique cover: each vertex's clique, each clique's members and
+    its heaviest weight.  Vertices are placed by increasing degree, ties in
+    id order, each into the first clique (in creation order) that lies
     inside its neighborhood.  Such a clique holds a neighbor of the vertex,
     so only the cliques of its neighbors are looked at: a clique fits when
     every one of its members is a neighbor."""
     adj, weight = k.adj, k.weight
     clique_of: Dict[int, int] = {}
-    size: list[int] = []
-    heaviest: list[int] = []
-    for v in sorted(adj, key=lambda x: -len(adj[x])):
+    members: List[List[int]] = []
+    heaviest: List[int] = []
+    for v in sorted(adj, key=lambda x: len(adj[x])):
+        nv = adj[v]
         fit = -1
-        hits: Dict[int, int] = {}
-        for x in adj[v]:
-            if x in clique_of:
-                c = clique_of[x]
-                hit = hits[c] = hits.get(c, 0) + 1
-                if hit == size[c] and (fit < 0 or c < fit):
-                    fit = c
+        for x in nv:
+            c = clique_of.get(x)
+            if c is not None and (fit < 0 or c < fit) and nv.issuperset(members[c]):
+                fit = c
         wv = weight[v]
         if fit < 0:
-            clique_of[v] = len(size)
-            size.append(1)
+            clique_of[v] = len(members)
+            members.append([v])
             heaviest.append(wv)
         else:
             clique_of[v] = fit
-            size[fit] += 1
+            members[fit].append(v)
             if wv > heaviest[fit]:
                 heaviest[fit] = wv
-    return sum(heaviest)
+    return clique_of, members, heaviest
+
+
+def _conflict(adj: Dict[int, Set[int]], cover: _Cover, spent: Set[int], s: int) -> int:
+    """Unit propagation from {s} over the cliques not in ``spent``, as in
+    the module docstring.  When a clique empties, the cliques touched join
+    ``spent`` and the least of their heaviest weights is returned; else 0."""
+    clique_of, members, heaviest = cover
+    left = {clique_of[s]: 1}  # touched clique -> members not dropped
+    dropped: Set[int] = set()
+    stack = [s]  # taken vertices not yet propagated, the latest first
+    while stack:
+        for x in adj[stack.pop()]:
+            c = clique_of[x]
+            if c in spent or x in dropped:
+                continue
+            dropped.add(x)
+            n = left[c] = left.get(c, len(members[c])) - 1
+            if n == 0:
+                spent.update(left)
+                return min(heaviest[d] for d in left)
+            if n == 1:
+                for y in members[c]:
+                    if y not in dropped:
+                        stack.append(y)
+                        break
+    return 0
+
+
+def _clique_cover_bound(k: _Kernel) -> Tuple[int, int]:
+    """The bound of the module docstring on the kernel's weight, and the
+    number of conflicts that lowered it: the greedy cover's sum, less one
+    ``_conflict`` per single-vertex clique not yet spent, in creation order."""
+    cover = _greedy_cover(k)
+    bound, conflicts = sum(cover[2]), 0
+    spent: Set[int] = set()
+    for c, m in enumerate(cover[1]):
+        if len(m) == 1 and c not in spent:
+            loss = _conflict(k.adj, cover, spent, m[0])
+            bound -= loss
+            conflicts += loss > 0
+    return bound, conflicts
 
 
 def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
@@ -408,8 +461,9 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     take, pendant take, degree-2 take and folding first, then twin
     collapse and neighborhood dominance.  A root kernel of several
     components is searched one component at a time, and their values
-    summed.  Branches on a maximum-degree vertex (smallest id on ties) with
-    a greedy clique-cover upper bound.  The witness is joined from the
+    summed.  Branches on a maximum-degree vertex (smallest id on ties),
+    pruned by a greedy clique-cover bound tightened by unit propagation
+    (see the module docstring).  The witness is joined from the
     kernel's nests only at a leaf that beats the best.  The result's
     ``stats`` are described in the module docstring; in ``fired``,
     ``degree2`` counts degree-2 vertices taken and ``fold`` those folded.
@@ -420,6 +474,7 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     )
     nodes = 0
     prunes = 0
+    conflicts = 0
     max_depth = 0
     root_kernel = 0
     full_sweeps = 0
@@ -431,7 +486,7 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     best_witness: Set[int] = set()
 
     def visit(k: _Kernel, depth: int) -> None:
-        nonlocal nodes, prunes, max_depth, root_kernel, full_sweeps, secured, best_value, best_witness
+        nonlocal nodes, prunes, conflicts, max_depth, root_kernel, full_sweeps, secured, best_value, best_witness
         nodes += 1
         if limits.node_budget is not None and nodes > limits.node_budget:
             raise ResourceLimitError("node budget exhausted", secured + max(best_value, 0))
@@ -458,7 +513,9 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
             if k.base > best_value:
                 best_value, best_witness = k.base, _members(k.taken)
             return
-        if k.base + _clique_cover_bound(k) <= best_value:
+        bound, found = _clique_cover_bound(k)
+        conflicts += found
+        if k.base + bound <= best_value:
             prunes += 1
             return
 
@@ -472,6 +529,7 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     visit(_Kernel.from_graph(g), 0)
     stats = {
         "bound_prunes": prunes,
+        "bound_conflicts": conflicts,
         "max_depth": max_depth,
         "root_kernel": root_kernel,
         "full_sweeps": full_sweeps,

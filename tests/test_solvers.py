@@ -16,7 +16,9 @@ from regmis.solvers import (
     RULES,
     ResourceLimitError,
     SolverLimits,
+    _clique_cover_bound,
     _exhaust,
+    _greedy_cover,
     _Kernel,
     _reject,
     _take,
@@ -155,11 +157,11 @@ class TestBranchBound:
     def test_stats(self):
         g = random_cubic_graph(random.Random(8), 100)
         stats = mis_branch_bound(g).stats
-        assert set(stats) == {"bound_prunes", "max_depth", "root_kernel", "full_sweeps", "fired"}
+        assert set(stats) == {"bound_prunes", "bound_conflicts", "max_depth", "root_kernel", "full_sweeps", "fired"}
         assert tuple(stats["fired"]) == RULES
         assert stats["root_kernel"] == 100  # no rule applies at this graph's root
-        assert 0 < stats["bound_prunes"] and 0 < stats["max_depth"]
-        assert stats["full_sweeps"] == 181  # of 153 nodes, each ends on a quiet one
+        assert 0 < stats["bound_prunes"] and 0 < stats["bound_conflicts"] and 0 < stats["max_depth"]
+        assert stats["full_sweeps"] == 122  # of 107 nodes, each ends on a quiet one
         assert mis_bruteforce(PETERSEN).stats == {}
 
 
@@ -169,26 +171,29 @@ def _witness_digest(witness) -> str:
 
 # (id, graph, alpha, nodes_explored, SHA-256 of the sorted witness): the search
 # tree of a fixed graph is part of the solver's contract; a faster node must
-# not change the rules, their order, the branching vertex or the bound.  The
-# order: the degree-0, -1 and -2 rules to a fixpoint, then a sweep with
-# every rule per vertex, repeated until that sweep fires nothing.  The
-# planar entries are solved by dominance.
+# not change the rules, their order, the branching vertex or the search
+# order.  The order: the degree-0, -1 and -2 rules to a fixpoint, then a
+# sweep with every rule per vertex, repeated until that sweep fires nothing.
+# The bound may only get tighter and must stay sound: it then never cuts the
+# subtree of the first optimal leaf before that leaf is found, so alpha and
+# the witness stay and the node counts can only fall.  The planar entries
+# are solved by dominance.
 PINNED_TREES = [
-    ("cubic-40-seed1", lambda: random_cubic_graph(random.Random(1), 40), 17, 13,
+    ("cubic-40-seed1", lambda: random_cubic_graph(random.Random(1), 40), 17, 11,
      "42a1f60ec3f4f8550c8c63e13c3c0167165519f30ed4db6d71c7fe2f0681b92e"),
     ("cubic-50-seed2", lambda: random_cubic_graph(random.Random(2), 50), 22, 13,
      "40c001d102590dd31622c1de5adce6f347df0ea61d978190f2bdf004a083f7a0"),
-    ("cubic-60-seed3", lambda: random_cubic_graph(random.Random(3), 60), 26, 25,
+    ("cubic-60-seed3", lambda: random_cubic_graph(random.Random(3), 60), 26, 19,
      "8a8f4b66e98849d1048f482e99986b62e7efb7b3fdf0fb4fa67b942510d1b3db"),
-    ("cubic-70-seed4", lambda: random_cubic_graph(random.Random(4), 70), 31, 41,
+    ("cubic-70-seed4", lambda: random_cubic_graph(random.Random(4), 70), 31, 23,
      "60dfc1d237741c5ef1faaa268432357cd6fa669151d082b90051be49359d1d4d"),
-    ("cubic-80-seed5", lambda: random_cubic_graph(random.Random(5), 80), 35, 85,
+    ("cubic-80-seed5", lambda: random_cubic_graph(random.Random(5), 80), 35, 57,
      "5a2b586ee02b9f6e685588ba29f31163517585317bb569fedf9678d3177c8571"),
-    ("cubic-90-seed6", lambda: random_cubic_graph(random.Random(6), 90), 39, 71,
+    ("cubic-90-seed6", lambda: random_cubic_graph(random.Random(6), 90), 39, 57,
      "990cafe4f0dd86cf4c4fed28c54cf05ff55eb55961304555f64d588650f94896"),
-    ("cubic-100-seed7", lambda: random_cubic_graph(random.Random(7), 100), 45, 105,
+    ("cubic-100-seed7", lambda: random_cubic_graph(random.Random(7), 100), 45, 61,
      "447358c245b3e6e7e1514159f51712556cc14f76a556cf723bc8775fe7d5a6bf"),
-    ("cubic-100-seed8", lambda: random_cubic_graph(random.Random(8), 100), 44, 153,
+    ("cubic-100-seed8", lambda: random_cubic_graph(random.Random(8), 100), 44, 107,
      "66edda519b88fee020f8e5c0641024b97865c8f4b9b9b357a21e05919bb451dc"),
     ("petersen", lambda: PETERSEN, 4, 3,
      "65beb880c01c1e7dcdecd361888ffdb563e41120135231bf6f750121b77c18fa"),
@@ -198,9 +203,9 @@ PINNED_TREES = [
      "a8798898e7ca69152238ba628dd4ea1c4b0b030f94ad45f2dfef19be1fd99cf1"),
     ("general-9", lambda: build_general_gadget(9)[0], 36, 1,
      "e5281d607a1315338bb48bb9f9f3cbc864ddf83db730f10e93f59824dba5fcdd"),
-    ("planar-gadget", lambda: build_planar_gadget()[0], 8, 11,
+    ("planar-gadget", lambda: build_planar_gadget()[0], 8, 5,
      "6465d6488fc70993a40dfc9894a6adf4c1b2ef907fce63a55fc2976f25855d2a"),
-    ("planar-reduction-1", lambda: regularize_planar(Graph.from_edges(1, []))[0], 41, 1381,
+    ("planar-reduction-1", lambda: regularize_planar(Graph.from_edges(1, []))[0], 41, 193,
      "130aeed33899649a50d27cad958badd01b370d381323895c2c91c6c235118593"),
 ]
 
@@ -318,6 +323,58 @@ def test_a_pendant_neighbor_dominates():
     fired = dict.fromkeys(RULES, 0)
     assert _twin_or_dominated(k, 1, k.adj[1], fired)
     assert fired["dominance"] == 1 and list(k.adj) == [0, 2]
+
+
+class TestCliqueCoverBound:
+    """Unit propagation over the greedy cover's cliques proves that some
+    sets of cliques cannot all contribute; each such conflict lowers the
+    cover's sum by the least heaviest weight of its cliques."""
+
+    @pytest.mark.parametrize("g,bound,conflicts", [
+        (cycle_graph(5), 2, 1),  # the cover's sum is 3
+        (disjoint_union(cycle_graph(5), cycle_graph(5)), 4, 2),
+        (PETERSEN, 5, 0),
+    ], ids=["C5", "two-C5", "petersen"])
+    def test_values(self, g, bound, conflicts):
+        assert _clique_cover_bound(_Kernel.from_graph(g)) == (bound, conflicts)
+
+    def test_weighted_kernels_lie_between_alpha_and_the_cover(self):
+        """On weighted kernels built directly, brute-force α ≤ the bound ≤
+        the greedy cover's sum; the bound is below the sum exactly when a
+        conflict was found, which happens on 194 of them."""
+        rng = random.Random(39)
+        tightened = 0
+        for i in range(3000):
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.2, 0.35, 0.5]))
+            weight = {v: rng.choice([1, 1, 1, 2, 3]) for v in range(g.n)}
+            k = _Kernel(
+                {v: set(g.adjacency[v]) for v in range(g.n)},
+                weight,
+                {v: ((v,), ()) for v in range(g.n)},
+                0,
+                [],
+                g.n,
+            )
+            bound, conflicts = _clique_cover_bound(k)
+            cover = sum(_greedy_cover(k)[2])
+            assert _weighted_alpha(g, weight) <= bound <= cover, i
+            assert (bound < cover) == (conflicts > 0), i
+            tightened += bound < cover
+        assert tightened == 194
+
+
+def _weighted_alpha(g: Graph, weight) -> int:
+    """The heaviest independent set's weight, by include/exclude on bit masks."""
+    nbr = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+
+    def best(free: int) -> int:
+        if not free:
+            return 0
+        v = (free & -free).bit_length() - 1
+        rest = free & ~(1 << v)
+        return max(best(rest), weight[v] + best(rest & ~nbr[v]))
+
+    return best((1 << g.n) - 1)
 
 
 class TestVertexCover:

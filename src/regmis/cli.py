@@ -36,10 +36,6 @@ def _read_text(path: str) -> str:
         raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
-    return parse_graph(_read_text(path), _format(path, fmt))
-
-
 def _read_edges(path: str, fmt: str) -> SortedEdges:
     """G, kept with its text for G' to copy."""
     return parse_edges(_read_text(path), _format(path, fmt))
@@ -114,7 +110,7 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = parse_graph(_read_text(args.input), _format(args.input, args.format))
     start = time.monotonic()
     result = solve_mis(g, _limits(args), args.method)
     doc = {
@@ -297,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

@@ -19,11 +19,11 @@ counts are ASCII decimal integers in both readers.  *Canonical text* is exactly 
 :func:`serialize_graph` emits: the header, then one edge line per edge
 with ``u < v``, strictly increasing, every id in range, and in DIMACS a
 header ``m`` equal to the number of edge lines.  It is read a chunk of
-whole lines at a time with C-level passes (:func:`canonical_edges`):
-split, ``int``, re-render with the format's line template and compare,
-then order and range checks that carry the last edge across chunks.  A
-binary file can be read so a part at a time: its header
-(:func:`canonical_header`), then its next edge lines (:func:`canonical_prefix`).
+whole lines at a time with C-level passes: split, ``int``, re-render
+with the format's line template and compare, then order and range
+checks that carry the last edge across chunks.  A binary file can be
+read so a part at a time: its header (:func:`canonical_header`), then
+its next edge lines (:func:`canonical_prefix`).
 Text known in advance, a reduced graph's :class:`~regmis.graph.Pieces`
 rendered by :func:`texts`, is compared with the file unparsed
 (:func:`match`), and :func:`edge_capacity` bounds the edge lines a file can hold.
@@ -78,9 +78,15 @@ def sorted_ends(text: str, fmt: str) -> Tuple[int, List[int]]:
 
 def _read(text: str, fmt: str) -> Tuple[int, List[int], bool]:
     """The vertex count of ``text``, its sorted edges, and whether it is
-    canonical text: read as canonical text or else by the line parser."""
+    canonical text: read as canonical text, its header line and then the
+    rest a chunk at a time (:func:`text_chunks`), or else by the line parser."""
+    _line(fmt)  # raises on an unknown format
+    chunks = text_chunks(text)
+    first = next(chunks, "")
+    cut = first.find("\n") + 1
     try:
-        n, runs = canonical_edges(text_chunks(text), fmt)  # raises on an unknown format
+        n, m = _counts(first[:cut], fmt)
+        runs = _canonical_runs(chain((first[cut:],), chunks), fmt, n, m)
         return n, list(chain.from_iterable(runs)), True
     except NotCanonical:
         return (*(_parse_dimacs(text) if fmt == "dimacs-col" else _parse_edge_list(text)), False)
@@ -119,26 +125,10 @@ class NotCanonical(Exception):
     """Raised by the canonical reader at the first deviation from canonical text."""
 
 
-def canonical_edges(chunks: Iterable[str], fmt: str) -> Tuple[int, Iterator[List[int]]]:
-    """The vertex count of the canonical ``fmt`` text that ``chunks`` join
-    to, and its edges, 0-based, a chunk at a time.  ``chunks`` must split
-    the text after a newline (:func:`text_chunks`, :func:`file_chunks`);
-    a chunk that ends elsewhere is a deviation.  Raises
-    :class:`NotCanonical` at the first deviation, from this call (the
-    header) or while the edges are iterated; the edges seen by then are
-    not those of any canonical text."""
-    _line(fmt)  # raises on an unknown format
-    chunks = iter(chunks)
-    first = next(chunks, "")
-    cut = first.find("\n") + 1
-    n, m = _counts(first[:cut], fmt)
-    return n, _canonical_runs(chain((first[cut:],), chunks), fmt, n, m)
-
-
 def canonical_header(f: BinaryIO, fmt: str) -> Tuple[int, Optional[int]]:
     """The vertex count, and in DIMACS the edge count, of the canonical
     ``fmt`` header that the binary file ``f`` starts with, read as
-    :func:`canonical_edges` reads it; ``f`` is left at the line after it.
+    :func:`parse_edges` reads it; ``f`` is left at the line after it.
     Raises :class:`NotCanonical` on any other first line."""
     _line(fmt)  # raises on an unknown format
     return _counts(_ascii(f.readline(_CHUNK)), fmt)
@@ -147,7 +137,7 @@ def canonical_header(f: BinaryIO, fmt: str) -> Tuple[int, Optional[int]]:
 def canonical_prefix(f: BinaryIO, fmt: str, n: int, count: int) -> Iterator[List[int]]:
     """The next ``count`` edge lines of the binary file ``f``, read as the
     canonical ``fmt`` edges of a graph on ``n`` vertices a chunk at a time,
-    as :func:`canonical_edges` reads them; ``f`` is left at the line after
+    as :func:`parse_edges` reads them; ``f`` is left at the line after
     them once they are iterated.  Raises :class:`NotCanonical` at the first
     deviation, and when the file has fewer lines."""
     return _canonical_runs(_first_lines(f, count), fmt, n, count)
@@ -202,6 +192,9 @@ def _counts(line: str, fmt: str) -> Tuple[int, Optional[int]]:
 
 
 def _canonical_runs(chunks: Iterable[str], fmt: str, n: int, m: Optional[int]) -> Iterator[List[int]]:
+    """The 0-based edges of the canonical ``fmt`` edge lines that ``chunks``,
+    split after newlines, join to, a chunk at a time, below the header of
+    ``n`` and ``m``.  Raises :class:`NotCanonical` at the first deviation."""
     line, base = _LINES[fmt]
     last, count = -1, 0  # the key of the edge before the chunk, and the edges so far
     for chunk in chunks:

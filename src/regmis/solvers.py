@@ -51,15 +51,15 @@ class ResourceLimitError(RuntimeError):
         self.best_so_far = best_so_far  # valid lower bound, not exact
 
 
+MAX_BRUTE_N = 26  # brute force's vertex cap
+
+
 @dataclass(frozen=True)
 class SolverLimits:
-    max_brute_n: int = 26
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None  # seconds
 
     def __post_init__(self) -> None:
-        if self.max_brute_n <= 0:
-            raise GraphError("max_brute_n must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise GraphError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:  # NaN too
@@ -79,18 +79,15 @@ class SolveResult:
 # brute force
 
 
-def mis_bruteforce(g: Graph, limits: Optional[SolverLimits] = None) -> SolveResult:
+def mis_bruteforce(g: Graph) -> SolveResult:
     """Exact MIS by include/exclude enumeration in fixed id order.
 
     Prunes only on the trivial remaining-vertex bound; deliberately shares
     no machinery with the branch-and-bound solver so the two can
     cross-check each other.
     """
-    limits = limits or SolverLimits()
-    if g.n > limits.max_brute_n:
-        raise ResourceLimitError(
-            f"brute force capped at {limits.max_brute_n} vertices, got {g.n}"
-        )
+    if g.n > MAX_BRUTE_N:
+        raise ResourceLimitError(f"brute force capped at {MAX_BRUTE_N} vertices, got {g.n}")
     nbr_mask = [0] * g.n
     for u in range(g.n):
         for v in g.adjacency[u]:
@@ -322,33 +319,29 @@ def _exhaust(k: _Kernel, fired: Dict[str, int]) -> int:
     in ascending id order; a rule that fires ends that vertex's turn.
     Returns the number of full sweeps; ``fired`` counts firings per rule.
 
-    Two tiers: sweeps with the rules of ``_low_degree`` alone until one
-    fires nothing, then one full sweep, which tries per vertex those rules
-    and, if none fired, the twin and dominance rules of
+    Two tiers in one loop: sweeps with the rules of ``_low_degree`` alone,
+    until one fires nothing and makes the next sweep full, which tries per
+    vertex those rules and, if none fired, the twin and dominance rules of
     ``_twin_or_dominated``.  A full sweep that fired goes back to the first
     tier; one that fired nothing ends the call, so every rule is exhausted.
     """
     adj = k.adj
+    full = False
     full_sweeps = 0
     while True:
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                nv = adj.get(v)
-                if nv is not None and len(nv) <= 2 and _low_degree(k, v, nv, fired):
-                    changed = True
-        full_sweeps += 1
+        full_sweeps += full
+        changed = False
         for v in list(adj):
             nv = adj.get(v)
             if nv is None:
                 continue
             if len(nv) <= 2 and _low_degree(k, v, nv, fired):
                 changed = True
-            elif _twin_or_dominated(k, v, nv, fired):
+            elif full and _twin_or_dominated(k, v, nv, fired):
                 changed = True
-        if not changed:
+        if full and not changed:
             return full_sweeps
+        full = not changed
 
 
 def _split(k: _Kernel) -> List[_Kernel]:
@@ -545,15 +538,12 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
 def solve_mis(
     g: Graph, limits: Optional[SolverLimits] = None, method: str = "auto"
 ) -> SolveResult:
-    limits = limits or SolverLimits()
     if method == "brute":
-        return mis_bruteforce(g, limits)
+        return mis_bruteforce(g)
     if method == "bb":
         return mis_branch_bound(g, limits)
     if method == "auto":
-        if g.n <= min(limits.max_brute_n, 20):
-            return mis_bruteforce(g, limits)
-        return mis_branch_bound(g, limits)
+        return mis_bruteforce(g) if g.n <= 20 else mis_branch_bound(g, limits)
     raise GraphError(f"unknown solve method {method!r}")
 
 

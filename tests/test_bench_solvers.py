@@ -23,7 +23,9 @@ def test_bench_solvers_smoke(tmp_path):
     assert list(report["graphs"]) == names
     (run,) = report["runs"]
     assert run["side"] == "working" and [rec["graph"] for rec in run["graphs"]] == names
-    assert set(run["graphs"][0]) == {"graph", "alpha", "nodes", "bound_prunes", "seconds", "witness_sha256"}
+    assert set(run["graphs"][0]) == {
+        "graph", "alpha", "nodes", "bound_prunes", "bound_conflicts", "full_sweeps", "seconds", "witness_sha256"
+    }
 
 
 def test_summary_flags_differing_witnesses_and_node_counts():

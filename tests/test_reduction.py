@@ -2,10 +2,12 @@ import dataclasses
 import io
 import json
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regmis import gadgets, graph, reduction, solvers
+from regmis import gadgets, graph, reduction, solvers, verify
 from regmis.gadgets import (
     GENERAL,
     ICOSA,
@@ -220,6 +222,73 @@ class TestFullPipeline:
             gp, cert = reduce_to_regular(g, delta)
             assert all(gp.degree(v) == delta for v in range(gp.n))
             assert gp.n <= cert.padded_n * (1 + delta * ((delta - 1) ** 2 + delta))
+
+
+def reference_reduction(g, d, kind):
+    """G' from the paper's definition, as adjacency sets, with no regmis
+    helper but the gadget's graph: G; in the general pipeline on a
+    non-empty G, a parity clique K_{Δ+2} when G's maximum degree Δ is even,
+    then a star with d leaves, its centre first, when the maximum is still
+    below d; then one gadget per unit of deficiency, owners ascending, each
+    joined to its owner by its port, the gadget's one vertex of degree d - 1."""
+    adj = [set(row) for row in g.adjacency]
+    if kind == GENERAL and adj:
+        top = max(map(len, adj))
+        if top % 2 == 0:
+            clique = range(len(adj), len(adj) + top + 2)
+            adj += [set(clique) - {v} for v in clique]
+            top += 1
+        if top < d:
+            centre = len(adj)
+            adj += [set(range(centre + 1, centre + d + 1))] + [{centre} for _ in range(d)]
+    blueprint, _ = build_gadget(kind, d)
+    (port,) = [x for x, row in enumerate(blueprint.adjacency) if len(row) == d - 1]
+    for v in range(len(adj)):
+        for _ in range(d - len(adj[v])):
+            base = len(adj)
+            adj += [{base + y for y in row} for row in blueprint.adjacency]
+            adj[base + port].add(v)
+            adj[v].add(base + port)
+    return adj
+
+
+@st.composite
+def bounded_sources(draw):
+    """A graph of at most 12 vertices and maximum degree at most 4 and the
+    target degree, and a target degree of 3, 5 or 7."""
+    d = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(0, 12))
+    cap = min(draw(st.integers(0, 4)), d)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
+    degree, edges = [0] * n, set()
+    for u, v in pairs:
+        if u < v < n and (u, v) not in edges and max(degree[u], degree[v]) < cap:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph.from_edges(n, sorted(edges)), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=bounded_sources(), planar=st.booleans())
+def test_reduced_graph_is_the_first_principles_one(source, planar):
+    """The plan's G' and the verifier's model are the paper's G': the same
+    rows, and the same sorted edges, in the pieces' order."""
+    g, d = source
+    if planar:
+        d, kind = 5, PLANAR5
+    else:
+        kind = GENERAL
+    reference = reference_reduction(g, d, kind)
+    ends = [x for u, row in enumerate(reference) for v in sorted(row) if v > u for x in (u, v)]
+    sg = SortedEdges.of(g)
+    plan = plan_reduction(sg, d, planar=planar)
+    gp, cert = plan.build()
+    assert [set(row) for row in gp.adjacency] == reference
+    assert list(chain.from_iterable(plan.pieces.all_ends())) == ends
+    n, m = len(reference), len(ends) // 2
+    model = verify._model(sg, verify._padded_edges(sg, cert, n, m), cert, n, m)
+    assert list(chain.from_iterable(model.pieces.all_ends())) == ends
 
 
 class TestSolutionMaps:

@@ -61,12 +61,8 @@ class TestBruteForce:
         assert result.witness == layout.canonical_mis
 
     def test_vertex_cap(self):
-        with pytest.raises(ResourceLimitError):
-            mis_bruteforce(complete_graph(8), SolverLimits(max_brute_n=7))
-
-    def test_a_vertex_cap_that_is_not_positive_is_refused(self):
-        with pytest.raises(GraphError, match="^max_brute_n must be positive$"):
-            SolverLimits(max_brute_n=0)
+        with pytest.raises(ResourceLimitError, match="^brute force capped at 26 vertices, got 27$"):
+            mis_bruteforce(complete_graph(27))
 
     def test_matches_enumeration(self):
         rng = random.Random(1)

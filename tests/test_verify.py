@@ -818,10 +818,10 @@ class TestAlphaRelation:
     def test_budget_exhaustion_skips(self):
         from test_solvers import PETERSEN
 
-        gp, cert = regularize(PETERSEN, 3)  # already 3-regular, identity
-        check = check_alpha_relation(
-            PETERSEN, gp, cert, SolverLimits(max_brute_n=5, node_budget=1)
-        )
+        # three disjoint Petersen graphs: more than 20 vertices, so bb solves them
+        g = Graph.from_edges(30, [(u + 10 * c, v + 10 * c) for c in range(3) for u, v in PETERSEN.edges()])
+        gp, cert = regularize(g, 3)  # already 3-regular, identity
+        check = check_alpha_relation(g, gp, cert, SolverLimits(node_budget=1))
         assert check.status == SKIP
 
 

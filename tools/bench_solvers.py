@@ -6,10 +6,11 @@ Usage::
                                   [--sizes N ...]
 
 Solves each graph with ``mis_branch_bound`` and records, per graph, α, the
-nodes explored, ``bound_prunes``, the seconds of the solve and the SHA-256
-of the sorted witness.  The families are ``perfbench/gen.py``'s
-``cubic_graph`` (``--sizes``, default 100 120 140 160, × seeds 0–4) and
-``regularize_planar`` of a one-vertex graph and of an edge.
+nodes explored, ``bound_prunes``, ``bound_conflicts``, ``full_sweeps``,
+the seconds of the solve and the SHA-256 of the sorted witness.  The
+families are ``perfbench/gen.py``'s ``cubic_graph`` (``--sizes``, default
+100 120 140 160, × seeds 0–4) and ``regularize_planar`` of a one-vertex
+graph and of an edge.
 
 Every round runs each revision in a fresh process.  ``--against REV``
 unpacks REV with ``git archive`` into a temporary directory and solves the
@@ -77,6 +78,8 @@ def _worker(args: argparse.Namespace) -> None:
             "alpha": result.alpha,
             "nodes": result.nodes_explored,
             "bound_prunes": result.stats["bound_prunes"],
+            "bound_conflicts": result.stats["bound_conflicts"],
+            "full_sweeps": result.stats["full_sweeps"],
             "seconds": round(seconds, 6),
             "witness_sha256": hashlib.sha256(witness).hexdigest(),
         })

@@ -20,7 +20,7 @@ time, most windows a template of their phase in the block pattern with the
 id prefixes filled in (:func:`block_texts`).  G keeps its canonical text,
 when it was read from one, and the text it was hashed from
 (:class:`SortedEdges`), and each long run of its edges in G' between two
-port insertions (:func:`splice`) is sliced from them, so with few ports a
+port insertions (``Pieces.cuts``) is sliced from them, so with few ports a
 command renders each edge of G once, for its content hash, or not at all.
 :meth:`Pieces.all_ends` gives the integer ends, for a :class:`Graph` of G'
 and for comparing edges.
@@ -266,11 +266,12 @@ class Pieces(NamedTuple):
     ``rows`` from the id ``first``.  The edges come a piece at a time, as
     integer ends or as text.
 
-    ``source``, when given, is G, whose edges lead the list that
-    :func:`splice` made ``ends`` from, and ``cuts`` that splice's record of
-    where each run of that list between two insertions went.  Then the
-    text of a run of at least ``_COPY`` of G's edges is copied from G's
-    own text in each line G has one for (:attr:`SortedEdges.texts`)."""
+    ``source``, when given, is G, whose edges lead the sorted list that
+    ``ends`` merges port edges into, and ``cuts``, the flat pairs ``[0, 0,
+    j1, i1, ...]``, says the run of that list from its index j is in ``ends``
+    from index i.  Then the text of a run of at least ``_COPY`` of G's edges
+    is copied from G's own text in each line G has one for
+    (:attr:`SortedEdges.texts`)."""
 
     ends: List[int]
     rows: Sequence[Row]
@@ -332,23 +333,6 @@ class Pieces(NamedTuple):
     def digest(self) -> str:
         """:func:`content_digest` of these edges."""
         return content_digest(self.n, (text for text, in self.texts(HASH_LINE)))
-
-
-def splice(ends: List[int], ports: Iterable[Tuple[int, Iterable[int]]]) -> Tuple[List[int], List[int]]:
-    """The sorted ``ends`` with each edge (u, w), w in ``ws``, after its last
-    (x, y) with x <= u, per ``(u, ws)`` of ``ports``: u and w ascending, w
-    above ``ends``.  With it, where each run of ``ends`` between two
-    insertions went, as the flat pairs ``[0, 0, j1, i1, j2, i2, ...]``: the
-    run from ``ends[j]`` is in the result from its index ``i``."""
-    us, out, done, cuts = ends[::2], [], 0, [0, 0]
-    for u, ws in ports:
-        at = 2 * bisect_right(us, u, done // 2)
-        out += ends[done:at]  # in place: a concatenation would copy ``out`` again
-        out += [x for w in ws for x in (u, w)]
-        cuts += at, len(out)
-        done = at
-    out += ends[done:]
-    return out, cuts
 
 
 class SortedEdges(NamedTuple):

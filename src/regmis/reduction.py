@@ -17,6 +17,7 @@ block i is the ``size`` ids from ``padded_n + i * size``, its port last.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 from operator import and_
@@ -37,7 +38,6 @@ from .graph import (
     ends_of,
     is_independent_set,
     render,
-    splice,
     star_graph,
 )
 from .io import NotCanonical, canonical_header, canonical_prefix, edge_capacity, header, match, texts
@@ -201,8 +201,8 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
     even (its degree Δ+1 is odd and at most ``delta``; offset 1), then a
     star with ``delta`` leaves (offset ``delta``) when the maximum is still
     below ``delta``.  One gadget of ``kind`` is then planned per unit of
-    deficiency: each padded vertex's port edges are spliced in after its
-    last edge, and each block will be the blueprint shifted to its offset.
+    deficiency: each padded vertex's port edges are merged in after its
+    last edge (a ``Pieces`` cut), and each block will be the blueprint shifted to its offset.
     """
     if delta < 3 or delta % 2 == 0:
         raise GraphError(f"target degree must be odd and >= 3, got {delta}")
@@ -232,14 +232,17 @@ def _reduce(source: SortedEdges, delta: int, kind: str, pad: bool = False, stric
     blueprint, layout = gadgets.build_gadget(kind, delta)
     size = blueprint.n
     deficiency = [delta - k for k in degree]
-    instances, ports = [], []
+    instances, ported, cuts, us = [], [], [0, 0], ends[::2]  # cuts[-2]: where the padded edges resume
     for v, k in compress(enumerate(deficiency), deficiency):
-        ports.append((v, range(nid + size - 1, nid + k * size, size)))
+        at = 2 * bisect_right(us, v, cuts[-2] // 2)  # past v's last edge
+        ported += ends[cuts[-2] : at]  # in place: a concatenation would copy ``ported`` again
+        ported += [x for port in range(nid + size - 1, nid + k * size, size) for x in (v, port)]
+        cuts += at, len(ported)
         instances += [GadgetInstance(v, j, kind, layout.delta, nid + (j - 1) * size, size) for j in range(1, k + 1)]
         nid += k * size
+    ported += ends[cuts[-2] :]
 
     per_gadget_alpha = layout.internal_alpha
-    ported, cuts = splice(ends, ports)
     return Plan(Pieces(ported, blueprint.adjacency, first, len(instances), source, cuts), ReductionCertificate(
         target_degree=delta,
         source_n=source.n,

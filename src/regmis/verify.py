@@ -14,28 +14,30 @@ edges, one gadget per unit of deficiency in the canonical layout (owners
 ascending, ``index`` 1..deficiency, blocks contiguous from ``padded_n``,
 the port last), the gadget size and the one blueprint; there is none
 unless :func:`~regmis.gadgets.gadget_size` attaches the kind at d
-(``planar5`` at 5 only), so every model is d-regular.  The gadget list
-is compared with that layout whole: only the canonical layout, which
-every regmis certificate lists, is accepted.  Untrusted fields are
-bounded against G' first: a step's end and edge count before its rows,
-and the deficiencies' sum, with it the blocks' vertices and edges,
-before any list per padded vertex or the blueprint.
+(``planar5`` at 5 only), and it is d-regular iff the blueprint is
+(:func:`_regular`).  The gadget list is compared with that layout whole:
+only the canonical layout, which every regmis certificate lists, is
+accepted.  Untrusted fields are bounded against G' first: a step's end
+and edge count before its rows, and the deficiencies' sum, with it the
+blocks' vertices and edges, before any list per padded vertex or the
+blueprint.
 
 The model's edges are G''s one description, :class:`~regmis.graph.Pieces`,
-of its own ported edges, blueprint, first block and block count; the
-blocks repeat the blueprint and place no port.  :func:`verify_canonical`
+of its own merge of the padded edges and its port edges (the
+constructor's is not shared), blueprint, first block and block count;
+the blocks repeat the blueprint and place no port.  :func:`verify_canonical`
 matches their text with the file (:func:`~regmis.io.match`) and hashes
 it in the same pass, so it builds no G' and its memory is O(|G| +
 #gadgets + blueprint).  That text copies each long run of G's edges
 between the model's own ports from G's text, so G's edges are rendered
 once, for G's content hash, or not at all; the file's length
 (:func:`~regmis.io.edge_capacity`) bounds the steps and the layout
-before any of their rows are built.  It answers whenever the file is the
-model's text and both hashes match, whatever the certificate's gadget
-list says; any other file goes to :func:`verify_edges`.  A G' with the
-model's vertex count and edges needs no degree count on either path;
-any other has its degrees counted and each edge that differs from the
-pieces placed by its ends, naming the failing checks (:func:`_faults`).
+before any of their rows are built.  It answers whenever the file is a
+d-regular model's text and both hashes match, whatever the certificate's
+gadget list says; any other file goes to :func:`verify_edges`.  A G'
+with a d-regular model's vertex count and edges needs no degree count
+on either path; any other has its degrees counted and each edge that
+differs from the pieces placed by its ends, naming the failing checks (:func:`_faults`).
 The cost is linear in |V'| + |E'|, in memory that follows |E'|, not a
 declared |V'|.
 
@@ -46,6 +48,7 @@ and the model's one blueprint, and walk neither G nor G' again.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from heapq import merge
@@ -63,7 +66,6 @@ from .graph import (
     content_digest,
     ends_of,
     is_independent_set,
-    splice,
     triangle_count,
 )
 from .io import NotCanonical, canonical_header, edge_capacity, match
@@ -135,7 +137,7 @@ def _padded_edges(g: SortedEdges, cert: ReductionCertificate, n: int, m: int) ->
 
 
 _GADGET_FIELDS = attrgetter("owner", "index", "kind", "delta", "id_offset", "size")
-_NO_FAULTS = ([], False, False, -1, -1)  # G' is the model: d-regular, as gadget_size admits no other gadget
+_NO_FAULTS = ([], False, False, -1, -1)  # G' is the model, and the model is d-regular (_regular)
 
 
 class _Model(NamedTuple):
@@ -180,24 +182,33 @@ def _model(g: SortedEdges, padded: Tuple[int, List[int]], cert: ReductionCertifi
     if min(deficiency, default=0) < 0:
         raise GraphError(above)
     blueprint, gadget = gadgets.build_gadget(kind, d) if total else (Graph(0, ()), None)
-    layout, ports, off = [], [], count
+    layout, ported, cuts, off, lows = [], [], [0, 0], count, ends[::2]
     for v, k in compress(enumerate(deficiency), deficiency):
-        ports.append((v, range(off + size - 1, off + k * size, size)))
+        at = 2 * bisect_right(lows, v, cuts[-2] // 2)  # v's edges end here; its ports go next
+        ported += ends[cuts[-2] : at]
         for j in range(1, k + 1):
             layout.append((v, j, kind, gadget.delta, off, size))
+            ported += v, off + size - 1
             off += size
-    ported, cuts = splice(ends, ports)
+        cuts += at, len(ported)
+    ported += ends[cuts[-2] :]
     return _Model(Pieces(ported, blueprint.adjacency, count, len(layout), g, cuts), layout, blueprint, gadget, size)
+
+
+def _regular(model: _Model, d: int) -> bool:
+    """The model is d-regular: its blueprint, if any, has degree d but at the port, the last id, d - 1."""
+    degrees = list(map(len, model.blueprint.adjacency))
+    return not degrees or degrees == [d] * (len(degrees) - 1) + [d - 1]
 
 
 def _faults(
     gp: SortedEdges, d: int, source_n: int, base: Tuple[int, List[int]], model: Optional[_Model]
 ) -> Tuple[List[int], bool, bool, int, int]:
-    """Where a G' other than the model, d-regular with ``planar5`` at 5
-    only, deviates from it (or from ``base``, the padded count and edges,
-    without one): the first vertices off degree ``d``, whether an edge
-    differs below ``source_n`` and below the padded count, and the last
-    block (by layout place, else -1) with a differing edge in it and one leaving it."""
+    """Where a G' other than a d-regular model deviates from it (or from
+    ``base``, the padded count and edges, without one): the first vertices
+    off degree ``d``, whether an edge differs below ``source_n`` and below
+    the padded count, and the last block (by layout place, else -1) with a
+    differing edge in it and one leaving it."""
     ends, n = gp.ends, gp.n
     degree = Counter(ends)
     missing = (v for v in range(n) if v not in degree) if d else ()
@@ -293,8 +304,9 @@ def _checks(g: SortedEdges, gp: SortedEdges, cert: ReductionCertificate) -> _Ver
         model, error = _model(g, padded, cert, n, m), ""
     except GraphError as exc:
         error = str(exc)
-    same = model is not None and n == model.pieces.n and _is_model(gp.ends, model)
-    faults = _NO_FAULTS if same else _faults(gp, cert.target_degree, g.n, padded or (g.n, g.ends), model)
+    d = cert.target_degree
+    same = model is not None and n == model.pieces.n and _regular(model, d) and _is_model(gp.ends, model)
+    faults = _NO_FAULTS if same else _faults(gp, d, g.n, padded or (g.n, g.ends), model)
     return _structure(g, cert, n, faults, padded, model, error), model
 
 
@@ -573,7 +585,7 @@ def verify_canonical(
 ) -> Optional[VerificationReport]:
     """:func:`verify_all`'s report on G (its sorted edges) and the G' in the
     file ``reduced``, when that file is byte for byte the canonical
-    ``fmt`` text of the model's G' and both hashes match; None for any other
+    ``fmt`` text of a d-regular model's G' and both hashes match; None for any other
     file, which the caller then parses and hands to :func:`verify_edges`;
     a file that cannot seek (a pipe) gets None with nothing read.
 
@@ -593,8 +605,8 @@ def verify_canonical(
         return None
     n = model.pieces.n
     m = n * d // 2
-    try:
-        if canonical_header(reduced, fmt) not in ((n, m), (n, None)):  # an edge list's header has no m
+    try:  # an edge list's header has no m; an irregular model's G' is parsed, its degrees counted
+        if not _regular(model, d) or canonical_header(reduced, fmt) not in ((n, m), (n, None)):
             return None
         digest = content_digest(n, match(reduced, fmt, model.pieces))
     except NotCanonical:

@@ -1,12 +1,14 @@
 import ast
 import dataclasses
 import io
+import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from regmis import gadgets, graph, reduction, verify
+from regmis.cli import main
 from regmis.gadgets import GENERAL, ICOSA, PLANAR5
 from regmis.graph import (
     Graph,
@@ -789,17 +791,80 @@ class TestLinearWork:
         assert not any(t is g or t is gp for t in enumerated)
 
 
-def test_verifier_imports_only_certificate_names_from_the_constructor():
-    """The verifier regenerates G' itself; from the constructor's module it
-    may take only the step kinds, the certificate type and the lifting."""
+def chord_the_blueprint(monkeypatch, chorded_kind=GENERAL, chord=(0, 1)):
+    """Patch ``build_gadget`` to give the ``chorded_kind`` gadget an extra
+    edge ``chord``, so the verifier's model, built from the same blueprint,
+    is not d-regular."""
+    real = gadgets.build_gadget
+
+    def chorded(kind, delta=None):
+        blueprint, layout = real(kind, delta)
+        if kind == chorded_kind:
+            blueprint = Graph.from_edges(blueprint.n, list(blueprint.edges()) + [chord])
+        return blueprint, layout
+
+    monkeypatch.setattr(gadgets, "build_gadget", chorded)
+    fresh_alpha_cache(monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "kind, chord, reduce, irregular",
+    [
+        (GENERAL, (0, 1), lambda g: reduce_to_regular(g, 5), [14, 15, 35, 36, 56]),  # blocks of 21 from 14
+        (PLANAR5, (2, 14), regularize_planar, [6, 18, 31, 43, 56]),  # blocks of 25 from 4; no other check fails
+    ],
+    ids=["general", "planar"],
+)
+def test_a_chorded_blueprint_fails_regular_on_both_paths(tmp_path, capsys, monkeypatch, kind, chord, reduce, irregular):
+    """A G' equal to a model that is not d-regular has its degrees counted:
+    in :func:`verify_all`, and through the CLI, where the canonical file is
+    refused by :func:`verify_canonical` and parsed.  Both ends of the chord
+    have degree 6 in every block."""
+    chord_the_blueprint(monkeypatch, kind, chord)
+    g = cycle_graph(4)
+    gp, cert = reduce(g)
+    detail = f"vertices {irregular} deviate from degree 5"
+    regular = {c.name: c for c in verify_all(g, gp, cert).checks}["regular"]
+    assert (regular.status, regular.detail) == (FAIL, detail)
+
+    files = {"graph": ("g.col", serialize_graph(g, "dimacs-col")), "reduced": ("gp.col", serialize_graph(gp, "dimacs-col"))}
+    files["cert"] = ("cert.json", cert.to_json())
+    for name, text in files.values():
+        (tmp_path / name).write_text(text)
+    reduced = io.BytesIO(files["reduced"][1].encode())
+    assert verify_canonical(SortedEdges.of(g), reduced, "dimacs-col", cert) is None
+    assert main(["verify"] + [x for flag, (name, _) in files.items() for x in (f"--{flag}", str(tmp_path / name))]) == 1
+    report = json.loads(capsys.readouterr().out)
+    regular = {c["name"]: c for c in report["checks"]}["regular"]
+    assert (regular["status"], regular["detail"]) == (FAIL, detail)
+
+
+def test_verifier_shares_only_allowlisted_names():
+    """Every name the verifier takes from the graph, constructor and gadget
+    modules, by ``from`` import (relative or absolute) or as an attribute of
+    the imported module, is on this list, and none of them places port
+    edges: the verifier merges its own."""
+    modules = ("graph", "reduction", "gadgets")
     tree = ast.parse(Path(verify.__file__).read_text())
-    from_reduction = set()
+    aliases, shared = {}, set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("reduction", "regmis.reduction"):
-            from_reduction |= {alias.name for alias in node.names}
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert all("reduction" not in alias.name for alias in node.names)
-    assert from_reduction == {"PARITY_FIX", "STAR_PAD", "ReductionCertificate", "forward_map"}
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "regmis" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "regmis"):
+            module = node.module if node.level else node.module.partition(".")[2] or None
+            if module in modules:
+                shared |= {f"{module}.{alias.name}" for alias in node.names}
+            elif module is None:
+                aliases.update((alias.asname or alias.name, alias.name) for alias in node.names if alias.name in modules)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            shared.add(f"{aliases[node.value.id]}.{node.attr}")
+    assert shared == {
+        "graph.Graph", "graph.GraphError", "graph.Pieces", "graph.Row", "graph.SortedEdges",
+        "graph.content_digest", "graph.ends_of", "graph.is_independent_set", "graph.triangle_count",
+        "reduction.PARITY_FIX", "reduction.STAR_PAD", "reduction.ReductionCertificate", "reduction.forward_map",
+        "gadgets.GENERAL", "gadgets.PLANAR5", "gadgets.GadgetLayout", "gadgets.build_gadget", "gadgets.gadget_size",
+    }
 
 
 class TestAlphaRelation:
@@ -889,17 +954,9 @@ class TestTrianglePreservation:
     def test_reads_the_blueprint(self, monkeypatch):
         """A general gadget with a chord between two vertices of one side
         closes triangles; the blocks still match (the same chorded
-        blueprint), so only the derived triangle check can see it."""
-        real = gadgets.build_gadget
-
-        def chorded(kind, delta=None):
-            blueprint, layout = real(kind, delta)
-            if kind == GENERAL:
-                blueprint = Graph.from_edges(blueprint.n, list(blueprint.edges()) + [(0, 1)])
-            return blueprint, layout
-
-        monkeypatch.setattr(gadgets, "build_gadget", chorded)
-        fresh_alpha_cache(monkeypatch)
+        blueprint), so the blueprint and attachment checks pass, and the
+        derived triangle check sees it (as ``regular`` sees the degrees)."""
+        chord_the_blueprint(monkeypatch)
         g = cycle_graph(4)
         gp, cert = reduce_to_regular(g, 5)
         by_name = {c.name: c for c in verify_all(g, gp, cert).checks}

@@ -17,12 +17,16 @@ unpacks REV with ``git archive`` into a temporary directory and solves the
 same graphs with its ``src``, alternating which side goes first from round
 to round.  The graphs come from this checkout's generator on both sides.
 The exit status is 1 if α or the witness of a graph differs between two
-runs, or its node count between two rounds of one side (``mismatches``),
-0 otherwise.  ``node_rises`` lists the graphs whose working tree takes
-more nodes than REV; they are reported, not failed.  The JSON written to
-``--output`` (stdout by default) holds the revision, ``nproc``, the Python
-version, every run, and per graph the nodes and median seconds of each
-side.  Stdlib only.
+runs, or one of its counters (the nodes, ``bound_prunes``,
+``bound_conflicts``, ``full_sweeps``) between two rounds of one side
+(``mismatches``), 0 otherwise.  ``node_rises`` lists the graphs whose
+working tree takes more nodes than REV, and ``counter_changes`` those
+whose other counters differ between the sides; they are reported, not
+failed.  The JSON written to ``--output`` (stdout by default) holds the
+revision, ``nproc``, the Python version, every run, and per graph the
+counters and median seconds of each side.  Outside a git work tree the
+commit and ``dirty`` are null, and ``--against`` is refused (exit 2), as
+it is for a revision git does not know.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(5)
+COUNTERS = ("nodes", "bound_prunes", "bound_conflicts", "full_sweeps")  # deterministic, per graph and side
 
 
 def _graphs(sizes: List[int]):
@@ -103,32 +108,42 @@ def _unpack(rev: str, into: Path) -> None:
             archive.extractall(into)
 
 
-def _git(*argv: str) -> str:
-    return subprocess.run(["git", *argv], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+def _git(*argv: str) -> Optional[str]:
+    """git's output in this checkout, or None where git fails (no work tree, no git)."""
+    try:
+        run = subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return run.stdout.strip()
 
 
 def _summary(runs: List[Dict]) -> Dict:
-    """Per graph and side: α, the witness digest, the nodes and the median
-    seconds.  ``mismatches`` lists the graphs whose α or witness differ
-    between any two runs, or whose nodes differ between two rounds of one
-    side; ``node_rises`` those whose working nodes exceed the against
-    side's."""
+    """Per graph and side: α, the witness digest, the ``COUNTERS`` and the
+    median seconds.  ``mismatches`` lists the graphs whose α or witness
+    differ between any two runs, or whose counters differ between two
+    rounds of one side; ``node_rises`` those whose working nodes exceed the
+    against side's, and ``counter_changes`` those whose other counters
+    differ between the sides."""
     per: Dict[str, Dict] = {}
     mismatches = set()
     for run in runs:
         for rec in run["graphs"]:
             entry = per.setdefault(rec["graph"], {"alpha": rec["alpha"], "witness_sha256": rec["witness_sha256"]})
-            side = entry.setdefault(run["side"], {"nodes": rec["nodes"], "seconds": []})
-            seen = (entry["alpha"], entry["witness_sha256"], side["nodes"])
-            if seen != (rec["alpha"], rec["witness_sha256"], rec["nodes"]):
+            side = entry.setdefault(run["side"], {**{key: rec[key] for key in COUNTERS}, "seconds": []})
+            same = all(entry[key] == rec[key] for key in ("alpha", "witness_sha256"))
+            if not same or any(side[key] != rec[key] for key in COUNTERS):
                 mismatches.add(rec["graph"])
             side["seconds"].append(rec["seconds"])
     for entry in per.values():
         for key in ("working", "against"):
             if key in entry:
                 entry[key]["seconds"] = statistics.median(entry[key]["seconds"])
-    rises = [name for name, e in per.items() if "against" in e and e["working"]["nodes"] > e["against"]["nodes"]]
-    return {"graphs": per, "mismatches": sorted(mismatches), "node_rises": sorted(rises)}
+    both = {name: (e["working"], e["against"]) for name, e in per.items() if "against" in e}
+    rises = [name for name, (w, a) in both.items() if w["nodes"] > a["nodes"]]
+    changes = [name for name, (w, a) in both.items() if any(w[key] != a[key] for key in COUNTERS[1:])]
+    return {
+        "graphs": per, "mismatches": sorted(mismatches), "node_rises": sorted(rises), "counter_changes": sorted(changes)
+    }
 
 
 def main(argv=None) -> int:
@@ -144,20 +159,24 @@ def main(argv=None) -> int:
         return 0
     if args.rounds < 1:
         parser.error("--rounds must be positive")
+    commit = _git("rev-parse", "HEAD")
+    against = _git("rev-parse", "--verify", f"{args.against}^{{commit}}") if args.against else None
+    if args.against and against is None:
+        parser.error(f"--against {args.against}: " + ("no git work tree here" if commit is None else "no such revision"))
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         sides = [("working", ROOT)]
-        if args.against:
-            _unpack(args.against, Path(tmp))
+        if against:
+            _unpack(against, Path(tmp))
             sides.append(("against", Path(tmp)))
         for r in range(args.rounds):
             for side, tree in sides[r % 2:] + sides[:r % 2]:
                 runs.append({"side": side, "round": r, "graphs": _run_side(tree, args)})
     report = {
-        # "dirty": the working tree's src differs from its commit
-        "revision": {"commit": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain", "--", "src"))},
-        "against": _git("rev-parse", args.against) if args.against else None,
+        # "dirty": the working tree's src differs from its commit; both null outside a work tree
+        "revision": {"commit": commit, "dirty": commit and bool(_git("status", "--porcelain", "--", "src"))},
+        "against": against,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         **_summary(runs),
@@ -170,8 +189,11 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     if report["node_rises"]:
         print(f"more nodes than {args.against} on {', '.join(report['node_rises'])}", file=sys.stderr)
+    if report["counter_changes"]:
+        changed = ", ".join(report["counter_changes"])
+        print(f"bound_prunes, bound_conflicts or full_sweeps differ from {args.against} on {changed}", file=sys.stderr)
     if report["mismatches"]:
-        print(f"alpha, witness or nodes differ on {', '.join(report['mismatches'])}", file=sys.stderr)
+        print(f"alpha, witness or counters differ on {', '.join(report['mismatches'])}", file=sys.stderr)
         return 1
     return 0
 

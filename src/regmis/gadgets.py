@@ -73,51 +73,24 @@ def build_general_gadget(delta: int) -> Tuple[Graph, GadgetLayout]:
     """Gadget for odd target degree ``delta``.
 
     Vertex id order: block 1 part A, block 1 part B, block 2 part A, ...,
-    then hubs a_1..a_k, b_1..b_k, then the port (last id).
+    then hubs a_1..a_k, b_1..b_k, then the port (last id).  With s = delta - 1
+    and k = s/2, part p holds ids p*s..p*s+s-1, side A of block p//2+1 when
+    p is even and its side B when odd; hub a_i is id s² + i - 1, hub b_i is
+    id s² + k + i - 1 and the port is id s² + s.
     """
     _require_odd_delta(delta)
-    k = (delta - 1) // 2
-    side = delta - 1
-
-    roles: list[str] = []
-    edges: list[Tuple[int, int]] = []
-    part_a: list[list[int]] = []
-    part_b: list[list[int]] = []
-    nid = 0
-    for i in range(1, k + 1):
-        a_ids = list(range(nid, nid + side))
-        nid += side
-        b_ids = list(range(nid, nid + side))
-        nid += side
-        part_a.append(a_ids)
-        part_b.append(b_ids)
-        roles += [f"part_a:{i}:{t}" for t in range(side)]
-        roles += [f"part_b:{i}:{t}" for t in range(side)]
-        edges += [(u, v) for u in a_ids for v in b_ids]
-    hub_a = list(range(nid, nid + k))
-    nid += k
-    hub_b = list(range(nid, nid + k))
-    nid += k
-    roles += [f"hub_a:{i}" for i in range(1, k + 1)]
-    roles += [f"hub_b:{i}" for i in range(1, k + 1)]
-    for i in range(k):
-        edges += [(hub_a[i], v) for v in part_a[i]]
-        edges += [(hub_b[i], v) for v in part_b[i]]
-    port = nid
-    roles.append("port")
-    edges += [(port, h) for h in hub_a + hub_b]
-
-    g = Graph.from_edges(port + 1, edges)
+    s = delta - 1
+    k, hubs, port = s // 2, s * s, s * s + s
+    parts = [range(p * s, p * s + s) for p in range(s)]
+    roles = [f"part_{'ab'[p % 2]}:{p // 2 + 1}:{t}" for p in range(s) for t in range(s)]
+    roles += [f"hub_{side}:{i}" for side in "ab" for i in range(1, k + 1)] + ["port"]
+    edges = [(u, v) for a, b in zip(parts[::2], parts[1::2]) for u in a for v in b]
+    edges += [(hubs + p % 2 * k + p // 2, v) for p, part in enumerate(parts) for v in part]
+    edges += [(port, h) for h in range(hubs, port)]
     # constructive witness: all A-part vertices plus all b hubs; port-free
-    canonical = frozenset(v for a_ids in part_a for v in a_ids) | frozenset(hub_b)
-    layout = GadgetLayout(
-        kind=GENERAL,
-        delta=delta,
-        roles=tuple(roles),
-        port=port,
-        canonical_mis=canonical,
-    )
-    return g, layout
+    canonical = frozenset(v for part in parts[::2] for v in part) | frozenset(range(hubs + k, port))
+    layout = GadgetLayout(GENERAL, delta, tuple(roles), port, canonical)
+    return Graph.from_edges(port + 1, edges), layout
 
 
 # Icosahedron with the {a, b} edge removed, transcribed label by label.

@@ -182,7 +182,8 @@ class Plan(NamedTuple):
         (:func:`~regmis.io.texts`) is written and hashed as it is rendered."""
         pieces = self.pieces
         n = pieces.n
-        out.write(header(fmt, n, n * self.cert.target_degree // 2))  # G' is d-regular
+        m = len(pieces.ends) // 2 + pieces.count * sum(map(len, pieces.rows)) // 2  # n·d/2 when G' is d-regular
+        out.write(header(fmt, n, m))
 
         def written() -> Iterator[str]:
             for text, hashed in texts(fmt, pieces):

@@ -462,16 +462,11 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     ``degree2`` counts degree-2 vertices taken and ``fold`` those folded.
     """
     limits = limits or SolverLimits()
-    deadline = (
-        time.monotonic() + limits.time_budget if limits.time_budget else None
-    )
+    deadline = time.monotonic() + limits.time_budget if limits.time_budget else None
     nodes = 0
-    prunes = 0
-    conflicts = 0
-    max_depth = 0
-    root_kernel = 0
-    full_sweeps = 0
     fired = dict.fromkeys(RULES, 0)
+    stats = {"bound_prunes": 0, "bound_conflicts": 0, "max_depth": 0, "root_kernel": 0,
+             "full_sweeps": 0, "fired": fired}
     # the value fixed outside the kernel being searched: the root's takes
     # and the root components already solved
     secured = 0
@@ -479,19 +474,19 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
     best_witness: Set[int] = set()
 
     def visit(k: _Kernel, depth: int) -> None:
-        nonlocal nodes, prunes, conflicts, max_depth, root_kernel, full_sweeps, secured, best_value, best_witness
+        nonlocal nodes, secured, best_value, best_witness
         nodes += 1
         if limits.node_budget is not None and nodes > limits.node_budget:
             raise ResourceLimitError("node budget exhausted", secured + max(best_value, 0))
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimitError("time budget exhausted", secured + max(best_value, 0))
-        if depth > max_depth:
-            max_depth = depth
+        if depth > stats["max_depth"]:
+            stats["max_depth"] = depth
 
-        full_sweeps += _exhaust(k, fired)
+        stats["full_sweeps"] += _exhaust(k, fired)
         adj = k.adj
         if depth == 0:
-            root_kernel = len(adj)
+            stats["root_kernel"] = len(adj)
             parts = _split(k)
             if parts:
                 secured, witness = k.base, _members(k.taken)
@@ -507,9 +502,9 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
                 best_value, best_witness = k.base, _members(k.taken)
             return
         bound, found = _clique_cover_bound(k)
-        conflicts += found
+        stats["bound_conflicts"] += found
         if k.base + bound <= best_value:
-            prunes += 1
+            stats["bound_prunes"] += 1
             return
 
         v = max(adj, key=lambda x: len(adj[x]))  # first in id order on ties
@@ -520,14 +515,6 @@ def mis_branch_bound(g: Graph, limits: Optional[SolverLimits] = None) -> SolveRe
         visit(k, depth + 1)
 
     visit(_Kernel.from_graph(g), 0)
-    stats = {
-        "bound_prunes": prunes,
-        "bound_conflicts": conflicts,
-        "max_depth": max_depth,
-        "root_kernel": root_kernel,
-        "full_sweeps": full_sweeps,
-        "fired": fired,
-    }
     return SolveResult(best_value, frozenset(best_witness), nodes, "branch-bound", stats)
 
 

@@ -57,9 +57,13 @@ def test_without_git_the_commit_is_null_and_against_is_refused(tmp_path, monkeyp
     assert set(report) == KEYS and report["revision"] == {"commit": None, "dirty": None}
 
 
-def test_an_unknown_revision_is_refused(capsys):
+def test_an_unknown_revision_is_refused(monkeypatch, capsys):
+    """In a work tree (here a ``_git`` whose HEAD resolves, with or without
+    a ``.git``) a revision that does not resolve exits 2 before solving."""
+    tool = bench_solvers()
+    monkeypatch.setattr(tool, "_git", lambda *argv: "0" * 40 if argv == ("rev-parse", "HEAD") else None)
     with pytest.raises(SystemExit) as refused:
-        bench_solvers().main(["--against", "no-such-revision", "--rounds", "1", "--sizes", "20"])
+        tool.main(["--against", "no-such-revision", "--rounds", "1", "--sizes", "20"])
     assert refused.value.code == 2
     assert "--against no-such-revision: no such revision" in capsys.readouterr().err
 

@@ -22,7 +22,7 @@ from regmis.verify import verify_all
 
 from conftest import TEXT_EDITS, cycle_graph, disjoint_union, edit_canonical, empty_graph, grid_with_diagonals, path_graph
 from test_golden import CASES as GOLDEN_CASES, GRID_12, MAX_DEGREE_4, MEDIUM_MAX_DEGREE_4
-from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, hang, with_layout
+from test_verify import ENUMERATED_REPORTS, GADGET_ORDERS, REPORT_INPUTS, chord_the_blueprint, hang, with_layout
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -145,6 +145,23 @@ class TestRegularize:
         )
         assert code == 0
         assert json.loads(cert.read_text())["total_offset"] == 64
+
+    @pytest.mark.parametrize(
+        "kind, chord, flags", [(gadgets.GENERAL, (0, 1), ["--degree", "5"]), (gadgets.PLANAR5, (2, 14), ["--planar"])],
+        ids=["general", "planar"],
+    )
+    def test_header_counts_the_edges_it_writes(self, tmp_path, capsys, monkeypatch, kind, chord, flags):
+        """A blueprint with an extra edge gives a G' that is not d-regular;
+        its header still declares the edges written, not |V'|·d/2."""
+        chord_the_blueprint(monkeypatch, kind, chord)
+        c6 = tmp_path / "c6.col"
+        c6.write_text(serialize_graph(cycle_graph(6), "dimacs-col"))
+        out = tmp_path / "gp.col"
+        code, _, _ = run(capsys, "regularize", c6, *flags, "--output", out, "--cert", tmp_path / "cert.json")
+        assert code == 0
+        head, *lines = out.read_text().splitlines()
+        n, m = map(int, head.split()[2:])
+        assert m == len(lines) and m != n * 5 // 2
 
 
 # the source and flags of each golden case as `regmis regularize` is given them;

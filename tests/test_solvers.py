@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regmis.gadgets import build_general_gadget, build_icosa_gadget, build_planar_gadget
+from regmis.gadgets import build_general_gadget, build_icosa_gadget, build_planar_gadget, gadget_alpha
 from regmis.graph import (
     Graph,
     GraphError,
@@ -212,6 +212,32 @@ PINNED_TREES = [
 def test_pinned_search_tree(build, alpha, nodes, digest):
     result = mis_branch_bound(build())
     assert (result.alpha, result.nodes_explored, _witness_digest(result.witness)) == (alpha, nodes, digest)
+
+
+def milp_alpha(g: Graph) -> int:
+    """α(g) by a second exact method, for graphs above brute force's cap: the
+    0/1 program max Σ x_v with one row x_u + x_v ≤ 1 per edge, solved by
+    scipy's HiGHS.  Skips the test where scipy is missing."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    ends = [x for edge in g.edges() for x in edge]
+    per_edge = sparse.coo_array(([1] * len(ends), ([i // 2 for i in range(len(ends))], ends)), shape=(len(ends) // 2, g.n))
+    rows = optimize.LinearConstraint(per_edge, ub=1)
+    result = optimize.milp([-1] * g.n, integrality=[1] * g.n, bounds=optimize.Bounds(0, 1), constraints=rows)
+    assert result.success, result.message
+    return round(-result.fun)
+
+
+@pytest.mark.parametrize("build", [p[1] for p in PINNED_TREES], ids=[p[0] for p in PINNED_TREES])
+def test_a_milp_agrees_with_bb_on_every_pinned_tree(build):
+    g = build()
+    assert milp_alpha(g) == mis_branch_bound(g).alpha
+
+
+@pytest.mark.parametrize("delta", range(7, 22, 2))
+def test_a_milp_agrees_with_the_general_gadget_alpha(delta):
+    """From Δ = 7 (43 vertices) to Δ = 21 (421), above brute force's cap."""
+    assert milp_alpha(build_general_gadget(delta)[0]) == gadget_alpha(delta)
 
 
 @pytest.mark.parametrize("n", [10, 20, 40, 60])
